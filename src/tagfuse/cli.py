@@ -47,7 +47,7 @@ from .fusion import FusionConfig, fuse, invert, read_assignments, write_assignme
 from .index import Index, build_index
 from .manifest import append_entry, config_fingerprint
 from .ranking import RankedList, read_ranked_list, write_ranked_list
-from .semantic import SemanticMatrix, fit_vocabulary, truncated_svd, vectorize
+from .semantic import SemanticMatrix, truncated_svd, vectorize
 from .seeds import derive_seed
 from .synsets import load_synsets, save_synsets, synset_rank
 
@@ -150,10 +150,9 @@ def stage_embed(cfg: RunConfig) -> None:
     started = time.time()
     ws = Workspace(cfg.output_dir)
     corpus = _load_corpus(cfg)
-    vocab = fit_vocabulary(
+    tfidf = vectorize(
         corpus, min_df=cfg.semantic.min_df, max_df_fraction=cfg.semantic.max_df_fraction
     )
-    tfidf = vectorize(corpus, vocab)
     sem = truncated_svd(
         tfidf,
         k=cfg.semantic.k,
@@ -169,7 +168,7 @@ def stage_embed(cfg: RunConfig) -> None:
         [cfg.corpus_path],
         [f"{ws.embedding_prefix}.npy", f"{ws.embedding_prefix}.json"],
         started,
-        extra={"vocabulary_size": len(vocab), "k": cfg.semantic.k},
+        extra={"vocabulary_size": len(tfidf.vocab), "k": cfg.semantic.k},
     )
 
 

@@ -85,7 +85,6 @@ def fuse(
     s_ranks = synset_list.ranks()
     r_ranks = classifier_list.ranks()
     candidates = set(s_ranks) | set(r_ranks)
-    assert max(len(s_ranks), len(r_ranks)) <= len(candidates) <= len(s_ranks) + len(r_ranks)
 
     scored = sorted(
         (

@@ -102,15 +102,18 @@ class SemanticMatrix:
         return cls(matrix=matrix, article_ids=meta["article_ids"], seed=meta["seed"])
 
 
-def fit_vocabulary(
+def vectorize(
     corpus: Corpus, min_df: int = 2, max_df_fraction: float = 0.5
-) -> Vocabulary:
-    """Collect unigrams and bigrams of title+abstract, filtered by
-    document frequency.
+) -> TfIdfMatrix:
+    """TF-IDF of the unigrams and bigrams of title+abstract, rows
+    L2-normalized, from one tokenization of each document.
 
     Terms kept satisfy ``min_df <= df <= max_df_fraction * len(corpus)``.
     The lower cutoff drops hapax noise; the upper cutoff drops terms so
-    common they carry no topical signal.
+    common they carry no topical signal. Columns are the kept terms in
+    lexicographic order. Weights use the smoothed
+    idf(t) = ln((1 + M) / (1 + df(t))) + 1 with M the corpus size. A
+    document whose terms were all filtered away keeps an all-zero row.
     """
     if min_df < 1:
         raise ValueError("min_df must be at least 1")
@@ -120,56 +123,41 @@ def fit_vocabulary(
     if n_docs == 0:
         raise TagfuseError("cannot fit a vocabulary on an empty corpus")
 
-    df: dict[str, int] = {}
+    # One row per document over provisional term ids in first-seen order.
+    term_id: dict[str, int] = {}
+    indptr = [0]
+    indices: list[int] = []
     for rec in corpus:
-        seen = set(ngrams(tokenize(text_repr(rec))))
-        for term in seen:
-            df[term] = df.get(term, 0) + 1
+        indices.extend(
+            term_id.setdefault(t, len(term_id)) for t in ngrams(tokenize(text_repr(rec)))
+        )
+        indptr.append(len(indices))
+    counts = sparse.csr_matrix(
+        (np.ones(len(indices)), np.asarray(indices), np.asarray(indptr)),
+        shape=(n_docs, len(term_id)),
+    )
+    counts.sum_duplicates()
+    df = np.bincount(counts.indices, minlength=len(term_id))
 
-    max_df = max_df_fraction * n_docs
-    kept = sorted(t for t, d in df.items() if min_df <= d <= max_df)
+    terms = list(term_id)
+    in_range = (df >= min_df) & (df <= max_df_fraction * n_docs)
+    kept = sorted((terms[i], i) for i in np.flatnonzero(in_range).tolist())
     if not kept:
         raise TagfuseError(
             f"vocabulary is empty after frequency filtering "
             f"(min_df={min_df}, max_df_fraction={max_df_fraction})"
         )
-    columns = {term: i for i, term in enumerate(kept)}
-    return Vocabulary(
-        columns=columns,
-        document_frequency={t: df[t] for t in kept},
+    vocab = Vocabulary(
+        columns={t: col for col, (t, _) in enumerate(kept)},
+        document_frequency={t: int(df[i]) for t, i in kept},
         n_docs=n_docs,
     )
+    # math.log per term: np.log's SIMD paths can differ in the last bit by CPU.
+    idf = np.array([math.log((1 + n_docs) / (1 + df[i])) + 1.0 for _, i in kept])
 
-
-def vectorize(corpus: Corpus, vocab: Vocabulary) -> TfIdfMatrix:
-    """TF-IDF weights with smoothed idf, rows L2-normalized.
-
-    idf(t) = ln((1 + M) / (1 + df(t))) + 1 with M the corpus size the
-    vocabulary was fitted on. A document whose terms were all filtered
-    away keeps an all-zero row.
-    """
-    idf = np.empty(len(vocab))
-    for term, col in vocab.columns.items():
-        idf[col] = math.log((1 + vocab.n_docs) / (1 + vocab.document_frequency[term])) + 1.0
-
-    indptr = [0]
-    indices: list[int] = []
-    data: list[float] = []
-    for rec in corpus:
-        counts: dict[int, int] = {}
-        for term in ngrams(tokenize(text_repr(rec))):
-            col = vocab.columns.get(term)
-            if col is not None:
-                counts[col] = counts.get(col, 0) + 1
-        row = sorted(counts.items())
-        indices.extend(c for c, _ in row)
-        data.extend(float(n) * idf[c] for c, n in row)
-        indptr.append(len(indices))
-
-    matrix = sparse.csr_matrix(
-        (np.asarray(data), np.asarray(indices, dtype=np.int32), np.asarray(indptr)),
-        shape=(len(corpus), len(vocab)),
-    )
+    matrix = counts[:, [i for _, i in kept]]
+    matrix.sort_indices()
+    matrix.data *= idf[matrix.indices]
     norms = sparse.linalg.norm(matrix, axis=1)
     scale = np.divide(1.0, norms, out=np.zeros_like(norms), where=norms > 0)
     matrix = sparse.diags(scale) @ matrix
@@ -183,14 +171,27 @@ def randomized_svd(
     power_iters: int = 2,
     seed: int = 0,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Truncated SVD by randomized range finding.
+    """Truncated SVD by randomized range finding (Halko, Martinsson and
+    Tropp, *Finding structure with randomness*, arXiv:0909.4061, §4.3-4.5).
 
-    Projects ``a`` onto the range of ``a @ omega`` for a Gaussian test
-    matrix ``omega`` with ``k + oversample`` columns, sharpens the capture
-    with ``power_iters`` rounds of orthonormalized subspace iteration, and
-    solves a small exact SVD in the captured subspace. Accuracy improves
-    with both parameters; for matrices of rank at most ``k + oversample``
-    the result is exact to rounding.
+    ``Q`` is the orthonormalized product of ``a`` and a Gaussian test
+    matrix with ``width = k + oversample`` columns, sharpened by
+    ``power_iters`` rounds of ``Q <- qr(a @ (a.T @ Q))``. Only this
+    m-by-width side is orthonormalized: a Householder Q does not change
+    when its input is multiplied on the right by an upper-triangular
+    matrix, so a QR of the n-by-width ``a.T @ Q`` would change only
+    rounding. The small solve takes just the R factor of ``a.T @ Q`` and
+    the SVD ``R.T = U_R S V_R^T``; it forms neither an orthonormal basis
+    of the n side nor the width-by-n ``B = Q.T @ a``. Then
+    ``u = Q @ U_R`` and ``vt = (a.T @ u).T / s``, with zero rows where
+    ``s`` is zero. Accuracy improves with both parameters; for matrices of
+    rank at most ``width`` the result is exact to rounding.
+
+    Column signs are part of the contract: they match ``np.linalg.svd(B)``
+    to rounding (``R.T`` is the L factor of the LQ step that ``gesdd``
+    takes when ``B`` is wide; tests pin narrower shapes too). The forest
+    breaks equal-score splits by order, so a flipped column can change
+    the rankings.
 
     Returns ``(u, s, vt)`` with ``u`` of shape (m, k), ``s`` of shape (k,)
     in non-increasing order, and ``vt`` of shape (k, n). Deterministic for
@@ -206,15 +207,15 @@ def randomized_svd(
 
     rng = np.random.default_rng(seed)
     width = min(k + oversample, min(m, n))
-    omega = rng.standard_normal((n, width))
-    q, _ = np.linalg.qr(a @ omega)
+    q, _ = np.linalg.qr(a @ rng.standard_normal((n, width)))
     for _ in range(power_iters):
-        w, _ = np.linalg.qr(a.T @ q)
-        q, _ = np.linalg.qr(a @ w)
-    b = (a.T @ q).T  # equals q.T @ a, but keeps sparse @ dense ordering
-    u_small, s, vt = np.linalg.svd(b, full_matrices=False)
-    u = q @ u_small
-    return u[:, :k], s[:k], vt[:k]
+        q, _ = np.linalg.qr(a @ (a.T @ q))
+    r = np.linalg.qr(a.T @ q, mode="r")
+    u_small, s, _ = np.linalg.svd(r.T)
+    u = q @ u_small[:, :k]
+    s = s[:k]
+    vt = (a.T @ u).T / np.where(s > 0, s, np.inf)[:, None]
+    return u, s, vt
 
 
 def truncated_svd(

@@ -2,14 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from scipy import sparse
 
+import tagfuse.semantic
 from tagfuse.corpus import GroundTruth
 from tagfuse.errors import TagfuseError
 from tagfuse.semantic import (
     SemanticMatrix,
     cosine,
     embedding_quality,
-    fit_vocabulary,
     randomized_svd,
     truncated_svd,
     vectorize,
@@ -31,40 +32,41 @@ def tiny_corpus():
 
 class TestVocabulary:
     def test_terms_are_unigrams_and_bigrams_with_df_bounds(self):
-        vocab = fit_vocabulary(tiny_corpus(), min_df=2, max_df_fraction=0.99)
+        vocab = vectorize(tiny_corpus(), min_df=2, max_df_fraction=0.99).vocab
         assert "fungal" in vocab.columns             # df 2
         assert "dispersal" not in vocab.columns      # df 1, below min_df
         assert "fungal spore" not in vocab.columns   # bigram df 1, below min_df
         assert "data" not in vocab.columns           # df 3 > 0.99 * 3
-        wide = fit_vocabulary(tiny_corpus(), min_df=1, max_df_fraction=1.0)
+        wide = vectorize(tiny_corpus(), min_df=1, max_df_fraction=1.0).vocab
         assert "fungal spore" in wide.columns        # bigram kept once df allows
 
     def test_columns_are_lexicographic(self):
-        vocab = fit_vocabulary(tiny_corpus(), min_df=1, max_df_fraction=1.0)
+        vocab = vectorize(tiny_corpus(), min_df=1, max_df_fraction=1.0).vocab
         terms = sorted(vocab.columns, key=vocab.columns.get)
         assert terms == sorted(terms)
 
     def test_document_frequency_counts_documents_not_occurrences(self):
-        vocab = fit_vocabulary(tiny_corpus(), min_df=1, max_df_fraction=1.0)
+        vocab = vectorize(tiny_corpus(), min_df=1, max_df_fraction=1.0).vocab
         assert vocab.document_frequency["fungal"] == 2
         assert vocab.document_frequency["data"] == 3
 
     def test_all_terms_filtered_is_an_error(self):
         with pytest.raises(TagfuseError, match="empty"):
-            fit_vocabulary(tiny_corpus(), min_df=4)
+            vectorize(tiny_corpus(), min_df=4)
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
-            fit_vocabulary(tiny_corpus(), min_df=0)
+            vectorize(tiny_corpus(), min_df=0)
         with pytest.raises(ValueError):
-            fit_vocabulary(tiny_corpus(), max_df_fraction=0.0)
+            vectorize(tiny_corpus(), max_df_fraction=0.0)
 
 
 class TestVectorize:
     def test_matches_dense_reference_computation(self):
         corpus = tiny_corpus()
-        vocab = fit_vocabulary(corpus, min_df=1, max_df_fraction=1.0)
-        got = vectorize(corpus, vocab).matrix.toarray()
+        tfidf = vectorize(corpus, min_df=1, max_df_fraction=1.0)
+        vocab = tfidf.vocab
+        got = tfidf.matrix.toarray()
 
         m = len(corpus)
         dense = np.zeros((m, len(vocab)))
@@ -85,8 +87,7 @@ class TestVectorize:
 
     def test_rows_are_unit_norm(self):
         corpus = tiny_corpus()
-        vocab = fit_vocabulary(corpus, min_df=1, max_df_fraction=1.0)
-        tfidf = vectorize(corpus, vocab)
+        tfidf = vectorize(corpus, min_df=1, max_df_fraction=1.0)
         norms = np.sqrt(np.asarray(tfidf.matrix.multiply(tfidf.matrix).sum(axis=1))).ravel()
         np.testing.assert_allclose(norms, 1.0, atol=1e-9)
 
@@ -98,18 +99,62 @@ class TestVectorize:
                 ("d3", "loner", "completely separate text"),
             ]
         )
-        vocab = fit_vocabulary(corpus, min_df=2, max_df_fraction=1.0)
-        tfidf = vectorize(corpus, vocab)
+        tfidf = vectorize(corpus, min_df=2, max_df_fraction=1.0)
         assert tfidf.matrix[2].nnz == 0
+
+    def test_tokenizes_each_document_once(self, monkeypatch):
+        calls = []
+
+        def counting_tokenize(text):
+            calls.append(text)
+            return tokenize(text)
+
+        monkeypatch.setattr(tagfuse.semantic, "tokenize", counting_tokenize)
+        corpus = tiny_corpus()
+        vectorize(corpus, min_df=1, max_df_fraction=1.0)
+        assert len(calls) == len(corpus)
 
     def test_term_outside_vocabulary_is_ignored(self):
         corpus = tiny_corpus()
-        vocab = fit_vocabulary(corpus, min_df=2, max_df_fraction=0.99)
-        tfidf = vectorize(corpus, vocab)
-        assert tfidf.matrix.shape == (3, len(vocab))
+        tfidf = vectorize(corpus, min_df=2, max_df_fraction=0.99)
+        assert tfidf.matrix.shape == (3, len(tfidf.vocab))
+
+
+def two_sided_randomized_svd(a, k, oversample=10, power_iters=2, seed=0):
+    """Reference: QR of both sides in each power iteration, then the SVD
+    of the full width-by-n ``B = Q.T @ a``."""
+    rng = np.random.default_rng(seed)
+    width = min(k + oversample, min(a.shape))
+    q, _ = np.linalg.qr(a @ rng.standard_normal((a.shape[1], width)))
+    for _ in range(power_iters):
+        w, _ = np.linalg.qr(a.T @ q)
+        q, _ = np.linalg.qr(a @ w)
+    u_small, s, vt = np.linalg.svd((a.T @ q).T, full_matrices=False)
+    return (q @ u_small)[:, :k], s[:k], vt[:k]
 
 
 class TestRandomizedSvd:
+    @pytest.mark.parametrize(
+        "m, n, k",
+        [(400, 3000, 40), (300, 2000, 25), (500, 100, 50), (200, 45, 20)],
+    )
+    def test_matches_two_sided_reference_without_sign_alignment(self, m, n, k):
+        """Signs are pinned, not just the subspace: the forest breaks
+        equal-score splits by order, so a flipped embedding column can
+        change the rankings. The last two shapes have n < 2 * (k + 10),
+        where LAPACK takes no LQ step on the wide ``B``."""
+        a = sparse.random(m, n, density=0.05, format="csr", random_state=m + n)
+        u, s, vt = randomized_svd(a, k=k, seed=3)
+        u_ref, s_ref, vt_ref = two_sided_randomized_svd(a, k=k, seed=3)
+        np.testing.assert_allclose(s, s_ref, rtol=0, atol=1e-10)
+        np.testing.assert_allclose(u, u_ref, rtol=0, atol=1e-10)
+        np.testing.assert_allclose(vt, vt_ref, rtol=0, atol=1e-10)
+
+    def test_zero_singular_values_give_zero_vt_rows(self):
+        u, s, vt = randomized_svd(np.zeros((6, 5)), k=2)
+        assert u.shape == (6, 2) and np.all(s == 0)
+        assert np.array_equal(vt, np.zeros((2, 5)))
+
     def test_exact_on_low_rank_matrices(self):
         rng = np.random.default_rng(5)
         left = rng.standard_normal((60, 8))
@@ -152,8 +197,7 @@ class TestTruncatedSvd:
     @staticmethod
     def embed(k=2, seed=0):
         corpus = tiny_corpus()
-        vocab = fit_vocabulary(corpus, min_df=1, max_df_fraction=1.0)
-        return truncated_svd(vectorize(corpus, vocab), k=k, seed=seed)
+        return truncated_svd(vectorize(corpus, min_df=1, max_df_fraction=1.0), k=k, seed=seed)
 
     def test_shape_and_id_lookup(self):
         sem = self.embed()
@@ -166,8 +210,7 @@ class TestTruncatedSvd:
         # U*s is defined up to sign/rotation in degenerate cases; the Gram
         # matrix of the embedding is invariant and must match exactly.
         corpus = tiny_corpus()
-        vocab = fit_vocabulary(corpus, min_df=1, max_df_fraction=1.0)
-        tfidf = vectorize(corpus, vocab)
+        tfidf = vectorize(corpus, min_df=1, max_df_fraction=1.0)
         sem = truncated_svd(tfidf, k=2, seed=0)
         u, s, _ = np.linalg.svd(tfidf.matrix.toarray(), full_matrices=False)
         exact = (u[:, :2] * s[:2]) @ (u[:, :2] * s[:2]).T
@@ -189,9 +232,8 @@ class TestTruncatedSvd:
 
     def test_k_below_two_rejected(self):
         corpus = tiny_corpus()
-        vocab = fit_vocabulary(corpus, min_df=1, max_df_fraction=1.0)
         with pytest.raises(ValueError, match="at least 2"):
-            truncated_svd(vectorize(corpus, vocab), k=1)
+            truncated_svd(vectorize(corpus, min_df=1, max_df_fraction=1.0), k=1)
 
     def test_unknown_article_raises(self):
         sem = self.embed()
