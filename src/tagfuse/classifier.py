@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import Corpus
-from .errors import DatasetError, InsufficientPositives
+from .corpus import TEXT_FIELDS, Corpus
+from .errors import ConfigError, DatasetError, InsufficientPositives
 from .forest import ForestConfig, RandomForest
 from .index import Index, has_any_match
 from .ranking import ORIGIN_CLASSIFIER, RankedList
@@ -25,9 +25,27 @@ from .semantic import SemanticMatrix
 
 logger = logging.getLogger(__name__)
 
-DEFAULT_MIN_POSITIVES = 100
-DEFAULT_TOP_N = 100_000
-POSITIVE_FIELDS = ("title", "abstract")
+
+@dataclass(frozen=True)
+class ClassifierConfig(ForestConfig):
+    """The ``classifier`` config section: the forest shape plus the
+    dataset, holdout and ranking parameters."""
+
+    neg_ratio: float = 1.0
+    min_positives: int = 100
+    top_n: int = 100_000
+    holdout_fraction: float = 0.2
+
+    def __post_init__(self):
+        super().__post_init__()
+        if self.neg_ratio < 0:
+            raise ConfigError("classifier.neg_ratio must be non-negative")
+        if self.min_positives < 1:
+            raise ConfigError("classifier.min_positives must be positive")
+        if self.top_n < 1:
+            raise ConfigError("classifier.top_n must be positive")
+        if not 0.0 < self.holdout_fraction < 1.0:
+            raise ConfigError("classifier.holdout_fraction must be in (0, 1)")
 
 
 @dataclass(frozen=True)
@@ -62,16 +80,15 @@ def build_dataset(
     topic: str,
     index: Index,
     corpus: Corpus,
-    neg_ratio: float = 1.0,
+    config: ClassifierConfig = ClassifierConfig(),
     seed: int = 0,
-    min_positives: int = DEFAULT_MIN_POSITIVES,
-    positive_fields: tuple[str, ...] = POSITIVE_FIELDS,
 ) -> TopicDataset:
     """Assemble positives and sampled negatives for one topic.
 
-    Positives: topic name occurs as a phrase in the title or abstract.
+    Positives: topic name occurs as a phrase in the title or abstract;
+    fewer than ``config.min_positives`` of them is too few.
     Negatives: drawn uniformly without replacement, count
-    ``ceil(neg_ratio * positives)``, from articles where the topic name
+    ``ceil(config.neg_ratio * positives)``, from articles where the topic name
     matches no indexed field, so an article mentioning the topic only in
     its keywords is neither a positive nor eligible as a negative.
 
@@ -80,15 +97,13 @@ def build_dataset(
     :class:`InsufficientPositives` when the corpus cannot support the
     topic; callers should skip the topic and say so.
     """
-    if neg_ratio < 0:
-        raise DatasetError("neg_ratio must be non-negative")
-    positives = sorted(has_any_match(index, [topic], positive_fields))
-    if len(positives) < min_positives:
-        raise InsufficientPositives(topic, len(positives), min_positives)
+    positives = sorted(has_any_match(index, [topic], TEXT_FIELDS))
+    if len(positives) < config.min_positives:
+        raise InsufficientPositives(topic, len(positives), config.min_positives)
 
     mentioned_anywhere = has_any_match(index, [topic], index.fields)
     pool = sorted(set(corpus.ids()) - mentioned_anywhere)
-    n_wanted = math.ceil(neg_ratio * len(positives))
+    n_wanted = math.ceil(config.neg_ratio * len(positives))
     if n_wanted > len(pool):
         logger.warning(
             "topic %r: negative pool has %d article(s), wanted %d; using all",
@@ -126,24 +141,21 @@ def _stratified_split(labels: np.ndarray, holdout_fraction: float, rng) -> np.nd
 def train(
     dataset: TopicDataset,
     sem: SemanticMatrix,
-    config: ForestConfig | None = None,
+    config: ClassifierConfig = ClassifierConfig(),
     seed: int = 0,
-    holdout_fraction: float = 0.2,
 ) -> TopicModel:
     """Fit a forest on the embedding rows of the dataset's articles.
 
-    A stratified holdout (default 20%) measures generalization; the
-    reported model is then refitted on all rows so no labeled example is
-    wasted. Training is deterministic given the seed and dataset.
+    A stratified holdout (``config.holdout_fraction`` of each class)
+    measures generalization; the reported model is then refitted on all
+    rows so no labeled example is wasted. Training is deterministic given
+    the seed and dataset.
     """
-    if not 0.0 < holdout_fraction < 1.0:
-        raise DatasetError("holdout_fraction must be in (0, 1)")
     if not dataset.positives or not dataset.negatives:
         raise DatasetError(
             f"topic {dataset.topic!r}: need both classes to train "
             f"({len(dataset.positives)} positives, {len(dataset.negatives)} negatives)"
         )
-    config = config or ForestConfig()
     ids = list(dataset.positives) + list(dataset.negatives)
     x = np.stack([sem.row(a) for a in ids])
     y = np.concatenate(
@@ -153,7 +165,7 @@ def train(
 
     topic_seed = derive_seed(seed, "train", dataset.topic)
     rng = np.random.default_rng(derive_seed(seed, "split", dataset.topic))
-    holdout = _stratified_split(y, holdout_fraction, rng)
+    holdout = _stratified_split(y, config.holdout_fraction, rng)
     if holdout.any() and np.unique(y[~holdout]).size == 2:
         probe = RandomForest(config).fit(x[~holdout], y[~holdout], seed=topic_seed)
         accuracy = float(np.mean(probe.predict(x[holdout]) == y[holdout]))
@@ -178,16 +190,15 @@ def train(
 
 
 def rank_corpus(
-    model: TopicModel, sem: SemanticMatrix, top_n: int = DEFAULT_TOP_N
+    model: TopicModel, sem: SemanticMatrix, config: ClassifierConfig = ClassifierConfig()
 ) -> RankedList:
-    """Score every embedded article and keep the ``top_n`` most probable.
+    """Score every embedded article and keep the ``config.top_n`` most
+    probable.
 
     Ordering is by descending probability with ties broken by article id,
     so the ranking is reproducible bit for bit.
     """
-    if top_n < 1:
-        raise ValueError("top_n must be positive")
     probs = model.forest.predict_proba(sem.matrix)
     order = sorted(range(len(probs)), key=lambda i: (-probs[i], sem.article_ids[i]))
-    entries = [(sem.article_ids[i], float(probs[i])) for i in order[:top_n]]
+    entries = [(sem.article_ids[i], float(probs[i])) for i in order[: config.top_n]]
     return RankedList(topic=model.topic, origin=ORIGIN_CLASSIFIER, entries=entries)

@@ -42,8 +42,7 @@ from .corpus import (
 )
 from .errors import ConfigError, InsufficientPositives, TagfuseError
 from .evaluation import format_table, report_records, sweep, write_plot_series
-from .forest import ForestConfig
-from .fusion import FusionConfig, fuse, invert, read_assignments, write_assignments
+from .fusion import fuse, invert, read_assignments, write_assignments
 from .index import Index, build_index
 from .manifest import append_entry, config_fingerprint
 from .ranking import RankedList, read_ranked_list, write_ranked_list
@@ -140,7 +139,7 @@ def stage_index(cfg: RunConfig) -> None:
     started = time.time()
     ws = Workspace(cfg.output_dir)
     corpus = _load_corpus(cfg)
-    index = build_index(corpus, cfg.index.fields)
+    index = build_index(corpus, cfg.index)
     ws.ensure()
     index.save(ws.index_path)
     _record(cfg, "index", [cfg.corpus_path], [ws.index_path], started)
@@ -150,16 +149,8 @@ def stage_embed(cfg: RunConfig) -> None:
     started = time.time()
     ws = Workspace(cfg.output_dir)
     corpus = _load_corpus(cfg)
-    tfidf = vectorize(
-        corpus, min_df=cfg.semantic.min_df, max_df_fraction=cfg.semantic.max_df_fraction
-    )
-    sem = truncated_svd(
-        tfidf,
-        k=cfg.semantic.k,
-        oversample=cfg.semantic.oversample,
-        power_iters=cfg.semantic.power_iters,
-        seed=derive_seed(cfg.seed, "svd"),
-    )
+    tfidf = vectorize(corpus, cfg.semantic)
+    sem = truncated_svd(tfidf, cfg.semantic, seed=derive_seed(cfg.seed, "svd"))
     ws.ensure()
     sem.save(ws.embedding_prefix)
     _record(
@@ -169,16 +160,6 @@ def stage_embed(cfg: RunConfig) -> None:
         [f"{ws.embedding_prefix}.npy", f"{ws.embedding_prefix}.json"],
         started,
         extra={"vocabulary_size": len(tfidf.vocab), "k": cfg.semantic.k},
-    )
-
-
-def _forest_config(cfg: RunConfig) -> ForestConfig:
-    c = cfg.classifier
-    return ForestConfig(
-        n_trees=c.n_trees,
-        max_depth=c.max_depth,
-        max_features=c.max_features,
-        min_samples_leaf=c.min_samples_leaf,
     )
 
 
@@ -196,28 +177,15 @@ def stage_train_rank(cfg: RunConfig) -> None:
     outputs: list[str] = []
     for topic in _topics(cfg):
         try:
-            dataset = build_dataset(
-                topic,
-                index,
-                corpus,
-                neg_ratio=cfg.classifier.neg_ratio,
-                seed=cfg.seed,
-                min_positives=cfg.classifier.min_positives,
-            )
+            dataset = build_dataset(topic, index, corpus, cfg.classifier, seed=cfg.seed)
         except InsufficientPositives as exc:
             logger.warning("skipping topic: %s", exc)
             skipped.append(
                 {"topic": topic, "positives": exc.found, "required": exc.required}
             )
             continue
-        model = train(
-            dataset,
-            sem,
-            config=_forest_config(cfg),
-            seed=cfg.seed,
-            holdout_fraction=cfg.classifier.holdout_fraction,
-        )
-        ranked = rank_corpus(model, sem, top_n=cfg.classifier.top_n)
+        model = train(dataset, sem, cfg.classifier, seed=cfg.seed)
+        ranked = rank_corpus(model, sem, cfg.classifier)
         out = ws.classifier_list_path(topic)
         write_ranked_list(ranked, out)
         outputs.append(out)
@@ -254,12 +222,7 @@ def stage_synset(cfg: RunConfig) -> None:
     ws.ensure("ranked", "synset")
     outputs = []
     for topic in _topics(cfg):
-        ranked = synset_rank(
-            synsets[topic],
-            index,
-            limit=cfg.synset_search.limit,
-            fields=cfg.synset_search.fields,
-        )
+        ranked = synset_rank(synsets[topic], index, cfg.synset_search)
         out = ws.synset_list_path(topic)
         write_ranked_list(ranked, out)
         outputs.append(out)
@@ -300,12 +263,11 @@ def stage_fuse(cfg: RunConfig) -> None:
             inputs.append(classifier_path)
 
     for a in sorted(cfg.fusion.a_values):
-        fusion_config = FusionConfig(a=a, score_threshold=cfg.fusion.score_threshold)
         ws.ensure("fusion", f"a{a}")
         ws.ensure("tags")
         fused: dict[str, RankedList] = {}
         for topic in _topics(cfg):
-            flist = fuse(synset_lists[topic], classifier_lists[topic], fusion_config)
+            flist = fuse(synset_lists[topic], classifier_lists[topic], a)
             fused[topic] = flist
             out = ws.fusion_list_path(a, topic)
             write_ranked_list(flist, out)
@@ -372,8 +334,7 @@ def stage_eval(cfg: RunConfig) -> None:
     )
 
 
-_PIPELINE = ("index", "embed", "train-rank", "synset", "fuse", "eval")
-
+# Pipeline order: ``all`` runs the stages as listed.
 _STAGES = {
     "index": stage_index,
     "embed": stage_embed,
@@ -385,9 +346,9 @@ _STAGES = {
 
 
 def stage_all(cfg: RunConfig) -> None:
-    for name in _PIPELINE:
+    for name, stage in _STAGES.items():
         logger.info("stage: %s", name)
-        _STAGES[name](cfg)
+        stage(cfg)
 
 
 def stage_bench(cfg: RunConfig) -> None:
@@ -437,8 +398,6 @@ def _apply_overrides(cfg: RunConfig, args: argparse.Namespace) -> RunConfig:
             raise ConfigError(f"--topics not in config: {unknown}")
         cfg = dataclasses.replace(cfg, topics=tuple(wanted))
     if getattr(args, "a", None) is not None:
-        if args.a < 1:
-            raise ConfigError("--a must be a positive integer")
         cfg = dataclasses.replace(
             cfg, fusion=dataclasses.replace(cfg.fusion, a_values=(args.a,))
         )

@@ -17,88 +17,26 @@ default. Example:
 
 ``ground_truth_fields`` may replace ``ground_truth_path`` to derive the
 truth from category fields (for example ["subjects"]) instead of a file.
+
+Each section is the config dataclass of the module that uses it, which
+declares, defaults and checks the section's keys, so every key is
+validated when the config loads. JSON arrays become tuples.
 """
 
 from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field, fields as dataclass_fields
+from dataclasses import MISSING, dataclass, field, fields as dataclass_fields
 
 from .benchmark import BenchmarkSpec
+from .classifier import ClassifierConfig
+from .corpus import TEXT_FIELDS
 from .errors import BenchmarkError, ConfigError
-
-
-@dataclass(frozen=True)
-class IndexSection:
-    fields: tuple[str, ...] | None = None  # None: every text field
-
-
-@dataclass(frozen=True)
-class SynsetSection:
-    fields: tuple[str, ...] = ("title", "abstract")
-    limit: int = 100_000
-
-    def __post_init__(self):
-        if self.limit < 1:
-            raise ConfigError("synset_search.limit must be positive")
-
-
-@dataclass(frozen=True)
-class SemanticSection:
-    k: int = 150
-    min_df: int = 2
-    max_df_fraction: float = 0.5
-    oversample: int = 10
-    power_iters: int = 2
-
-    def __post_init__(self):
-        if self.k < 2:
-            raise ConfigError("semantic.k must be at least 2")
-        if self.min_df < 1:
-            raise ConfigError("semantic.min_df must be at least 1")
-        if not 0.0 < self.max_df_fraction <= 1.0:
-            raise ConfigError("semantic.max_df_fraction must be in (0, 1]")
-        if self.oversample < 0 or self.power_iters < 0:
-            raise ConfigError("semantic.oversample and power_iters must be >= 0")
-
-
-@dataclass(frozen=True)
-class ClassifierSection:
-    n_trees: int = 100
-    max_depth: int | None = None
-    max_features: str | int = "sqrt"
-    min_samples_leaf: int = 1
-    neg_ratio: float = 1.0
-    min_positives: int = 100
-    top_n: int = 100_000
-    holdout_fraction: float = 0.2
-
-    def __post_init__(self):
-        if self.neg_ratio < 0:
-            raise ConfigError("classifier.neg_ratio must be non-negative")
-        if self.min_positives < 1:
-            raise ConfigError("classifier.min_positives must be positive")
-        if self.top_n < 1:
-            raise ConfigError("classifier.top_n must be positive")
-        if not 0.0 < self.holdout_fraction < 1.0:
-            raise ConfigError("classifier.holdout_fraction must be in (0, 1)")
-
-
-@dataclass(frozen=True)
-class FusionSection:
-    a_values: tuple[int, ...] = (1, 2, 3, 4)
-    score_threshold: float | None = None
-
-    def __post_init__(self):
-        if not self.a_values:
-            raise ConfigError("fusion.a_values must not be empty")
-        if any(a < 1 for a in self.a_values):
-            raise ConfigError("fusion.a_values must be positive integers")
-        if len(set(self.a_values)) != len(self.a_values):
-            raise ConfigError("fusion.a_values must be unique")
-        if self.score_threshold is not None and not 0.0 <= self.score_threshold <= 1.0:
-            raise ConfigError("fusion.score_threshold must lie in [0, 1]")
+from .fusion import FusionConfig
+from .index import IndexConfig
+from .semantic import SemanticConfig
+from .synsets import SynsetConfig
 
 
 @dataclass(frozen=True)
@@ -110,11 +48,11 @@ class RunConfig:
     ground_truth_fields: tuple[str, ...] | None = None
     topics: tuple[str, ...] = ()
     seed: int = 0
-    index: IndexSection = field(default_factory=IndexSection)
-    synset_search: SynsetSection = field(default_factory=SynsetSection)
-    semantic: SemanticSection = field(default_factory=SemanticSection)
-    classifier: ClassifierSection = field(default_factory=ClassifierSection)
-    fusion: FusionSection = field(default_factory=FusionSection)
+    index: IndexConfig = field(default_factory=IndexConfig)
+    synset_search: SynsetConfig = field(default_factory=SynsetConfig)
+    semantic: SemanticConfig = field(default_factory=SemanticConfig)
+    classifier: ClassifierConfig = field(default_factory=ClassifierConfig)
+    fusion: FusionConfig = field(default_factory=FusionConfig)
     benchmark: BenchmarkSpec = field(default_factory=BenchmarkSpec)
 
     def __post_init__(self):
@@ -127,6 +65,15 @@ class RunConfig:
         slugs = [topic_slug(t) for t in self.topics]
         if len(set(slugs)) != len(slugs):
             raise ConfigError("topic names collide after slugging; rename one")
+        if self.index.fields is not None:
+            # The classifier's positives search reads the title and abstract.
+            searched = (*self.synset_search.fields, *TEXT_FIELDS)
+            missing = sorted(set(searched) - set(self.index.fields))
+            if missing:
+                raise ConfigError(
+                    f"index.fields leaves out {missing}, which synset_search.fields "
+                    "or the classifier's positives search"
+                )
 
 
 def topic_slug(topic: str) -> str:
@@ -135,20 +82,11 @@ def topic_slug(topic: str) -> str:
     return slug or "topic"
 
 
+# Section name -> its dataclass, the default factory of the RunConfig field.
 _SECTIONS = {
-    "index": IndexSection,
-    "synset_search": SynsetSection,
-    "semantic": SemanticSection,
-    "classifier": ClassifierSection,
-    "fusion": FusionSection,
-    "benchmark": BenchmarkSpec,
-}
-
-_LIST_KEYS = {
-    "topics",
-    "ground_truth_fields",
-    "fields",
-    "a_values",
+    f.name: f.default_factory
+    for f in dataclass_fields(RunConfig)
+    if f.default_factory is not MISSING
 }
 
 
@@ -157,16 +95,10 @@ def _build_section(cls, raw: dict, context: str):
     unknown = sorted(set(raw) - allowed)
     if unknown:
         raise ConfigError(f"unknown key(s) in {context}: {unknown}")
-    kwargs = {}
-    for key, value in raw.items():
-        if key in _LIST_KEYS and isinstance(value, list):
-            value = tuple(value)
-        kwargs[key] = value
+    kwargs = {k: tuple(v) if isinstance(v, list) else v for k, v in raw.items()}
     try:
         return cls(**kwargs)
-    except BenchmarkError as exc:
-        raise ConfigError(f"{context}: {exc}") from exc
-    except (TypeError, ValueError) as exc:
+    except (BenchmarkError, TypeError, ValueError) as exc:
         raise ConfigError(f"{context}: {exc}") from exc
 
 

@@ -21,6 +21,9 @@ from .text import contains_phrase, tokenize
 
 logger = logging.getLogger(__name__)
 
+# Title and abstract: the embedded text, the classifier's positives search
+# and the default synonym-set search all read these two fields.
+TEXT_FIELDS = ("title", "abstract")
 CORE_LIST_FIELDS = ("keywords", "subjects")
 
 
@@ -72,13 +75,6 @@ class Corpus:
     def get(self, article_id: str) -> ArticleRecord:
         try:
             return self._records[self._index_of[article_id]]
-        except KeyError:
-            raise CorpusError(f"unknown article id {article_id!r}") from None
-
-    def ordinal(self, article_id: str) -> int:
-        """Stable row number of the article, in ingestion order."""
-        try:
-            return self._index_of[article_id]
         except KeyError:
             raise CorpusError(f"unknown article id {article_id!r}") from None
 

@@ -21,7 +21,6 @@ class ForestConfig:
     max_depth: int | None = None
     max_features: str | int = "sqrt"
     min_samples_leaf: int = 1
-    bootstrap: bool = True
 
     def __post_init__(self):
         if self.n_trees < 1:
@@ -189,12 +188,8 @@ class RandomForest:
         # many trees are grown or in which order.
         for child in np.random.SeedSequence(seed).spawn(self.config.n_trees):
             rng = np.random.default_rng(child)
-            if self.config.bootstrap:
-                sample = rng.integers(0, n, size=n)
-                xt, yt = x[sample], y[sample]
-            else:
-                xt, yt = x, y
-            self.trees.append(_grow_tree(xt, yt, rng, self.config))
+            sample = rng.integers(0, n, size=n)
+            self.trees.append(_grow_tree(x[sample], y[sample], rng, self.config))
         return self
 
     def predict_proba(self, x: np.ndarray) -> np.ndarray:

@@ -23,7 +23,7 @@ import json
 import logging
 from dataclasses import dataclass
 
-from .errors import TagfuseError
+from .errors import ConfigError, TagfuseError
 from .ranking import ORIGIN_CLASSIFIER, ORIGIN_FUSION, ORIGIN_SYNSET, RankedList
 
 logger = logging.getLogger(__name__)
@@ -31,17 +31,22 @@ logger = logging.getLogger(__name__)
 
 @dataclass(frozen=True)
 class FusionConfig:
-    """``a`` scales the fused list length to ``a * |S|``; the optional
-    score threshold filters inverted tags by normalized score."""
+    """The ``fusion`` config section. Each depth ``a`` in ``a_values``
+    yields a fused list of at most ``a * |S|``; the optional score
+    threshold filters inverted tags by normalized score."""
 
-    a: int = 2
+    a_values: tuple[int, ...] = (1, 2, 3, 4)
     score_threshold: float | None = None
 
     def __post_init__(self):
-        if self.a < 1:
-            raise ValueError("a must be a positive integer")
+        if not self.a_values:
+            raise ConfigError("fusion.a_values must not be empty")
+        if any(a < 1 for a in self.a_values):
+            raise ConfigError("fusion.a_values must be positive integers")
+        if len(set(self.a_values)) != len(self.a_values):
+            raise ConfigError("fusion.a_values must be unique")
         if self.score_threshold is not None and not 0.0 <= self.score_threshold <= 1.0:
-            raise ValueError("score_threshold must lie in [0, 1]")
+            raise ConfigError("fusion.score_threshold must lie in [0, 1]")
 
 
 def combined_rank(
@@ -57,10 +62,9 @@ def combined_rank(
     raise ValueError("article is in neither list")
 
 
-def fuse(
-    synset_list: RankedList, classifier_list: RankedList, config: FusionConfig
-) -> RankedList:
-    """Fuse one topic's two rankings into a list of at most ``a * |S|``.
+def fuse(synset_list: RankedList, classifier_list: RankedList, a: int) -> RankedList:
+    """Fuse one topic's two rankings into a list of at most ``a * |S|``,
+    for a depth ``a >= 1`` as :class:`FusionConfig` checks it.
 
     An empty synset list cannot anchor a fusion (the length budget is a
     multiple of its size), so it yields an empty fusion list with a
@@ -88,12 +92,15 @@ def fuse(
 
     scored = sorted(
         (
-            (combined_rank(s_ranks.get(a), r_ranks.get(a), synset_size), a)
-            for a in candidates
+            (
+                combined_rank(s_ranks.get(article_id), r_ranks.get(article_id), synset_size),
+                article_id,
+            )
+            for article_id in candidates
         ),
         key=lambda pair: (pair[0], pair[1]),
     )
-    kept = scored[: config.a * synset_size]
+    kept = scored[: a * synset_size]
     return RankedList(
         topic=topic,
         origin=ORIGIN_FUSION,

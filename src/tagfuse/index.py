@@ -13,8 +13,8 @@ import logging
 import pickle
 from dataclasses import dataclass
 
-from .corpus import Corpus
-from .errors import CorpusError
+from .corpus import CORE_LIST_FIELDS, TEXT_FIELDS, Corpus
+from .errors import ConfigError, CorpusError
 from .text import tokenize
 
 logger = logging.getLogger(__name__)
@@ -26,6 +26,21 @@ BM25_B = 0.75
 
 _PICKLE_FORMAT = "tagfuse-index"
 _PICKLE_VERSION = 1
+
+
+@dataclass(frozen=True)
+class IndexConfig:
+    """The ``index`` config section: the fields to index, ``None`` for
+    every text field of the corpus."""
+
+    fields: tuple[str, ...] | None = None
+
+    def __post_init__(self):
+        if self.fields is not None:
+            if not self.fields:
+                raise ConfigError("index.fields must not be empty")
+            if len(set(self.fields)) != len(self.fields):
+                raise ConfigError(f"index.fields has duplicate names: {list(self.fields)}")
 
 
 @dataclass(frozen=True)
@@ -143,8 +158,6 @@ class Index:
         """Summed per-field BM25 scores of the phrase's terms, on docs
         where the whole phrase occurs in that field."""
         tokens = tokenize(phrase)
-        if not tokens:
-            raise ValueError(f"query {phrase!r} tokenizes to nothing")
         self._check_fields(fields)
         combined: dict[int, float] = {}
         for name in fields:
@@ -212,21 +225,16 @@ class Index:
 
 def default_fields(corpus: Corpus) -> tuple[str, ...]:
     """All text fields present in the corpus, core fields first."""
-    return ("title", "abstract", "keywords", "subjects", *corpus.extra_field_names())
+    return (*TEXT_FIELDS, *CORE_LIST_FIELDS, *corpus.extra_field_names())
 
 
-def build_index(corpus: Corpus, fields: tuple[str, ...] | None = None) -> Index:
-    """Index the corpus over the given fields (default: every text field)."""
-    if fields is None:
-        fields = default_fields(corpus)
-    if not fields:
-        raise ValueError("no fields given")
-    if len(set(fields)) != len(fields):
-        raise ValueError(f"duplicate field names: {fields}")
-    known = set(default_fields(corpus))
+def build_index(corpus: Corpus, config: IndexConfig = IndexConfig()) -> Index:
+    """Index the corpus over the configured fields."""
+    known = default_fields(corpus)
+    fields = known if config.fields is None else config.fields
     unknown = [f for f in fields if f not in known]
     if unknown:
-        raise ValueError(f"fields not present in the corpus: {unknown}")
+        raise ConfigError(f"index.fields names fields not present in the corpus: {unknown}")
     index = Index.build(corpus, tuple(fields))
     logger.info(
         "indexed %d article(s) over fields %s", len(index), ", ".join(fields)
@@ -234,25 +242,14 @@ def build_index(corpus: Corpus, fields: tuple[str, ...] | None = None) -> Index:
     return index
 
 
-def search_phrase(
-    index: Index, phrase: str, fields: tuple[str, ...], limit: int
-) -> list[SearchHit]:
-    """Articles containing the phrase in at least one field, best first.
-
-    Score is the sum over fields, for fields where the phrase occurs, of
-    the BM25 scores of the phrase's terms. Ties break by article id.
-    """
-    return index._to_hits(index._phrase_scores(phrase, fields), limit)
-
-
 def search_any(
     index: Index, terms: list[str], fields: tuple[str, ...], limit: int
 ) -> list[SearchHit]:
     """OR-query over phrases: articles matching at least one term.
 
-    Each term is itself matched as a phrase; article scores are the sum
-    of the per-term phrase scores, so ``search_any([t], ...)`` ranks
-    exactly like ``search_phrase(t, ...)``.
+    Each term is itself matched as a phrase, scored on each field where
+    the phrase occurs by the sum of its terms' BM25 scores; article
+    scores add up over fields and terms. Ties break by article id.
     """
     useful = [t for t in terms if tokenize(t)]
     if not useful:

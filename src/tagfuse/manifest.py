@@ -14,7 +14,6 @@ import hashlib
 import json
 import os
 import time
-from typing import Any
 
 MANIFEST_NAME = "manifest.jsonl"
 
@@ -27,19 +26,9 @@ def file_sha256(path: str) -> str:
     return digest.hexdigest()
 
 
-def _plain(value: Any):
-    if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        return {f.name: _plain(getattr(value, f.name)) for f in dataclasses.fields(value)}
-    if isinstance(value, (list, tuple)):
-        return [_plain(v) for v in value]
-    if isinstance(value, dict):
-        return {k: _plain(v) for k, v in value.items()}
-    return value
-
-
 def config_fingerprint(config) -> str:
     """SHA-256 of the canonical JSON form of a config dataclass."""
-    canonical = json.dumps(_plain(config), sort_keys=True, ensure_ascii=False)
+    canonical = json.dumps(dataclasses.asdict(config), sort_keys=True, ensure_ascii=False)
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 

@@ -14,12 +14,15 @@ import json
 import logging
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy import sparse
 
-from .corpus import Corpus, GroundTruth, text_repr
-from .errors import TagfuseError
+if TYPE_CHECKING:
+    from scipy import sparse
+
+from .corpus import Corpus, text_repr
+from .errors import ConfigError, TagfuseError
 from .text import ngrams, tokenize
 
 logger = logging.getLogger(__name__)
@@ -27,6 +30,28 @@ logger = logging.getLogger(__name__)
 # Working range of the latent dimension for real corpora. Smaller values
 # are legal (tiny test corpora cannot support 100 dimensions), just noisy.
 RECOMMENDED_K = (100, 600)
+
+
+@dataclass(frozen=True)
+class SemanticConfig:
+    """The ``semantic`` config section: the vocabulary cutoffs, the latent
+    dimension ``k`` and the accuracy knobs of the randomized SVD."""
+
+    k: int = 150
+    min_df: int = 2
+    max_df_fraction: float = 0.5
+    oversample: int = 10
+    power_iters: int = 2
+
+    def __post_init__(self):
+        if self.k < 2:
+            raise ConfigError("semantic.k must be at least 2")
+        if self.min_df < 1:
+            raise ConfigError("semantic.min_df must be at least 1")
+        if not 0.0 < self.max_df_fraction <= 1.0:
+            raise ConfigError("semantic.max_df_fraction must be in (0, 1]")
+        if self.oversample < 0 or self.power_iters < 0:
+            raise ConfigError("semantic.oversample and power_iters must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -102,23 +127,21 @@ class SemanticMatrix:
         return cls(matrix=matrix, article_ids=meta["article_ids"], seed=meta["seed"])
 
 
-def vectorize(
-    corpus: Corpus, min_df: int = 2, max_df_fraction: float = 0.5
-) -> TfIdfMatrix:
+def vectorize(corpus: Corpus, config: SemanticConfig = SemanticConfig()) -> TfIdfMatrix:
     """TF-IDF of the unigrams and bigrams of title+abstract, rows
     L2-normalized, from one tokenization of each document.
 
-    Terms kept satisfy ``min_df <= df <= max_df_fraction * len(corpus)``.
-    The lower cutoff drops hapax noise; the upper cutoff drops terms so
-    common they carry no topical signal. Columns are the kept terms in
-    lexicographic order. Weights use the smoothed
+    Terms kept satisfy ``min_df <= df <= max_df_fraction * len(corpus)``
+    (both from ``config``). The lower cutoff drops hapax noise; the upper
+    cutoff drops terms so common they carry no topical signal. Columns
+    are the kept terms in lexicographic order. Weights use the smoothed
     idf(t) = ln((1 + M) / (1 + df(t))) + 1 with M the corpus size. A
     document whose terms were all filtered away keeps an all-zero row.
     """
-    if min_df < 1:
-        raise ValueError("min_df must be at least 1")
-    if not 0.0 < max_df_fraction <= 1.0:
-        raise ValueError("max_df_fraction must be in (0, 1]")
+    # Imported here so that loading a config, and the stages that never
+    # vectorize, do not load scipy.
+    from scipy import sparse
+
     n_docs = len(corpus)
     if n_docs == 0:
         raise TagfuseError("cannot fit a vocabulary on an empty corpus")
@@ -140,12 +163,12 @@ def vectorize(
     df = np.bincount(counts.indices, minlength=len(term_id))
 
     terms = list(term_id)
-    in_range = (df >= min_df) & (df <= max_df_fraction * n_docs)
+    in_range = (df >= config.min_df) & (df <= config.max_df_fraction * n_docs)
     kept = sorted((terms[i], i) for i in np.flatnonzero(in_range).tolist())
     if not kept:
         raise TagfuseError(
             f"vocabulary is empty after frequency filtering "
-            f"(min_df={min_df}, max_df_fraction={max_df_fraction})"
+            f"(min_df={config.min_df}, max_df_fraction={config.max_df_fraction})"
         )
     vocab = Vocabulary(
         columns={t: col for col, (t, _) in enumerate(kept)},
@@ -165,11 +188,7 @@ def vectorize(
 
 
 def randomized_svd(
-    a,
-    k: int,
-    oversample: int = 10,
-    power_iters: int = 2,
-    seed: int = 0,
+    a, k: int, oversample: int, power_iters: int, seed: int = 0
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Truncated SVD by randomized range finding (Halko, Martinsson and
     Tropp, *Finding structure with randomness*, arXiv:0909.4061, §4.3-4.5).
@@ -198,12 +217,8 @@ def randomized_svd(
     a fixed seed.
     """
     m, n = a.shape
-    if k < 1:
-        raise ValueError("k must be positive")
     if k > min(m, n):
         raise ValueError(f"k={k} exceeds min(m, n)={min(m, n)}")
-    if oversample < 0 or power_iters < 0:
-        raise ValueError("oversample and power_iters must be non-negative")
 
     rng = np.random.default_rng(seed)
     width = min(k + oversample, min(m, n))
@@ -219,107 +234,21 @@ def randomized_svd(
 
 
 def truncated_svd(
-    tfidf: TfIdfMatrix,
-    k: int = 150,
-    oversample: int = 10,
-    power_iters: int = 2,
-    seed: int = 0,
+    tfidf: TfIdfMatrix, config: SemanticConfig = SemanticConfig(), seed: int = 0
 ) -> SemanticMatrix:
     """Embed every article as its row of ``U[:, :k] * s[:k]``."""
-    if k < 2:
-        raise ValueError("k must be at least 2")
+    k = config.k
+    bound = min(tfidf.matrix.shape)
+    if k > bound:
+        raise TagfuseError(
+            f"semantic.k={k} exceeds min(articles, vocabulary terms)={bound}; "
+            "lower semantic.k"
+        )
     if not RECOMMENDED_K[0] <= k <= RECOMMENDED_K[1]:
         logger.warning(
             "latent dimension k=%d outside the usual range %s", k, RECOMMENDED_K
         )
-    u, s, _ = randomized_svd(
-        tfidf.matrix, k, oversample=oversample, power_iters=power_iters, seed=seed
-    )
+    u, s, _ = randomized_svd(tfidf.matrix, k, config.oversample, config.power_iters, seed)
     return SemanticMatrix(
         matrix=u * s, article_ids=list(tfidf.article_ids), seed=seed
-    )
-
-
-def cosine(u: np.ndarray, v: np.ndarray) -> float:
-    """Cosine similarity; zero-norm input is an error."""
-    nu = float(np.linalg.norm(u))
-    nv = float(np.linalg.norm(v))
-    if nu == 0.0 or nv == 0.0:
-        raise ValueError("cosine is undefined for a zero vector")
-    return float(np.dot(u, v) / (nu * nv))
-
-
-@dataclass(frozen=True)
-class QualityReport:
-    """Separation of labeled articles in the embedding."""
-
-    mean_intra_topic: float
-    mean_random_pair: float
-    n_intra_pairs: int
-    n_random_pairs: int
-
-    @property
-    def gap(self) -> float:
-        return self.mean_intra_topic - self.mean_random_pair
-
-
-def embedding_quality(
-    sem: SemanticMatrix,
-    truth: GroundTruth,
-    seed: int = 0,
-    max_intra_pairs: int = 50_000,
-    n_random_pairs: int = 2_000,
-) -> QualityReport:
-    """Mean within-topic cosine against mean random-pair cosine.
-
-    A healthy embedding separates: articles sharing a true topic should be
-    more similar than arbitrary pairs, so the gap should be clearly
-    positive. Needs at least two topics with two or more embedded,
-    labeled articles each.
-    """
-    rng = np.random.default_rng(seed)
-    by_topic: dict[str, list[int]] = {}
-    for article_id, topics in truth.labels.items():
-        if article_id in sem:
-            row = sem._row_of[article_id]
-            for t in topics:
-                by_topic.setdefault(t, []).append(row)
-
-    eligible = {t: sorted(rows) for t, rows in by_topic.items() if len(rows) >= 2}
-    if len(eligible) < 2:
-        raise TagfuseError(
-            "embedding quality needs at least two topics with two or more "
-            f"labeled articles (found {len(eligible)})"
-        )
-
-    pairs: list[tuple[int, int]] = []
-    for t in sorted(eligible):
-        rows = eligible[t]
-        pairs.extend(
-            (rows[i], rows[j])
-            for i in range(len(rows))
-            for j in range(i + 1, len(rows))
-        )
-    if len(pairs) > max_intra_pairs:
-        chosen = rng.choice(len(pairs), size=max_intra_pairs, replace=False)
-        pairs = [pairs[i] for i in sorted(chosen)]
-
-    def mean_cosine(pair_list: list[tuple[int, int]]) -> float:
-        total = 0.0
-        for i, j in pair_list:
-            total += cosine(sem.matrix[i], sem.matrix[j])
-        return total / len(pair_list)
-
-    m = len(sem.article_ids)
-    random_pairs: list[tuple[int, int]] = []
-    while len(random_pairs) < n_random_pairs:
-        i, j = rng.integers(0, m, size=2)
-        if i != j:
-            random_pairs.append((int(i), int(j)))
-
-    return QualityReport(
-        mean_intra_topic=mean_cosine(pairs),
-        mean_random_pair=mean_cosine(random_pairs),
-        n_intra_pairs=len(pairs),
-        n_random_pairs=len(random_pairs),
     )

@@ -13,14 +13,28 @@ import json
 import logging
 from dataclasses import dataclass
 
-from .errors import SynsetError
+from .corpus import TEXT_FIELDS
+from .errors import ConfigError, SynsetError
 from .index import Index, search_any
 from .ranking import ORIGIN_SYNSET, RankedList
 from .text import tokenize
 
 logger = logging.getLogger(__name__)
 
-SEARCH_FIELDS = ("title", "abstract")
+
+@dataclass(frozen=True)
+class SynsetConfig:
+    """The ``synset_search`` config section: the fields searched and the
+    per-topic result cap."""
+
+    fields: tuple[str, ...] = TEXT_FIELDS
+    limit: int = 100_000
+
+    def __post_init__(self):
+        if not self.fields:
+            raise ConfigError("synset_search.fields must not be empty")
+        if self.limit < 1:
+            raise ConfigError("synset_search.limit must be positive")
 
 
 @dataclass(frozen=True)
@@ -98,23 +112,20 @@ def save_synsets(synsets: dict[str, Synset], path: str) -> None:
 
 
 def synset_rank(
-    synset: Synset,
-    index: Index,
-    limit: int,
-    fields: tuple[str, ...] = SEARCH_FIELDS,
+    synset: Synset, index: Index, config: SynsetConfig = SynsetConfig()
 ) -> RankedList:
     """Rank articles matching any synset term as a phrase, best first.
 
     Multi-word terms must occur contiguously; an article matching several
-    terms accumulates their scores. Searches title and abstract unless
-    told otherwise.
+    terms accumulates their scores. At most ``config.limit`` articles are
+    kept.
     """
     usable = [t for t in synset.terms if tokenize(t)]
     if not usable:
         raise SynsetError(
             f"synset for topic {synset.topic!r} has no tokenizable terms"
         )
-    hits = search_any(index, usable, fields, limit)
+    hits = search_any(index, usable, config.fields, config.limit)
     return RankedList(
         topic=synset.topic,
         origin=ORIGIN_SYNSET,

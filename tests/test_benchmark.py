@@ -4,7 +4,7 @@ from tagfuse.benchmark import BenchmarkSpec, generate, topic_names
 from tagfuse.corpus import save_corpus
 from tagfuse.errors import BenchmarkError
 from tagfuse.index import build_index
-from tagfuse.synsets import synset_rank
+from tagfuse.synsets import SynsetConfig, synset_rank
 from tagfuse.text import tokenize
 
 SMALL = BenchmarkSpec(
@@ -122,7 +122,7 @@ class TestVocabularySplit:
         index = build_index(corpus)
         n_alt = round(spec.alt_vocab_fraction * spec.docs_per_topic)
         for topic, synset in synsets.items():
-            hits = set(synset_rank(synset, index, limit=10_000).ids())
+            hits = set(synset_rank(synset, index, SynsetConfig(limit=10_000)).ids())
             members = {a for a, labels in truth.labels.items() if topic in labels}
             # Exactly the primary community is reachable, never the
             # alternate community, and never another topic's articles.
@@ -143,7 +143,7 @@ class TestVocabularySplit:
         index = build_index(corpus)
         foreign = 0
         for topic, synset in synsets.items():
-            hits = set(synset_rank(synset, index, limit=10_000).ids())
+            hits = set(synset_rank(synset, index, SynsetConfig(limit=10_000)).ids())
             members = {a for a, labels in truth.labels.items() if topic in labels}
             foreign += len(hits - members)
         assert foreign > 0

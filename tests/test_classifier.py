@@ -3,9 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from tagfuse.classifier import build_dataset, rank_corpus, train
-from tagfuse.errors import DatasetError, InsufficientPositives
-from tagfuse.forest import ForestConfig
+from tagfuse.classifier import ClassifierConfig, build_dataset, rank_corpus, train
+from tagfuse.errors import ConfigError, DatasetError, InsufficientPositives
 from tagfuse.index import build_index
 from tagfuse.ranking import ORIGIN_CLASSIFIER
 from tagfuse.semantic import SemanticMatrix
@@ -30,6 +29,11 @@ def labeled_corpus():
     return make_corpus(rows)
 
 
+def small(**overrides):
+    """Classifier config for the toy corpus, where one positive is enough."""
+    return ClassifierConfig(min_positives=1, **overrides)
+
+
 def embedding_for(corpus, dim=4, seed=0):
     """Synthetic embedding: positives cluster apart from the rest."""
     rng = np.random.default_rng(seed)
@@ -45,7 +49,7 @@ class TestBuildDataset:
     def test_positives_are_title_and_abstract_phrase_matches(self):
         corpus = labeled_corpus()
         index = build_index(corpus)
-        dataset = build_dataset("mycology", index, corpus, min_positives=1)
+        dataset = build_dataset("mycology", index, corpus, small())
         expected = sorted(f"t{i:02d}" for i in range(6)) + sorted(
             f"b{i:02d}" for i in range(4)
         )
@@ -54,7 +58,7 @@ class TestBuildDataset:
     def test_keyword_only_mentions_are_in_neither_class(self):
         corpus = labeled_corpus()
         index = build_index(corpus)
-        dataset = build_dataset("mycology", index, corpus, neg_ratio=10.0, min_positives=1)
+        dataset = build_dataset("mycology", index, corpus, small(neg_ratio=10.0))
         keyword_only = {f"k{i:02d}" for i in range(3)}
         assert not keyword_only & set(dataset.positives)
         assert not keyword_only & set(dataset.negatives)
@@ -65,22 +69,20 @@ class TestBuildDataset:
         corpus = labeled_corpus()
         index = build_index(corpus)
         for ratio in (0.25, 0.5, 1.0, 1.3):
-            dataset = build_dataset(
-                "mycology", index, corpus, neg_ratio=ratio, min_positives=1
-            )
+            dataset = build_dataset("mycology", index, corpus, small(neg_ratio=ratio))
             assert len(dataset.negatives) == math.ceil(ratio * 10)
 
     def test_negatives_never_overlap_positives(self):
         corpus = labeled_corpus()
         index = build_index(corpus)
-        dataset = build_dataset("mycology", index, corpus, min_positives=1)
+        dataset = build_dataset("mycology", index, corpus, small())
         assert not set(dataset.positives) & set(dataset.negatives)
 
     def test_too_few_positives_raises_with_counts(self):
         corpus = labeled_corpus()
         index = build_index(corpus)
         with pytest.raises(InsufficientPositives) as excinfo:
-            build_dataset("mycology", index, corpus, min_positives=50)
+            build_dataset("mycology", index, corpus, ClassifierConfig(min_positives=50))
         assert excinfo.value.topic == "mycology"
         assert excinfo.value.found == 10
         assert excinfo.value.required == 50
@@ -88,17 +90,15 @@ class TestBuildDataset:
     def test_negative_sampling_is_seed_deterministic(self):
         corpus = labeled_corpus()
         index = build_index(corpus)
-        d1 = build_dataset("mycology", index, corpus, neg_ratio=0.5, seed=7, min_positives=1)
-        d2 = build_dataset("mycology", index, corpus, neg_ratio=0.5, seed=7, min_positives=1)
-        d3 = build_dataset("mycology", index, corpus, neg_ratio=0.5, seed=8, min_positives=1)
+        d1 = build_dataset("mycology", index, corpus, small(neg_ratio=0.5), seed=7)
+        d2 = build_dataset("mycology", index, corpus, small(neg_ratio=0.5), seed=7)
+        d3 = build_dataset("mycology", index, corpus, small(neg_ratio=0.5), seed=8)
         assert d1.negatives == d2.negatives
         assert d1.negatives != d3.negatives
 
     def test_negative_ratio_must_be_non_negative(self):
-        corpus = labeled_corpus()
-        index = build_index(corpus)
-        with pytest.raises(DatasetError):
-            build_dataset("mycology", index, corpus, neg_ratio=-0.1, min_positives=1)
+        with pytest.raises(ConfigError, match="neg_ratio"):
+            ClassifierConfig(neg_ratio=-0.1)
 
     def test_overlapping_classes_rejected_at_construction(self):
         from tagfuse.classifier import TopicDataset
@@ -115,7 +115,7 @@ class TestBuildDataset:
             ]
         )
         index = build_index(corpus)
-        dataset = build_dataset("machine learning", index, corpus, min_positives=1)
+        dataset = build_dataset("machine learning", index, corpus, small())
         assert list(dataset.positives) == ["p1"]
         assert "p2" in dataset.negatives
 
@@ -125,8 +125,8 @@ class TestTrain:
         corpus = labeled_corpus()
         index = build_index(corpus)
         sem = embedding_for(corpus)
-        dataset = build_dataset("mycology", index, corpus, min_positives=1)
-        model = train(dataset, sem, ForestConfig(n_trees=20), seed=0)
+        dataset = build_dataset("mycology", index, corpus, small())
+        model = train(dataset, sem, ClassifierConfig(n_trees=20), seed=0)
         assert model.topic == "mycology"
         assert model.n_positives == 10
         assert model.n_negatives == 10
@@ -136,9 +136,9 @@ class TestTrain:
         corpus = labeled_corpus()
         index = build_index(corpus)
         sem = embedding_for(corpus)
-        dataset = build_dataset("mycology", index, corpus, min_positives=1)
-        m1 = train(dataset, sem, ForestConfig(n_trees=10), seed=3)
-        m2 = train(dataset, sem, ForestConfig(n_trees=10), seed=3)
+        dataset = build_dataset("mycology", index, corpus, small())
+        m1 = train(dataset, sem, ClassifierConfig(n_trees=10), seed=3)
+        m2 = train(dataset, sem, ClassifierConfig(n_trees=10), seed=3)
         p1 = m1.forest.predict_proba(sem.matrix)
         p2 = m2.forest.predict_proba(sem.matrix)
         assert np.array_equal(p1, p2)
@@ -154,13 +154,9 @@ class TestTrain:
             train(dataset, sem)
 
     def test_holdout_fraction_validated(self):
-        corpus = labeled_corpus()
-        index = build_index(corpus)
-        sem = embedding_for(corpus)
-        dataset = build_dataset("mycology", index, corpus, min_positives=1)
         for bad in (0.0, 1.0, -0.2):
-            with pytest.raises(DatasetError):
-                train(dataset, sem, holdout_fraction=bad)
+            with pytest.raises(ConfigError, match="holdout_fraction"):
+                ClassifierConfig(holdout_fraction=bad)
 
 
 class TestRankCorpus:
@@ -168,8 +164,8 @@ class TestRankCorpus:
         corpus = labeled_corpus()
         index = build_index(corpus)
         sem = embedding_for(corpus)
-        dataset = build_dataset("mycology", index, corpus, min_positives=1)
-        model = train(dataset, sem, ForestConfig(n_trees=30), seed=seed)
+        dataset = build_dataset("mycology", index, corpus, small())
+        model = train(dataset, sem, ClassifierConfig(n_trees=30), seed=seed)
         return model, sem, corpus
 
     def test_every_article_is_scored_and_sorted(self):
@@ -203,7 +199,7 @@ class TestRankCorpus:
 
     def test_top_n_truncates(self):
         model, sem, _ = self.fitted()
-        ranked = rank_corpus(model, sem, top_n=5)
+        ranked = rank_corpus(model, sem, ClassifierConfig(top_n=5))
         assert len(ranked) == 5
         assert ranked.ids() == rank_corpus(model, sem).ids()[:5]
 
@@ -217,6 +213,5 @@ class TestRankCorpus:
             assert ids == sorted(ids)
 
     def test_top_n_must_be_positive(self):
-        model, sem, _ = self.fitted()
-        with pytest.raises(ValueError):
-            rank_corpus(model, sem, top_n=0)
+        with pytest.raises(ConfigError, match="top_n"):
+            ClassifierConfig(top_n=0)

@@ -32,6 +32,14 @@ def write_config(path, **extra):
     return str(path)
 
 
+def derived_config(stage_config, tmp_path, **changes):
+    """The stage config with some keys replaced, writing to its own output."""
+    with open(stage_config[0], encoding="utf-8") as fh:
+        raw = json.load(fh)
+    raw.update(changes, output_dir=str(tmp_path / "out"))
+    return write_config(tmp_path / "config.json", **raw)
+
+
 @pytest.fixture(scope="module")
 def bench_run(tmp_path_factory):
     """One full bench pipeline; its artifacts back several tests."""
@@ -212,6 +220,49 @@ class TestFailureModes:
             corpus_path=str(corpus),
         )
         assert main(["index", "--config", config]) == 3
+
+    @pytest.mark.parametrize(
+        "section",
+        [
+            {"classifier": {"n_trees": 0}},
+            {"classifier": {"max_depth": 0}},
+            {"classifier": {"min_samples_leaf": 0}},
+            {"classifier": {"max_features": "log2"}},
+            {"index": {"fields": ["title"]}},
+        ],
+    )
+    def test_invalid_config_exits_two_before_any_stage(self, tmp_path, section):
+        out = tmp_path / "out"
+        config = write_config(
+            tmp_path / "config.json", output_dir=str(out), topics=["T"], **section
+        )
+        for command in ("index", "train-rank"):
+            assert main([command, "--config", config]) == 2, command
+        assert not out.exists()
+
+    def test_a_override_is_checked_by_the_fusion_section(self, stage_config, caplog):
+        config, _ = stage_config
+        with caplog.at_level(logging.ERROR):
+            assert main(["fuse", "--config", config, "--a", "0"]) == 2
+        assert any("fusion.a_values" in r.message for r in caplog.records)
+
+    def test_index_field_missing_from_corpus_is_one_error_line(
+        self, stage_config, tmp_path, caplog
+    ):
+        config = derived_config(
+            stage_config, tmp_path, index={"fields": ["title", "abstract", "nope"]}
+        )
+        with caplog.at_level(logging.ERROR):
+            assert main(["index", "--config", config]) == 2
+        errors = [r.message for r in caplog.records if r.levelno >= logging.ERROR]
+        assert len(errors) == 1 and "['nope']" in errors[0]
+
+    def test_k_above_the_corpus_bound_names_the_key(self, stage_config, tmp_path, caplog):
+        config = derived_config(stage_config, tmp_path, semantic={"k": 5000})
+        with caplog.at_level(logging.ERROR):
+            assert main(["embed", "--config", config]) == 3
+        errors = [r.message for r in caplog.records if r.levelno >= logging.ERROR]
+        assert len(errors) == 1 and "semantic.k=5000" in errors[0]
 
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as excinfo:

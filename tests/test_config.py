@@ -4,6 +4,7 @@ import pytest
 
 from tagfuse.config import RunConfig, config_from_dict, load_config, topic_slug
 from tagfuse.errors import ConfigError
+from tagfuse.manifest import config_fingerprint
 
 
 def write_config(tmp_path, raw):
@@ -90,6 +91,45 @@ class TestConfigFromDict:
             config_from_dict({"semantic": {"k": 1}})
         with pytest.raises(ConfigError, match="holdout_fraction"):
             config_from_dict({"classifier": {"holdout_fraction": 1.0}})
+        with pytest.raises(ConfigError, match="synset_search.fields"):
+            config_from_dict({"synset_search": {"fields": []}})
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("n_trees", 0),
+            ("max_depth", 0),
+            ("min_samples_leaf", 0),
+            ("max_features", "log2"),
+        ],
+    )
+    def test_forest_keys_are_validated(self, key, value):
+        with pytest.raises(ConfigError, match=f"section 'classifier': {key}"):
+            config_from_dict({"classifier": {key: value}})
+
+    def test_forest_bootstrap_is_not_a_key(self):
+        with pytest.raises(ConfigError, match="'bootstrap'"):
+            config_from_dict({"classifier": {"bootstrap": False}})
+
+    def test_index_fields_must_cover_the_searched_fields(self):
+        with pytest.raises(ConfigError, match=r"index.fields leaves out \['abstract'\]"):
+            config_from_dict({"index": {"fields": ["title"]}})
+        with pytest.raises(ConfigError, match=r"leaves out \['keywords'\]"):
+            config_from_dict(
+                {
+                    "index": {"fields": ["title", "abstract"]},
+                    "synset_search": {"fields": ["title", "keywords"]},
+                }
+            )
+        cfg = config_from_dict({"index": {"fields": ["abstract", "title", "subjects"]}})
+        assert cfg.index.fields == ("abstract", "title", "subjects")
+
+    def test_default_fingerprint_is_pinned(self):
+        # Covers every key's name and default: a renamed, added or
+        # re-defaulted key changes the manifest's config_sha256.
+        assert config_fingerprint(RunConfig()) == (
+            "eb907c7563fe966d0047e4ec1d3e7dab4e2d4c6b001e8908827fa3f109ef484c"
+        )
 
 
 class TestLoadConfig:

@@ -92,7 +92,7 @@ class TestIngest:
 class TestCorpus:
     def test_lookup_and_ordinals(self, fungi_corpus):
         assert fungi_corpus.get("a3").id == "a3"
-        assert fungi_corpus.ordinal("a1") == 0
+        assert fungi_corpus.ids().index("a1") == 0
         assert "a4" in fungi_corpus
         assert "zz" not in fungi_corpus
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from tagfuse.forest import ForestConfig, RandomForest
+from tagfuse.forest import ForestConfig, RandomForest, _grow_tree
 
 
 def two_blobs(n_per=120, gap=4.0, dim=6, seed=0):
@@ -42,14 +42,6 @@ class TestFit:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
             RandomForest().fit(np.zeros((4, 2)), np.array([0, 1, 0]))
-
-    def test_without_bootstrap_memorizes_distinct_rows(self):
-        rng = np.random.default_rng(5)
-        x = rng.standard_normal((40, 4))
-        y = (x[:, 0] > 0).astype(int)
-        config = ForestConfig(n_trees=5, bootstrap=False, max_features="all")
-        forest = RandomForest(config).fit(x, y, seed=1)
-        assert np.array_equal(forest.predict(x), y)
 
 
 class TestProbabilities:
@@ -132,11 +124,13 @@ class TestConfig:
                     depth[tree.right[node]] = depth[node] + 1
 
     def test_min_samples_leaf_is_respected(self):
+        # Leaf sizes are counted over the rows the tree was grown on.
         x, y = two_blobs(n_per=50, gap=1.5, seed=23)
-        config = ForestConfig(n_trees=5, min_samples_leaf=10, bootstrap=False)
-        forest = RandomForest(config).fit(x, y, seed=6)
-        for tree in forest.trees:
+        config = ForestConfig(min_samples_leaf=10)
+        for seed in range(5):
+            tree = _grow_tree(x, y, np.random.default_rng(seed), config)
             counts = _leaf_counts(tree, x)
+            assert len(counts) > 1
             assert min(counts.values()) >= 10
 
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tagfuse.errors import TagfuseError
+from tagfuse.errors import ConfigError, TagfuseError
 from tagfuse.fusion import (
     FusionConfig,
     TagAssignment,
@@ -85,7 +85,7 @@ class TestFuse:
         for _ in range(300):
             synset_list, classifier_list = random_instance(rng)
             a = rng.randint(1, 4)
-            fused = fuse(synset_list, classifier_list, FusionConfig(a=a))
+            fused = fuse(synset_list, classifier_list, a=a)
             expected = brute_force_fusion(synset_list, classifier_list, a)
             assert fused.entries == expected
             assert fused.origin == ORIGIN_FUSION
@@ -95,13 +95,13 @@ class TestFuse:
         classifier_list = ranked(
             "T", ORIGIN_CLASSIFIER, [f"c{i}" for i in range(500)]
         )
-        fused = fuse(synset_list, classifier_list, FusionConfig(a=2))
+        fused = fuse(synset_list, classifier_list, a=2)
         assert len(fused) == 100
 
     def test_shorter_candidate_pool_than_budget_keeps_everything(self):
         synset_list = ranked("T", ORIGIN_SYNSET, ["s1", "s2", "s3"])
         classifier_list = ranked("T", ORIGIN_CLASSIFIER, ["s1"])
-        fused = fuse(synset_list, classifier_list, FusionConfig(a=4))
+        fused = fuse(synset_list, classifier_list, a=4)
         assert set(fused.ids()) == {"s1", "s2", "s3"}
 
     def test_smaller_a_is_a_prefix_of_larger_a(self):
@@ -110,7 +110,7 @@ class TestFuse:
             synset_list, classifier_list = random_instance(rng)
             previous = None
             for a in (1, 2, 3, 4):
-                fused = fuse(synset_list, classifier_list, FusionConfig(a=a))
+                fused = fuse(synset_list, classifier_list, a=a)
                 if previous is not None:
                     assert fused.entries[: len(previous)] == previous
                 previous = fused.entries
@@ -120,44 +120,44 @@ class TestFuse:
         # Both average to 1.5; a1 must come first.
         synset_list = ranked("T", ORIGIN_SYNSET, ["z1", "a1"])
         classifier_list = ranked("T", ORIGIN_CLASSIFIER, ["a1", "z1"])
-        fused = fuse(synset_list, classifier_list, FusionConfig(a=1))
+        fused = fuse(synset_list, classifier_list, a=1)
         assert fused.ids() == ["a1", "z1"]
 
     def test_empty_synset_list_warns_and_fuses_empty(self, caplog):
         synset_list = RankedList(topic="T", origin=ORIGIN_SYNSET, entries=[])
         classifier_list = ranked("T", ORIGIN_CLASSIFIER, ["c1", "c2"])
         with caplog.at_level(logging.WARNING):
-            fused = fuse(synset_list, classifier_list, FusionConfig(a=2))
+            fused = fuse(synset_list, classifier_list, a=2)
         assert fused.entries == []
         assert any("empty synset list" in r.message for r in caplog.records)
 
     def test_empty_classifier_list_degrades_to_synset_order(self):
         synset_list = ranked("T", ORIGIN_SYNSET, ["s1", "s2", "s3"])
         classifier_list = RankedList(topic="T", origin=ORIGIN_CLASSIFIER, entries=[])
-        fused = fuse(synset_list, classifier_list, FusionConfig(a=1))
+        fused = fuse(synset_list, classifier_list, a=1)
         assert fused.ids() == ["s1", "s2", "s3"]
 
     def test_origin_mismatch_rejected(self):
         synset_list = ranked("T", ORIGIN_SYNSET, ["s1"])
         classifier_list = ranked("T", ORIGIN_CLASSIFIER, ["c1"])
         with pytest.raises(TagfuseError, match="expected a synset list"):
-            fuse(classifier_list, classifier_list, FusionConfig())
+            fuse(classifier_list, classifier_list, a=2)
         with pytest.raises(TagfuseError, match="expected a classifier list"):
-            fuse(synset_list, synset_list, FusionConfig())
+            fuse(synset_list, synset_list, a=2)
 
     def test_topic_mismatch_rejected(self):
         synset_list = ranked("T", ORIGIN_SYNSET, ["s1"])
         classifier_list = ranked("U", ORIGIN_CLASSIFIER, ["c1"])
         with pytest.raises(TagfuseError, match="topic mismatch"):
-            fuse(synset_list, classifier_list, FusionConfig())
+            fuse(synset_list, classifier_list, a=2)
 
     def test_config_validation(self):
-        with pytest.raises(ValueError):
-            FusionConfig(a=0)
-        with pytest.raises(ValueError):
-            FusionConfig(score_threshold=1.5)
-        with pytest.raises(ValueError):
-            FusionConfig(score_threshold=-0.1)
+        for bad in ((), (0, 1), (2, 2)):
+            with pytest.raises(ConfigError, match="a_values"):
+                FusionConfig(a_values=bad)
+        for bad in (1.5, -0.1):
+            with pytest.raises(ConfigError, match="score_threshold"):
+                FusionConfig(score_threshold=bad)
 
     @given(
         n_synset=st.integers(min_value=1, max_value=30),
@@ -175,7 +175,7 @@ class TestFuse:
         classifier_list = ranked(
             "T", ORIGIN_CLASSIFIER, rng.sample(universe, n_classifier)
         )
-        fused = fuse(synset_list, classifier_list, FusionConfig(a=a))
+        fused = fuse(synset_list, classifier_list, a=a)
         assert len(fused) <= a * n_synset
         assert len(set(fused.ids())) == len(fused)
         assert set(fused.ids()) <= set(synset_list.ids()) | set(classifier_list.ids())

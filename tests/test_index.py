@@ -4,15 +4,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tagfuse.errors import ConfigError
 from tagfuse.index import (
     BM25_B,
     BM25_K1,
     Index,
+    IndexConfig,
     build_index,
     default_fields,
     has_any_match,
     search_any,
-    search_phrase,
 )
 
 from conftest import make_corpus
@@ -25,12 +26,12 @@ class TestBuild:
         )
 
     def test_unknown_field_raises(self, fungi_corpus):
-        with pytest.raises(ValueError, match="wrong"):
-            build_index(fungi_corpus, ("title", "wrong"))
+        with pytest.raises(ConfigError, match="wrong"):
+            build_index(fungi_corpus, IndexConfig(("title", "wrong")))
 
-    def test_duplicate_fields_raise(self, fungi_corpus):
-        with pytest.raises(ValueError, match="duplicate"):
-            build_index(fungi_corpus, ("title", "title"))
+    def test_duplicate_fields_raise(self):
+        with pytest.raises(ConfigError, match="duplicate"):
+            IndexConfig(("title", "title"))
 
     def test_save_load_round_trip(self, tmp_path, fungi_corpus, fungi_index):
         path = tmp_path / "index.pkl"
@@ -49,38 +50,38 @@ class TestPhraseSearch:
                 ("d2", "retrieval of information", "x", (), ()),
             ]
         )
-        index = build_index(corpus, ("title",))
-        hits = search_phrase(index, "information retrieval", ("title",), 10)
+        index = build_index(corpus, IndexConfig(("title",)))
+        hits = search_any(index, ["information retrieval"], ("title",), 10)
         assert [h.article_id for h in hits] == ["d1"]
 
     def test_phrase_cannot_span_list_entries(self):
         corpus = make_corpus(
             [("d1", "t", "x", ("deep learning", "systems biology"), ())]
         )
-        index = build_index(corpus, ("keywords",))
-        assert search_phrase(index, "learning systems", ("keywords",), 10) == []
-        assert len(search_phrase(index, "deep learning", ("keywords",), 10)) == 1
+        index = build_index(corpus, IndexConfig(("keywords",)))
+        assert search_any(index, ["learning systems"], ("keywords",), 10) == []
+        assert len(search_any(index, ["deep learning"], ("keywords",), 10)) == 1
 
     def test_match_is_field_restricted(self, fungi_index):
-        title_hits = search_phrase(fungi_index, "surgery", ("title", "abstract"), 10)
+        title_hits = search_any(fungi_index, ["surgery"], ("title", "abstract"), 10)
         assert title_hits == []
-        keyword_hits = search_phrase(fungi_index, "surgery", ("keywords",), 10)
+        keyword_hits = search_any(fungi_index, ["surgery"], ("keywords",), 10)
         assert [h.article_id for h in keyword_hits] == ["a3"]
 
     def test_case_insensitive(self, fungi_index):
-        hits = search_phrase(fungi_index, "MYCOLOGY", ("title",), 10)
+        hits = search_any(fungi_index, ["MYCOLOGY"], ("title",), 10)
         assert {h.article_id for h in hits} == {"a1", "a4"}
 
     def test_limit_truncates(self, fungi_index):
-        hits = search_phrase(fungi_index, "mycology", ("title",), 1)
+        hits = search_any(fungi_index, ["mycology"], ("title",), 1)
         assert len(hits) == 1
 
     def test_empty_query_raises(self, fungi_index):
-        with pytest.raises(ValueError, match="tokenizes to nothing"):
-            search_phrase(fungi_index, "!!!", ("title",), 10)
+        with pytest.raises(ValueError, match="no usable query terms"):
+            search_any(fungi_index, ["!!!"], ("title",), 10)
 
     def test_scores_positive_and_sorted(self, fungi_index):
-        hits = search_phrase(fungi_index, "mycology", ("title", "abstract"), 10)
+        hits = search_any(fungi_index, ["mycology"], ("title", "abstract"), 10)
         scores = [h.score for h in hits]
         assert all(s > 0 for s in scores)
         assert scores == sorted(scores, reverse=True)
@@ -96,8 +97,8 @@ class TestBM25Values:
                 ("d3", "t3", "unrelated text here", (), ()),
             ]
         )
-        index = build_index(corpus, ("abstract",))
-        hits = search_phrase(index, "spore", ("abstract",), 10)
+        index = build_index(corpus, IndexConfig(("abstract",)))
+        hits = search_any(index, ["spore"], ("abstract",), 10)
 
         n, df = 3, 2
         idf = math.log(1 + (n - df + 0.5) / (df + 0.5))
@@ -120,11 +121,11 @@ class TestBM25Values:
                 ("d2", "t", "beta alpha gamma", (), ()),
             ]
         )
-        index = build_index(corpus, ("abstract",))
-        phrase = search_phrase(index, "alpha beta", ("abstract",), 10)
+        index = build_index(corpus, IndexConfig(("abstract",)))
+        phrase = search_any(index, ["alpha beta"], ("abstract",), 10)
         assert [h.article_id for h in phrase] == ["d1"]
-        alpha = search_phrase(index, "alpha", ("abstract",), 10)
-        beta = search_phrase(index, "beta", ("abstract",), 10)
+        alpha = search_any(index, ["alpha"], ("abstract",), 10)
+        beta = search_any(index, ["beta"], ("abstract",), 10)
         parts = {h.article_id: h.score for h in alpha}
         for h in beta:
             parts[h.article_id] += h.score
@@ -137,19 +138,13 @@ class TestBM25Values:
                 ("a1", "same words", "x", (), ()),
             ]
         )
-        index = build_index(corpus, ("title",))
-        hits = search_phrase(index, "same words", ("title",), 10)
+        index = build_index(corpus, IndexConfig(("title",)))
+        hits = search_any(index, ["same words"], ("title",), 10)
         assert [h.article_id for h in hits] == ["a1", "z9"]
         assert hits[0].score == hits[1].score
 
 
 class TestSearchAny:
-    def test_singleton_equals_phrase_search(self, fungi_index):
-        fields = ("title", "abstract")
-        assert search_any(fungi_index, ["mycology"], fields, 10) == search_phrase(
-            fungi_index, "mycology", fields, 10
-        )
-
     def test_union_semantics_with_score_accumulation(self, fungi_index):
         fields = ("title", "abstract")
         both = search_any(fungi_index, ["mycology", "fungology"], fields, 10)
@@ -220,10 +215,8 @@ def test_property_search_any_singleton_matches_phrase(docs, term):
     corpus = make_corpus(
         [(f"d{i}", "t", " ".join(words), (), ()) for i, words in enumerate(docs)]
     )
-    index = build_index(corpus, ("abstract",))
-    lhs = search_any(index, [term], ("abstract",), 100)
-    rhs = search_phrase(index, term, ("abstract",), 100)
-    assert lhs == rhs
-    matched = {h.article_id for h in lhs}
+    index = build_index(corpus, IndexConfig(("abstract",)))
+    hits = search_any(index, [term], ("abstract",), 100)
+    matched = {h.article_id for h in hits}
     expected = {f"d{i}" for i, words in enumerate(docs) if term in words}
     assert matched == expected

@@ -5,12 +5,10 @@ import pytest
 from scipy import sparse
 
 import tagfuse.semantic
-from tagfuse.corpus import GroundTruth
-from tagfuse.errors import TagfuseError
+from tagfuse.errors import ConfigError, TagfuseError
 from tagfuse.semantic import (
+    SemanticConfig,
     SemanticMatrix,
-    cosine,
-    embedding_quality,
     randomized_svd,
     truncated_svd,
     vectorize,
@@ -18,6 +16,10 @@ from tagfuse.semantic import (
 from tagfuse.text import ngrams, tokenize
 
 from conftest import make_corpus
+
+
+# Vocabulary cutoffs that keep every term.
+NO_CUTOFFS = SemanticConfig(min_df=1, max_df_fraction=1.0)
 
 
 def tiny_corpus():
@@ -32,39 +34,39 @@ def tiny_corpus():
 
 class TestVocabulary:
     def test_terms_are_unigrams_and_bigrams_with_df_bounds(self):
-        vocab = vectorize(tiny_corpus(), min_df=2, max_df_fraction=0.99).vocab
+        vocab = vectorize(tiny_corpus(), SemanticConfig(min_df=2, max_df_fraction=0.99)).vocab
         assert "fungal" in vocab.columns             # df 2
         assert "dispersal" not in vocab.columns      # df 1, below min_df
         assert "fungal spore" not in vocab.columns   # bigram df 1, below min_df
         assert "data" not in vocab.columns           # df 3 > 0.99 * 3
-        wide = vectorize(tiny_corpus(), min_df=1, max_df_fraction=1.0).vocab
+        wide = vectorize(tiny_corpus(), NO_CUTOFFS).vocab
         assert "fungal spore" in wide.columns        # bigram kept once df allows
 
     def test_columns_are_lexicographic(self):
-        vocab = vectorize(tiny_corpus(), min_df=1, max_df_fraction=1.0).vocab
+        vocab = vectorize(tiny_corpus(), NO_CUTOFFS).vocab
         terms = sorted(vocab.columns, key=vocab.columns.get)
         assert terms == sorted(terms)
 
     def test_document_frequency_counts_documents_not_occurrences(self):
-        vocab = vectorize(tiny_corpus(), min_df=1, max_df_fraction=1.0).vocab
+        vocab = vectorize(tiny_corpus(), NO_CUTOFFS).vocab
         assert vocab.document_frequency["fungal"] == 2
         assert vocab.document_frequency["data"] == 3
 
     def test_all_terms_filtered_is_an_error(self):
         with pytest.raises(TagfuseError, match="empty"):
-            vectorize(tiny_corpus(), min_df=4)
+            vectorize(tiny_corpus(), SemanticConfig(min_df=4))
 
     def test_parameter_validation(self):
-        with pytest.raises(ValueError):
-            vectorize(tiny_corpus(), min_df=0)
-        with pytest.raises(ValueError):
-            vectorize(tiny_corpus(), max_df_fraction=0.0)
+        with pytest.raises(ConfigError, match="min_df"):
+            SemanticConfig(min_df=0)
+        with pytest.raises(ConfigError, match="max_df_fraction"):
+            SemanticConfig(max_df_fraction=0.0)
 
 
 class TestVectorize:
     def test_matches_dense_reference_computation(self):
         corpus = tiny_corpus()
-        tfidf = vectorize(corpus, min_df=1, max_df_fraction=1.0)
+        tfidf = vectorize(corpus, NO_CUTOFFS)
         vocab = tfidf.vocab
         got = tfidf.matrix.toarray()
 
@@ -87,7 +89,7 @@ class TestVectorize:
 
     def test_rows_are_unit_norm(self):
         corpus = tiny_corpus()
-        tfidf = vectorize(corpus, min_df=1, max_df_fraction=1.0)
+        tfidf = vectorize(corpus, NO_CUTOFFS)
         norms = np.sqrt(np.asarray(tfidf.matrix.multiply(tfidf.matrix).sum(axis=1))).ravel()
         np.testing.assert_allclose(norms, 1.0, atol=1e-9)
 
@@ -99,7 +101,7 @@ class TestVectorize:
                 ("d3", "loner", "completely separate text"),
             ]
         )
-        tfidf = vectorize(corpus, min_df=2, max_df_fraction=1.0)
+        tfidf = vectorize(corpus, SemanticConfig(min_df=2, max_df_fraction=1.0))
         assert tfidf.matrix[2].nnz == 0
 
     def test_tokenizes_each_document_once(self, monkeypatch):
@@ -111,12 +113,12 @@ class TestVectorize:
 
         monkeypatch.setattr(tagfuse.semantic, "tokenize", counting_tokenize)
         corpus = tiny_corpus()
-        vectorize(corpus, min_df=1, max_df_fraction=1.0)
+        vectorize(corpus, NO_CUTOFFS)
         assert len(calls) == len(corpus)
 
     def test_term_outside_vocabulary_is_ignored(self):
         corpus = tiny_corpus()
-        tfidf = vectorize(corpus, min_df=2, max_df_fraction=0.99)
+        tfidf = vectorize(corpus, SemanticConfig(min_df=2, max_df_fraction=0.99))
         assert tfidf.matrix.shape == (3, len(tfidf.vocab))
 
 
@@ -144,14 +146,14 @@ class TestRandomizedSvd:
         change the rankings. The last two shapes have n < 2 * (k + 10),
         where LAPACK takes no LQ step on the wide ``B``."""
         a = sparse.random(m, n, density=0.05, format="csr", random_state=m + n)
-        u, s, vt = randomized_svd(a, k=k, seed=3)
+        u, s, vt = randomized_svd(a, k=k, oversample=10, power_iters=2, seed=3)
         u_ref, s_ref, vt_ref = two_sided_randomized_svd(a, k=k, seed=3)
         np.testing.assert_allclose(s, s_ref, rtol=0, atol=1e-10)
         np.testing.assert_allclose(u, u_ref, rtol=0, atol=1e-10)
         np.testing.assert_allclose(vt, vt_ref, rtol=0, atol=1e-10)
 
     def test_zero_singular_values_give_zero_vt_rows(self):
-        u, s, vt = randomized_svd(np.zeros((6, 5)), k=2)
+        u, s, vt = randomized_svd(np.zeros((6, 5)), k=2, oversample=10, power_iters=2)
         assert u.shape == (6, 2) and np.all(s == 0)
         assert np.array_equal(vt, np.zeros((2, 5)))
 
@@ -160,7 +162,7 @@ class TestRandomizedSvd:
         left = rng.standard_normal((60, 8))
         right = rng.standard_normal((8, 40))
         a = left @ right
-        u, s, vt = randomized_svd(a, k=8, seed=1)
+        u, s, vt = randomized_svd(a, k=8, oversample=10, power_iters=2, seed=1)
         np.testing.assert_allclose(u @ np.diag(s) @ vt, a, atol=1e-8)
         s_exact = np.linalg.svd(a, compute_uv=False)[:8]
         np.testing.assert_allclose(s, s_exact, rtol=1e-10)
@@ -175,29 +177,29 @@ class TestRandomizedSvd:
     def test_singular_values_non_increasing_and_deterministic(self):
         rng = np.random.default_rng(11)
         a = rng.standard_normal((30, 20))
-        u1, s1, v1 = randomized_svd(a, k=5, seed=9)
-        u2, s2, v2 = randomized_svd(a, k=5, seed=9)
+        u1, s1, v1 = randomized_svd(a, k=5, oversample=10, power_iters=2, seed=9)
+        u2, s2, v2 = randomized_svd(a, k=5, oversample=10, power_iters=2, seed=9)
         assert np.array_equal(u1, u2) and np.array_equal(s1, s1) and np.array_equal(v1, v2)
         assert all(s1[i] >= s1[i + 1] for i in range(len(s1) - 1))
 
     def test_different_seed_changes_nothing_material(self):
         rng = np.random.default_rng(13)
         a = rng.standard_normal((40, 10))
-        _, s1, _ = randomized_svd(a, k=3, power_iters=4, seed=1)
-        _, s2, _ = randomized_svd(a, k=3, power_iters=4, seed=2)
+        _, s1, _ = randomized_svd(a, k=3, oversample=10, power_iters=4, seed=1)
+        _, s2, _ = randomized_svd(a, k=3, oversample=10, power_iters=4, seed=2)
         np.testing.assert_allclose(s1, s2, rtol=1e-6)
 
     def test_k_larger_than_dimensions_raises(self):
         a = np.eye(4)
         with pytest.raises(ValueError, match="exceeds"):
-            randomized_svd(a, k=5)
+            randomized_svd(a, k=5, oversample=10, power_iters=2)
 
 
 class TestTruncatedSvd:
     @staticmethod
     def embed(k=2, seed=0):
-        corpus = tiny_corpus()
-        return truncated_svd(vectorize(corpus, min_df=1, max_df_fraction=1.0), k=k, seed=seed)
+        config = SemanticConfig(k=k, min_df=1, max_df_fraction=1.0)
+        return truncated_svd(vectorize(tiny_corpus(), config), config, seed=seed)
 
     def test_shape_and_id_lookup(self):
         sem = self.embed()
@@ -210,8 +212,8 @@ class TestTruncatedSvd:
         # U*s is defined up to sign/rotation in degenerate cases; the Gram
         # matrix of the embedding is invariant and must match exactly.
         corpus = tiny_corpus()
-        tfidf = vectorize(corpus, min_df=1, max_df_fraction=1.0)
-        sem = truncated_svd(tfidf, k=2, seed=0)
+        tfidf = vectorize(corpus, NO_CUTOFFS)
+        sem = truncated_svd(tfidf, SemanticConfig(k=2), seed=0)
         u, s, _ = np.linalg.svd(tfidf.matrix.toarray(), full_matrices=False)
         exact = (u[:, :2] * s[:2]) @ (u[:, :2] * s[:2]).T
         np.testing.assert_allclose(sem.matrix @ sem.matrix.T, exact, atol=1e-9)
@@ -231,69 +233,10 @@ class TestTruncatedSvd:
         assert again.seed == sem.seed
 
     def test_k_below_two_rejected(self):
-        corpus = tiny_corpus()
-        with pytest.raises(ValueError, match="at least 2"):
-            truncated_svd(vectorize(corpus, min_df=1, max_df_fraction=1.0), k=1)
+        with pytest.raises(ConfigError, match="at least 2"):
+            SemanticConfig(k=1)
 
     def test_unknown_article_raises(self):
         sem = self.embed()
         with pytest.raises(TagfuseError, match="zz"):
             sem.row("zz")
-
-
-class TestCosine:
-    def test_known_values(self):
-        assert cosine(np.array([1.0, 0.0]), np.array([0.0, 1.0])) == pytest.approx(0.0)
-        assert cosine(np.array([1.0, 1.0]), np.array([2.0, 2.0])) == pytest.approx(1.0)
-        assert cosine(np.array([1.0, 0.0]), np.array([-1.0, 0.0])) == pytest.approx(-1.0)
-
-    def test_zero_vector_is_an_error(self):
-        with pytest.raises(ValueError, match="zero vector"):
-            cosine(np.zeros(3), np.ones(3))
-
-
-class TestEmbeddingQuality:
-    @staticmethod
-    def planted(n_per=12, spread=0.05, seed=3):
-        rng = np.random.default_rng(seed)
-        centers = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
-        rows, ids, labels = [], [], {}
-        for t, center in enumerate(centers):
-            for i in range(n_per):
-                ids.append(f"t{t}d{i}")
-                rows.append(center + spread * rng.standard_normal(3))
-                labels[f"t{t}d{i}"] = {f"topic{t}"}
-        return SemanticMatrix(np.array(rows), ids, seed=0), GroundTruth(labels)
-
-    def test_planted_clusters_have_positive_gap(self):
-        sem, truth = self.planted()
-        report = embedding_quality(sem, truth, seed=1)
-        assert report.gap > 0.5
-        assert report.n_intra_pairs == 2 * (12 * 11 // 2)
-
-    def test_random_embedding_gap_is_within_noise(self):
-        # Oracle: with random vectors the intra-topic and random-pair
-        # means estimate the same quantity; their difference should sit
-        # within three standard errors of zero.
-        rng = np.random.default_rng(17)
-        n = 60
-        ids = [f"d{i}" for i in range(n)]
-        sem = SemanticMatrix(rng.standard_normal((n, 8)), ids, seed=0)
-        labels = {a: {f"topic{i % 3}"} for i, a in enumerate(ids)}
-        report = embedding_quality(sem, GroundTruth(labels), seed=23, n_random_pairs=4000)
-
-        sims = []
-        for i in range(n):
-            for j in range(i + 1, n):
-                sims.append(cosine(sem.matrix[i], sem.matrix[j]))
-        sigma = np.std(sims) * math.sqrt(
-            1 / report.n_intra_pairs + 1 / report.n_random_pairs
-        )
-        assert abs(report.gap) < 3 * sigma
-
-    def test_needs_two_topics_with_two_articles(self):
-        rng = np.random.default_rng(2)
-        sem = SemanticMatrix(rng.standard_normal((3, 2)), ["a", "b", "c"], seed=0)
-        truth = GroundTruth({"a": {"X"}, "b": {"X"}, "c": {"Y"}})
-        with pytest.raises(TagfuseError, match="two topics"):
-            embedding_quality(sem, truth)

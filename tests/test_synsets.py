@@ -3,11 +3,20 @@ import json
 import pytest
 
 from tagfuse.errors import SynsetError
-from tagfuse.index import build_index, search_phrase
+from tagfuse.index import build_index, search_any
 from tagfuse.ranking import ORIGIN_SYNSET
-from tagfuse.synsets import Synset, load_synsets, make_synset, save_synsets, synset_rank
+from tagfuse.synsets import (
+    Synset,
+    SynsetConfig,
+    load_synsets,
+    make_synset,
+    save_synsets,
+    synset_rank,
+)
 
 from conftest import make_corpus
+
+TOP_10 = SynsetConfig(limit=10)
 
 
 def write_synsets(path, records):
@@ -99,9 +108,9 @@ class TestLoadSynsets:
 
 class TestSynsetRank:
     def test_synonym_reaches_articles_the_name_misses(self, fungi_corpus, fungi_index):
-        name_only = synset_rank(make_synset("Mycology", []), fungi_index, limit=10)
+        name_only = synset_rank(make_synset("Mycology", []), fungi_index, TOP_10)
         with_synonym = synset_rank(
-            make_synset("Mycology", ["fungology"]), fungi_index, limit=10
+            make_synset("Mycology", ["fungology"]), fungi_index, TOP_10
         )
         assert "a2" not in name_only.ids()
         assert "a2" in with_synonym.ids()
@@ -109,15 +118,15 @@ class TestSynsetRank:
 
     def test_origin_and_ordering(self, fungi_index):
         ranked = synset_rank(
-            make_synset("Mycology", ["fungology"]), fungi_index, limit=10
+            make_synset("Mycology", ["fungology"]), fungi_index, TOP_10
         )
         assert ranked.origin == ORIGIN_SYNSET
         scores = [score for _, score in ranked.entries]
         assert scores == sorted(scores, reverse=True)
 
     def test_single_term_equals_phrase_search(self, fungi_index):
-        ranked = synset_rank(make_synset("Mycology", []), fungi_index, limit=10)
-        direct = search_phrase(fungi_index, "Mycology", ("title", "abstract"), 10)
+        ranked = synset_rank(make_synset("Mycology", []), fungi_index, TOP_10)
+        direct = search_any(fungi_index, ["Mycology"], ("title", "abstract"), 10)
         assert ranked.entries == [(h.article_id, h.score) for h in direct]
 
     def test_multiword_term_is_a_phrase(self):
@@ -129,25 +138,26 @@ class TestSynsetRank:
         )
         index = build_index(corpus)
         synset = make_synset("Fungal biology", [])
-        assert synset_rank(synset, index, limit=10).ids() == ["c1"]
+        assert synset_rank(synset, index, TOP_10).ids() == ["c1"]
 
     def test_search_fields_default_excludes_keywords(self, fungi_corpus, fungi_index):
         # a4 carries "mycological methods" only as a keyword; a topic named
         # after it is found only when keywords are searched explicitly.
         synset = make_synset("Mycological methods", [])
-        default = synset_rank(synset, fungi_index, limit=10)
+        default = synset_rank(synset, fungi_index, TOP_10)
         with_keywords = synset_rank(
-            synset, fungi_index, limit=10, fields=("title", "abstract", "keywords")
+            synset, fungi_index, SynsetConfig(("title", "abstract", "keywords"), limit=10)
         )
         assert default.ids() == []
         assert with_keywords.ids() == ["a4"]
 
     def test_limit_truncates(self, fungi_index):
         synset = make_synset("Mycology", ["fungology"])
-        full = synset_rank(synset, fungi_index, limit=10)
-        assert synset_rank(synset, fungi_index, limit=2).entries == full.entries[:2]
+        full = synset_rank(synset, fungi_index, TOP_10)
+        top_2 = synset_rank(synset, fungi_index, SynsetConfig(limit=2))
+        assert top_2.entries == full.entries[:2]
 
     def test_untokenizable_synset_raises(self, fungi_index):
         synset = Synset(topic="...", terms=("...",))
         with pytest.raises(SynsetError, match="tokenizable"):
-            synset_rank(synset, fungi_index, limit=10)
+            synset_rank(synset, fungi_index, TOP_10)
