@@ -29,12 +29,11 @@ logger = logging.getLogger(__name__)
 @dataclass(frozen=True)
 class ClassifierConfig(ForestConfig):
     """The ``classifier`` config section: the forest shape plus the
-    dataset, holdout and ranking parameters."""
+    dataset and ranking parameters."""
 
     neg_ratio: float = 1.0
     min_positives: int = 100
     top_n: int = 100_000
-    holdout_fraction: float = 0.2
 
     def __post_init__(self):
         super().__post_init__()
@@ -44,8 +43,6 @@ class ClassifierConfig(ForestConfig):
             raise ConfigError("classifier.min_positives must be positive")
         if self.top_n < 1:
             raise ConfigError("classifier.top_n must be positive")
-        if not 0.0 < self.holdout_fraction < 1.0:
-            raise ConfigError("classifier.holdout_fraction must be in (0, 1)")
 
 
 @dataclass(frozen=True)
@@ -72,8 +69,7 @@ class TopicModel:
     forest: RandomForest
     n_positives: int
     n_negatives: int
-    holdout_accuracy: float
-    seed: int
+    oob_accuracy: float
 
 
 def build_dataset(
@@ -125,19 +121,6 @@ def build_dataset(
     return TopicDataset(topic=topic, positives=tuple(positives), negatives=tuple(negatives))
 
 
-def _stratified_split(labels: np.ndarray, holdout_fraction: float, rng) -> np.ndarray:
-    """Boolean mask of held-out rows, sampled per class."""
-    holdout = np.zeros(len(labels), dtype=bool)
-    for cls in (0, 1):
-        rows = np.nonzero(labels == cls)[0]
-        if len(rows) < 2:
-            continue
-        n_hold = int(round(holdout_fraction * len(rows)))
-        n_hold = min(max(n_hold, 1), len(rows) - 1)
-        holdout[rng.choice(rows, size=n_hold, replace=False)] = True
-    return holdout
-
-
 def train(
     dataset: TopicDataset,
     sem: SemanticMatrix,
@@ -146,10 +129,8 @@ def train(
 ) -> TopicModel:
     """Fit a forest on the embedding rows of the dataset's articles.
 
-    A stratified holdout (``config.holdout_fraction`` of each class)
-    measures generalization; the reported model is then refitted on all
-    rows so no labeled example is wasted. Training is deterministic given
-    the seed and dataset.
+    Every labeled row trains the forest; its out-of-bag accuracy measures
+    generalization. Training is deterministic given the seed and dataset.
     """
     if not dataset.positives or not dataset.negatives:
         raise DatasetError(
@@ -163,29 +144,21 @@ def train(
          np.zeros(len(dataset.negatives), dtype=np.int64)]
     )
 
-    topic_seed = derive_seed(seed, "train", dataset.topic)
-    rng = np.random.default_rng(derive_seed(seed, "split", dataset.topic))
-    holdout = _stratified_split(y, config.holdout_fraction, rng)
-    if holdout.any() and np.unique(y[~holdout]).size == 2:
-        probe = RandomForest(config).fit(x[~holdout], y[~holdout], seed=topic_seed)
-        accuracy = float(np.mean(probe.predict(x[holdout]) == y[holdout]))
-    else:
-        accuracy = float("nan")
-
-    forest = RandomForest(config).fit(x, y, seed=topic_seed)
+    forest = RandomForest(config).fit(
+        x, y, seed=derive_seed(seed, "train", dataset.topic)
+    )
     logger.info(
-        "topic %r: trained on %d rows, holdout accuracy %.3f",
+        "topic %r: trained on %d rows, out-of-bag accuracy %.3f",
         dataset.topic,
         len(ids),
-        accuracy,
+        forest.oob_accuracy,
     )
     return TopicModel(
         topic=dataset.topic,
         forest=forest,
         n_positives=len(dataset.positives),
         n_negatives=len(dataset.negatives),
-        holdout_accuracy=accuracy,
-        seed=topic_seed,
+        oob_accuracy=forest.oob_accuracy,
     )
 
 

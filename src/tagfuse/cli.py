@@ -24,6 +24,7 @@ import argparse
 import dataclasses
 import json
 import logging
+import math
 import os
 import sys
 import time
@@ -189,12 +190,13 @@ def stage_train_rank(cfg: RunConfig) -> None:
         out = ws.classifier_list_path(topic)
         write_ranked_list(ranked, out)
         outputs.append(out)
+        oob = model.oob_accuracy
         trained.append(
             {
                 "topic": topic,
                 "positives": model.n_positives,
                 "negatives": model.n_negatives,
-                "holdout_accuracy": model.holdout_accuracy,
+                "oob_accuracy": None if math.isnan(oob) else oob,  # JSON has no NaN
             }
         )
 
@@ -216,6 +218,12 @@ def stage_synset(cfg: RunConfig) -> None:
     started = time.time()
     ws = Workspace(cfg.output_dir)
     index = Index.load(_require(ws.index_path, "index"))
+    unindexed = [f for f in cfg.synset_search.fields if f not in index.fields]
+    if unindexed:
+        raise ConfigError(
+            f"synset_search.fields names unindexed {unindexed} "
+            f"(indexed fields: {list(index.fields)})"
+        )
     synsets = load_synsets(
         _require_input(cfg.synsets_path, "synsets_path"), _topics(cfg)
     )

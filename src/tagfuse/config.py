@@ -20,13 +20,16 @@ truth from category fields (for example ["subjects"]) instead of a file.
 
 Each section is the config dataclass of the module that uses it, which
 declares, defaults and checks the section's keys, so every key is
-validated when the config loads. JSON arrays become tuples.
+validated when the config loads. JSON arrays become tuples, and each
+value must match its field's annotation: an int is a float, a bool is not
+an int, and every element of a tuple is checked.
 """
 
 from __future__ import annotations
 
 import json
 import re
+import typing
 from dataclasses import MISSING, dataclass, field, fields as dataclass_fields
 
 from .benchmark import BenchmarkSpec
@@ -90,12 +93,30 @@ _SECTIONS = {
 }
 
 
+def _conforms(value, hint) -> bool:
+    """Whether a loaded value matches a field annotation."""
+    args = typing.get_args(hint)
+    if typing.get_origin(hint) is tuple:
+        return isinstance(value, tuple) and all(_conforms(v, args[0]) for v in value)
+    if args:  # a union such as ``int | None``
+        return any(_conforms(value, arg) for arg in args)
+    if isinstance(value, bool):
+        return hint is bool
+    return isinstance(value, (int, float) if hint is float else hint)
+
+
 def _build_section(cls, raw: dict, context: str):
     allowed = {f.name for f in dataclass_fields(cls)}
     unknown = sorted(set(raw) - allowed)
     if unknown:
         raise ConfigError(f"unknown key(s) in {context}: {unknown}")
     kwargs = {k: tuple(v) if isinstance(v, list) else v for k, v in raw.items()}
+    hints = typing.get_type_hints(cls)
+    for key, value in kwargs.items():
+        hint = hints[key]
+        if not _conforms(value, hint):
+            expected = hint if typing.get_args(hint) else hint.__name__
+            raise ConfigError(f"{context}: {key} must be {expected}, got {raw[key]!r}")
     try:
         return cls(**kwargs)
     except (BenchmarkError, TypeError, ValueError) as exc:

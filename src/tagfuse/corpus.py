@@ -124,24 +124,14 @@ def ingest_corpus(path: str) -> Corpus:
             if not isinstance(raw, dict):
                 raise CorpusError(f"{path}:{lineno}: record is not an object")
 
-            article_id = raw.get("id")
-            title = raw.get("title")
-            abstract = raw.get("abstract")
-            if (
-                not isinstance(article_id, str)
-                or not article_id.strip()
-                or not isinstance(title, str)
-                or not title.strip()
-                or not isinstance(abstract, str)
-                or not abstract.strip()
-            ):
+            required = [raw.get(key) for key in ("id", "title", "abstract")]
+            if not all(isinstance(v, str) and v.strip() for v in required):
                 skipped += 1
                 logger.warning(
-                    "%s:%d: skipping record with missing id/title/abstract",
-                    path,
-                    lineno,
+                    "%s:%d: skipping record with missing id/title/abstract", path, lineno
                 )
                 continue
+            article_id, title, abstract = required
 
             extra: dict[str, tuple[str, ...]] = {}
             for key, value in raw.items():

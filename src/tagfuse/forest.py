@@ -1,8 +1,9 @@
 """Random forest for binary relevance scoring.
 
 A deliberately small CART ensemble: axis-aligned splits chosen by Gini
-impurity over a random feature subset, bootstrap resampling per tree, and
-probability output as the mean of per-tree class-1 leaf frequencies. The
+impurity over a random feature subset, bootstrap resampling per tree,
+probability output as the mean of per-tree class-1 leaf frequencies, and
+an out-of-bag accuracy estimate from the rows each bootstrap left out. The
 point is a calibrated-enough ranking signal with fully reproducible
 training, not a general-purpose learner.
 """
@@ -169,6 +170,7 @@ class RandomForest:
         self.config = config or ForestConfig()
         self.trees: list[_Tree] = []
         self.n_features = 0
+        self.oob_accuracy = float("nan")
 
     def fit(self, x: np.ndarray, y: np.ndarray, seed: int = 0) -> "RandomForest":
         x = np.asarray(x, dtype=np.float64)
@@ -184,12 +186,23 @@ class RandomForest:
         self.n_features = x.shape[1]
         self.trees = []
         n = x.shape[0]
+        # Out-of-bag votes: each row is scored only by the trees whose
+        # bootstrap sample left it out.
+        votes = np.zeros(n)
+        counts = np.zeros(n, dtype=np.int64)
         # One child sequence per tree: tree i is identical no matter how
         # many trees are grown or in which order.
         for child in np.random.SeedSequence(seed).spawn(self.config.n_trees):
             rng = np.random.default_rng(child)
             sample = rng.integers(0, n, size=n)
-            self.trees.append(_grow_tree(x[sample], y[sample], rng, self.config))
+            tree = _grow_tree(x[sample], y[sample], rng, self.config)
+            self.trees.append(tree)
+            oob = np.bincount(sample, minlength=n) == 0
+            votes[oob] += tree.predict(x[oob])
+            counts[oob] += 1
+        seen = counts > 0
+        hits = (votes[seen] / counts[seen] >= 0.5) == y[seen]
+        self.oob_accuracy = float(hits.mean()) if hits.size else float("nan")
         return self
 
     def predict_proba(self, x: np.ndarray) -> np.ndarray:
@@ -205,6 +218,3 @@ class RandomForest:
         for tree in self.trees:
             total += tree.predict(x)
         return total / len(self.trees)
-
-    def predict(self, x: np.ndarray) -> np.ndarray:
-        return (self.predict_proba(x) >= 0.5).astype(np.int64)

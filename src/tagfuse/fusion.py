@@ -91,14 +91,8 @@ def fuse(synset_list: RankedList, classifier_list: RankedList, a: int) -> Ranked
     candidates = set(s_ranks) | set(r_ranks)
 
     scored = sorted(
-        (
-            (
-                combined_rank(s_ranks.get(article_id), r_ranks.get(article_id), synset_size),
-                article_id,
-            )
-            for article_id in candidates
-        ),
-        key=lambda pair: (pair[0], pair[1]),
+        (combined_rank(s_ranks.get(aid), r_ranks.get(aid), synset_size), aid)
+        for aid in candidates
     )
     kept = scored[: a * synset_size]
     return RankedList(

@@ -5,8 +5,10 @@ import pytest
 
 from tagfuse.classifier import ClassifierConfig, build_dataset, rank_corpus, train
 from tagfuse.errors import ConfigError, DatasetError, InsufficientPositives
+from tagfuse.forest import RandomForest
 from tagfuse.index import build_index
 from tagfuse.ranking import ORIGIN_CLASSIFIER
+from tagfuse.seeds import derive_seed
 from tagfuse.semantic import SemanticMatrix
 
 from conftest import make_corpus
@@ -121,7 +123,7 @@ class TestBuildDataset:
 
 
 class TestTrain:
-    def test_separable_embedding_gives_high_holdout_accuracy(self):
+    def test_separable_embedding_gives_high_oob_accuracy(self):
         corpus = labeled_corpus()
         index = build_index(corpus)
         sem = embedding_for(corpus)
@@ -130,7 +132,7 @@ class TestTrain:
         assert model.topic == "mycology"
         assert model.n_positives == 10
         assert model.n_negatives == 10
-        assert model.holdout_accuracy == 1.0
+        assert model.oob_accuracy == 1.0
 
     def test_training_is_deterministic(self):
         corpus = labeled_corpus()
@@ -142,7 +144,7 @@ class TestTrain:
         p1 = m1.forest.predict_proba(sem.matrix)
         p2 = m2.forest.predict_proba(sem.matrix)
         assert np.array_equal(p1, p2)
-        assert m1.holdout_accuracy == m2.holdout_accuracy
+        assert m1.oob_accuracy == m2.oob_accuracy
 
     def test_empty_class_rejected(self):
         from tagfuse.classifier import TopicDataset
@@ -153,10 +155,40 @@ class TestTrain:
         with pytest.raises(DatasetError, match="both classes"):
             train(dataset, sem)
 
-    def test_holdout_fraction_validated(self):
-        for bad in (0.0, 1.0, -0.2):
-            with pytest.raises(ConfigError, match="holdout_fraction"):
-                ClassifierConfig(holdout_fraction=bad)
+    def test_fits_one_forest_per_topic(self, monkeypatch):
+        corpus = labeled_corpus()
+        index = build_index(corpus)
+        sem = embedding_for(corpus)
+        dataset = build_dataset("mycology", index, corpus, small())
+        calls = []
+        fit = RandomForest.fit
+
+        def counting_fit(self, *args, **kwargs):
+            calls.append(args)
+            return fit(self, *args, **kwargs)
+
+        monkeypatch.setattr(RandomForest, "fit", counting_fit)
+        train(dataset, sem, ClassifierConfig(n_trees=5), seed=0)
+        assert len(calls) == 1
+
+    def test_forest_keeps_the_topic_train_seed(self):
+        corpus = labeled_corpus()
+        index = build_index(corpus)
+        sem = embedding_for(corpus)
+        dataset = build_dataset("mycology", index, corpus, small())
+        config = ClassifierConfig(n_trees=10)
+        model = train(dataset, sem, config, seed=4)
+        ids = list(dataset.positives) + list(dataset.negatives)
+        x = np.stack([sem.row(a) for a in ids])
+        y = np.array([1] * len(dataset.positives) + [0] * len(dataset.negatives))
+        expected = RandomForest(config).fit(
+            x, y, seed=derive_seed(4, "train", "mycology")
+        )
+        assert np.array_equal(
+            model.forest.predict_proba(sem.matrix), expected.predict_proba(sem.matrix)
+        )
+        # The reported accuracy is the kept forest's own out-of-bag estimate.
+        assert model.oob_accuracy == expected.oob_accuracy
 
 
 class TestRankCorpus:

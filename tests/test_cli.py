@@ -1,10 +1,13 @@
+import dataclasses
 import json
 import logging
 import os
 
 import pytest
 
+from tagfuse import cli
 from tagfuse.benchmark import BenchmarkSpec, topic_names
+from tagfuse.classifier import train
 from tagfuse.cli import main
 from tagfuse.manifest import file_sha256, read_manifest
 
@@ -101,6 +104,14 @@ class TestBenchPipeline:
         assert summary["skipped"] == []
         assert [t["topic"] for t in summary["trained"]] == TOPICS
 
+    def test_training_summary_reports_oob_accuracy(self, bench_run):
+        _, out = bench_run
+        with open(os.path.join(out, "ranked", "classifier", "_training.json")) as fh:
+            trained = json.load(fh)["trained"]
+        for entry in trained:
+            assert set(entry) == {"topic", "positives", "negatives", "oob_accuracy"}
+            assert 0.0 <= entry["oob_accuracy"] <= 1.0
+
     def test_evaluation_reports_every_method(self, bench_run):
         _, out = bench_run
         with open(os.path.join(out, "reports", "evaluation.jsonl")) as fh:
@@ -154,6 +165,24 @@ class TestStagePipeline:
         assert "Method" in table and "CommonMatch" in table
         for method in ("Synset", "Fusion1", "Fusion4"):
             assert method in table
+
+    def test_undefined_oob_accuracy_is_written_as_null(
+        self, stage_config, tmp_path, monkeypatch
+    ):
+        config = derived_config(stage_config, tmp_path)
+        for command in ("index", "embed"):
+            assert main([command, "--config", config]) == 0, command
+
+        def no_oob_rows(*args, **kwargs):
+            model = train(*args, **kwargs)
+            return dataclasses.replace(model, oob_accuracy=float("nan"))
+
+        monkeypatch.setattr(cli, "train", no_oob_rows)
+        assert main(["train-rank", "--config", config]) == 0
+        path = tmp_path / "out" / "ranked" / "classifier" / "_training.json"
+        text = path.read_text(encoding="utf-8")
+        assert "NaN" not in text
+        assert all(t["oob_accuracy"] is None for t in json.loads(text)["trained"])
 
     def test_a_override_restricts_the_sweep(self, stage_config, capsys):
         config, _ = stage_config
@@ -239,6 +268,43 @@ class TestFailureModes:
         for command in ("index", "train-rank"):
             assert main([command, "--config", config]) == 2, command
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "raw, key",
+        [
+            ({"topics": "abc"}, "topics"),
+            ({"seed": "x"}, "seed"),
+            ({"classifier": {"n_trees": 2.5}}, "n_trees"),
+            ({"classifier": {"n_trees": True}}, "n_trees"),
+            ({"fusion": {"a_values": [1.5]}}, "a_values"),
+            ({"classifier": {"holdout_fraction": 0.2}}, "'holdout_fraction'"),
+        ],
+        ids=["topics-str", "seed-str", "int-float", "int-bool", "tuple-element",
+             "holdout-fraction-removed"],
+    )
+    def test_mistyped_or_unknown_value_exits_two(self, tmp_path, caplog, raw, key):
+        out = tmp_path / "out"
+        config = write_config(tmp_path / "config.json", output_dir=str(out), **raw)
+        with caplog.at_level(logging.ERROR):
+            assert main(["index", "--config", config]) == 2
+        errors = [r.message for r in caplog.records if r.levelno >= logging.ERROR]
+        assert len(errors) == 1 and key in errors[0]
+        assert not out.exists()
+
+    def test_unindexed_synset_field_exits_two_before_any_list(
+        self, stage_config, tmp_path, caplog
+    ):
+        config = derived_config(
+            stage_config, tmp_path, synset_search={"fields": ["title", "nope"]}
+        )
+        assert main(["index", "--config", config]) == 0
+        with caplog.at_level(logging.ERROR):
+            assert main(["synset", "--config", config]) == 2
+        errors = [r.message for r in caplog.records if r.levelno >= logging.ERROR]
+        assert len(errors) == 1
+        assert "synset_search.fields" in errors[0] and "['nope']" in errors[0]
+        assert "indexed fields" in errors[0] and "'abstract'" in errors[0]
+        assert not (tmp_path / "out" / "ranked" / "synset").exists()
 
     def test_a_override_is_checked_by_the_fusion_section(self, stage_config, caplog):
         config, _ = stage_config

@@ -89,8 +89,6 @@ class TestConfigFromDict:
             config_from_dict({"fusion": {"a_values": [1, 1]}})
         with pytest.raises(ConfigError, match="semantic.k"):
             config_from_dict({"semantic": {"k": 1}})
-        with pytest.raises(ConfigError, match="holdout_fraction"):
-            config_from_dict({"classifier": {"holdout_fraction": 1.0}})
         with pytest.raises(ConfigError, match="synset_search.fields"):
             config_from_dict({"synset_search": {"fields": []}})
 
@@ -128,7 +126,7 @@ class TestConfigFromDict:
         # Covers every key's name and default: a renamed, added or
         # re-defaulted key changes the manifest's config_sha256.
         assert config_fingerprint(RunConfig()) == (
-            "eb907c7563fe966d0047e4ec1d3e7dab4e2d4c6b001e8908827fa3f109ef484c"
+            "fb27094d6d44b9d23cbab5e5f8d9a88b30e98718260a577cfbb8d473ec714332"
         )
 
 

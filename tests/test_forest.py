@@ -29,7 +29,7 @@ class TestFit:
         x_train, y_train = x[:180], y[:180]
         x_test, y_test = x[180:], y[180:]
         forest = RandomForest(ForestConfig(n_trees=50)).fit(x_train, y_train, seed=3)
-        accuracy = float(np.mean(forest.predict(x_test) == y_test))
+        accuracy = float(np.mean((forest.predict_proba(x_test) >= 0.5) == y_test))
         assert accuracy >= 0.95
         # Independent check that the problem really is this easy.
         assert nearest_centroid_accuracy(x_train, y_train, x_test, y_test) >= 0.95
@@ -51,7 +51,9 @@ class TestProbabilities:
         probs = forest.predict_proba(x)
         assert probs.shape == (len(x),)
         assert np.all(probs >= 0.0) and np.all(probs <= 1.0)
-        assert np.array_equal(forest.predict(x), (probs >= 0.5).astype(int))
+        # Each probability is a mean of per-tree leaf frequencies.
+        votes = np.mean([tree.predict(x) for tree in forest.trees], axis=0)
+        assert np.array_equal(probs >= 0.5, votes >= 0.5)
 
     def test_probabilities_separate_the_blobs(self):
         x, y = two_blobs(seed=11)
@@ -69,6 +71,66 @@ class TestProbabilities:
         forest = RandomForest(ForestConfig(n_trees=3)).fit(x, y, seed=1)
         with pytest.raises(ValueError, match="expected shape"):
             forest.predict_proba(np.zeros((2, x.shape[1] + 1)))
+
+
+def oob_oracle(forest, x, y, seed):
+    """Out-of-bag accuracy rebuilt from the one-child-per-tree seed contract:
+    each row is averaged over the trees whose bootstrap sample left it out."""
+    n = len(y)
+    correct = seen = 0
+    children = np.random.SeedSequence(seed).spawn(len(forest.trees))
+    samples = [set(np.random.default_rng(c).integers(0, n, size=n)) for c in children]
+    for row in range(n):
+        votes = [
+            tree.predict(x[row : row + 1])[0]
+            for tree, sample in zip(forest.trees, samples)
+            if row not in sample
+        ]
+        if votes:
+            seen += 1
+            correct += int((np.mean(votes) >= 0.5) == y[row])
+    return correct / seen if seen else float("nan")
+
+
+class TestOutOfBag:
+    @pytest.mark.parametrize(
+        "n_per, n_trees, gap, seed",
+        [(40, 15, 1.0, 0), (30, 10, 0.5, 7), (60, 25, 2.0, 123)],
+    )
+    def test_matches_per_row_oracle(self, n_per, n_trees, gap, seed):
+        x, y = two_blobs(n_per=n_per, gap=gap, seed=seed)
+        forest = RandomForest(ForestConfig(n_trees=n_trees)).fit(x, y, seed=seed)
+        assert forest.oob_accuracy == pytest.approx(oob_oracle(forest, x, y, seed))
+        assert 0.0 <= forest.oob_accuracy <= 1.0
+
+    def test_rows_never_out_of_bag_are_left_out(self):
+        # With two trees over twelve rows, some rows land in every
+        # bootstrap sample and have no out-of-bag vote.
+        x, y = two_blobs(n_per=6, gap=1.0, seed=5)
+        n = len(y)
+        for seed in range(50):
+            children = np.random.SeedSequence(seed).spawn(2)
+            samples = [
+                set(np.random.default_rng(c).integers(0, n, size=n)) for c in children
+            ]
+            if set.intersection(*samples):
+                break
+        else:
+            pytest.fail("no seed leaves a row in every bootstrap sample")
+        forest = RandomForest(ForestConfig(n_trees=2)).fit(x, y, seed=seed)
+        assert forest.oob_accuracy == pytest.approx(oob_oracle(forest, x, y, seed))
+
+    def test_no_out_of_bag_row_gives_nan(self):
+        # Two rows: a bootstrap of size two covers both with probability
+        # 1/2, so some seed leaves no row out of bag for a single tree.
+        x = np.array([[0.0], [1.0]])
+        y = np.array([0, 1])
+        for seed in range(50):
+            child = np.random.SeedSequence(seed).spawn(1)[0]
+            if len(set(np.random.default_rng(child).integers(0, 2, size=2))) == 2:
+                break
+        forest = RandomForest(ForestConfig(n_trees=1)).fit(x, y, seed=seed)
+        assert np.isnan(forest.oob_accuracy)
 
 
 class TestDeterminism:
