@@ -69,98 +69,79 @@ class _Tree:
         return self.value[node]
 
 
-def _best_split(x, y, idx, features, min_leaf):
-    """Best (feature, threshold, score) over the candidate features.
+def _best_split(x, y, w, order, features, min_leaf):
+    """Best (feature, threshold) over the candidate features, or None.
 
-    Score is the split's total child purity, sum over children of
-    (count0^2 + count1^2) / size; higher is purer. Returns None when no
-    feature admits a split that respects ``min_leaf``.
+    ``w`` weights each row by its multiplicity in the node (0 outside it)
+    and ``order[f]`` lists the rows by value of feature f, sorted once per
+    forest. Score is the split's total child purity, sum over children of
+    (count0^2 + count1^2) / size; higher is purer. A cut lies between two
+    distinct values, so its counts, score and midpoint do not depend on
+    how equal values are ordered. Ties go to the first candidate feature,
+    then to the lowest cut. Returns None when no feature admits a split
+    that respects ``min_leaf``.
     """
-    n = idx.size
-    y_node = y[idx]
-    best = None
-    for f in features:
-        xv = x[idx, f]
-        order = np.argsort(xv, kind="stable")
-        xs = xv[order]
-        lo, hi = min_leaf - 1, n - min_leaf - 1
-        if lo > hi:
-            break
-        boundary = xs[lo : hi + 1] != xs[lo + 1 : hi + 2]
-        if not boundary.any():
-            continue
-        cum1 = np.cumsum(y_node[order])
-        total1 = cum1[-1]
-        i = np.arange(lo, hi + 1)
-        nl = (i + 1).astype(np.float64)
-        nr = n - nl
-        l1 = cum1[lo : hi + 1].astype(np.float64)
-        l0 = nl - l1
-        r1 = total1 - l1
-        r0 = nr - r1
-        score = (l0 * l0 + l1 * l1) / nl + (r0 * r0 + r1 * r1) / nr
-        score[~boundary] = -np.inf
-        j = int(np.argmax(score))
-        if best is None or score[j] > best[2]:
-            cut = lo + j
-            threshold = (xs[cut] + xs[cut + 1]) / 2.0
-            best = (int(f), float(threshold), float(score[j]))
-    return best
+    # Every candidate's column order holds the node's rows, so each keeps
+    # the same number of them: one row per feature, in value order.
+    rows = order[features]
+    rows = rows[w[rows] > 0].reshape(len(features), -1)
+    wv = w[rows]
+    xv = x[rows, features[:, None]]
+    nl = np.cumsum(wv, axis=1)
+    c1 = np.cumsum(wv * y[rows], axis=1)
+    n, total1 = nl[0, -1], c1[0, -1]
+    nl = nl[:, :-1]
+    valid = (xv[:, :-1] != xv[:, 1:]) & (nl >= min_leaf) & (nl <= n - min_leaf)
+    if not valid.any():
+        return None
+    nl = nl.astype(np.float64)
+    l1 = c1[:, :-1].astype(np.float64)
+    l0 = nl - l1
+    nr = n - nl
+    r1 = total1 - l1
+    r0 = nr - r1
+    score = (l0 * l0 + l1 * l1) / nl + (r0 * r0 + r1 * r1) / nr
+    score[~valid] = -np.inf
+    i, cut = divmod(int(np.argmax(score)), score.shape[1])
+    return int(features[i]), float((xv[i, cut] + xv[i, cut + 1]) / 2.0)
 
 
-def _grow_tree(x, y, rng, config: ForestConfig):
-    n, n_features = x.shape
+def _grow_tree(x, y, w, order, rng, config: ForestConfig):
+    """Grow one tree on the rows of ``x``, each weighted by its bootstrap
+    multiplicity ``w``; ``order[f]`` lists the rows by value of feature f."""
+    n_features = x.shape[1]
     mtry = config.resolve_max_features(n_features)
     max_depth = config.max_depth if config.max_depth is not None else np.inf
     min_leaf = config.min_samples_leaf
 
-    feature: list[int] = []
-    threshold: list[float] = []
-    left: list[int] = []
-    right: list[int] = []
-    value: list[float] = []
-
-    def new_node() -> int:
-        feature.append(-1)
-        threshold.append(0.0)
-        left.append(-1)
-        right.append(-1)
-        value.append(0.0)
-        return len(feature) - 1
-
-    root = new_node()
-    stack = [(root, np.arange(n), 0)]
+    # A leaf holds at least one row, so a tree has at most 2n - 1 nodes.
+    capacity = 2 * len(y) - 1
+    feature = np.full(capacity, -1, dtype=np.int32)
+    threshold = np.zeros(capacity)
+    left = np.full(capacity, -1, dtype=np.int32)
+    right = np.full(capacity, -1, dtype=np.int32)
+    value = np.zeros(capacity)
+    n_nodes = 1
+    stack = [(0, w, 0)]
     while stack:
-        node, idx, depth = stack.pop()
-        ones = int(y[idx].sum())
-        value[node] = ones / idx.size
-        if (
-            ones == 0
-            or ones == idx.size
-            or depth >= max_depth
-            or idx.size < 2 * min_leaf
-        ):
+        node, w, depth = stack.pop()
+        size = int(w.sum())
+        ones = int(w @ y)
+        value[node] = ones / size
+        if ones == 0 or ones == size or depth >= max_depth or size < 2 * min_leaf:
             continue
         candidates = rng.choice(n_features, size=mtry, replace=False)
-        split = _best_split(x, y, idx, candidates, min_leaf)
+        split = _best_split(x, y, w, order, candidates, min_leaf)
         if split is None:
             continue
-        f, thr, _ = split
-        go_left = x[idx, f] <= thr
-        feature[node] = f
-        threshold[node] = thr
-        left[node] = new_node()
-        right[node] = new_node()
-        stack.append((left[node], idx[go_left], depth + 1))
-        stack.append((right[node], idx[~go_left], depth + 1))
-
-    return _Tree(
-        np.asarray(feature, dtype=np.int32),
-        np.asarray(threshold),
-        np.asarray(left, dtype=np.int32),
-        np.asarray(right, dtype=np.int32),
-        np.asarray(value),
-    )
+        f, thr = split
+        feature[node], threshold[node] = f, thr
+        go_left = x[:, f] <= thr
+        left[node], right[node] = n_nodes, n_nodes + 1
+        stack.append((n_nodes, np.where(go_left, w, 0), depth + 1))
+        stack.append((n_nodes + 1, np.where(go_left, 0, w), depth + 1))
+        n_nodes += 2
+    return _Tree(*(a[:n_nodes].copy() for a in (feature, threshold, left, right, value)))
 
 
 class RandomForest:
@@ -190,14 +171,17 @@ class RandomForest:
         # bootstrap sample left it out.
         votes = np.zeros(n)
         counts = np.zeros(n, dtype=np.int64)
+        # Each column is sorted once; every node of every tree filters
+        # these orders to its own rows instead of sorting again.
+        order = np.argsort(x.T, axis=1, kind="stable")
         # One child sequence per tree: tree i is identical no matter how
         # many trees are grown or in which order.
         for child in np.random.SeedSequence(seed).spawn(self.config.n_trees):
             rng = np.random.default_rng(child)
-            sample = rng.integers(0, n, size=n)
-            tree = _grow_tree(x[sample], y[sample], rng, self.config)
+            w = np.bincount(rng.integers(0, n, size=n), minlength=n)
+            tree = _grow_tree(x, y, w, order, rng, self.config)
             self.trees.append(tree)
-            oob = np.bincount(sample, minlength=n) == 0
+            oob = w == 0
             votes[oob] += tree.predict(x[oob])
             counts[oob] += 1
         seen = counts > 0

@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import logging
 import math
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -23,7 +24,7 @@ if TYPE_CHECKING:
 
 from .corpus import Corpus, text_repr
 from .errors import ConfigError, TagfuseError
-from .text import ngrams, tokenize
+from .text import tokenize
 
 logger = logging.getLogger(__name__)
 
@@ -137,6 +138,7 @@ def vectorize(corpus: Corpus, config: SemanticConfig = SemanticConfig()) -> TfId
     are the kept terms in lexicographic order. Weights use the smoothed
     idf(t) = ln((1 + M) / (1 + df(t))) + 1 with M the corpus size. A
     document whose terms were all filtered away keeps an all-zero row.
+    Terms are counted as integer codes; only the kept ones become strings.
     """
     # Imported here so that loading a config, and the stages that never
     # vectorize, do not load scipy.
@@ -146,25 +148,47 @@ def vectorize(corpus: Corpus, config: SemanticConfig = SemanticConfig()) -> TfId
     if n_docs == 0:
         raise TagfuseError("cannot fit a vocabulary on an empty corpus")
 
-    # One row per document over provisional term ids in first-seen order.
-    term_id: dict[str, int] = {}
-    indptr = [0]
-    indices: list[int] = []
+    # Token ids in first-seen order, one tokenization per document.
+    token_id: defaultdict[str, int] = defaultdict()
+    token_id.default_factory = token_id.__len__
+    ids: list[int] = []
+    lengths: list[int] = []
     for rec in corpus:
-        indices.extend(
-            term_id.setdefault(t, len(term_id)) for t in ngrams(tokenize(text_repr(rec)))
-        )
-        indptr.append(len(indices))
-    counts = sparse.csr_matrix(
-        (np.ones(len(indices)), np.asarray(indices), np.asarray(indptr)),
-        shape=(n_docs, len(term_id)),
+        words = tokenize(text_repr(rec))
+        ids.extend(map(token_id.__getitem__, words))
+        lengths.append(len(words))
+    # The large temporaries are deleted as soon as they are spent: the
+    # freed heap they would leave behind adds to the SVD's peak RSS.
+    token = np.asarray(ids, dtype=np.int64)
+    doc = np.repeat(np.arange(n_docs, dtype=np.int64), lengths)
+    # Term codes: the unigram u is u itself and the bigram (a, b) is
+    # U + a*U + b, with U < 3e9 tokens so that int64 cannot wrap; no
+    # bigram crosses a document boundary.
+    u = len(token_id)
+    within = doc[:-1] == doc[1:]
+    codes, term = np.unique(
+        np.concatenate([token, u + token[:-1][within] * u + token[1:][within]]),
+        return_inverse=True,
     )
-    counts.sum_duplicates()
-    df = np.bincount(counts.indices, minlength=len(term_id))
+    # One cell per (document, term), in row-major order, with its count.
+    cells, tf = np.unique(
+        np.concatenate([doc, doc[:-1][within]]) * codes.size + term, return_counts=True
+    )
+    del doc, within, term
+    cell_doc, cell_term = np.divmod(cells, codes.size)
+    del cells
+    counts = sparse.csr_matrix(
+        (tf.astype(np.float64), cell_term, np.searchsorted(cell_doc, np.arange(n_docs + 1))),
+        shape=(n_docs, codes.size),
+    )
+    df = np.bincount(cell_term, minlength=codes.size)
 
-    terms = list(term_id)
     in_range = (df >= config.min_df) & (df <= config.max_df_fraction * n_docs)
-    kept = sorted((terms[i], i) for i in np.flatnonzero(in_range).tolist())
+    token_of = list(token_id)
+    kept = sorted(
+        (f"{token_of[c // u - 1]} {token_of[c % u]}" if c >= u else token_of[c], i)
+        for i, c in zip(np.flatnonzero(in_range).tolist(), codes[in_range].tolist())
+    )
     if not kept:
         raise TagfuseError(
             f"vocabulary is empty after frequency filtering "
@@ -179,6 +203,7 @@ def vectorize(corpus: Corpus, config: SemanticConfig = SemanticConfig()) -> TfId
     idf = np.array([math.log((1 + n_docs) / (1 + df[i])) + 1.0 for _, i in kept])
 
     matrix = counts[:, [i for _, i in kept]]
+    del counts
     matrix.sort_indices()
     matrix.data *= idf[matrix.indices]
     norms = sparse.linalg.norm(matrix, axis=1)

@@ -20,7 +20,10 @@ def tokenize(text: str) -> list[str]:
     No stemming and no stop-word removal: synonym sets carry inflected
     variants explicitly, so the tokenizer must not collapse them.
     """
-    return [m.group().lower() for m in _TOKEN_RE.finditer(text)]
+    # Each token is lowercased on its own: lowercasing the whole text
+    # first would turn "İ" into "i" plus a combining mark, which is not
+    # alphanumeric and would split the token.
+    return list(map(str.lower, _TOKEN_RE.findall(text)))
 
 
 def contains_phrase(tokens: list[str], phrase: list[str]) -> bool:
@@ -34,15 +37,3 @@ def contains_phrase(tokens: list[str], phrase: list[str]) -> bool:
             return True
     return False
 
-
-def ngrams(tokens: list[str], n_min: int = 1, n_max: int = 2) -> list[str]:
-    """All n-grams of ``tokens`` for n in [n_min, n_max], space-joined."""
-    out: list[str] = []
-    for n in range(n_min, n_max + 1):
-        if n == 1:
-            out.extend(tokens)
-        else:
-            out.extend(
-                " ".join(tokens[i : i + n]) for i in range(len(tokens) - n + 1)
-            )
-    return out

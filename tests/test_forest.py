@@ -186,11 +186,14 @@ class TestConfig:
                     depth[tree.right[node]] = depth[node] + 1
 
     def test_min_samples_leaf_is_respected(self):
-        # Leaf sizes are counted over the rows the tree was grown on.
+        # Leaf sizes are counted over the rows the tree was grown on, here
+        # every row once.
         x, y = two_blobs(n_per=50, gap=1.5, seed=23)
         config = ForestConfig(min_samples_leaf=10)
+        w = np.ones(len(y), dtype=np.int64)
+        order = np.argsort(x.T, axis=1)
         for seed in range(5):
-            tree = _grow_tree(x, y, np.random.default_rng(seed), config)
+            tree = _grow_tree(x, y, w, order, np.random.default_rng(seed), config)
             counts = _leaf_counts(tree, x)
             assert len(counts) > 1
             assert min(counts.values()) >= 10
@@ -208,3 +211,152 @@ def _leaf_counts(tree, x):
         node[active] = np.where(go_left, tree.left[cur], tree.right[cur])
     unique, counts = np.unique(node, return_counts=True)
     return dict(zip(unique.tolist(), counts.tolist()))
+
+
+def reference_best_split(x, y, idx, features, min_leaf):
+    """The split search as one stable argsort per candidate feature over
+    the node's rows, duplicates included."""
+    n = idx.size
+    y_node = y[idx]
+    best = None
+    for f in features:
+        xs = x[idx, f]
+        order = np.argsort(xs, kind="stable")
+        xs = xs[order]
+        lo, hi = min_leaf - 1, n - min_leaf - 1
+        boundary = xs[lo : hi + 1] != xs[lo + 1 : hi + 2]
+        if not boundary.any():
+            continue
+        cum1 = np.cumsum(y_node[order])
+        i = np.arange(lo, hi + 1)
+        nl = (i + 1).astype(np.float64)
+        nr = n - nl
+        l1 = cum1[lo : hi + 1].astype(np.float64)
+        l0 = nl - l1
+        r1 = cum1[-1] - l1
+        r0 = nr - r1
+        score = (l0 * l0 + l1 * l1) / nl + (r0 * r0 + r1 * r1) / nr
+        score[~boundary] = -np.inf
+        j = int(np.argmax(score))
+        if best is None or score[j] > best[2]:
+            cut = lo + j
+            best = (int(f), float((xs[cut] + xs[cut + 1]) / 2.0), float(score[j]))
+    return best
+
+
+def reference_grow_tree(x, y, rng, config):
+    """A tree grown on the materialized bootstrap rows ``x``, ``y``."""
+    n, n_features = x.shape
+    mtry = config.resolve_max_features(n_features)
+    max_depth = config.max_depth if config.max_depth is not None else np.inf
+    min_leaf = config.min_samples_leaf
+    feature, threshold, left, right, value = [-1], [0.0], [-1], [-1], [0.0]
+    stack = [(0, np.arange(n), 0)]
+    while stack:
+        node, idx, depth = stack.pop()
+        ones = int(y[idx].sum())
+        value[node] = ones / idx.size
+        if ones in (0, idx.size) or depth >= max_depth or idx.size < 2 * min_leaf:
+            continue
+        candidates = rng.choice(n_features, size=mtry, replace=False)
+        split = reference_best_split(x, y, idx, candidates, min_leaf)
+        if split is None:
+            continue
+        f, thr, _ = split
+        go_left = x[idx, f] <= thr
+        feature[node], threshold[node] = f, thr
+        for side in (left, right):
+            side[node] = len(feature)
+            feature.append(-1)
+            threshold.append(0.0)
+            left.append(-1)
+            right.append(-1)
+            value.append(0.0)
+        stack.append((left[node], idx[go_left], depth + 1))
+        stack.append((right[node], idx[~go_left], depth + 1))
+    return feature, threshold, left, right, value
+
+
+def reference_forest(x, y, config, seed):
+    """Every tree's arrays and the out-of-bag accuracy, with each tree
+    grown on ``x[sample]`` from the same per-tree seed contract."""
+    n = len(y)
+    trees = []
+    votes = np.zeros(n)
+    counts = np.zeros(n, dtype=np.int64)
+    for child in np.random.SeedSequence(seed).spawn(config.n_trees):
+        rng = np.random.default_rng(child)
+        sample = rng.integers(0, n, size=n)
+        arrays = reference_grow_tree(x[sample], y[sample], rng, config)
+        trees.append(arrays)
+        feature, threshold, left, right, value = arrays
+        oob = np.flatnonzero(np.bincount(sample, minlength=n) == 0)
+        for row in oob:
+            node = 0
+            while feature[node] >= 0:
+                go_left = x[row, feature[node]] <= threshold[node]
+                node = left[node] if go_left else right[node]
+            votes[row] += value[node]
+            counts[row] += 1
+    seen = counts > 0
+    hits = (votes[seen] / counts[seen] >= 0.5) == y[seen]
+    return trees, float(hits.mean()) if hits.size else float("nan")
+
+
+def overlapping_blobs(seed):
+    return two_blobs(n_per=60, gap=1.0, seed=seed)
+
+
+def tied_blobs(seed):
+    x, y = two_blobs(n_per=60, gap=1.0, dim=8, seed=seed)
+    return np.round(x), y
+
+
+def identical_rows(seed):
+    x, y = two_blobs(n_per=40, gap=1.0, dim=5, seed=seed)
+    x[:50] = x[0]
+    return x, y
+
+
+def random_labels(seed):
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal((150, 6)), rng.integers(0, 2, size=150)
+
+
+class TestPresortedSplitSearch:
+    """The forest grown on presorted columns and bootstrap weights has the
+    same trees, bit for bit, as one grown on the materialized sample with
+    one sort per node and feature."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize(
+        "data, config",
+        [
+            (tied_blobs, ForestConfig(n_trees=8)),
+            (identical_rows, ForestConfig(n_trees=8)),
+            (tied_blobs, ForestConfig(n_trees=8, min_samples_leaf=4)),
+            (overlapping_blobs, ForestConfig(n_trees=8, max_depth=3)),
+            (tied_blobs, ForestConfig(n_trees=6, max_features="all")),
+            (random_labels, ForestConfig(n_trees=6)),
+        ],
+        ids=["ties", "identical-rows", "min-leaf-4", "depth-3", "all-features", "random-labels"],
+    )
+    def test_trees_and_oob_match_per_node_sort(self, data, config, seed):
+        x, y = data(seed)
+        forest = RandomForest(config).fit(x, y, seed=seed)
+        trees, oob = reference_forest(x, y, config, seed)
+        assert len(forest.trees) == len(trees)
+        for tree, arrays in zip(forest.trees, trees):
+            feature, threshold, left, right, value = arrays
+            assert np.array_equal(tree.feature, np.asarray(feature, dtype=np.int32))
+            assert np.array_equal(tree.threshold, np.asarray(threshold))
+            assert np.array_equal(tree.left, np.asarray(left, dtype=np.int32))
+            assert np.array_equal(tree.right, np.asarray(right, dtype=np.int32))
+            assert np.array_equal(tree.value, np.asarray(value))
+        assert forest.oob_accuracy == oob
+
+    def test_random_labels_grow_deep_trees(self):
+        # The random-label case above exercises many levels of splits.
+        x, y = random_labels(0)
+        forest = RandomForest(ForestConfig(n_trees=2)).fit(x, y, seed=0)
+        assert max(len(tree.feature) for tree in forest.trees) > 50

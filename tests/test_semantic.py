@@ -5,6 +5,8 @@ import pytest
 from scipy import sparse
 
 import tagfuse.semantic
+from tagfuse.benchmark import BenchmarkSpec, generate
+from tagfuse.corpus import text_repr
 from tagfuse.errors import ConfigError, TagfuseError
 from tagfuse.semantic import (
     SemanticConfig,
@@ -13,9 +15,31 @@ from tagfuse.semantic import (
     truncated_svd,
     vectorize,
 )
-from tagfuse.text import ngrams, tokenize
+from tagfuse.text import tokenize
 
 from conftest import make_corpus
+
+
+def ngrams(tokens, n_min=1, n_max=2):
+    """All n-grams of ``tokens`` for n in [n_min, n_max], space-joined."""
+    out = []
+    for n in range(n_min, n_max + 1):
+        if n == 1:
+            out.extend(tokens)
+        else:
+            out.extend(" ".join(tokens[i : i + n]) for i in range(len(tokens) - n + 1))
+    return out
+
+
+class TestNgrams:
+    def test_unigrams_and_bigrams(self):
+        assert ngrams(["a", "b", "c"]) == ["a", "b", "c", "a b", "b c"]
+
+    def test_single_token_has_no_bigrams(self):
+        assert ngrams(["a"]) == ["a"]
+
+    def test_unigrams_only(self):
+        assert ngrams(["a", "b"], 1, 1) == ["a", "b"]
 
 
 # Vocabulary cutoffs that keep every term.
@@ -120,6 +144,99 @@ class TestVectorize:
         corpus = tiny_corpus()
         tfidf = vectorize(corpus, SemanticConfig(min_df=2, max_df_fraction=0.99))
         assert tfidf.matrix.shape == (3, len(tfidf.vocab))
+
+
+def reference_vectorize(corpus, config):
+    """The TF-IDF built from n-gram strings: provisional term ids in
+    first-seen order, a duplicate-summed count matrix, then the kept
+    columns in lexicographic term order."""
+    n_docs = len(corpus)
+    term_id = {}
+    indptr = [0]
+    indices = []
+    for rec in corpus:
+        indices.extend(
+            term_id.setdefault(t, len(term_id)) for t in ngrams(tokenize(text_repr(rec)))
+        )
+        indptr.append(len(indices))
+    counts = sparse.csr_matrix(
+        (np.ones(len(indices)), np.asarray(indices), np.asarray(indptr)),
+        shape=(n_docs, len(term_id)),
+    )
+    counts.sum_duplicates()
+    df = np.bincount(counts.indices, minlength=len(term_id))
+    terms = list(term_id)
+    in_range = (df >= config.min_df) & (df <= config.max_df_fraction * n_docs)
+    kept = sorted((terms[i], i) for i in np.flatnonzero(in_range).tolist())
+    columns = {t: col for col, (t, _) in enumerate(kept)}
+    document_frequency = {t: int(df[i]) for t, i in kept}
+    idf = np.array([math.log((1 + n_docs) / (1 + df[i])) + 1.0 for _, i in kept])
+    matrix = counts[:, [i for _, i in kept]]
+    matrix.sort_indices()
+    matrix.data *= idf[matrix.indices]
+    norms = sparse.linalg.norm(matrix, axis=1)
+    scale = np.divide(1.0, norms, out=np.zeros_like(norms), where=norms > 0)
+    matrix = (sparse.diags(scale) @ matrix).tocsr()
+    return matrix, columns, document_frequency
+
+
+def edge_case_corpus():
+    return make_corpus(
+        [
+            ("d1", "straße straße İstanbul", "straße İstanbul 東京 大学 straße"),
+            ("d2", "solo", ""),
+            ("d3", "東京 大学", "İstanbul 東京 大学 zürich"),
+            ("d4", "hapax words", "only here once"),
+            ("d5", "zürich straße", "straße zürich 東京 大学 east east east"),
+            ("d6", "east east", "the end"),
+        ]
+    )
+
+
+def small_bench_corpus():
+    corpus, _, _ = generate(BenchmarkSpec(n_topics=3, docs_per_topic=40, doc_length=25))
+    return corpus
+
+
+class TestVectorizeMatchesStringReference:
+    """The integer-coded n-gram counts give the TF-IDF of the string build
+    bit for bit: the same vocabulary, column order, CSR arrays and dtypes."""
+
+    @pytest.mark.parametrize(
+        "corpus, config",
+        [
+            (edge_case_corpus, NO_CUTOFFS),
+            (edge_case_corpus, SemanticConfig(min_df=2, max_df_fraction=0.5)),
+            (small_bench_corpus, SemanticConfig()),
+        ],
+        ids=["non-ascii-all-terms", "non-ascii-cutoffs", "bench"],
+    )
+    def test_bit_identical(self, corpus, config):
+        corpus = corpus()
+        tfidf = vectorize(corpus, config)
+        matrix, columns, document_frequency = reference_vectorize(corpus, config)
+        got = tfidf.matrix
+        for name in ("indptr", "indices", "data"):
+            assert getattr(got, name).dtype == getattr(matrix, name).dtype
+            assert np.array_equal(getattr(got, name), getattr(matrix, name))
+        assert got.shape == matrix.shape
+        assert list(tfidf.vocab.columns.items()) == list(columns.items())
+        assert list(tfidf.vocab.document_frequency.items()) == list(
+            document_frequency.items()
+        )
+        assert tfidf.vocab.n_docs == len(corpus)
+
+    def test_edge_cases_are_present(self):
+        # The corpus above really holds what the comparison is meant to cover.
+        corpus = edge_case_corpus()
+        tfidf = vectorize(corpus, SemanticConfig(min_df=2, max_df_fraction=0.5))
+        tokens = [tokenize(text_repr(rec)) for rec in corpus]
+        assert "i̇stanbul" in tfidf.vocab.columns and "東京 大学" in tfidf.vocab.columns
+        assert tokens[1] == ["solo"]
+        assert tfidf.matrix[1].nnz == 0 and tfidf.matrix[3].nnz == 0
+        assert ngrams(tokens[4]).count("east east") == 2
+        # The bigram of token id 0 with itself has the smallest bigram code.
+        assert "straße straße" in tfidf.vocab.columns
 
 
 def two_sided_randomized_svd(a, k, oversample=10, power_iters=2, seed=0):

@@ -1,7 +1,9 @@
+import re
+
 from hypothesis import given
 from hypothesis import strategies as st
 
-from tagfuse.text import contains_phrase, ngrams, tokenize
+from tagfuse.text import contains_phrase, tokenize
 
 
 class TestTokenize:
@@ -43,17 +45,6 @@ class TestContainsPhrase:
         assert not contains_phrase(["a"], [])
 
 
-class TestNgrams:
-    def test_unigrams_and_bigrams(self):
-        assert ngrams(["a", "b", "c"]) == ["a", "b", "c", "a b", "b c"]
-
-    def test_single_token_has_no_bigrams(self):
-        assert ngrams(["a"]) == ["a"]
-
-    def test_unigrams_only(self):
-        assert ngrams(["a", "b"], 1, 1) == ["a", "b"]
-
-
 @given(st.text(max_size=200))
 def test_tokens_are_lowercase_alphanumeric(text):
     for token in tokenize(text):
@@ -64,3 +55,9 @@ def test_tokens_are_lowercase_alphanumeric(text):
 @given(st.lists(st.sampled_from(["alpha", "beta", "gamma", "x9"]), max_size=12))
 def test_tokenize_of_joined_tokens_round_trips(tokens):
     assert tokenize(" ".join(tokens)) == tokens
+
+
+@given(st.text(max_size=200))
+def test_matches_per_match_lowercasing(text):
+    # Equal to lowercasing each regex match object's text in turn.
+    assert tokenize(text) == [m.group().lower() for m in re.finditer(r"[^\W_]+", text)]
