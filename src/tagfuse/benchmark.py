@@ -19,7 +19,8 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 
-import numpy as np
+# numpy is imported inside the functions that compute with it: the stages
+# that never do (index, synset, fuse, eval) then start without loading it.
 
 from .corpus import ArticleRecord, Corpus, GroundTruth
 from .errors import BenchmarkError
@@ -125,6 +126,7 @@ def generate(spec: BenchmarkSpec) -> tuple[Corpus, GroundTruth, dict[str, Synset
     * every article carries its topic name in ``subjects``, which is what
       the planted ground truth records.
     """
+    import numpy as np
     rng = np.random.default_rng(spec.seed)
     topics = _make_topics(spec)
     background = [f"bg{j:04d}" for j in range(spec.background_vocab_size)]

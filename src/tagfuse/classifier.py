@@ -13,7 +13,8 @@ import logging
 import math
 from dataclasses import dataclass
 
-import numpy as np
+# numpy is imported inside the functions that compute with it: the stages
+# that never do (index, synset, fuse, eval) then start without loading it.
 
 from .corpus import TEXT_FIELDS, Corpus
 from .errors import ConfigError, DatasetError, InsufficientPositives
@@ -93,6 +94,7 @@ def build_dataset(
     :class:`InsufficientPositives` when the corpus cannot support the
     topic; callers should skip the topic and say so.
     """
+    import numpy as np
     positives = sorted(has_any_match(index, [topic], TEXT_FIELDS))
     if len(positives) < config.min_positives:
         raise InsufficientPositives(topic, len(positives), config.min_positives)
@@ -132,6 +134,7 @@ def train(
     Every labeled row trains the forest; its out-of-bag accuracy measures
     generalization. Training is deterministic given the seed and dataset.
     """
+    import numpy as np
     if not dataset.positives or not dataset.negatives:
         raise DatasetError(
             f"topic {dataset.topic!r}: need both classes to train "

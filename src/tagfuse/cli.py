@@ -46,7 +46,7 @@ from .evaluation import format_table, report_records, sweep, write_plot_series
 from .fusion import fuse, invert, read_assignments, write_assignments
 from .index import Index, build_index
 from .manifest import append_entry, config_fingerprint
-from .ranking import RankedList, read_ranked_list, write_ranked_list
+from .ranking import ORIGIN_FUSION, RankedList, read_ranked_list, write_ranked_list
 from .semantic import SemanticMatrix, truncated_svd, vectorize
 from .seeds import derive_seed
 from .synsets import load_synsets, save_synsets, synset_rank
@@ -270,12 +270,17 @@ def stage_fuse(cfg: RunConfig) -> None:
             classifier_lists[topic] = read_ranked_list(classifier_path)
             inputs.append(classifier_path)
 
+    # Each topic is fused once, at the greatest depth: the list at depth a
+    # is its first a * |S| entries.
+    a_max = max(cfg.fusion.a_values)
+    deepest = {t: fuse(synset_lists[t], classifier_lists[t], a_max) for t in synset_lists}
     for a in sorted(cfg.fusion.a_values):
         ws.ensure("fusion", f"a{a}")
         ws.ensure("tags")
         fused: dict[str, RankedList] = {}
-        for topic in _topics(cfg):
-            flist = fuse(synset_lists[topic], classifier_lists[topic], a)
+        for topic, full in deepest.items():
+            size = a * len(synset_lists[topic])
+            flist = RankedList(topic, ORIGIN_FUSION, full.entries[:size])
             fused[topic] = flist
             out = ws.fusion_list_path(a, topic)
             write_ranked_list(flist, out)

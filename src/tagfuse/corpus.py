@@ -14,9 +14,10 @@ from __future__ import annotations
 
 import json
 import logging
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
-from .errors import CorpusError
+from .errors import CorpusError, TagfuseError
 from .text import contains_phrase, tokenize
 
 logger = logging.getLogger(__name__)
@@ -103,6 +104,25 @@ def _string_list(value) -> tuple[str, ...] | None:
     return None
 
 
+def read_jsonl(path: str, error: type[TagfuseError]) -> Iterator[tuple[int, dict]]:
+    """Yield ``(line number, record)`` for each non-blank line of a
+    line-delimited JSON file; a line that is not a JSON object raises
+    ``error`` naming ``path:lineno``."""
+    decode = json.JSONDecoder().decode
+    with open(path, encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                raw = decode(line)
+            except json.JSONDecodeError as exc:
+                raise error(f"{path}:{lineno}: invalid record: {exc}") from exc
+            if not isinstance(raw, dict):
+                raise error(f"{path}:{lineno}: record is not an object")
+            yield lineno, raw
+
+
 def ingest_corpus(path: str) -> Corpus:
     """Read a line-delimited corpus file.
 
@@ -112,45 +132,34 @@ def ingest_corpus(path: str) -> Corpus:
     """
     records: list[ArticleRecord] = []
     skipped = 0
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                raw = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise CorpusError(f"{path}:{lineno}: invalid record: {exc}") from exc
-            if not isinstance(raw, dict):
-                raise CorpusError(f"{path}:{lineno}: record is not an object")
-
-            required = [raw.get(key) for key in ("id", "title", "abstract")]
-            if not all(isinstance(v, str) and v.strip() for v in required):
-                skipped += 1
-                logger.warning(
-                    "%s:%d: skipping record with missing id/title/abstract", path, lineno
-                )
-                continue
-            article_id, title, abstract = required
-
-            extra: dict[str, tuple[str, ...]] = {}
-            for key, value in raw.items():
-                if key in ("id", "title", "abstract", *CORE_LIST_FIELDS):
-                    continue
-                values = _string_list(value)
-                if values is not None:
-                    extra[key] = values
-
-            records.append(
-                ArticleRecord(
-                    id=article_id,
-                    title=title,
-                    abstract=abstract,
-                    keywords=_string_list(raw.get("keywords", [])) or (),
-                    subjects=_string_list(raw.get("subjects", [])) or (),
-                    extra=extra,
-                )
+    for lineno, raw in read_jsonl(path, CorpusError):
+        required = [raw.get(key) for key in ("id", "title", "abstract")]
+        if not all(isinstance(v, str) and v.strip() for v in required):
+            skipped += 1
+            logger.warning(
+                "%s:%d: skipping record with missing id/title/abstract", path, lineno
             )
+            continue
+        article_id, title, abstract = required
+
+        extra: dict[str, tuple[str, ...]] = {}
+        for key, value in raw.items():
+            if key in ("id", "title", "abstract", *CORE_LIST_FIELDS):
+                continue
+            values = _string_list(value)
+            if values is not None:
+                extra[key] = values
+
+        records.append(
+            ArticleRecord(
+                id=article_id,
+                title=title,
+                abstract=abstract,
+                keywords=_string_list(raw.get("keywords", [])) or (),
+                subjects=_string_list(raw.get("subjects", [])) or (),
+                extra=extra,
+            )
+        )
 
     if skipped:
         logger.warning("%s: skipped %d incomplete record(s)", path, skipped)
@@ -233,30 +242,22 @@ def load_ground_truth(path: str, topics: list[str] | None = None) -> GroundTruth
     """
     allowed = set(topics) if topics is not None else None
     labels: dict[str, set[str]] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                raw = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise CorpusError(f"{path}:{lineno}: invalid record: {exc}") from exc
-            article_id = raw.get("id")
-            names = raw.get("topics")
-            if not isinstance(article_id, str) or _string_list(names) is None:
-                raise CorpusError(f"{path}:{lineno}: expected id and topics array")
-            if article_id in labels:
-                raise CorpusError(f"{path}:{lineno}: duplicate article id {article_id!r}")
-            if not names:
-                raise CorpusError(f"{path}:{lineno}: empty topic list for {article_id!r}")
-            if allowed is not None:
-                unknown = sorted(set(names) - allowed)
-                if unknown:
-                    raise CorpusError(
-                        f"{path}:{lineno}: labels outside the topic list: {unknown}"
-                    )
-            labels[article_id] = set(names)
+    for lineno, raw in read_jsonl(path, CorpusError):
+        article_id = raw.get("id")
+        names = raw.get("topics")
+        if not isinstance(article_id, str) or _string_list(names) is None:
+            raise CorpusError(f"{path}:{lineno}: expected id and topics array")
+        if article_id in labels:
+            raise CorpusError(f"{path}:{lineno}: duplicate article id {article_id!r}")
+        if not names:
+            raise CorpusError(f"{path}:{lineno}: empty topic list for {article_id!r}")
+        if allowed is not None:
+            unknown = sorted(set(names) - allowed)
+            if unknown:
+                raise CorpusError(
+                    f"{path}:{lineno}: labels outside the topic list: {unknown}"
+                )
+        labels[article_id] = set(names)
     return GroundTruth(labels)
 
 

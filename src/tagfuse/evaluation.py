@@ -10,7 +10,7 @@ set is covering more ground even at equal per-article quality.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, fields as dataclass_fields
+from dataclasses import asdict, dataclass
 
 from .corpus import GroundTruth
 from .errors import EvaluationError
@@ -161,10 +161,7 @@ def format_table(reports: list[EvalReport]) -> str:
 
 def report_records(reports: list[EvalReport]) -> list[dict]:
     """Reports as plain dicts, for structured output."""
-    return [
-        {f.name: getattr(report, f.name) for f in dataclass_fields(EvalReport)}
-        for report in reports
-    ]
+    return [asdict(report) for report in reports]
 
 
 PLOT_SERIES = (

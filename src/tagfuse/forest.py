@@ -12,8 +12,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import numpy as np
+# numpy is imported inside the functions that compute with it: the stages
+# that never do (index, synset, fuse, eval) then start without loading it.
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -57,6 +61,7 @@ class _Tree:
         self.value = value
 
     def predict(self, x: np.ndarray) -> np.ndarray:
+        import numpy as np
         node = np.zeros(len(x), dtype=np.int32)
         while True:
             f = self.feature[node]
@@ -81,6 +86,7 @@ def _best_split(x, y, w, order, features, min_leaf):
     then to the lowest cut. Returns None when no feature admits a split
     that respects ``min_leaf``.
     """
+    import numpy as np
     # Every candidate's column order holds the node's rows, so each keeps
     # the same number of them: one row per feature, in value order.
     rows = order[features]
@@ -109,6 +115,7 @@ def _best_split(x, y, w, order, features, min_leaf):
 def _grow_tree(x, y, w, order, rng, config: ForestConfig):
     """Grow one tree on the rows of ``x``, each weighted by its bootstrap
     multiplicity ``w``; ``order[f]`` lists the rows by value of feature f."""
+    import numpy as np
     n_features = x.shape[1]
     mtry = config.resolve_max_features(n_features)
     max_depth = config.max_depth if config.max_depth is not None else np.inf
@@ -154,6 +161,7 @@ class RandomForest:
         self.oob_accuracy = float("nan")
 
     def fit(self, x: np.ndarray, y: np.ndarray, seed: int = 0) -> "RandomForest":
+        import numpy as np
         x = np.asarray(x, dtype=np.float64)
         y = np.asarray(y, dtype=np.int64)
         if x.ndim != 2 or x.shape[0] != y.shape[0]:
@@ -191,6 +199,7 @@ class RandomForest:
 
     def predict_proba(self, x: np.ndarray) -> np.ndarray:
         """Class-1 probability per row: mean of per-tree leaf frequencies."""
+        import numpy as np
         if not self.trees:
             raise ValueError("forest is not fitted")
         x = np.asarray(x, dtype=np.float64)

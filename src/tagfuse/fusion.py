@@ -19,10 +19,12 @@ is allowed to grow.
 
 from __future__ import annotations
 
+import functools
 import json
 import logging
 from dataclasses import dataclass
 
+from .corpus import read_jsonl
 from .errors import ConfigError, TagfuseError
 from .ranking import ORIGIN_CLASSIFIER, ORIGIN_FUSION, ORIGIN_SYNSET, RankedList
 
@@ -47,19 +49,6 @@ class FusionConfig:
             raise ConfigError("fusion.a_values must be unique")
         if self.score_threshold is not None and not 0.0 <= self.score_threshold <= 1.0:
             raise ConfigError("fusion.score_threshold must lie in [0, 1]")
-
-
-def combined_rank(
-    s_rank: int | None, r_rank: int | None, synset_size: int
-) -> float:
-    """Combined rank ``t_A`` of one article given its per-route ranks."""
-    if s_rank is not None and r_rank is not None:
-        return (s_rank + r_rank) / 2.0
-    if r_rank is not None:
-        return float(r_rank * synset_size)
-    if s_rank is not None:
-        return float(s_rank * synset_size)
-    raise ValueError("article is in neither list")
 
 
 def fuse(synset_list: RankedList, classifier_list: RankedList, a: int) -> RankedList:
@@ -88,12 +77,17 @@ def fuse(synset_list: RankedList, classifier_list: RankedList, a: int) -> Ranked
 
     s_ranks = synset_list.ranks()
     r_ranks = classifier_list.ranks()
-    candidates = set(s_ranks) | set(r_ranks)
-
-    scored = sorted(
-        (combined_rank(s_ranks.get(aid), r_ranks.get(aid), synset_size), aid)
-        for aid in candidates
-    )
+    # (t_A, article id) per candidate: one comprehension per route.
+    scored = [
+        ((s + r_ranks[aid]) / 2.0 if aid in r_ranks else float(s * synset_size), aid)
+        for aid, s in s_ranks.items()
+    ]
+    scored += [
+        (float(r * synset_size), aid)
+        for aid, r in r_ranks.items()
+        if aid not in s_ranks
+    ]
+    scored.sort()
     kept = scored[: a * synset_size]
     return RankedList(
         topic=topic,
@@ -161,29 +155,31 @@ def invert(
 
 
 def write_assignments(assignments: list[TagAssignment], path: str) -> None:
-    """One JSON object per line: ``{"id": ..., "tags": [{topic, score}]}``."""
+    """One JSON object per line: ``{"id": ..., "tags": [{topic, score}]}``,
+    the bytes of ``json.dumps(record, ensure_ascii=False)``; scores are
+    finite floats, which ``json`` writes as their ``repr``."""
+    quote = json.JSONEncoder(ensure_ascii=False).encode
+    quote_topic = functools.cache(quote)
+    lines = [
+        f'{{"id": {quote(assignment.article_id)}, "tags": ['
+        + ", ".join(
+            f'{{"topic": {quote_topic(topic)}, "score": {score!r}}}'
+            for topic, score in assignment.tags
+        )
+        + "]}\n"
+        for assignment in assignments
+    ]
     with open(path, "w", encoding="utf-8") as fh:
-        for assignment in assignments:
-            record = {
-                "id": assignment.article_id,
-                "tags": [
-                    {"topic": topic, "score": score} for topic, score in assignment.tags
-                ],
-            }
-            fh.write(json.dumps(record, ensure_ascii=False) + "\n")
+        fh.write("".join(lines))
 
 
 def read_assignments(path: str) -> list[TagAssignment]:
     assignments: list[TagAssignment] = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                raw = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise TagfuseError(f"{path}:{lineno}: invalid record: {exc}") from exc
+    for lineno, raw in read_jsonl(path, TagfuseError):
+        try:
             tags = [(t["topic"], float(t["score"])) for t in raw["tags"]]
-            assignments.append(TagAssignment(article_id=raw["id"], tags=tags))
+            article_id = raw["id"]
+        except (KeyError, TypeError, ValueError) as exc:
+            raise TagfuseError(f"{path}:{lineno}: invalid record: {exc!r}") from exc
+        assignments.append(TagAssignment(article_id=article_id, tags=tags))
     return assignments

@@ -58,14 +58,3 @@ def append_entry(
     with open(os.path.join(output_dir, MANIFEST_NAME), "a", encoding="utf-8") as fh:
         fh.write(json.dumps(entry, ensure_ascii=False) + "\n")
     return entry
-
-
-def read_manifest(output_dir: str) -> list[dict]:
-    path = os.path.join(output_dir, MANIFEST_NAME)
-    entries = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                entries.append(json.loads(line))
-    return entries

@@ -8,6 +8,7 @@ resolved: entry order is authoritative.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 
 ORIGIN_CLASSIFIER = "classifier"
@@ -28,22 +29,23 @@ class RankedList:
     def __post_init__(self):
         if self.origin not in _ORIGINS:
             raise ValueError(f"unknown origin {self.origin!r}")
-        seen: set[str] = set()
-        for article_id, _ in self.entries:
-            if article_id in seen:
-                raise ValueError(
-                    f"duplicate article {article_id!r} in {self.origin} list "
-                    f"for topic {self.topic!r}"
-                )
-            seen.add(article_id)
+        ids = self.ids()
+        if len(set(ids)) != len(ids):
+            seen: set[str] = set()
+            first = next(a for a in ids if a in seen or seen.add(a))
+            raise ValueError(
+                f"duplicate article {first!r} in {self.origin} list "
+                f"for topic {self.topic!r}"
+            )
         scores = [s for _, s in self.entries]
         descending = self.origin in (ORIGIN_CLASSIFIER, ORIGIN_SYNSET)
-        for a, b in zip(scores, scores[1:]):
-            if (descending and a < b) or (not descending and a > b):
-                raise ValueError(
-                    f"{self.origin} list for topic {self.topic!r} is not "
-                    f"ordered ({'desc' if descending else 'asc'} expected)"
-                )
+        # Equal neighbours, and a NaN next to anything, are in order.
+        out_of_order = operator.lt if descending else operator.gt
+        if any(map(out_of_order, scores, scores[1:])):
+            raise ValueError(
+                f"{self.origin} list for topic {self.topic!r} is not "
+                f"ordered ({'desc' if descending else 'asc'} expected)"
+            )
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -53,7 +55,7 @@ class RankedList:
 
     def ranks(self) -> dict[str, int]:
         """Article id to 1-based rank."""
-        return {article_id: i + 1 for i, (article_id, _) in enumerate(self.entries)}
+        return dict(zip(self.ids(), range(1, len(self.entries) + 1)))
 
 
 def write_ranked_list(ranked: RankedList, path: str) -> None:

@@ -17,9 +17,11 @@ from collections import defaultdict
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-import numpy as np
-
+# numpy is imported inside the functions that compute with it, and scipy
+# inside ``vectorize``: the stages that never do (index, synset, fuse,
+# eval) then start without loading either.
 if TYPE_CHECKING:
+    import numpy as np
     from scipy import sparse
 
 from .corpus import Corpus, text_repr
@@ -107,6 +109,7 @@ class SemanticMatrix:
 
     def save(self, path_prefix: str) -> None:
         """Write ``<prefix>.npy`` (rows) and ``<prefix>.json`` (metadata)."""
+        import numpy as np
         np.save(f"{path_prefix}.npy", self.matrix)
         meta = {
             "format": "tagfuse-embedding",
@@ -120,6 +123,7 @@ class SemanticMatrix:
 
     @classmethod
     def load(cls, path_prefix: str) -> "SemanticMatrix":
+        import numpy as np
         with open(f"{path_prefix}.json", encoding="utf-8") as fh:
             meta = json.load(fh)
         if meta.get("format") != "tagfuse-embedding" or meta.get("version") != 1:
@@ -140,8 +144,7 @@ def vectorize(corpus: Corpus, config: SemanticConfig = SemanticConfig()) -> TfId
     document whose terms were all filtered away keeps an all-zero row.
     Terms are counted as integer codes; only the kept ones become strings.
     """
-    # Imported here so that loading a config, and the stages that never
-    # vectorize, do not load scipy.
+    import numpy as np
     from scipy import sparse
 
     n_docs = len(corpus)
@@ -241,6 +244,7 @@ def randomized_svd(
     in non-increasing order, and ``vt`` of shape (k, n). Deterministic for
     a fixed seed.
     """
+    import numpy as np
     m, n = a.shape
     if k > min(m, n):
         raise ValueError(f"k={k} exceeds min(m, n)={min(m, n)}")

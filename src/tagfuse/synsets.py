@@ -13,7 +13,7 @@ import json
 import logging
 from dataclasses import dataclass
 
-from .corpus import TEXT_FIELDS
+from .corpus import TEXT_FIELDS, read_jsonl
 from .errors import ConfigError, SynsetError
 from .index import Index, search_any
 from .ranking import ORIGIN_SYNSET, RankedList
@@ -79,22 +79,14 @@ def make_synset(topic: str, terms: list[str]) -> Synset:
 def load_synsets(path: str, topics: list[str] | None = None) -> dict[str, Synset]:
     """Read synsets; with ``topics`` given, every topic must be covered."""
     synsets: dict[str, Synset] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                raw = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise SynsetError(f"{path}:{lineno}: invalid record: {exc}") from exc
-            topic = raw.get("topic")
-            terms = raw.get("terms")
-            if not isinstance(topic, str) or not isinstance(terms, list):
-                raise SynsetError(f"{path}:{lineno}: expected topic and terms array")
-            if topic in synsets:
-                raise SynsetError(f"{path}:{lineno}: duplicate synset for {topic!r}")
-            synsets[topic] = make_synset(topic, [str(t) for t in terms])
+    for lineno, raw in read_jsonl(path, SynsetError):
+        topic = raw.get("topic")
+        terms = raw.get("terms")
+        if not isinstance(topic, str) or not isinstance(terms, list):
+            raise SynsetError(f"{path}:{lineno}: expected topic and terms array")
+        if topic in synsets:
+            raise SynsetError(f"{path}:{lineno}: duplicate synset for {topic!r}")
+        synsets[topic] = make_synset(topic, [str(t) for t in terms])
 
     if topics is not None:
         missing = [t for t in topics if t not in synsets]

@@ -2,14 +2,18 @@ import dataclasses
 import json
 import logging
 import os
+import shutil
+import subprocess
+import sys
 
 import pytest
 
+import tagfuse
 from tagfuse import cli
 from tagfuse.benchmark import BenchmarkSpec, topic_names
 from tagfuse.classifier import train
 from tagfuse.cli import main
-from tagfuse.manifest import file_sha256, read_manifest
+from tagfuse.manifest import MANIFEST_NAME, file_sha256
 
 BENCH = {
     "n_topics": 4,
@@ -26,6 +30,12 @@ SECTIONS = {
 }
 
 TOPICS = topic_names(BenchmarkSpec(**BENCH))
+
+
+def read_manifest(output_dir):
+    """The manifest's entries, in order."""
+    with open(os.path.join(output_dir, MANIFEST_NAME), encoding="utf-8") as fh:
+        return [json.loads(line) for line in fh if line.strip()]
 
 
 def write_config(path, **extra):
@@ -157,6 +167,37 @@ class TestStagePipeline:
         stage_tags = open(os.path.join(out, "tags", "tags_a2.jsonl"), "rb").read()
         bench_tags = open(os.path.join(bench_out, "tags", "tags_a2.jsonl"), "rb").read()
         assert stage_tags == bench_tags
+
+    def test_stages_without_numerics_never_load_numpy(
+        self, stage_config, bench_run, tmp_path
+    ):
+        # pytest's own process already holds numpy: run in a fresh interpreter.
+        _, bench_out = bench_run
+        config = derived_config(stage_config, tmp_path)
+        shutil.copytree(
+            os.path.join(bench_out, "ranked", "classifier"),
+            tmp_path / "out" / "ranked" / "classifier",
+        )
+        script = (
+            "import sys\n"
+            "import tagfuse.cli\n"
+            "for stage in ('index', 'synset', 'fuse', 'eval'):\n"
+            "    code = tagfuse.cli.main([stage, '--config', sys.argv[1]])\n"
+            "    assert code == 0, stage\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] in ('numpy', 'scipy')))\n"
+        )
+        src = os.path.dirname(os.path.dirname(tagfuse.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        result = subprocess.run(
+            [sys.executable, "-c", script, config],
+            env={**os.environ, "PYTHONPATH": path},
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.splitlines()[-1] == "[]"
+        assert os.path.exists(tmp_path / "out" / "reports" / "evaluation.txt")
 
     def test_eval_prints_the_table(self, stage_config, capsys):
         config, _ = stage_config

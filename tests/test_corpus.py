@@ -164,6 +164,12 @@ class TestGroundTruthIO:
         with pytest.raises(CorpusError, match="empty topic list"):
             load_ground_truth(str(path))
 
+    def test_line_that_is_not_an_object_names_the_line(self, tmp_path):
+        path = tmp_path / "truth.jsonl"
+        path.write_text('{"id": "a1", "topics": ["X"]}\n["a2", ["X"]]\n', encoding="utf-8")
+        with pytest.raises(CorpusError, match="truth.jsonl:2: record is not an object"):
+            load_ground_truth(str(path))
+
     def test_duplicate_id_raises(self, tmp_path):
         path = tmp_path / "truth.jsonl"
         write_jsonl(

@@ -1,21 +1,31 @@
+import json
 import logging
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tagfuse import cli
+from tagfuse.config import RunConfig
 from tagfuse.errors import ConfigError, TagfuseError
 from tagfuse.fusion import (
     FusionConfig,
     TagAssignment,
-    combined_rank,
     fuse,
     invert,
     read_assignments,
     write_assignments,
 )
-from tagfuse.ranking import ORIGIN_CLASSIFIER, ORIGIN_FUSION, ORIGIN_SYNSET, RankedList
+from tagfuse.ranking import (
+    ORIGIN_CLASSIFIER,
+    ORIGIN_FUSION,
+    ORIGIN_SYNSET,
+    RankedList,
+    read_ranked_list,
+    write_ranked_list,
+)
 
 
 def ranked(topic, origin, ids, start=1.0, step=0.001):
@@ -57,26 +67,56 @@ def brute_force_fusion(synset_list, classifier_list, a):
     return [(aid, float(t)) for t, aid in combined[: a * size]]
 
 
+def fused_ranks(synset_list, classifier_list):
+    """Combined rank t_A of every candidate, from a fusion deep enough to
+    keep them all."""
+    depth = len(set(synset_list.ids()) | set(classifier_list.ids()))
+    return dict(fuse(synset_list, classifier_list, a=depth).entries)
+
+
 class TestCombinedRank:
     def test_dual_membership_averages_the_ranks(self):
-        assert combined_rank(3, 5, synset_size=50) == 4.0
-        assert combined_rank(1, 1, synset_size=50) == 1.0
-        assert combined_rank(2, 5, synset_size=50) == 3.5
+        synset_ids = [f"s{i}" for i in range(50)]
+        synset_ids[2], synset_ids[0], synset_ids[1] = "p", "q", "m"
+        classifier_ids = ["c1", "c2", "c3", "c4", "p", "q", "x", "m"]
+        t = fused_ranks(
+            ranked("T", ORIGIN_SYNSET, synset_ids),
+            ranked("T", ORIGIN_CLASSIFIER, classifier_ids),
+        )
+        assert t["p"] == 4.0  # (3 + 5) / 2
+        assert t["q"] == 3.5  # (1 + 6) / 2
+        assert t["m"] == 5.0  # (2 + 8) / 2
 
     def test_single_route_scales_by_synset_size(self):
-        assert combined_rank(None, 2, synset_size=100) == 200.0
-        assert combined_rank(7, None, synset_size=100) == 700.0
+        synset_ids = [f"s{i}" for i in range(100)]
+        t = fused_ranks(
+            ranked("T", ORIGIN_SYNSET, synset_ids),
+            ranked("T", ORIGIN_CLASSIFIER, ["c1", "c2", "s0"]),
+        )
+        assert t["c2"] == 200.0 and type(t["c2"]) is float
+        assert t["s6"] == 700.0 and type(t["s6"]) is float
 
     def test_dual_articles_never_trail_single_route_articles(self):
         # With the classifier list no longer than the synset list, a dual
         # article's combined rank is at most |S|, the single-route minimum.
-        assert combined_rank(50, 50, synset_size=50) <= combined_rank(None, 1, 50)
-        assert combined_rank(49, 50, synset_size=50) < combined_rank(None, 1, 50)
-        assert combined_rank(49, 50, synset_size=50) < combined_rank(1, None, 50)
-
-    def test_membership_in_neither_list_is_an_error(self):
-        with pytest.raises(ValueError):
-            combined_rank(None, None, synset_size=10)
+        rng = random.Random(7)
+        for _ in range(200):
+            synset_list, classifier_list = random_instance(rng)
+            if len(classifier_list) > len(synset_list):
+                continue
+            dual = set(synset_list.ids()) & set(classifier_list.ids())
+            t = fused_ranks(synset_list, classifier_list)
+            single = [rank for aid, rank in t.items() if aid not in dual]
+            if dual and single:
+                assert max(t[aid] for aid in dual) <= min(single)
+        # The bound is reached: a dual article at ranks (|S|, |S|) ties the
+        # top single-route articles at t = |S|, and ties go by article id.
+        fused = fuse(
+            ranked("T", ORIGIN_SYNSET, ["s1", "s2", "z"]),
+            ranked("T", ORIGIN_CLASSIFIER, ["a", "b", "z"]),
+            a=1,
+        )
+        assert fused.entries == [("a", 3.0), ("s1", 3.0), ("z", 3.0)]
 
 
 class TestFuse:
@@ -181,6 +221,57 @@ class TestFuse:
         assert set(fused.ids()) <= set(synset_list.ids()) | set(classifier_list.ids())
 
 
+class TestStageFuse:
+    def test_every_depth_matches_brute_force(self, tmp_path):
+        rng = random.Random(11)
+        universe = [f"x{i:03d}" for i in range(300)]
+        pairs = {
+            # a * |S| < candidates at every depth
+            "wide": (rng.sample(universe, 20), rng.sample(universe, 200)),
+            # 6 candidates, fewer than a * |S| at a = 3 and 6
+            "narrow": (
+                ["x001", "x002", "x003", "x004", "x005"],
+                ["x005", "x009", "x001"],
+            ),
+            "random": (rng.sample(universe, 40), rng.sample(universe, 60)),
+            "skipped": (rng.sample(universe, 10), []),
+        }
+        ws = cli.Workspace(str(tmp_path / "out"))
+        ws.ensure("ranked", "synset")
+        ws.ensure("ranked", "classifier")
+        for topic, (synset_ids, classifier_ids) in pairs.items():
+            write_ranked_list(
+                ranked(topic, ORIGIN_SYNSET, synset_ids), ws.synset_list_path(topic)
+            )
+            if topic != "skipped":
+                write_ranked_list(
+                    ranked(topic, ORIGIN_CLASSIFIER, classifier_ids),
+                    ws.classifier_list_path(topic),
+                )
+        with open(ws.training_summary_path, "w", encoding="utf-8") as fh:
+            json.dump({"trained": [], "skipped": [{"topic": "skipped"}]}, fh)
+        cfg = RunConfig(
+            output_dir=ws.root,
+            topics=tuple(pairs),
+            fusion=FusionConfig(a_values=(3, 1, 6)),
+        )
+        cli.stage_fuse(cfg)
+
+        for a in (1, 3, 6):
+            expected = {}
+            for topic, (synset_ids, classifier_ids) in pairs.items():
+                entries = brute_force_fusion(
+                    ranked(topic, ORIGIN_SYNSET, synset_ids),
+                    ranked(topic, ORIGIN_CLASSIFIER, classifier_ids),
+                    a,
+                )
+                written = read_ranked_list(ws.fusion_list_path(a, topic))
+                assert written.entries == entries
+                expected[topic] = RankedList(topic, ORIGIN_FUSION, entries)
+            assert read_assignments(ws.tags_path(a)) == invert(expected)
+            assert len(expected["narrow"]) == min(6, a * 5)
+
+
 class TestInvert:
     def test_top_of_list_scores_one(self):
         lst = ranked("T", ORIGIN_FUSION, [f"f{i}" for i in range(10)])
@@ -264,6 +355,51 @@ class TestAssignmentIO:
     def test_duplicate_topics_rejected(self):
         with pytest.raises(TagfuseError, match="duplicate topics"):
             TagAssignment(article_id="a1", tags=[("A", 1.0), ("A", 0.5)])
+
+    def test_lines_are_the_bytes_of_json_dumps(self, tmp_path):
+        odd = ['q"uote', "back\\slash", "tab\there", "Zürich 東京", "line\u2028sep"]
+        assignments = [
+            TagAssignment(
+                article_id=article_id,
+                tags=[(topic, score) for topic, score in zip(odd, (1.0, 0.1, 1 / 3))],
+            )
+            for article_id in odd
+        ]
+        assignments.append(TagAssignment(article_id="none", tags=[]))
+        assignments.append(TagAssignment(article_id="d1", tags=[(odd[4], 2.5e-17)]))
+        path = tmp_path / "tags.jsonl"
+        write_assignments(assignments, str(path))
+        expected = "".join(
+            json.dumps(
+                {
+                    "id": a.article_id,
+                    "tags": [{"topic": t, "score": s} for t, s in a.tags],
+                },
+                ensure_ascii=False,
+            )
+            + "\n"
+            for a in assignments
+        )
+        assert path.read_bytes() == expected.encode("utf-8")
+        assert read_assignments(str(path)) == assignments
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "broken",
+            '{"id": "a2"}',
+            '{"id": "a2", "tags": [{"topic": "A"}]}',
+            '{"id": "a2", "tags": [{"topic": "A", "score": "high"}]}',
+            '{"id": "a2", "tags": 3}',
+            '["a2"]',
+        ],
+    )
+    def test_malformed_line_names_path_and_line(self, tmp_path, line):
+        path = tmp_path / "tags.jsonl"
+        path.write_text('{"id": "a1", "tags": []}\n\n' + line + "\n", encoding="utf-8")
+        where = re.escape(f"{path}:3: ")
+        with pytest.raises(TagfuseError, match=f"^{where}"):
+            read_assignments(str(path))
 
     def test_invalid_json_reports_line(self, tmp_path):
         path = tmp_path / "tags.jsonl"

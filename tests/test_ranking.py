@@ -47,6 +47,36 @@ class TestRankedList:
         with pytest.raises(ValueError, match="not ordered"):
             RankedList(topic="T", origin=ORIGIN_SYNSET, entries=list(ascending))
 
+    def test_duplicate_named_is_the_first_repeated_id(self):
+        with pytest.raises(ValueError, match="duplicate article 'b'"):
+            RankedList(
+                topic="T",
+                origin=ORIGIN_FUSION,
+                entries=[("a", 1.0), ("b", 2.0), ("c", 3.0), ("b", 4.0), ("a", 5.0)],
+            )
+
+    def test_one_pair_out_of_order_is_rejected_in_either_direction(self):
+        descending = [("a", 3.0), ("b", 2.0), ("c", 2.0), ("d", 1.0), ("e", 1.0)]
+        ascending = [(aid, -score) for aid, score in descending]
+        RankedList(topic="T", origin=ORIGIN_SYNSET, entries=descending)
+        RankedList(topic="T", origin=ORIGIN_FUSION, entries=ascending)
+        cases = ((ORIGIN_SYNSET, descending), (ORIGIN_FUSION, ascending))
+        for i in range(len(descending) - 1):
+            for origin, entries in cases:
+                swapped = list(entries)
+                (a, sa), (b, sb) = swapped[i], swapped[i + 1]
+                if sa == sb:
+                    continue
+                swapped[i], swapped[i + 1] = (a, sb), (b, sa)
+                with pytest.raises(ValueError, match="not ordered"):
+                    RankedList(topic="T", origin=origin, entries=swapped)
+
+    def test_nan_scores_are_never_out_of_order(self):
+        nan = float("nan")
+        for origin in (ORIGIN_CLASSIFIER, ORIGIN_FUSION):
+            entries = [("a", 1.0), ("b", nan), ("c", nan), ("d", 2.0)]
+            assert len(RankedList(topic="T", origin=origin, entries=entries)) == 4
+
     def test_equal_scores_are_always_legal(self):
         entries = [("a", 1.0), ("b", 1.0)]
         for origin in (ORIGIN_CLASSIFIER, ORIGIN_SYNSET, ORIGIN_FUSION):

@@ -92,6 +92,12 @@ class TestLoadSynsets:
         with pytest.raises(SynsetError, match=":2:"):
             load_synsets(str(path))
 
+    def test_line_that_is_not_an_object_names_the_line(self, tmp_path):
+        path = tmp_path / "s.jsonl"
+        path.write_text('{"topic": "A", "terms": ["A"]}\n"A"\n', encoding="utf-8")
+        with pytest.raises(SynsetError, match="s.jsonl:2: record is not an object"):
+            load_synsets(str(path))
+
     def test_wrong_shape_rejected(self, tmp_path):
         path = write_synsets(tmp_path / "s.jsonl", [{"topic": "A", "terms": "A"}])
         with pytest.raises(SynsetError, match="terms array"):
