@@ -129,6 +129,11 @@ class SemanticMatrix:
         if meta.get("format") != "tagfuse-embedding" or meta.get("version") != 1:
             raise TagfuseError(f"{path_prefix}.json: not a saved embedding")
         matrix = np.load(f"{path_prefix}.npy")
+        if matrix.shape != (len(meta["article_ids"]), meta.get("k")):
+            raise TagfuseError(
+                f"{path_prefix}.npy: shape {matrix.shape}, but its .json has "
+                f"{len(meta['article_ids'])} article ids and k={meta.get('k')}"
+            )
         return cls(matrix=matrix, article_ids=meta["article_ids"], seed=meta["seed"])
 
 
@@ -219,30 +224,19 @@ def randomized_svd(
     a, k: int, oversample: int, power_iters: int, seed: int = 0
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Truncated SVD by randomized range finding (Halko, Martinsson and
-    Tropp, *Finding structure with randomness*, arXiv:0909.4061, §4.3-4.5).
+    Tropp, arXiv:0909.4061, §4.3-4.5).
 
-    ``Q`` is the orthonormalized product of ``a`` and a Gaussian test
-    matrix with ``width = k + oversample`` columns, sharpened by
-    ``power_iters`` rounds of ``Q <- qr(a @ (a.T @ Q))``. Only this
-    m-by-width side is orthonormalized: a Householder Q does not change
-    when its input is multiplied on the right by an upper-triangular
-    matrix, so a QR of the n-by-width ``a.T @ Q`` would change only
-    rounding. The small solve takes just the R factor of ``a.T @ Q`` and
-    the SVD ``R.T = U_R S V_R^T``; it forms neither an orthonormal basis
-    of the n side nor the width-by-n ``B = Q.T @ a``. Then
-    ``u = Q @ U_R`` and ``vt = (a.T @ u).T / s``, with zero rows where
-    ``s`` is zero. Accuracy improves with both parameters; for matrices of
-    rank at most ``width`` the result is exact to rounding.
-
-    Column signs are part of the contract: they match ``np.linalg.svd(B)``
-    to rounding (``R.T`` is the L factor of the LQ step that ``gesdd``
-    takes when ``B`` is wide; tests pin narrower shapes too). The forest
-    breaks equal-score splits by order, so a flipped column can change
-    the rankings.
-
-    Returns ``(u, s, vt)`` with ``u`` of shape (m, k), ``s`` of shape (k,)
-    in non-increasing order, and ``vt`` of shape (k, n). Deterministic for
-    a fixed seed.
+    ``Q`` orthonormalizes ``a`` times a Gaussian test matrix of ``width =
+    k + oversample`` columns, then ``power_iters`` rounds of ``Q <- qr(a @
+    (a.T @ Q))``; only this m side is orthonormalized. The small solve
+    takes R from the Cholesky factor of the Gram of ``Z = a.T @ Q``
+    (CholeskyQR, Fukaya et al. 2014), so the n-by-width ``Z`` is never
+    copied; a singular Gram falls back to the Householder R of ``Z``. With
+    ``R.T = U_R S V_R^T``, ``u = Q @ U_R`` and ``vt = (a.T @ u).T / s``,
+    with zero rows where ``s`` is 0. ``U_R`` ignores R's row signs, so the
+    column signs match ``svd(Q.T @ a)`` to rounding; tests pin them, since
+    the forest breaks ties by order. Returns ``(u, s, vt)`` of shapes
+    (m, k), (k,) non-increasing and (k, n); deterministic for a fixed seed.
     """
     import numpy as np
     m, n = a.shape
@@ -254,12 +248,18 @@ def randomized_svd(
     q, _ = np.linalg.qr(a @ rng.standard_normal((n, width)))
     for _ in range(power_iters):
         q, _ = np.linalg.qr(a @ (a.T @ q))
-    r = np.linalg.qr(a.T @ q, mode="r")
+    z = a.T @ q
+    try:
+        r = np.linalg.cholesky(z.T @ z).T
+    except np.linalg.LinAlgError:  # singular Gram, e.g. an all-zero ``a``
+        r = np.linalg.qr(z, mode="r")
+    del z
     u_small, s, _ = np.linalg.svd(r.T)
     u = q @ u_small[:, :k]
     s = s[:k]
-    vt = (a.T @ u).T / np.where(s > 0, s, np.inf)[:, None]
-    return u, s, vt
+    vt = a.T @ u
+    vt /= np.where(s > 0, s, np.inf)
+    return u, s, vt.T
 
 
 def truncated_svd(

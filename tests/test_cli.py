@@ -274,6 +274,29 @@ class TestFailureModes:
         assert code == 2
         assert any("run 'tagfuse index' first" in r.message for r in caplog.records)
 
+    @pytest.mark.parametrize(
+        "change",
+        [lambda ids: ids.pop(), lambda ids: ids.append("extra")],
+        ids=["missing-id", "extra-id"],
+    )
+    def test_embedding_ids_that_do_not_match_its_rows_exit_three(
+        self, stage_config, bench_run, tmp_path, caplog, change
+    ):
+        _, bench_out = bench_run
+        config = derived_config(stage_config, tmp_path)
+        out = tmp_path / "out"
+        out.mkdir()
+        for name in ("index.pkl", "embedding.npy", "embedding.json"):
+            shutil.copy(os.path.join(bench_out, name), out / name)
+        meta = json.loads((out / "embedding.json").read_text(encoding="utf-8"))
+        change(meta["article_ids"])
+        (out / "embedding.json").write_text(json.dumps(meta), encoding="utf-8")
+        with caplog.at_level(logging.ERROR):
+            assert main(["train-rank", "--config", config]) == 3
+        errors = [r.message for r in caplog.records if r.levelno >= logging.ERROR]
+        assert len(errors) == 1 and str(out / "embedding.npy") in errors[0]
+        assert not (out / "ranked" / "classifier" / "_training.json").exists()
+
     def test_config_is_required_outside_bench(self):
         assert main(["index"]) == 2
 

@@ -1,4 +1,6 @@
+import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -252,22 +254,114 @@ def two_sided_randomized_svd(a, k, oversample=10, power_iters=2, seed=0):
     return (q @ u_small)[:, :k], s[:k], vt[:k]
 
 
+def householder_randomized_svd(a, k, oversample=10, power_iters=2, seed=0):
+    """Reference: the same range finder, with the small solve's R taken
+    from a Householder QR of the n-by-width ``a.T @ Q`` instead of the
+    Cholesky factor of its Gram."""
+    rng = np.random.default_rng(seed)
+    width = min(k + oversample, min(a.shape))
+    q, _ = np.linalg.qr(a @ rng.standard_normal((a.shape[1], width)))
+    for _ in range(power_iters):
+        q, _ = np.linalg.qr(a @ (a.T @ q))
+    r = np.linalg.qr(a.T @ q, mode="r")
+    u_small, s, _ = np.linalg.svd(r.T)
+    u = q @ u_small[:, :k]
+    s = s[:k]
+    vt = (a.T @ u).T / np.where(s > 0, s, np.inf)[:, None]
+    return u, s, vt
+
+
+SHAPES = [(400, 3000, 40), (300, 2000, 25), (500, 100, 50), (200, 45, 20)]
+
+
+def sparse_input(m, n):
+    return lambda: sparse.random(m, n, density=0.05, format="csr", random_state=m + n)
+
+
+def rank_deficient_input():
+    """25 distinct rows repeated 10 times: with k=20 the width of 30 exceeds
+    the rank, so the Gram is singular in exact arithmetic."""
+    base = sparse.random(25, 500, density=0.1, format="csr", random_state=25)
+    return sparse.vstack([base] * 10).tocsr()
+
+
+SVD_INPUTS = [
+    pytest.param(sparse_input(m, n), k, id=f"{m}x{n}-k{k}") for m, n, k in SHAPES
+] + [pytest.param(rank_deficient_input, 20, id="rank25-k20")]
+
+
 class TestRandomizedSvd:
-    @pytest.mark.parametrize(
-        "m, n, k",
-        [(400, 3000, 40), (300, 2000, 25), (500, 100, 50), (200, 45, 20)],
-    )
+    @pytest.mark.parametrize("m, n, k", SHAPES)
     def test_matches_two_sided_reference_without_sign_alignment(self, m, n, k):
         """Signs are pinned, not just the subspace: the forest breaks
         equal-score splits by order, so a flipped embedding column can
         change the rankings. The last two shapes have n < 2 * (k + 10),
         where LAPACK takes no LQ step on the wide ``B``."""
-        a = sparse.random(m, n, density=0.05, format="csr", random_state=m + n)
+        a = sparse_input(m, n)()
         u, s, vt = randomized_svd(a, k=k, oversample=10, power_iters=2, seed=3)
         u_ref, s_ref, vt_ref = two_sided_randomized_svd(a, k=k, seed=3)
         np.testing.assert_allclose(s, s_ref, rtol=0, atol=1e-10)
         np.testing.assert_allclose(u, u_ref, rtol=0, atol=1e-10)
         np.testing.assert_allclose(vt, vt_ref, rtol=0, atol=1e-10)
+
+    @pytest.mark.parametrize("make, k", SVD_INPUTS)
+    def test_matches_householder_solve_without_sign_alignment(self, make, k):
+        a = make()
+        if make is rank_deficient_input:
+            assert np.linalg.matrix_rank(a.toarray()) == 25
+        u, s, vt = randomized_svd(a, k=k, oversample=10, power_iters=2, seed=3)
+        u_ref, s_ref, vt_ref = householder_randomized_svd(a, k=k, seed=3)
+        np.testing.assert_allclose(s, s_ref, rtol=0, atol=1e-10)
+        np.testing.assert_allclose(u, u_ref, rtol=0, atol=1e-10)
+        np.testing.assert_allclose(vt, vt_ref, rtol=0, atol=1e-10)
+
+    @staticmethod
+    def count_solves(monkeypatch):
+        """Record each Cholesky factorization and each R-only QR."""
+        calls = []
+        cholesky, qr = np.linalg.cholesky, np.linalg.qr
+
+        def counting_cholesky(x):
+            calls.append("cholesky")
+            return cholesky(x)
+
+        def counting_qr(x, mode="reduced"):
+            if mode == "r":
+                calls.append("qr-r")
+            return qr(x, mode=mode)
+
+        monkeypatch.setattr(np.linalg, "cholesky", counting_cholesky)
+        monkeypatch.setattr(np.linalg, "qr", counting_qr)
+        return calls
+
+    @pytest.mark.parametrize("make, k", SVD_INPUTS)
+    def test_small_solve_takes_the_cholesky_branch(self, make, k, monkeypatch):
+        calls = self.count_solves(monkeypatch)
+        randomized_svd(make(), k=k, oversample=10, power_iters=2, seed=3)
+        assert calls == ["cholesky"]
+
+    def test_all_zero_input_falls_back_to_householder_bit_for_bit(self, monkeypatch):
+        a = np.zeros((6, 5))
+        u_ref, s_ref, vt_ref = householder_randomized_svd(a, k=2, seed=4)
+        calls = self.count_solves(monkeypatch)
+        u, s, vt = randomized_svd(a, k=2, oversample=10, power_iters=2, seed=4)
+        assert calls == ["cholesky", "qr-r"]
+        assert np.array_equal(u, u_ref) and np.array_equal(s, s_ref)
+        assert np.array_equal(vt, vt_ref)
+
+    def test_peak_memory_is_one_n_by_width_block(self):
+        """The largest temporaries are the n-by-width Gaussian test matrix
+        and ``a.T @ Q`` and the n-by-k ``a.T @ u``. None is copied, and no
+        two are alive at once."""
+        m, n, k = 300, 40000, 40
+        a = sparse.random(m, n, density=0.01, format="csr", random_state=1)
+        tracemalloc.start()
+        try:
+            randomized_svd(a, k=k, oversample=10, power_iters=2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * n * (k + 10) * 8
 
     def test_zero_singular_values_give_zero_vt_rows(self):
         u, s, vt = randomized_svd(np.zeros((6, 5)), k=2, oversample=10, power_iters=2)
@@ -296,7 +390,7 @@ class TestRandomizedSvd:
         a = rng.standard_normal((30, 20))
         u1, s1, v1 = randomized_svd(a, k=5, oversample=10, power_iters=2, seed=9)
         u2, s2, v2 = randomized_svd(a, k=5, oversample=10, power_iters=2, seed=9)
-        assert np.array_equal(u1, u2) and np.array_equal(s1, s1) and np.array_equal(v1, v2)
+        assert np.array_equal(u1, u2) and np.array_equal(s1, s2) and np.array_equal(v1, v2)
         assert all(s1[i] >= s1[i + 1] for i in range(len(s1) - 1))
 
     def test_different_seed_changes_nothing_material(self):
@@ -348,6 +442,27 @@ class TestTruncatedSvd:
         assert np.array_equal(sem.matrix, again.matrix)
         assert again.article_ids == sem.article_ids
         assert again.seed == sem.seed
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            lambda meta, rows: meta["article_ids"].pop(),
+            lambda meta, rows: meta["article_ids"].append("extra"),
+            lambda meta, rows: meta.update(k=3),
+            lambda meta, rows: np.save(rows, np.zeros(6)),
+        ],
+        ids=["missing-id", "extra-id", "wrong-k", "one-dimensional"],
+    )
+    def test_load_rejects_a_shape_mismatch(self, tmp_path, change):
+        prefix = str(tmp_path / "embedding")
+        self.embed().save(prefix)
+        with open(f"{prefix}.json", encoding="utf-8") as fh:
+            meta = json.load(fh)
+        change(meta, f"{prefix}.npy")
+        with open(f"{prefix}.json", "w", encoding="utf-8") as fh:
+            json.dump(meta, fh)
+        with pytest.raises(TagfuseError, match="embedding.npy: shape"):
+            SemanticMatrix.load(prefix)
 
     def test_k_below_two_rejected(self):
         with pytest.raises(ConfigError, match="at least 2"):
