@@ -16,7 +16,7 @@ from dataclasses import dataclass
 # numpy is imported inside the functions that compute with it: the stages
 # that never do (index, synset, fuse, eval) then start without loading it.
 
-from .corpus import TEXT_FIELDS, Corpus
+from .corpus import TEXT_FIELDS
 from .errors import ConfigError, DatasetError, InsufficientPositives
 from .forest import ForestConfig, RandomForest
 from .index import Index, has_any_match
@@ -76,7 +76,6 @@ class TopicModel:
 def build_dataset(
     topic: str,
     index: Index,
-    corpus: Corpus,
     config: ClassifierConfig = ClassifierConfig(),
     seed: int = 0,
 ) -> TopicDataset:
@@ -85,9 +84,9 @@ def build_dataset(
     Positives: topic name occurs as a phrase in the title or abstract;
     fewer than ``config.min_positives`` of them is too few.
     Negatives: drawn uniformly without replacement, count
-    ``ceil(config.neg_ratio * positives)``, from articles where the topic name
-    matches no indexed field, so an article mentioning the topic only in
-    its keywords is neither a positive nor eligible as a negative.
+    ``ceil(config.neg_ratio * positives)``, from the indexed articles where
+    the topic name matches no indexed field, so an article mentioning the
+    topic only in its keywords is neither a positive nor eligible as a negative.
 
     Sampling uses a seed derived from ``seed`` and the topic name, so
     per-topic results are independent of processing order. Raises
@@ -100,7 +99,7 @@ def build_dataset(
         raise InsufficientPositives(topic, len(positives), config.min_positives)
 
     mentioned_anywhere = has_any_match(index, [topic], index.fields)
-    pool = sorted(set(corpus.ids()) - mentioned_anywhere)
+    pool = sorted(set(index.article_ids) - mentioned_anywhere)
     n_wanted = math.ceil(config.neg_ratio * len(positives))
     if n_wanted > len(pool):
         logger.warning(

@@ -35,7 +35,6 @@ from .classifier import build_dataset, rank_corpus, train
 from .config import RunConfig, load_config, topic_slug
 from .corpus import (
     Corpus,
-    build_ground_truth,
     ingest_corpus,
     load_ground_truth,
     save_corpus,
@@ -44,7 +43,7 @@ from .corpus import (
 from .errors import ConfigError, InsufficientPositives, TagfuseError
 from .evaluation import format_table, report_records, sweep, write_plot_series
 from .fusion import fuse, invert, read_assignments, write_assignments
-from .index import Index, build_index
+from .index import Index, build_ground_truth, build_index
 from .manifest import append_entry, config_fingerprint
 from .ranking import ORIGIN_FUSION, RankedList, read_ranked_list, write_ranked_list
 from .semantic import SemanticMatrix, truncated_svd, vectorize
@@ -167,7 +166,6 @@ def stage_embed(cfg: RunConfig) -> None:
 def stage_train_rank(cfg: RunConfig) -> None:
     started = time.time()
     ws = Workspace(cfg.output_dir)
-    corpus = _load_corpus(cfg)
     index = Index.load(_require(ws.index_path, "index"))
     _require(f"{ws.embedding_prefix}.json", "embed")
     sem = SemanticMatrix.load(ws.embedding_prefix)
@@ -178,7 +176,7 @@ def stage_train_rank(cfg: RunConfig) -> None:
     outputs: list[str] = []
     for topic in _topics(cfg):
         try:
-            dataset = build_dataset(topic, index, corpus, cfg.classifier, seed=cfg.seed)
+            dataset = build_dataset(topic, index, cfg.classifier, seed=cfg.seed)
         except InsufficientPositives as exc:
             logger.warning("skipping topic: %s", exc)
             skipped.append(
@@ -207,7 +205,7 @@ def stage_train_rank(cfg: RunConfig) -> None:
     _record(
         cfg,
         "train-rank",
-        [cfg.corpus_path, ws.index_path, f"{ws.embedding_prefix}.npy"],
+        [ws.index_path, f"{ws.embedding_prefix}.npy"],
         outputs,
         started,
         extra={"skipped_topics": [s["topic"] for s in skipped]},

@@ -40,6 +40,7 @@ from .fusion import FusionConfig
 from .index import IndexConfig
 from .semantic import SemanticConfig
 from .synsets import SynsetConfig
+from .text import tokenize
 
 
 @dataclass(frozen=True)
@@ -61,6 +62,9 @@ class RunConfig:
     def __post_init__(self):
         if len(set(self.topics)) != len(self.topics):
             raise ConfigError("topics must be unique")
+        unsearchable = [t for t in self.topics if not tokenize(t)]
+        if unsearchable:
+            raise ConfigError(f"topic(s) with no letters or digits: {unsearchable}")
         if self.ground_truth_path and self.ground_truth_fields:
             raise ConfigError(
                 "set either ground_truth_path or ground_truth_fields, not both"

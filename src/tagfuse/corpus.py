@@ -18,7 +18,6 @@ from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 from .errors import CorpusError, TagfuseError
-from .text import contains_phrase, tokenize
 
 logger = logging.getLogger(__name__)
 
@@ -199,40 +198,6 @@ class GroundTruth:
 
     def __contains__(self, article_id: str) -> bool:
         return article_id in self.labels
-
-
-def build_ground_truth(
-    corpus: Corpus,
-    topics: list[str],
-    fields: tuple[str, ...] = CORE_LIST_FIELDS,
-) -> GroundTruth:
-    """Derive labels from category fields by whole-phrase topic matching.
-
-    A topic labels an article when the topic's token sequence occurs
-    contiguously in some entry of a selected field, case-insensitively.
-    Matching runs on tokens, not raw substrings, so "mycological methods"
-    does not label the topic "Mycology". Articles matching no topic are
-    left out.
-    """
-    if not topics:
-        raise CorpusError("topic list is empty")
-    topic_tokens = {t: tokenize(t) for t in topics}
-    for t, toks in topic_tokens.items():
-        if not toks:
-            raise CorpusError(f"topic {t!r} tokenizes to nothing")
-
-    labels: dict[str, set[str]] = {}
-    for rec in corpus:
-        matched: set[str] = set()
-        for name in fields:
-            for entry in rec.field_values(name):
-                entry_tokens = tokenize(entry)
-                for topic, toks in topic_tokens.items():
-                    if topic not in matched and contains_phrase(entry_tokens, toks):
-                        matched.add(topic)
-        if matched:
-            labels[rec.id] = matched
-    return GroundTruth(labels)
 
 
 def load_ground_truth(path: str, topics: list[str] | None = None) -> GroundTruth:

@@ -4,16 +4,18 @@ Each field is indexed separately and keeps its own collection statistics,
 so a match in a short title weighs more than the same match buried in an
 abstract. Multi-valued fields (keywords, subjects, extra categories) leave
 a one-position gap between entries, which stops phrases from matching
-across entry boundaries.
+across entry boundaries. That one phrase match decides synset-search hits,
+the classifier's training sets and labels derived from category fields.
 """
 
 from __future__ import annotations
 
 import logging
+import math
 import pickle
 from dataclasses import dataclass
 
-from .corpus import CORE_LIST_FIELDS, TEXT_FIELDS, Corpus
+from .corpus import CORE_LIST_FIELDS, TEXT_FIELDS, Corpus, GroundTruth
 from .errors import ConfigError, CorpusError
 from .text import tokenize
 
@@ -41,12 +43,6 @@ class IndexConfig:
                 raise ConfigError("index.fields must not be empty")
             if len(set(self.fields)) != len(self.fields):
                 raise ConfigError(f"index.fields has duplicate names: {list(self.fields)}")
-
-
-@dataclass(frozen=True)
-class SearchHit:
-    article_id: str
-    score: float
 
 
 class _FieldIndex:
@@ -105,88 +101,34 @@ class Index:
 
     # -- scoring --------------------------------------------------------
 
-    def _idf(self, field: "_FieldIndex", term: str) -> float:
-        import math
-
-        df = len(field.postings.get(term, ()))
+    def _term_scores(self, field: "_FieldIndex", term: str) -> dict[int, float]:
+        """BM25 scores of a term present in the field (so avgdl > 0)."""
+        postings = field.postings[term]
+        df = len(postings)
         n = len(self.article_ids)
         # Lucene-style BM25 idf; non-negative even for df > n/2.
-        return math.log(1.0 + (n - df + 0.5) / (df + 0.5))
-
-    def _term_scores(self, field: "_FieldIndex", term: str) -> dict[int, float]:
-        postings = field.postings.get(term)
-        if not postings:
-            return {}
-        idf = self._idf(field, term)
+        idf = math.log(1.0 + (n - df + 0.5) / (df + 0.5))
         avgdl = field.avg_length()
         scores: dict[int, float] = {}
         for ordinal, positions in postings.items():
             tf = len(positions)
-            if avgdl > 0:
-                norm = 1.0 - BM25_B + BM25_B * field.doc_length[ordinal] / avgdl
-            else:
-                norm = 1.0
+            norm = 1.0 - BM25_B + BM25_B * field.doc_length[ordinal] / avgdl
             scores[ordinal] = idf * tf * (BM25_K1 + 1.0) / (tf + BM25_K1 * norm)
         return scores
 
     def _phrase_ordinals(self, field: "_FieldIndex", tokens: list[str]) -> set[int]:
         """Ordinals whose field contains the tokens as a contiguous run."""
-        first = field.postings.get(tokens[0])
-        if first is None:
-            return set()
-        if len(tokens) == 1:
+        first, *rest = [field.postings.get(tok, {}) for tok in tokens]
+        if not rest:
             return set(first)
-        rest = []
-        for tok in tokens[1:]:
-            postings = field.postings.get(tok)
-            if postings is None:
-                return set()
-            rest.append(postings)
-        candidates = set(first)
-        for postings in rest:
-            candidates &= postings.keys()
         matched: set[int] = set()
-        for ordinal in candidates:
+        for ordinal in set(first).intersection(*rest):
             later = [set(p[ordinal]) for p in rest]
             for start in first[ordinal]:
                 if all(start + k + 1 in later[k] for k in range(len(later))):
                     matched.add(ordinal)
                     break
         return matched
-
-    def _phrase_scores(self, phrase: str, fields: tuple[str, ...]) -> dict[int, float]:
-        """Summed per-field BM25 scores of the phrase's terms, on docs
-        where the whole phrase occurs in that field."""
-        tokens = tokenize(phrase)
-        self._check_fields(fields)
-        combined: dict[int, float] = {}
-        for name in fields:
-            field = self._fields[name]
-            matched = self._phrase_ordinals(field, tokens)
-            if not matched:
-                continue
-            per_term = [self._term_scores(field, t) for t in tokens]
-            for ordinal in matched:
-                s = sum(scores[ordinal] for scores in per_term)
-                combined[ordinal] = combined.get(ordinal, 0.0) + s
-        return combined
-
-    def _check_fields(self, fields: tuple[str, ...]) -> None:
-        if not fields:
-            raise ValueError("no fields given")
-        unknown = [f for f in fields if f not in self._fields]
-        if unknown:
-            raise ValueError(f"fields not in index: {unknown} (have {list(self.fields)})")
-
-    def _to_hits(self, scores: dict[int, float], limit: int) -> list[SearchHit]:
-        if limit < 0:
-            raise ValueError("limit must be non-negative")
-        ranked = sorted(
-            scores.items(), key=lambda kv: (-kv[1], self.article_ids[kv[0]])
-        )
-        return [
-            SearchHit(self.article_ids[o], s) for o, s in ranked[:limit]
-        ]
 
     # -- persistence ------------------------------------------------------
 
@@ -242,36 +184,83 @@ def build_index(corpus: Corpus, config: IndexConfig = IndexConfig()) -> Index:
     return index
 
 
+def _query(index: Index, terms: list[str], fields: tuple[str, ...]) -> list[list[str]]:
+    """Tokenize the terms, dropping empty ones, and check the fields are indexed."""
+    phrases = [tokens for tokens in map(tokenize, terms) if tokens]
+    if not phrases:
+        raise ValueError("no usable query terms")
+    if not fields:
+        raise ValueError("no fields given")
+    unknown = [f for f in fields if f not in index._fields]
+    if unknown:
+        raise ValueError(f"fields not in index: {unknown} (have {list(index.fields)})")
+    return phrases
+
+
 def search_any(
     index: Index, terms: list[str], fields: tuple[str, ...], limit: int
-) -> list[SearchHit]:
-    """OR-query over phrases: articles matching at least one term.
+) -> list[tuple[str, float]]:
+    """OR-query over phrases: ``(article_id, score)`` pairs of the articles
+    matching at least one term, best first, at most ``limit`` of them.
 
     Each term is itself matched as a phrase, scored on each field where
     the phrase occurs by the sum of its terms' BM25 scores; article
     scores add up over fields and terms. Ties break by article id.
     """
-    useful = [t for t in terms if tokenize(t)]
-    if not useful:
-        raise ValueError("no usable query terms")
+    if limit < 0:
+        raise ValueError("limit must be non-negative")
     combined: dict[int, float] = {}
-    for term in useful:
-        for ordinal, score in index._phrase_scores(term, fields).items():
+    for tokens in _query(index, terms, fields):
+        # A term's fields are summed before the term joins the article's score.
+        phrase: dict[int, float] = {}
+        for name in fields:
+            field = index._fields[name]
+            matched = index._phrase_ordinals(field, tokens)
+            if not matched:
+                continue
+            per_term = [index._term_scores(field, t) for t in tokens]
+            for ordinal in matched:
+                s = sum(scores[ordinal] for scores in per_term)
+                phrase[ordinal] = phrase.get(ordinal, 0.0) + s
+        for ordinal, score in phrase.items():
             combined[ordinal] = combined.get(ordinal, 0.0) + score
-    return index._to_hits(combined, limit)
+    ranked = sorted(combined.items(), key=lambda kv: (-kv[1], index.article_ids[kv[0]]))
+    return [(index.article_ids[o], s) for o, s in ranked[:limit]]
 
 
 def has_any_match(
     index: Index, terms: list[str], fields: tuple[str, ...]
 ) -> set[str]:
     """Ids of articles where at least one term occurs as a phrase."""
-    useful = [t for t in terms if tokenize(t)]
-    if not useful:
-        raise ValueError("no usable query terms")
-    index._check_fields(fields)
     matched: set[int] = set()
-    for term in useful:
-        tokens = tokenize(term)
+    for tokens in _query(index, terms, fields):
         for name in fields:
             matched |= index._phrase_ordinals(index._fields[name], tokens)
     return {index.article_ids[o] for o in matched}
+
+
+def build_ground_truth(
+    corpus: Corpus,
+    topics: list[str],
+    fields: tuple[str, ...] = CORE_LIST_FIELDS,
+) -> GroundTruth:
+    """Derive labels from category fields by whole-phrase topic matching.
+
+    A topic labels an article when the topic's token sequence occurs
+    contiguously in some entry of a selected field, case-insensitively:
+    the phrase match of synset search, on an index of those fields.
+    Matching runs on tokens, not raw substrings, so "mycological methods"
+    does not label the topic "Mycology". Articles matching no topic are
+    left out.
+    """
+    if not topics:
+        raise CorpusError("topic list is empty")
+    for topic in topics:
+        if not tokenize(topic):
+            raise CorpusError(f"topic {topic!r} tokenizes to nothing")
+    index = Index.build(corpus, fields)
+    labels: dict[str, set[str]] = {}
+    for topic in topics:
+        for article_id in has_any_match(index, [topic], fields):
+            labels.setdefault(article_id, set()).add(topic)
+    return GroundTruth(labels)

@@ -11,11 +11,21 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass, field
 
+from .errors import TagfuseError
+
 ORIGIN_CLASSIFIER = "classifier"
 ORIGIN_SYNSET = "synset"
 ORIGIN_FUSION = "fusion"
 
 _ORIGINS = (ORIGIN_CLASSIFIER, ORIGIN_SYNSET, ORIGIN_FUSION)
+
+
+class EntryError(ValueError):
+    """A ranked list fails a check at entry ``position``, counted from 0."""
+
+    def __init__(self, position: int, message: str):
+        super().__init__(message)
+        self.position = position
 
 
 @dataclass
@@ -32,19 +42,22 @@ class RankedList:
         ids = self.ids()
         if len(set(ids)) != len(ids):
             seen: set[str] = set()
-            first = next(a for a in ids if a in seen or seen.add(a))
-            raise ValueError(
-                f"duplicate article {first!r} in {self.origin} list "
-                f"for topic {self.topic!r}"
+            at = next(i for i, a in enumerate(ids) if a in seen or seen.add(a))
+            raise EntryError(
+                at,
+                f"duplicate article {ids[at]!r} in {self.origin} list "
+                f"for topic {self.topic!r}",
             )
         scores = [s for _, s in self.entries]
         descending = self.origin in (ORIGIN_CLASSIFIER, ORIGIN_SYNSET)
         # Equal neighbours, and a NaN next to anything, are in order.
         out_of_order = operator.lt if descending else operator.gt
         if any(map(out_of_order, scores, scores[1:])):
-            raise ValueError(
+            faults = list(map(out_of_order, scores, scores[1:]))
+            raise EntryError(
+                faults.index(True) + 1,
                 f"{self.origin} list for topic {self.topic!r} is not "
-                f"ordered ({'desc' if descending else 'asc'} expected)"
+                f"ordered ({'desc' if descending else 'asc'} expected)",
             )
 
     def __len__(self) -> int:
@@ -71,25 +84,33 @@ def write_ranked_list(ranked: RankedList, path: str) -> None:
 
 
 def read_ranked_list(path: str) -> RankedList:
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline().rstrip("\n")
-        if not header.startswith("# topic="):
-            raise ValueError(f"{path}: missing ranked-list header")
-        topic_part, _, origin_part = header[2:].partition("\t")
-        topic = topic_part[len("topic="):]
-        if not origin_part.startswith("origin="):
-            raise ValueError(f"{path}: malformed ranked-list header")
-        origin = origin_part[len("origin="):]
-        entries: list[tuple[str, float]] = []
-        for lineno, line in enumerate(fh, start=2):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 3:
-                raise ValueError(f"{path}:{lineno}: expected 3 columns")
-            rank, article_id, score = parts
-            if int(rank) != len(entries) + 1:
-                raise ValueError(f"{path}:{lineno}: rank out of sequence")
-            entries.append((article_id, float(score)))
-    return RankedList(topic=topic, origin=origin, entries=entries)
+    """Read a ``write_ranked_list`` file; a malformed line raises TagfuseError."""
+    linenos = [1]  # the header's, then each entry's
+    try:
+        with open(path, encoding="utf-8") as fh:
+            header = fh.readline().rstrip("\n")
+            if not header.startswith("# topic="):
+                raise ValueError("missing ranked-list header")
+            topic_part, _, origin_part = header[2:].partition("\t")
+            topic = topic_part[len("topic="):]
+            origin = origin_part[len("origin="):]
+            if not origin_part.startswith("origin=") or origin not in _ORIGINS:
+                raise ValueError("malformed ranked-list header")
+            entries: list[tuple[str, float]] = []
+            for lineno, line in enumerate(fh, start=2):
+                line = line.rstrip("\n")
+                if not line:
+                    continue
+                linenos.append(lineno)
+                parts = line.split("\t")
+                if len(parts) != 3:
+                    raise ValueError("expected 3 columns")
+                rank, article_id, score = parts
+                if int(rank) != len(entries) + 1:
+                    raise ValueError("rank out of sequence")
+                entries.append((article_id, float(score)))
+            return RankedList(topic=topic, origin=origin, entries=entries)
+    except EntryError as exc:
+        raise TagfuseError(f"{path}:{linenos[exc.position + 1]}: {exc}") from exc
+    except ValueError as exc:  # names the line being read
+        raise TagfuseError(f"{path}:{linenos[-1]}: {exc}") from exc

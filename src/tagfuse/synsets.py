@@ -112,14 +112,9 @@ def synset_rank(
     terms accumulates their scores. At most ``config.limit`` articles are
     kept.
     """
-    usable = [t for t in synset.terms if tokenize(t)]
-    if not usable:
+    if not any(map(tokenize, synset.terms)):
         raise SynsetError(
             f"synset for topic {synset.topic!r} has no tokenizable terms"
         )
-    hits = search_any(index, usable, config.fields, config.limit)
-    return RankedList(
-        topic=synset.topic,
-        origin=ORIGIN_SYNSET,
-        entries=[(h.article_id, h.score) for h in hits],
-    )
+    entries = search_any(index, list(synset.terms), config.fields, config.limit)
+    return RankedList(topic=synset.topic, origin=ORIGIN_SYNSET, entries=entries)

@@ -24,16 +24,3 @@ def tokenize(text: str) -> list[str]:
     # first would turn "İ" into "i" plus a combining mark, which is not
     # alphanumeric and would split the token.
     return list(map(str.lower, _TOKEN_RE.findall(text)))
-
-
-def contains_phrase(tokens: list[str], phrase: list[str]) -> bool:
-    """True when ``phrase`` occurs as a contiguous token run in ``tokens``."""
-    if not phrase:
-        return False
-    n, k = len(tokens), len(phrase)
-    first = phrase[0]
-    for i in range(n - k + 1):
-        if tokens[i] == first and tokens[i : i + k] == phrase:
-            return True
-    return False
-

@@ -51,7 +51,7 @@ class TestBuildDataset:
     def test_positives_are_title_and_abstract_phrase_matches(self):
         corpus = labeled_corpus()
         index = build_index(corpus)
-        dataset = build_dataset("mycology", index, corpus, small())
+        dataset = build_dataset("mycology", index, small())
         expected = sorted(f"t{i:02d}" for i in range(6)) + sorted(
             f"b{i:02d}" for i in range(4)
         )
@@ -60,7 +60,7 @@ class TestBuildDataset:
     def test_keyword_only_mentions_are_in_neither_class(self):
         corpus = labeled_corpus()
         index = build_index(corpus)
-        dataset = build_dataset("mycology", index, corpus, small(neg_ratio=10.0))
+        dataset = build_dataset("mycology", index, small(neg_ratio=10.0))
         keyword_only = {f"k{i:02d}" for i in range(3)}
         assert not keyword_only & set(dataset.positives)
         assert not keyword_only & set(dataset.negatives)
@@ -71,20 +71,20 @@ class TestBuildDataset:
         corpus = labeled_corpus()
         index = build_index(corpus)
         for ratio in (0.25, 0.5, 1.0, 1.3):
-            dataset = build_dataset("mycology", index, corpus, small(neg_ratio=ratio))
+            dataset = build_dataset("mycology", index, small(neg_ratio=ratio))
             assert len(dataset.negatives) == math.ceil(ratio * 10)
 
     def test_negatives_never_overlap_positives(self):
         corpus = labeled_corpus()
         index = build_index(corpus)
-        dataset = build_dataset("mycology", index, corpus, small())
+        dataset = build_dataset("mycology", index, small())
         assert not set(dataset.positives) & set(dataset.negatives)
 
     def test_too_few_positives_raises_with_counts(self):
         corpus = labeled_corpus()
         index = build_index(corpus)
         with pytest.raises(InsufficientPositives) as excinfo:
-            build_dataset("mycology", index, corpus, ClassifierConfig(min_positives=50))
+            build_dataset("mycology", index, ClassifierConfig(min_positives=50))
         assert excinfo.value.topic == "mycology"
         assert excinfo.value.found == 10
         assert excinfo.value.required == 50
@@ -92,9 +92,9 @@ class TestBuildDataset:
     def test_negative_sampling_is_seed_deterministic(self):
         corpus = labeled_corpus()
         index = build_index(corpus)
-        d1 = build_dataset("mycology", index, corpus, small(neg_ratio=0.5), seed=7)
-        d2 = build_dataset("mycology", index, corpus, small(neg_ratio=0.5), seed=7)
-        d3 = build_dataset("mycology", index, corpus, small(neg_ratio=0.5), seed=8)
+        d1 = build_dataset("mycology", index, small(neg_ratio=0.5), seed=7)
+        d2 = build_dataset("mycology", index, small(neg_ratio=0.5), seed=7)
+        d3 = build_dataset("mycology", index, small(neg_ratio=0.5), seed=8)
         assert d1.negatives == d2.negatives
         assert d1.negatives != d3.negatives
 
@@ -117,7 +117,7 @@ class TestBuildDataset:
             ]
         )
         index = build_index(corpus)
-        dataset = build_dataset("machine learning", index, corpus, small())
+        dataset = build_dataset("machine learning", index, small())
         assert list(dataset.positives) == ["p1"]
         assert "p2" in dataset.negatives
 
@@ -127,7 +127,7 @@ class TestTrain:
         corpus = labeled_corpus()
         index = build_index(corpus)
         sem = embedding_for(corpus)
-        dataset = build_dataset("mycology", index, corpus, small())
+        dataset = build_dataset("mycology", index, small())
         model = train(dataset, sem, ClassifierConfig(n_trees=20), seed=0)
         assert model.topic == "mycology"
         assert model.n_positives == 10
@@ -138,7 +138,7 @@ class TestTrain:
         corpus = labeled_corpus()
         index = build_index(corpus)
         sem = embedding_for(corpus)
-        dataset = build_dataset("mycology", index, corpus, small())
+        dataset = build_dataset("mycology", index, small())
         m1 = train(dataset, sem, ClassifierConfig(n_trees=10), seed=3)
         m2 = train(dataset, sem, ClassifierConfig(n_trees=10), seed=3)
         p1 = m1.forest.predict_proba(sem.matrix)
@@ -159,7 +159,7 @@ class TestTrain:
         corpus = labeled_corpus()
         index = build_index(corpus)
         sem = embedding_for(corpus)
-        dataset = build_dataset("mycology", index, corpus, small())
+        dataset = build_dataset("mycology", index, small())
         calls = []
         fit = RandomForest.fit
 
@@ -175,7 +175,7 @@ class TestTrain:
         corpus = labeled_corpus()
         index = build_index(corpus)
         sem = embedding_for(corpus)
-        dataset = build_dataset("mycology", index, corpus, small())
+        dataset = build_dataset("mycology", index, small())
         config = ClassifierConfig(n_trees=10)
         model = train(dataset, sem, config, seed=4)
         ids = list(dataset.positives) + list(dataset.negatives)
@@ -196,7 +196,7 @@ class TestRankCorpus:
         corpus = labeled_corpus()
         index = build_index(corpus)
         sem = embedding_for(corpus)
-        dataset = build_dataset("mycology", index, corpus, small())
+        dataset = build_dataset("mycology", index, small())
         model = train(dataset, sem, ClassifierConfig(n_trees=30), seed=seed)
         return model, sem, corpus
 

@@ -9,10 +9,13 @@ import sys
 import pytest
 
 import tagfuse
+import tagfuse.corpus
 from tagfuse import cli
 from tagfuse.benchmark import BenchmarkSpec, topic_names
 from tagfuse.classifier import train
 from tagfuse.cli import main
+from tagfuse.config import topic_slug
+from tagfuse.corpus import ingest_corpus
 from tagfuse.manifest import MANIFEST_NAME, file_sha256
 
 BENCH = {
@@ -225,6 +228,33 @@ class TestStagePipeline:
         assert "NaN" not in text
         assert all(t["oob_accuracy"] is None for t in json.loads(text)["trained"])
 
+    def test_train_rank_reads_only_the_index_and_the_embedding(
+        self, stage_config, bench_run, tmp_path, monkeypatch
+    ):
+        _, bench_out = bench_run
+        config = derived_config(stage_config, tmp_path)
+        out = tmp_path / "out"
+        out.mkdir()
+        for name in ("index.pkl", "embedding.npy", "embedding.json"):
+            shutil.copy(os.path.join(bench_out, name), out / name)
+        ingests = []
+
+        def counting_ingest(path):
+            ingests.append(path)
+            return ingest_corpus(path)
+
+        monkeypatch.setattr(cli, "ingest_corpus", counting_ingest)
+        monkeypatch.setattr(tagfuse.corpus, "ingest_corpus", counting_ingest)
+        assert main(["train-rank", "--config", config]) == 0
+        assert ingests == []
+        entry = read_manifest(str(out))[-1]
+        assert entry["command"] == "train-rank"
+        assert set(entry["inputs"]) == {str(out / "index.pkl"), str(out / "embedding.npy")}
+        for topic in TOPICS:
+            listed = os.path.join(bench_out, "ranked", "classifier", f"{topic_slug(topic)}.tsv")
+            written = out / "ranked" / "classifier" / f"{topic_slug(topic)}.tsv"
+            assert written.read_bytes() == open(listed, "rb").read()
+
     def test_a_override_restricts_the_sweep(self, stage_config, capsys):
         config, _ = stage_config
         assert main(["eval", "--config", config, "--a", "2"]) == 0
@@ -355,6 +385,17 @@ class TestFailureModes:
         assert len(errors) == 1 and key in errors[0]
         assert not out.exists()
 
+    def test_topic_without_letters_or_digits_exits_two_before_any_stage(
+        self, stage_config, tmp_path, caplog
+    ):
+        config = derived_config(stage_config, tmp_path, topics=[TOPICS[0], "—"])
+        with caplog.at_level(logging.ERROR):
+            for command in ("index", "train-rank", "all"):
+                assert main([command, "--config", config]) == 2, command
+        errors = [r.message for r in caplog.records if r.levelno >= logging.ERROR]
+        assert len(errors) == 3 and all("['—']" in e for e in errors)
+        assert not (tmp_path / "out").exists()
+
     def test_unindexed_synset_field_exits_two_before_any_list(
         self, stage_config, tmp_path, caplog
     ):
@@ -399,3 +440,46 @@ class TestFailureModes:
             main(["--version"])
         assert excinfo.value.code == 0
         assert capsys.readouterr().out.startswith("tagfuse ")
+
+
+MALFORMED_CASES = ["header", "columns", "rank", "score", "sequence", "order", "duplicate"]
+
+
+def corrupt(lines, case):
+    """Break a synset list's lines in one way; return the line number the
+    error must name."""
+    if case == "header":
+        lines[0] = lines[0].replace("origin=synset", "origin=nope")
+        return 1
+    rank, article_id, score = lines[2].split("\t")  # the second entry
+    lines[2] = "\t".join(
+        {
+            "columns": [rank, article_id],
+            "rank": ["two", article_id, score],
+            "score": [rank, article_id, "high"],
+            "sequence": ["3", article_id, score],
+            "order": [rank, article_id, "1e300"],
+            "duplicate": [rank, lines[1].split("\t")[1], score],
+        }[case]
+    )
+    return 3
+
+
+@pytest.mark.parametrize("case", MALFORMED_CASES)
+def test_malformed_ranked_list_exits_three_naming_the_line(
+    stage_config, bench_run, tmp_path, caplog, case
+):
+    _, bench_out = bench_run
+    config = derived_config(stage_config, tmp_path)
+    out = tmp_path / "out"
+    shutil.copytree(os.path.join(bench_out, "ranked"), out / "ranked")
+    path = out / "ranked" / "synset" / f"{topic_slug(TOPICS[0])}.tsv"
+    lines = path.read_text(encoding="utf-8").splitlines()
+    lineno = corrupt(lines, case)
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    for command in ("fuse", "eval"):
+        caplog.clear()
+        with caplog.at_level(logging.ERROR):
+            assert main([command, "--config", config]) == 3, command
+        errors = [r.message for r in caplog.records if r.levelno >= logging.ERROR]
+        assert len(errors) == 1 and errors[0].startswith(f"{path}:{lineno}: "), errors

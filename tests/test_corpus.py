@@ -2,12 +2,14 @@ import json
 import logging
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from tagfuse.benchmark import BenchmarkSpec, generate
 from tagfuse.corpus import (
     ArticleRecord,
     Corpus,
     GroundTruth,
-    build_ground_truth,
     ingest_corpus,
     load_ground_truth,
     save_corpus,
@@ -15,6 +17,8 @@ from tagfuse.corpus import (
     text_repr,
 )
 from tagfuse.errors import CorpusError
+from tagfuse.index import build_ground_truth
+from tagfuse.text import tokenize
 
 from conftest import make_corpus
 
@@ -105,6 +109,38 @@ class TestCorpus:
         assert text_repr(rec) == "A title An abstract."
 
 
+# Words, repeated tokens and punctuation-only pieces for generated entries.
+WORDS = st.sampled_from(["alpha", "Alpha", "beta", "gamma", "--", "!!", "alpha-beta"])
+
+
+def per_entry_scan(corpus, topics, fields):
+    """Labels by the token scan that ground truth used before the index:
+    a topic labels an article when its tokens occur contiguously within
+    one entry of a named field."""
+    phrases = {topic: tokenize(topic) for topic in topics}
+    labels = {}
+    for rec in corpus:
+        matched = set()
+        for name in fields:
+            for entry in rec.field_values(name):
+                tokens = tokenize(entry)
+                for topic, phrase in phrases.items():
+                    k = len(phrase)
+                    starts = [i for i, tok in enumerate(tokens) if tok == phrase[0]]
+                    if any(tokens[i : i + k] == phrase for i in starts):
+                        matched.add(topic)
+        if matched:
+            labels[rec.id] = matched
+    return labels
+
+
+@pytest.fixture(scope="module")
+def bench_corpus():
+    """The default synthetic benchmark corpus (5k articles) and its topics."""
+    corpus, _, synsets = generate(BenchmarkSpec())
+    return corpus, list(synsets)
+
+
 class TestBuildGroundTruth:
     def test_whole_phrase_matching_in_category_fields(self, fungi_corpus):
         truth = build_ground_truth(fungi_corpus, ["Mycology", "Transplantation"])
@@ -142,6 +178,66 @@ class TestBuildGroundTruth:
         truth = build_ground_truth(fungi_corpus, ["Mycology"])
         assert "a5" not in truth
         assert "a3" not in truth
+
+    def test_contiguous_run_within_an_entry_labels(self):
+        corpus = make_corpus([("b1", "t", "x", (), ("History of Mycology",))])
+        topics = ["Mycology", "of mycology", "history of mycology"]
+        truth = build_ground_truth(corpus, topics, fields=("subjects",))
+        assert truth.labels["b1"] == set(topics)
+
+    def test_gap_or_reorder_does_not_label(self):
+        corpus = make_corpus([("b1", "t", "x", (), ("History of Mycology",))])
+        truth = build_ground_truth(
+            corpus, ["history mycology", "mycology of"], fields=("subjects",)
+        )
+        assert "b1" not in truth
+
+    def test_phrase_straddling_two_entries_does_not_label(self):
+        corpus = make_corpus([("b1", "t", "x", ("deep learning", "systems biology"))])
+        truth = build_ground_truth(
+            corpus, ["learning systems", "systems biology"], fields=("keywords",)
+        )
+        assert truth.labels["b1"] == {"systems biology"}
+
+    def test_topic_that_tokenizes_to_nothing_raises(self, fungi_corpus):
+        with pytest.raises(CorpusError, match="tokenizes to nothing"):
+            build_ground_truth(fungi_corpus, ["Mycology", "—"])
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        entries=st.lists(
+            st.tuples(
+                st.lists(st.lists(WORDS, max_size=4).map(" ".join), max_size=3),
+                st.lists(st.lists(WORDS, max_size=4).map(" ".join), max_size=3),
+            ),
+            min_size=1,
+            max_size=6,
+        ),
+        topics=st.lists(
+            st.sampled_from(["alpha", "beta", "alpha beta", "beta alpha", "alpha alpha",
+                             "Gamma-alpha"]),
+            min_size=1,
+            max_size=4,
+            unique=True,
+        ),
+        fields=st.sampled_from([("keywords",), ("subjects",), ("keywords", "subjects")]),
+    )
+    def test_property_labels_equal_the_per_entry_scan(self, entries, topics, fields):
+        corpus = make_corpus(
+            [(f"d{i}", "t", "x", kw, subj) for i, (kw, subj) in enumerate(entries)]
+        )
+        truth = build_ground_truth(corpus, topics, fields)
+        assert truth.labels == per_entry_scan(corpus, topics, fields)
+
+    @pytest.mark.parametrize(
+        "fields", [("subjects",), ("keywords", "subjects"), ("title", "abstract")]
+    )
+    def test_labels_equal_the_per_entry_scan_on_the_bench_corpus(
+        self, bench_corpus, fields
+    ):
+        corpus, topics = bench_corpus
+        truth = build_ground_truth(corpus, topics, fields)
+        assert truth.labels == per_entry_scan(corpus, topics, fields)
 
 
 class TestGroundTruthIO:

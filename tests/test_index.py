@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tagfuse.benchmark import BenchmarkSpec, generate
 from tagfuse.errors import ConfigError
 from tagfuse.index import (
     BM25_B,
@@ -15,6 +16,7 @@ from tagfuse.index import (
     has_any_match,
     search_any,
 )
+from tagfuse.text import tokenize
 
 from conftest import make_corpus
 
@@ -52,7 +54,7 @@ class TestPhraseSearch:
         )
         index = build_index(corpus, IndexConfig(("title",)))
         hits = search_any(index, ["information retrieval"], ("title",), 10)
-        assert [h.article_id for h in hits] == ["d1"]
+        assert [a for a, _ in hits] == ["d1"]
 
     def test_phrase_cannot_span_list_entries(self):
         corpus = make_corpus(
@@ -66,11 +68,11 @@ class TestPhraseSearch:
         title_hits = search_any(fungi_index, ["surgery"], ("title", "abstract"), 10)
         assert title_hits == []
         keyword_hits = search_any(fungi_index, ["surgery"], ("keywords",), 10)
-        assert [h.article_id for h in keyword_hits] == ["a3"]
+        assert [a for a, _ in keyword_hits] == ["a3"]
 
     def test_case_insensitive(self, fungi_index):
         hits = search_any(fungi_index, ["MYCOLOGY"], ("title",), 10)
-        assert {h.article_id for h in hits} == {"a1", "a4"}
+        assert {a for a, _ in hits} == {"a1", "a4"}
 
     def test_limit_truncates(self, fungi_index):
         hits = search_any(fungi_index, ["mycology"], ("title",), 1)
@@ -82,7 +84,7 @@ class TestPhraseSearch:
 
     def test_scores_positive_and_sorted(self, fungi_index):
         hits = search_any(fungi_index, ["mycology"], ("title", "abstract"), 10)
-        scores = [h.score for h in hits]
+        scores = [s for _, s in hits]
         assert all(s > 0 for s in scores)
         assert scores == sorted(scores, reverse=True)
 
@@ -110,9 +112,9 @@ class TestBM25Values:
             )
 
         expected = {"d1": bm25(2, 4), "d2": bm25(1, 2)}
-        assert {h.article_id for h in hits} == set(expected)
-        for hit in hits:
-            assert hit.score == pytest.approx(expected[hit.article_id], abs=1e-12)
+        assert {a for a, _ in hits} == set(expected)
+        for article_id, score in hits:
+            assert score == pytest.approx(expected[article_id], abs=1e-12)
 
     def test_phrase_score_sums_member_term_scores(self):
         corpus = make_corpus(
@@ -123,13 +125,13 @@ class TestBM25Values:
         )
         index = build_index(corpus, IndexConfig(("abstract",)))
         phrase = search_any(index, ["alpha beta"], ("abstract",), 10)
-        assert [h.article_id for h in phrase] == ["d1"]
+        assert [a for a, _ in phrase] == ["d1"]
         alpha = search_any(index, ["alpha"], ("abstract",), 10)
         beta = search_any(index, ["beta"], ("abstract",), 10)
-        parts = {h.article_id: h.score for h in alpha}
-        for h in beta:
-            parts[h.article_id] += h.score
-        assert phrase[0].score == pytest.approx(parts["d1"], abs=1e-12)
+        parts = dict(alpha)
+        for article_id, score in beta:
+            parts[article_id] += score
+        assert phrase[0][1] == pytest.approx(parts["d1"], abs=1e-12)
 
     def test_tie_breaks_by_article_id(self):
         corpus = make_corpus(
@@ -140,33 +142,27 @@ class TestBM25Values:
         )
         index = build_index(corpus, IndexConfig(("title",)))
         hits = search_any(index, ["same words"], ("title",), 10)
-        assert [h.article_id for h in hits] == ["a1", "z9"]
-        assert hits[0].score == hits[1].score
+        assert [a for a, _ in hits] == ["a1", "z9"]
+        assert hits[0][1] == hits[1][1]
 
 
 class TestSearchAny:
     def test_union_semantics_with_score_accumulation(self, fungi_index):
         fields = ("title", "abstract")
         both = search_any(fungi_index, ["mycology", "fungology"], fields, 10)
-        ids = {h.article_id for h in both}
+        ids = {a for a, _ in both}
         assert ids == {"a1", "a2", "a4"}
-        only_fungology = {
-            h.article_id: h.score
-            for h in search_any(fungi_index, ["fungology"], fields, 10)
-        }
-        only_mycology = {
-            h.article_id: h.score
-            for h in search_any(fungi_index, ["mycology"], fields, 10)
-        }
-        for hit in both:
-            expected = only_mycology.get(hit.article_id, 0.0) + only_fungology.get(
-                hit.article_id, 0.0
+        only_fungology = dict(search_any(fungi_index, ["fungology"], fields, 10))
+        only_mycology = dict(search_any(fungi_index, ["mycology"], fields, 10))
+        for article_id, score in both:
+            expected = only_mycology.get(article_id, 0.0) + only_fungology.get(
+                article_id, 0.0
             )
-            assert hit.score == pytest.approx(expected, abs=1e-12)
+            assert score == pytest.approx(expected, abs=1e-12)
 
     def test_unusable_terms_are_skipped_but_all_unusable_raises(self, fungi_index):
         hits = search_any(fungi_index, ["mycology", "..."], ("title",), 10)
-        assert {h.article_id for h in hits} == {"a1", "a4"}
+        assert {a for a, _ in hits} == {"a1", "a4"}
         with pytest.raises(ValueError, match="no usable"):
             search_any(fungi_index, ["...", ""], ("title",), 10)
 
@@ -187,6 +183,50 @@ class TestHasAnyMatch:
     def test_prefix_of_word_does_not_match(self, fungi_index):
         # a4 has keyword "mycological methods": not a hit for "mycology".
         assert "a4" not in has_any_match(fungi_index, ["mycology"], ("keywords",))
+
+    def test_empty_phrase_never_matches(self, fungi_index):
+        fields = ("title", "abstract")
+        expected = has_any_match(fungi_index, ["fungology"], fields)
+        assert has_any_match(fungi_index, ["", "...", "fungology"], fields) == expected
+        with pytest.raises(ValueError, match="no usable query terms"):
+            has_any_match(fungi_index, ["", "—"], fields)
+
+
+def per_term_then_total(index, terms, fields):
+    """Article scores summed in search's order: a term's fields first,
+    then that term's total into the article's score."""
+    scores = {}
+    for term in terms:
+        tokens = tokenize(term)
+        if not tokens:
+            continue
+        term_total = {}
+        for name in fields:
+            field = index._fields[name]
+            matched = index._phrase_ordinals(field, tokens)
+            if not matched:
+                continue
+            per_term = [index._term_scores(field, t) for t in tokens]
+            for ordinal in matched:
+                s = sum(scores_of[ordinal] for scores_of in per_term)
+                term_total[ordinal] = term_total.get(ordinal, 0.0) + s
+        for ordinal, s in term_total.items():
+            scores[ordinal] = scores.get(ordinal, 0.0) + s
+    return {index.article_ids[o]: s for o, s in scores.items()}
+
+
+class TestSummationOrder:
+    def test_scores_equal_the_per_term_then_total_sum(self):
+        # Synset terms occur in title, abstract and keywords; the topic
+        # name also in subjects. Scores are compared exactly.
+        spec = BenchmarkSpec(n_topics=4, docs_per_topic=60, vocab_per_topic=8,
+                             background_vocab_size=150, doc_length=30, seed=3)
+        corpus, _, synsets = generate(spec)
+        index = build_index(corpus)
+        fields = ("title", "abstract", "keywords", "subjects")
+        for synset in synsets.values():
+            hits = search_any(index, list(synset.terms), fields, len(corpus))
+            assert dict(hits) == per_term_then_total(index, synset.terms, fields)
 
 
 class TestDeterminism:
@@ -217,6 +257,6 @@ def test_property_search_any_singleton_matches_phrase(docs, term):
     )
     index = build_index(corpus, IndexConfig(("abstract",)))
     hits = search_any(index, [term], ("abstract",), 100)
-    matched = {h.article_id for h in hits}
+    matched = {a for a, _ in hits}
     expected = {f"d{i}" for i, words in enumerate(docs) if term in words}
     assert matched == expected

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tagfuse.errors import TagfuseError
 from tagfuse.ranking import (
     ORIGIN_CLASSIFIER,
     ORIGIN_FUSION,
@@ -112,7 +113,7 @@ class TestRankedListIO:
     def test_missing_header_rejected(self, tmp_path):
         path = tmp_path / "bad.tsv"
         path.write_text("1\td1\t0.5\n", encoding="utf-8")
-        with pytest.raises(ValueError, match="header"):
+        with pytest.raises(TagfuseError, match="header"):
             read_ranked_list(str(path))
 
     def test_rank_gap_rejected(self, tmp_path):
@@ -120,13 +121,22 @@ class TestRankedListIO:
         path.write_text(
             "# topic=T\torigin=synset\n1\td1\t2.0\n3\td2\t1.0\n", encoding="utf-8"
         )
-        with pytest.raises(ValueError, match="out of sequence"):
+        with pytest.raises(TagfuseError, match="out of sequence"):
             read_ranked_list(str(path))
 
     def test_column_count_enforced(self, tmp_path):
         path = tmp_path / "bad.tsv"
         path.write_text("# topic=T\torigin=synset\n1\td1\n", encoding="utf-8")
-        with pytest.raises(ValueError, match="3 columns"):
+        with pytest.raises(TagfuseError, match="3 columns"):
+            read_ranked_list(str(path))
+
+    def test_entry_check_names_the_line_past_blank_lines(self, tmp_path):
+        path = tmp_path / "bad.tsv"
+        path.write_text(
+            "# topic=T\torigin=synset\n1\td1\t2.0\n\n\n2\td2\t1.0\n3\td1\t0.5\n",
+            encoding="utf-8",
+        )
+        with pytest.raises(TagfuseError, match=r"bad.tsv:6: duplicate article 'd1'"):
             read_ranked_list(str(path))
 
     @given(

@@ -133,7 +133,7 @@ class TestSynsetRank:
     def test_single_term_equals_phrase_search(self, fungi_index):
         ranked = synset_rank(make_synset("Mycology", []), fungi_index, TOP_10)
         direct = search_any(fungi_index, ["Mycology"], ("title", "abstract"), 10)
-        assert ranked.entries == [(h.article_id, h.score) for h in direct]
+        assert ranked.entries == direct
 
     def test_multiword_term_is_a_phrase(self):
         corpus = make_corpus(

@@ -3,7 +3,10 @@ import re
 from hypothesis import given
 from hypothesis import strategies as st
 
-from tagfuse.text import contains_phrase, tokenize
+from tagfuse.index import build_index, has_any_match
+from tagfuse.text import tokenize
+
+from conftest import make_corpus
 
 
 class TestTokenize:
@@ -27,22 +30,14 @@ class TestTokenize:
 
 
 class TestContainsPhrase:
-    def test_contiguous_run_matches(self):
-        tokens = ["history", "of", "mycology"]
-        assert contains_phrase(tokens, ["mycology"])
-        assert contains_phrase(tokens, ["of", "mycology"])
-        assert contains_phrase(tokens, tokens)
-
-    def test_gap_or_reorder_does_not_match(self):
-        tokens = ["history", "of", "mycology"]
-        assert not contains_phrase(tokens, ["history", "mycology"])
-        assert not contains_phrase(tokens, ["mycology", "of"])
+    """Phrase matching runs on whole tokens; the index holds the matcher."""
 
     def test_word_prefix_does_not_match(self):
-        assert not contains_phrase(["mycological", "methods"], ["mycology"])
-
-    def test_empty_phrase_never_matches(self):
-        assert not contains_phrase(["a"], [])
+        corpus = make_corpus(
+            [("b1", "mycological methods", "x"), ("b2", "mycology methods", "x")]
+        )
+        index = build_index(corpus)
+        assert has_any_match(index, ["mycology"], ("title",)) == {"b2"}
 
 
 @given(st.text(max_size=200))
