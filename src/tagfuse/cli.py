@@ -6,7 +6,8 @@ are computed once and reused across fusion-depth sweeps:
 
     index       build and save the inverted index
     embed       fit vocabulary, TF-IDF, truncated SVD; save embeddings
-    train-rank  per topic: build dataset, train forest, rank the corpus
+    train-rank  per topic, one worker per CPU: build dataset, train forest,
+                rank the corpus
     synset      per topic: rank the corpus by synonym-set search
     fuse        fuse the two rankings per topic and invert to tags
     eval        score every method against ground truth
@@ -43,7 +44,7 @@ from .corpus import (
 from .errors import ConfigError, InsufficientPositives, TagfuseError
 from .evaluation import format_table, report_records, sweep, write_plot_series
 from .fusion import fuse, invert, read_assignments, write_assignments
-from .index import Index, build_ground_truth, build_index
+from .index import Index, build_ground_truth, build_index, check_corpus_fields
 from .manifest import append_entry, config_fingerprint
 from .ranking import ORIGIN_FUSION, RankedList, read_ranked_list, write_ranked_list
 from .semantic import SemanticMatrix, truncated_svd, vectorize
@@ -163,7 +164,45 @@ def stage_embed(cfg: RunConfig) -> None:
     )
 
 
+# Set only in train-rank's pool workers: the config, workspace, index and
+# embedding they inherit through fork.
+_topic_inputs: tuple = ()
+
+
+def _inherit_topic_inputs(*inputs) -> None:
+    global _topic_inputs
+    _topic_inputs = inputs
+
+
+def _train_topic(topic: str) -> tuple[bool, dict]:
+    """Dataset, forest and ranked list for one topic, in a pool worker.
+
+    Returns ``(True, record)`` for the training summary's "trained" list,
+    or ``(False, record)`` for its "skipped" list when the topic has too few
+    positives.
+    """
+    cfg, ws, index, sem = _topic_inputs
+    try:
+        dataset = build_dataset(topic, index, cfg.classifier, seed=cfg.seed)
+    except InsufficientPositives as exc:
+        return False, {"topic": topic, "positives": exc.found, "required": exc.required}
+    model = train(dataset, sem, cfg.classifier, seed=cfg.seed)
+    ranked = rank_corpus(model, sem, cfg.classifier)
+    write_ranked_list(ranked, ws.classifier_list_path(topic))
+    oob = model.oob_accuracy
+    return True, {
+        "topic": topic,
+        "positives": model.n_positives,
+        "negatives": model.n_negatives,
+        "oob_accuracy": None if math.isnan(oob) else oob,  # JSON has no NaN
+    }
+
+
 def stage_train_rank(cfg: RunConfig) -> None:
+    # Imported here: at module level they would slow every CLI start.
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
     started = time.time()
     ws = Workspace(cfg.output_dir)
     index = Index.load(_require(ws.index_path, "index"))
@@ -171,32 +210,30 @@ def stage_train_rank(cfg: RunConfig) -> None:
     sem = SemanticMatrix.load(ws.embedding_prefix)
     ws.ensure("ranked", "classifier")
 
+    # Topics are independent (each has its own seeds), so they train in
+    # parallel, one worker per CPU this process may run on. Fork, not the
+    # platform default, lets the workers inherit the index and embedding
+    # instead of unpickling them; the CLI starts no thread of its own.
+    topics = _topics(cfg)
+    with ProcessPoolExecutor(
+        min(len(os.sched_getaffinity(0)), len(topics)),
+        mp_context=multiprocessing.get_context("fork"),
+        initializer=_inherit_topic_inputs,
+        initargs=(cfg, ws, index, sem),
+    ) as pool:
+        results = list(pool.map(_train_topic, topics))
+
     trained: list[dict] = []
     skipped: list[dict] = []
     outputs: list[str] = []
-    for topic in _topics(cfg):
-        try:
-            dataset = build_dataset(topic, index, cfg.classifier, seed=cfg.seed)
-        except InsufficientPositives as exc:
+    for topic, (ok, record) in zip(topics, results):
+        if ok:
+            trained.append(record)
+            outputs.append(ws.classifier_list_path(topic))
+        else:
+            exc = InsufficientPositives(topic, record["positives"], record["required"])
             logger.warning("skipping topic: %s", exc)
-            skipped.append(
-                {"topic": topic, "positives": exc.found, "required": exc.required}
-            )
-            continue
-        model = train(dataset, sem, cfg.classifier, seed=cfg.seed)
-        ranked = rank_corpus(model, sem, cfg.classifier)
-        out = ws.classifier_list_path(topic)
-        write_ranked_list(ranked, out)
-        outputs.append(out)
-        oob = model.oob_accuracy
-        trained.append(
-            {
-                "topic": topic,
-                "positives": model.n_positives,
-                "negatives": model.n_negatives,
-                "oob_accuracy": None if math.isnan(oob) else oob,  # JSON has no NaN
-            }
-        )
+            skipped.append(record)
 
     summary = {"trained": trained, "skipped": skipped}
     with open(ws.training_summary_path, "w", encoding="utf-8") as fh:
@@ -304,6 +341,7 @@ def _load_truth(cfg: RunConfig):
         )
     if cfg.ground_truth_fields:
         corpus = _load_corpus(cfg)
+        check_corpus_fields(corpus, cfg.ground_truth_fields, "ground_truth_fields")
         truth = build_ground_truth(corpus, _topics(cfg), cfg.ground_truth_fields)
         return truth, [cfg.corpus_path]
     raise ConfigError("config sets neither ground_truth_path nor ground_truth_fields")

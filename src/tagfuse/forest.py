@@ -3,9 +3,12 @@
 A deliberately small CART ensemble: axis-aligned splits chosen by Gini
 impurity over a random feature subset, bootstrap resampling per tree,
 probability output as the mean of per-tree class-1 leaf frequencies, and
-an out-of-bag accuracy estimate from the rows each bootstrap left out. The
-point is a calibrated-enough ranking signal with fully reproducible
-training, not a general-purpose learner.
+an out-of-bag accuracy estimate from the rows each bootstrap left out.
+A tree predicts node by node, depth first: each split compares the rows
+that reach it on its one feature (ties with the threshold go left) and
+passes each child its share of them, and each leaf writes its value to
+its rows. The point is a calibrated-enough ranking signal with fully
+reproducible training, not a general-purpose learner.
 """
 
 from __future__ import annotations
@@ -61,17 +64,20 @@ class _Tree:
         self.value = value
 
     def predict(self, x: np.ndarray) -> np.ndarray:
+        """Leaf value per row of ``x`` (see the module docstring)."""
         import numpy as np
-        node = np.zeros(len(x), dtype=np.int32)
-        while True:
+        out = np.empty(len(x))
+        stack = [(0, np.arange(len(x)))]
+        while stack:
+            node, rows = stack.pop()
             f = self.feature[node]
-            active = np.nonzero(f >= 0)[0]
-            if active.size == 0:
-                break
-            cur = node[active]
-            go_left = x[active, f[active]] <= self.threshold[cur]
-            node[active] = np.where(go_left, self.left[cur], self.right[cur])
-        return self.value[node]
+            if f < 0:
+                out[rows] = self.value[node]
+                continue
+            go_left = x[rows, f] <= self.threshold[node]
+            stack.append((self.left[node], rows[go_left]))
+            stack.append((self.right[node], rows[~go_left]))
+        return out
 
 
 def _best_split(x, y, w, order, features, min_leaf):

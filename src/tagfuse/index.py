@@ -170,13 +170,22 @@ def default_fields(corpus: Corpus) -> tuple[str, ...]:
     return (*TEXT_FIELDS, *CORE_LIST_FIELDS, *corpus.extra_field_names())
 
 
-def build_index(corpus: Corpus, config: IndexConfig = IndexConfig()) -> Index:
-    """Index the corpus over the configured fields."""
+def check_corpus_fields(corpus: Corpus, fields, key: str) -> None:
+    """Raise :class:`ConfigError` naming the config ``key`` when ``fields``
+    lists a field the corpus does not have."""
     known = default_fields(corpus)
-    fields = known if config.fields is None else config.fields
     unknown = [f for f in fields if f not in known]
     if unknown:
-        raise ConfigError(f"index.fields names fields not present in the corpus: {unknown}")
+        raise ConfigError(
+            f"{key} names fields not present in the corpus: {unknown} "
+            f"(corpus fields: {list(known)})"
+        )
+
+
+def build_index(corpus: Corpus, config: IndexConfig = IndexConfig()) -> Index:
+    """Index the corpus over the configured fields."""
+    fields = default_fields(corpus) if config.fields is None else config.fields
+    check_corpus_fields(corpus, fields, "index.fields")
     index = Index.build(corpus, tuple(fields))
     logger.info(
         "indexed %d article(s) over fields %s", len(index), ", ".join(fields)

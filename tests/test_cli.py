@@ -1,3 +1,4 @@
+import concurrent.futures
 import dataclasses
 import json
 import logging
@@ -5,6 +6,7 @@ import os
 import shutil
 import subprocess
 import sys
+from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
@@ -15,7 +17,6 @@ from tagfuse.benchmark import BenchmarkSpec, topic_names
 from tagfuse.classifier import train
 from tagfuse.cli import main
 from tagfuse.config import topic_slug
-from tagfuse.corpus import ingest_corpus
 from tagfuse.manifest import MANIFEST_NAME, file_sha256
 
 BENCH = {
@@ -54,6 +55,18 @@ def derived_config(stage_config, tmp_path, **changes):
         raw = json.load(fh)
     raw.update(changes, output_dir=str(tmp_path / "out"))
     return write_config(tmp_path / "config.json", **raw)
+
+
+def copy_upstream(bench_out, out, edit_ids=None):
+    """Copy the index and embedding of a bench run into ``out``; ``edit_ids``
+    may change the embedding's article id list in place."""
+    out.mkdir()
+    for name in ("index.pkl", "embedding.npy", "embedding.json"):
+        shutil.copy(os.path.join(bench_out, name), out / name)
+    if edit_ids is not None:
+        meta = json.loads((out / "embedding.json").read_text(encoding="utf-8"))
+        edit_ids(meta["article_ids"])
+        (out / "embedding.json").write_text(json.dumps(meta), encoding="utf-8")
 
 
 @pytest.fixture(scope="module")
@@ -234,14 +247,13 @@ class TestStagePipeline:
         _, bench_out = bench_run
         config = derived_config(stage_config, tmp_path)
         out = tmp_path / "out"
-        out.mkdir()
-        for name in ("index.pkl", "embedding.npy", "embedding.json"):
-            shutil.copy(os.path.join(bench_out, name), out / name)
+        copy_upstream(bench_out, out)
         ingests = []
 
         def counting_ingest(path):
+            # Raises too: a call in a pool worker appends to the worker's copy.
             ingests.append(path)
-            return ingest_corpus(path)
+            raise AssertionError(f"train-rank ingested {path}")
 
         monkeypatch.setattr(cli, "ingest_corpus", counting_ingest)
         monkeypatch.setattr(tagfuse.corpus, "ingest_corpus", counting_ingest)
@@ -285,6 +297,54 @@ class TestStagePipeline:
         assert main(["synset", "--config", config, "--topics", "nope"]) == 2
 
 
+class TestTopicPool:
+    """train-rank fans topics out over one worker per CPU in the affinity
+    mask; its outputs do not depend on how many workers there are."""
+
+    def run(self, stage_config, bench_run, tmp_path, monkeypatch, cpus):
+        _, bench_out = bench_run
+        out = tmp_path / f"out-{len(cpus)}"
+        copy_upstream(bench_out, out)
+        topics = ["absent topic", *TOPICS[:2], "another absent topic", *TOPICS[2:]]
+        config = derived_config(stage_config, tmp_path, topics=topics)
+        workers = []
+
+        def recording_pool(max_workers, **kwargs):
+            workers.append(max_workers)
+            return ProcessPoolExecutor(max_workers, **kwargs)
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(cpus))
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", recording_pool)
+        assert main(["train-rank", "--config", config, "--output-dir", str(out)]) == 0
+        assert workers == [len(cpus)]
+        return out / "ranked" / "classifier"
+
+    def test_one_and_three_workers_write_the_same_files(
+        self, stage_config, bench_run, tmp_path, monkeypatch, caplog
+    ):
+        with caplog.at_level(logging.WARNING, logger="tagfuse.cli"):
+            one = self.run(stage_config, bench_run, tmp_path, monkeypatch, {0})
+            three = self.run(stage_config, bench_run, tmp_path, monkeypatch, {0, 1, 2})
+        names = sorted(os.listdir(one))
+        assert names == sorted(os.listdir(three))
+        assert len(names) == len(TOPICS) + 1
+        for name in names:
+            assert (one / name).read_bytes() == (three / name).read_bytes(), name
+        _, bench_out = bench_run
+        for topic in TOPICS:
+            name = f"{topic_slug(topic)}.tsv"
+            bench_list = os.path.join(bench_out, "ranked", "classifier", name)
+            assert (one / name).read_bytes() == open(bench_list, "rb").read()
+        summary = json.loads((one / "_training.json").read_text(encoding="utf-8"))
+        assert [s["topic"] for s in summary["skipped"]] == [
+            "absent topic", "another absent topic"
+        ]
+        assert [t["topic"] for t in summary["trained"]] == TOPICS
+        skips = [r.message for r in caplog.records if "skipping topic" in r.message]
+        assert len(skips) == 4
+        assert ["another" in m for m in skips] == [False, True, False, True]
+
+
 class TestFailureModes:
     def test_stage_before_its_inputs_names_the_missing_stage(
         self, stage_config, tmp_path, caplog
@@ -315,17 +375,44 @@ class TestFailureModes:
         _, bench_out = bench_run
         config = derived_config(stage_config, tmp_path)
         out = tmp_path / "out"
-        out.mkdir()
-        for name in ("index.pkl", "embedding.npy", "embedding.json"):
-            shutil.copy(os.path.join(bench_out, name), out / name)
-        meta = json.loads((out / "embedding.json").read_text(encoding="utf-8"))
-        change(meta["article_ids"])
-        (out / "embedding.json").write_text(json.dumps(meta), encoding="utf-8")
+        copy_upstream(bench_out, out, change)
         with caplog.at_level(logging.ERROR):
             assert main(["train-rank", "--config", config]) == 3
         errors = [r.message for r in caplog.records if r.levelno >= logging.ERROR]
         assert len(errors) == 1 and str(out / "embedding.npy") in errors[0]
         assert not (out / "ranked" / "classifier" / "_training.json").exists()
+
+    def test_embedding_without_the_indexed_ids_exits_three_from_a_worker(
+        self, stage_config, bench_run, tmp_path, caplog
+    ):
+        _, bench_out = bench_run
+        config = derived_config(stage_config, tmp_path)
+        out = tmp_path / "out"
+
+        def rename(ids):
+            # The count is kept, so the embedding loads; no id is indexed.
+            ids[:] = [f"renamed-{a}" for a in ids]
+
+        copy_upstream(bench_out, out, rename)
+        with caplog.at_level(logging.ERROR):
+            assert main(["train-rank", "--config", config]) == 3
+        errors = [r.message for r in caplog.records if r.levelno >= logging.ERROR]
+        assert len(errors) == 1 and "has no embedding" in errors[0]
+        assert not (out / "ranked" / "classifier" / "_training.json").exists()
+
+    def test_ground_truth_field_missing_from_corpus_exits_two(
+        self, stage_config, tmp_path, caplog
+    ):
+        config = derived_config(
+            stage_config, tmp_path, ground_truth_path=None, ground_truth_fields=["subject"]
+        )
+        with caplog.at_level(logging.ERROR):
+            assert main(["eval", "--config", config]) == 2
+        errors = [r.message for r in caplog.records if r.levelno >= logging.ERROR]
+        assert len(errors) == 1
+        assert "ground_truth_fields" in errors[0] and "['subject']" in errors[0]
+        assert "corpus fields" in errors[0] and "'subjects'" in errors[0]
+        assert not (tmp_path / "out" / "reports").exists()
 
     def test_config_is_required_outside_bench(self):
         assert main(["index"]) == 2

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from tagfuse.forest import ForestConfig, RandomForest, _grow_tree
+from tagfuse.forest import ForestConfig, RandomForest, _grow_tree, _Tree
 
 
 def two_blobs(n_per=120, gap=4.0, dim=6, seed=0):
@@ -360,3 +360,91 @@ class TestPresortedSplitSearch:
         x, y = random_labels(0)
         forest = RandomForest(ForestConfig(n_trees=2)).fit(x, y, seed=0)
         assert max(len(tree.feature) for tree in forest.trees) > 50
+
+
+def level_predict(tree, x):
+    """The level-by-level walk: every row still at a split node moves down
+    one level per step, until all rows sit at leaves."""
+    node = np.zeros(len(x), dtype=np.int32)
+    while True:
+        f = tree.feature[node]
+        active = np.nonzero(f >= 0)[0]
+        if active.size == 0:
+            break
+        cur = node[active]
+        go_left = x[active, f[active]] <= tree.threshold[cur]
+        node[active] = np.where(go_left, tree.left[cur], tree.right[cur])
+    return tree.value[node]
+
+
+def on_thresholds(forest, x):
+    """Copies of rows of ``x`` with one feature set exactly to the threshold
+    of a split, one row per split node of every tree."""
+    rows = []
+    for i, tree in enumerate(forest.trees):
+        for node in np.flatnonzero(tree.feature >= 0):
+            row = x[(i + node) % len(x)].copy()
+            row[tree.feature[node]] = tree.threshold[node]
+            rows.append(row)
+    return np.array(rows)
+
+
+def constant_features(seed):
+    rng = np.random.default_rng(seed)
+    return np.ones((30, 4)), rng.permutation(np.arange(30) % 2)
+
+
+class TestNodeWisePredict:
+    """Walking a tree node by node gives, bit for bit, what the level-by-level
+    walk gives, for each tree, for the forest and for the out-of-bag
+    estimate."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize(
+        "data, config",
+        [
+            (tied_blobs, ForestConfig(n_trees=10)),
+            (tied_blobs, ForestConfig(n_trees=10, min_samples_leaf=4)),
+            (random_labels, ForestConfig(n_trees=6, min_samples_leaf=2)),
+            (constant_features, ForestConfig(n_trees=5)),
+        ],
+        ids=["ties", "min-leaf-4", "random-labels-min-leaf-2", "one-leaf"],
+    )
+    def test_matches_level_walk(self, data, config, seed, monkeypatch):
+        x, y = data(seed)
+        forest = RandomForest(config).fit(x, y, seed=seed)
+        queries = np.vstack([x, np.round(x[::-1] * 0.5)])
+        if forest.trees[0].feature[0] >= 0:
+            queries = np.vstack([queries, on_thresholds(forest, x)])
+        for tree in forest.trees:
+            assert np.array_equal(tree.predict(queries), level_predict(tree, queries))
+            assert tree.predict(x[:0]).shape == (0,)
+        proba = forest.predict_proba(queries)
+
+        monkeypatch.setattr(_Tree, "predict", level_predict)
+        reference = RandomForest(config).fit(x, y, seed=seed)
+        assert np.array_equal(proba, reference.predict_proba(queries))
+        assert forest.oob_accuracy == reference.oob_accuracy
+        assert reference.predict_proba(x[:0]).shape == (0,)
+
+    def test_one_leaf_forest_comes_from_constant_features(self):
+        x, y = constant_features(0)
+        forest = RandomForest(ForestConfig(n_trees=5)).fit(x, y, seed=0)
+        assert all(len(tree.feature) == 1 for tree in forest.trees)
+
+    def test_row_on_the_threshold_goes_left(self):
+        tree = _Tree(
+            np.array([0, -1, -1], dtype=np.int32),
+            np.array([0.5, 0.0, 0.0]),
+            np.array([1, -1, -1], dtype=np.int32),
+            np.array([2, -1, -1], dtype=np.int32),
+            np.array([0.5, 0.25, 0.75]),
+        )
+        x = np.array([[0.5], [0.4], [0.6], [0.5]])
+        assert tree.predict(x).tolist() == [0.25, 0.25, 0.75, 0.25]
+        assert tree.predict(x[:0]).shape == (0,)
+
+    def test_one_leaf_tree(self):
+        tree = _Tree(*(np.array([v]) for v in (-1, 0.0, -1, -1, 0.3)))
+        assert tree.predict(np.zeros((4, 2))).tolist() == [0.3] * 4
+        assert tree.predict(np.zeros((0, 2))).shape == (0,)
