@@ -160,7 +160,7 @@ def stage_embed(cfg: RunConfig) -> None:
         [cfg.corpus_path],
         [f"{ws.embedding_prefix}.npy", f"{ws.embedding_prefix}.json"],
         started,
-        extra={"vocabulary_size": len(tfidf.vocab), "k": cfg.semantic.k},
+        extra={"vocabulary_size": tfidf.matrix.shape[1], "k": cfg.semantic.k},
     )
 
 

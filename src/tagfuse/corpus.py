@@ -55,28 +55,18 @@ class Corpus:
     """Immutable collection of articles with unique, non-empty ids."""
 
     def __init__(self, records: list[ArticleRecord]):
-        index_of: dict[str, int] = {}
-        for i, rec in enumerate(records):
-            if rec.id in index_of:
+        seen: set[str] = set()
+        for rec in records:
+            if rec.id in seen:
                 raise CorpusError(f"duplicate article id {rec.id!r}")
-            index_of[rec.id] = i
+            seen.add(rec.id)
         self._records = list(records)
-        self._index_of = index_of
 
     def __len__(self) -> int:
         return len(self._records)
 
     def __iter__(self):
         return iter(self._records)
-
-    def __contains__(self, article_id: str) -> bool:
-        return article_id in self._index_of
-
-    def get(self, article_id: str) -> ArticleRecord:
-        try:
-            return self._records[self._index_of[article_id]]
-        except KeyError:
-            raise CorpusError(f"unknown article id {article_id!r}") from None
 
     def ids(self) -> list[str]:
         return [rec.id for rec in self._records]

@@ -57,28 +57,12 @@ class SemanticConfig:
             raise ConfigError("semantic.oversample and power_iters must be >= 0")
 
 
-@dataclass(frozen=True)
-class Vocabulary:
-    """Term-to-column map over unigrams and bigrams, with frequencies.
-
-    Columns are assigned in lexicographic term order, so a vocabulary is
-    fully determined by the corpus and the frequency cutoffs.
-    """
-
-    columns: dict[str, int]
-    document_frequency: dict[str, int]
-    n_docs: int
-
-    def __len__(self) -> int:
-        return len(self.columns)
-
-
 @dataclass
 class TfIdfMatrix:
-    """Sparse article-by-term matrix with L2-normalized rows."""
+    """Sparse article-by-term matrix with L2-normalized rows, one column per
+    vocabulary term."""
 
     matrix: sparse.csr_matrix
-    vocab: Vocabulary
     article_ids: list[str]
 
 
@@ -103,9 +87,6 @@ class SemanticMatrix:
             return self.matrix[self._row_of[article_id]]
         except KeyError:
             raise TagfuseError(f"article {article_id!r} has no embedding") from None
-
-    def __contains__(self, article_id: str) -> bool:
-        return article_id in self._row_of
 
     def save(self, path_prefix: str) -> None:
         """Write ``<prefix>.npy`` (rows) and ``<prefix>.json`` (metadata)."""
@@ -202,11 +183,6 @@ def vectorize(corpus: Corpus, config: SemanticConfig = SemanticConfig()) -> TfId
             f"vocabulary is empty after frequency filtering "
             f"(min_df={config.min_df}, max_df_fraction={config.max_df_fraction})"
         )
-    vocab = Vocabulary(
-        columns={t: col for col, (t, _) in enumerate(kept)},
-        document_frequency={t: int(df[i]) for t, i in kept},
-        n_docs=n_docs,
-    )
     # math.log per term: np.log's SIMD paths can differ in the last bit by CPU.
     idf = np.array([math.log((1 + n_docs) / (1 + df[i])) + 1.0 for _, i in kept])
 
@@ -214,52 +190,68 @@ def vectorize(corpus: Corpus, config: SemanticConfig = SemanticConfig()) -> TfId
     del counts
     matrix.sort_indices()
     matrix.data *= idf[matrix.indices]
-    norms = sparse.linalg.norm(matrix, axis=1)
-    scale = np.divide(1.0, norms, out=np.zeros_like(norms), where=norms > 0)
-    matrix = sparse.diags(scale) @ matrix
-    return TfIdfMatrix(matrix=matrix.tocsr(), vocab=vocab, article_ids=corpus.ids())
+    # Rows scaled to unit length in place; a row with no kept term stays empty.
+    row_nnz = np.diff(matrix.indptr)
+    rows = np.flatnonzero(row_nnz)
+    norms = np.sqrt(np.add.reduceat(matrix.data**2, matrix.indptr[rows]))
+    matrix.data *= np.repeat(1.0 / norms, row_nnz[rows])
+    return TfIdfMatrix(matrix=matrix, article_ids=corpus.ids())
+
+
+# Terms per block of the SVD's term-side products: no n-by-width array is
+# ever whole, so the SVD's dense memory does not grow with the vocabulary.
+_TERM_BLOCK = 8192
 
 
 def randomized_svd(
     a, k: int, oversample: int, power_iters: int, seed: int = 0
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Truncated SVD by randomized range finding (Halko, Martinsson and
     Tropp, arXiv:0909.4061, §4.3-4.5).
 
     ``Q`` orthonormalizes ``a`` times a Gaussian test matrix of ``width =
     k + oversample`` columns, then ``power_iters`` rounds of ``Q <- qr(a @
-    (a.T @ Q))``; only this m side is orthonormalized. The small solve
-    takes R from the Cholesky factor of the Gram of ``Z = a.T @ Q``
-    (CholeskyQR, Fukaya et al. 2014), so the n-by-width ``Z`` is never
-    copied; a singular Gram falls back to the Householder R of ``Z``. With
-    ``R.T = U_R S V_R^T``, ``u = Q @ U_R`` and ``vt = (a.T @ u).T / s``,
-    with zero rows where ``s`` is 0. ``U_R`` ignores R's row signs, so the
-    column signs match ``svd(Q.T @ a)`` to rounding; tests pin them, since
-    the forest breaks ties by order. Returns ``(u, s, vt)`` of shapes
-    (m, k), (k,) non-increasing and (k, n); deterministic for a fixed seed.
+    (a.T @ Q))``; only this m side is orthonormalized. Every product with
+    ``a`` is summed over blocks of ``_TERM_BLOCK`` terms (rows of ``a.T``),
+    and the test matrix is drawn block by block from one generator, so its
+    numbers are those of one whole draw. The small solve takes R from the
+    Cholesky factor of the Gram of ``Z = a.T @ Q``, summed from the blocks'
+    Grams (CholeskyQR, Fukaya et al. 2014); only a singular Gram builds
+    ``Z`` whole, for its Householder R. With ``R.T = U_R S V_R^T``, ``u = Q
+    @ U_R``. ``U_R`` ignores R's row signs, so the column signs match
+    ``svd(Q.T @ a)`` to rounding; tests pin them, since the forest breaks
+    ties by order. Returns ``(u, s)`` of shapes (m, k) and (k,), ``s``
+    non-increasing; deterministic for a fixed seed.
     """
     import numpy as np
+    from scipy import sparse
     m, n = a.shape
     if k > min(m, n):
         raise ValueError(f"k={k} exceeds min(m, n)={min(m, n)}")
 
     rng = np.random.default_rng(seed)
     width = min(k + oversample, min(m, n))
-    q, _ = np.linalg.qr(a @ rng.standard_normal((n, width)))
+    at = sparse.csr_matrix(a.T)
+
+    def blocks():
+        return (at[lo : lo + _TERM_BLOCK] for lo in range(0, n, _TERM_BLOCK))
+
+    def gram(b):  # a block's share of Z.T @ Z; its z is freed on return
+        z = b @ q
+        return z.T @ z
+
+    y = sum(b.T @ rng.standard_normal((b.shape[0], width)) for b in blocks())
     for _ in range(power_iters):
-        q, _ = np.linalg.qr(a @ (a.T @ q))
-    z = a.T @ q
+        q, _ = np.linalg.qr(y)
+        y = sum(b.T @ (b @ q) for b in blocks())
+    q, _ = np.linalg.qr(y)
+    del y
     try:
-        r = np.linalg.cholesky(z.T @ z).T
+        r = np.linalg.cholesky(sum(map(gram, blocks()))).T
     except np.linalg.LinAlgError:  # singular Gram, e.g. an all-zero ``a``
-        r = np.linalg.qr(z, mode="r")
-    del z
+        r = np.linalg.qr(at @ q, mode="r")
     u_small, s, _ = np.linalg.svd(r.T)
-    u = q @ u_small[:, :k]
-    s = s[:k]
-    vt = a.T @ u
-    vt /= np.where(s > 0, s, np.inf)
-    return u, s, vt.T
+    return q @ u_small[:, :k], s[:k]
 
 
 def truncated_svd(
@@ -277,7 +269,7 @@ def truncated_svd(
         logger.warning(
             "latent dimension k=%d outside the usual range %s", k, RECOMMENDED_K
         )
-    u, s, _ = randomized_svd(tfidf.matrix, k, config.oversample, config.power_iters, seed)
+    u, s = randomized_svd(tfidf.matrix, k, config.oversample, config.power_iters, seed)
     return SemanticMatrix(
         matrix=u * s, article_ids=list(tfidf.article_ids), seed=seed
     )

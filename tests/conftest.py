@@ -22,6 +22,11 @@ def make_corpus(rows):
     return Corpus(records)
 
 
+def record(corpus, article_id):
+    """The article of ``corpus`` with id ``article_id``."""
+    return next(rec for rec in corpus if rec.id == article_id)
+
+
 @pytest.fixture
 def fungi_corpus():
     """Hand-written miniature corpus with two visible topic communities."""

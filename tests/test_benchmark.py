@@ -51,10 +51,9 @@ class TestShape:
         assert len(truth) == len(corpus)
         assert set(synsets) == set(topic_names(SMALL))
         # Every article is labeled with exactly its subjects entry.
-        for article_id in corpus.ids():
-            record = corpus.get(article_id)
-            assert truth.labels[article_id] == set(record.subjects)
-            assert len(truth.labels[article_id]) == 1
+        for record in corpus:
+            assert truth.labels[record.id] == set(record.subjects)
+            assert len(truth.labels[record.id]) == 1
 
     def test_ids_are_stable_and_zero_padded(self):
         corpus, _, _ = generate(SMALL)
@@ -65,7 +64,7 @@ class TestShape:
 
     def test_documents_have_the_requested_length(self):
         corpus, _, _ = generate(SMALL)
-        lengths = {len(tokenize(corpus.get(a).abstract)) for a in corpus.ids()}
+        lengths = {len(tokenize(record.abstract)) for record in corpus}
         # Cross-topic noise appends a fixed number of extra tokens, but
         # two-word synset terms can add one more, so allow a small band.
         assert min(lengths) == SMALL.doc_length
@@ -93,16 +92,15 @@ class TestVocabularySplit:
         # topic's id range. Their text fields (everything but subjects)
         # must contain no term the topic's synset could match.
         corpus, truth, synsets = generate(SMALL)
-        ids = corpus.ids()
+        records = list(corpus)
         n_alt = round(SMALL.alt_vocab_fraction * SMALL.docs_per_topic)
         for topic_i, topic in enumerate(topic_names(SMALL)):
             synset_tokens = {
                 token for term in synsets[topic].terms for token in tokenize(term)
             }
-            block = ids[topic_i * SMALL.docs_per_topic:(topic_i + 1) * SMALL.docs_per_topic]
-            for article_id in block[:n_alt]:
-                record = corpus.get(article_id)
-                assert truth.labels[article_id] == {topic}
+            block = records[topic_i * SMALL.docs_per_topic:(topic_i + 1) * SMALL.docs_per_topic]
+            for record in block[:n_alt]:
+                assert truth.labels[record.id] == {topic}
                 text_tokens = set(
                     tokenize(" ".join([record.title, record.abstract, *record.keywords]))
                 )
@@ -164,6 +162,6 @@ class TestDeterminism:
 
         corpus_a, _, _ = generate(SMALL)
         corpus_b, _, _ = generate(dataclasses.replace(SMALL, seed=SMALL.seed + 1))
-        texts_a = [corpus_a.get(a).abstract for a in corpus_a.ids()]
-        texts_b = [corpus_b.get(a).abstract for a in corpus_b.ids()]
+        texts_a = [record.abstract for record in corpus_a]
+        texts_b = [record.abstract for record in corpus_b]
         assert texts_a != texts_b

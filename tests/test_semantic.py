@@ -59,24 +59,29 @@ def tiny_corpus():
 
 
 class TestVocabulary:
+    """The vocabulary rules, on the string reference that ``vectorize``
+    matches bit for bit (``TestVectorizeMatchesStringReference``)."""
+
     def test_terms_are_unigrams_and_bigrams_with_df_bounds(self):
-        vocab = vectorize(tiny_corpus(), SemanticConfig(min_df=2, max_df_fraction=0.99)).vocab
-        assert "fungal" in vocab.columns             # df 2
-        assert "dispersal" not in vocab.columns      # df 1, below min_df
-        assert "fungal spore" not in vocab.columns   # bigram df 1, below min_df
-        assert "data" not in vocab.columns           # df 3 > 0.99 * 3
-        wide = vectorize(tiny_corpus(), NO_CUTOFFS).vocab
-        assert "fungal spore" in wide.columns        # bigram kept once df allows
+        config = SemanticConfig(min_df=2, max_df_fraction=0.99)
+        _, columns, _ = reference_vectorize(tiny_corpus(), config)
+        assert "fungal" in columns             # df 2
+        assert "dispersal" not in columns      # df 1, below min_df
+        assert "fungal spore" not in columns   # bigram df 1, below min_df
+        assert "data" not in columns           # df 3 > 0.99 * 3
+        assert vectorize(tiny_corpus(), config).matrix.shape == (3, len(columns))
+        _, wide, _ = reference_vectorize(tiny_corpus(), NO_CUTOFFS)
+        assert "fungal spore" in wide          # bigram kept once df allows
 
     def test_columns_are_lexicographic(self):
-        vocab = vectorize(tiny_corpus(), NO_CUTOFFS).vocab
-        terms = sorted(vocab.columns, key=vocab.columns.get)
+        _, columns, _ = reference_vectorize(tiny_corpus(), NO_CUTOFFS)
+        terms = sorted(columns, key=columns.get)
         assert terms == sorted(terms)
 
     def test_document_frequency_counts_documents_not_occurrences(self):
-        vocab = vectorize(tiny_corpus(), NO_CUTOFFS).vocab
-        assert vocab.document_frequency["fungal"] == 2
-        assert vocab.document_frequency["data"] == 3
+        _, _, document_frequency = reference_vectorize(tiny_corpus(), NO_CUTOFFS)
+        assert document_frequency["fungal"] == 2
+        assert document_frequency["data"] == 3
 
     def test_all_terms_filtered_is_an_error(self):
         with pytest.raises(TagfuseError, match="empty"):
@@ -92,19 +97,18 @@ class TestVocabulary:
 class TestVectorize:
     def test_matches_dense_reference_computation(self):
         corpus = tiny_corpus()
-        tfidf = vectorize(corpus, NO_CUTOFFS)
-        vocab = tfidf.vocab
-        got = tfidf.matrix.toarray()
+        got = vectorize(corpus, NO_CUTOFFS).matrix.toarray()
+        _, columns, document_frequency = reference_vectorize(corpus, NO_CUTOFFS)
 
         m = len(corpus)
-        dense = np.zeros((m, len(vocab)))
+        dense = np.zeros((m, len(columns)))
         for i, rec in enumerate(corpus):
             terms = ngrams(tokenize(f"{rec.title} {rec.abstract}"))
             for term in terms:
-                if term in vocab.columns:
-                    dense[i, vocab.columns[term]] += 1.0
-        for term, col in vocab.columns.items():
-            idf = math.log((1 + m) / (1 + vocab.document_frequency[term])) + 1.0
+                if term in columns:
+                    dense[i, columns[term]] += 1.0
+        for term, col in columns.items():
+            idf = math.log((1 + m) / (1 + document_frequency[term])) + 1.0
             dense[:, col] *= idf
         for i in range(m):
             norm = np.linalg.norm(dense[i])
@@ -143,15 +147,20 @@ class TestVectorize:
         assert len(calls) == len(corpus)
 
     def test_term_outside_vocabulary_is_ignored(self):
-        corpus = tiny_corpus()
-        tfidf = vectorize(corpus, SemanticConfig(min_df=2, max_df_fraction=0.99))
-        assert tfidf.matrix.shape == (3, len(tfidf.vocab))
+        config = SemanticConfig(min_df=2, max_df_fraction=0.99)
+        tfidf = vectorize(tiny_corpus(), config)
+        _, columns, _ = reference_vectorize(tiny_corpus(), config)
+        assert tfidf.matrix.shape == (3, len(columns))
+
+    def test_result_has_canonical_format(self):
+        """Sorted column indices and no duplicates in every row."""
+        assert vectorize(small_bench_corpus(), SemanticConfig()).matrix.has_canonical_format
 
 
 def reference_vectorize(corpus, config):
     """The TF-IDF built from n-gram strings: provisional term ids in
     first-seen order, a duplicate-summed count matrix, then the kept
-    columns in lexicographic term order."""
+    columns in lexicographic term order, in canonical CSR form."""
     n_docs = len(corpus)
     term_id = {}
     indptr = [0]
@@ -179,6 +188,7 @@ def reference_vectorize(corpus, config):
     norms = sparse.linalg.norm(matrix, axis=1)
     scale = np.divide(1.0, norms, out=np.zeros_like(norms), where=norms > 0)
     matrix = (sparse.diags(scale) @ matrix).tocsr()
+    matrix.sort_indices()
     return matrix, columns, document_frequency
 
 
@@ -202,7 +212,7 @@ def small_bench_corpus():
 
 class TestVectorizeMatchesStringReference:
     """The integer-coded n-gram counts give the TF-IDF of the string build
-    bit for bit: the same vocabulary, column order, CSR arrays and dtypes."""
+    bit for bit: the same shape, column order, CSR arrays and dtypes."""
 
     @pytest.mark.parametrize(
         "corpus, config",
@@ -216,29 +226,27 @@ class TestVectorizeMatchesStringReference:
     def test_bit_identical(self, corpus, config):
         corpus = corpus()
         tfidf = vectorize(corpus, config)
-        matrix, columns, document_frequency = reference_vectorize(corpus, config)
+        matrix, _, _ = reference_vectorize(corpus, config)
         got = tfidf.matrix
         for name in ("indptr", "indices", "data"):
             assert getattr(got, name).dtype == getattr(matrix, name).dtype
             assert np.array_equal(getattr(got, name), getattr(matrix, name))
         assert got.shape == matrix.shape
-        assert list(tfidf.vocab.columns.items()) == list(columns.items())
-        assert list(tfidf.vocab.document_frequency.items()) == list(
-            document_frequency.items()
-        )
-        assert tfidf.vocab.n_docs == len(corpus)
+        assert tfidf.article_ids == corpus.ids()
 
     def test_edge_cases_are_present(self):
         # The corpus above really holds what the comparison is meant to cover.
         corpus = edge_case_corpus()
-        tfidf = vectorize(corpus, SemanticConfig(min_df=2, max_df_fraction=0.5))
+        config = SemanticConfig(min_df=2, max_df_fraction=0.5)
+        tfidf = vectorize(corpus, config)
+        _, columns, _ = reference_vectorize(corpus, config)
         tokens = [tokenize(text_repr(rec)) for rec in corpus]
-        assert "i̇stanbul" in tfidf.vocab.columns and "東京 大学" in tfidf.vocab.columns
+        assert "i̇stanbul" in columns and "東京 大学" in columns
         assert tokens[1] == ["solo"]
         assert tfidf.matrix[1].nnz == 0 and tfidf.matrix[3].nnz == 0
         assert ngrams(tokens[4]).count("east east") == 2
         # The bigram of token id 0 with itself has the smallest bigram code.
-        assert "straße straße" in tfidf.vocab.columns
+        assert "straße straße" in columns
 
 
 def two_sided_randomized_svd(a, k, oversample=10, power_iters=2, seed=0):
@@ -250,8 +258,8 @@ def two_sided_randomized_svd(a, k, oversample=10, power_iters=2, seed=0):
     for _ in range(power_iters):
         w, _ = np.linalg.qr(a.T @ q)
         q, _ = np.linalg.qr(a @ w)
-    u_small, s, vt = np.linalg.svd((a.T @ q).T, full_matrices=False)
-    return (q @ u_small)[:, :k], s[:k], vt[:k]
+    u_small, s, _ = np.linalg.svd((a.T @ q).T, full_matrices=False)
+    return (q @ u_small)[:, :k], s[:k]
 
 
 def householder_randomized_svd(a, k, oversample=10, power_iters=2, seed=0):
@@ -265,13 +273,19 @@ def householder_randomized_svd(a, k, oversample=10, power_iters=2, seed=0):
         q, _ = np.linalg.qr(a @ (a.T @ q))
     r = np.linalg.qr(a.T @ q, mode="r")
     u_small, s, _ = np.linalg.svd(r.T)
-    u = q @ u_small[:, :k]
-    s = s[:k]
-    vt = (a.T @ u).T / np.where(s > 0, s, np.inf)[:, None]
-    return u, s, vt
+    return q @ u_small[:, :k], s[:k]
 
 
-SHAPES = [(400, 3000, 40), (300, 2000, 25), (500, 100, 50), (200, 45, 20)]
+# The last two shapes span several term blocks of the SVD, each with a
+# ragged last block.
+SHAPES = [
+    (400, 3000, 40),
+    (300, 2000, 25),
+    (500, 100, 50),
+    (200, 45, 20),
+    (120, 3 * tagfuse.semantic._TERM_BLOCK + 17, 40),
+    (300, 20000, 25),
+]
 
 
 def sparse_input(m, n):
@@ -298,22 +312,20 @@ class TestRandomizedSvd:
         change the rankings. The last two shapes have n < 2 * (k + 10),
         where LAPACK takes no LQ step on the wide ``B``."""
         a = sparse_input(m, n)()
-        u, s, vt = randomized_svd(a, k=k, oversample=10, power_iters=2, seed=3)
-        u_ref, s_ref, vt_ref = two_sided_randomized_svd(a, k=k, seed=3)
+        u, s = randomized_svd(a, k=k, oversample=10, power_iters=2, seed=3)
+        u_ref, s_ref = two_sided_randomized_svd(a, k=k, seed=3)
         np.testing.assert_allclose(s, s_ref, rtol=0, atol=1e-10)
         np.testing.assert_allclose(u, u_ref, rtol=0, atol=1e-10)
-        np.testing.assert_allclose(vt, vt_ref, rtol=0, atol=1e-10)
 
     @pytest.mark.parametrize("make, k", SVD_INPUTS)
     def test_matches_householder_solve_without_sign_alignment(self, make, k):
         a = make()
         if make is rank_deficient_input:
             assert np.linalg.matrix_rank(a.toarray()) == 25
-        u, s, vt = randomized_svd(a, k=k, oversample=10, power_iters=2, seed=3)
-        u_ref, s_ref, vt_ref = householder_randomized_svd(a, k=k, seed=3)
+        u, s = randomized_svd(a, k=k, oversample=10, power_iters=2, seed=3)
+        u_ref, s_ref = householder_randomized_svd(a, k=k, seed=3)
         np.testing.assert_allclose(s, s_ref, rtol=0, atol=1e-10)
         np.testing.assert_allclose(u, u_ref, rtol=0, atol=1e-10)
-        np.testing.assert_allclose(vt, vt_ref, rtol=0, atol=1e-10)
 
     @staticmethod
     def count_solves(monkeypatch):
@@ -342,62 +354,67 @@ class TestRandomizedSvd:
 
     def test_all_zero_input_falls_back_to_householder_bit_for_bit(self, monkeypatch):
         a = np.zeros((6, 5))
-        u_ref, s_ref, vt_ref = householder_randomized_svd(a, k=2, seed=4)
+        u_ref, s_ref = householder_randomized_svd(a, k=2, seed=4)
         calls = self.count_solves(monkeypatch)
-        u, s, vt = randomized_svd(a, k=2, oversample=10, power_iters=2, seed=4)
+        u, s = randomized_svd(a, k=2, oversample=10, power_iters=2, seed=4)
         assert calls == ["cholesky", "qr-r"]
         assert np.array_equal(u, u_ref) and np.array_equal(s, s_ref)
-        assert np.array_equal(vt, vt_ref)
 
-    def test_peak_memory_is_one_n_by_width_block(self):
-        """The largest temporaries are the n-by-width Gaussian test matrix
-        and ``a.T @ Q`` and the n-by-k ``a.T @ u``. None is copied, and no
-        two are alive at once."""
-        m, n, k = 300, 40000, 40
-        a = sparse.random(m, n, density=0.01, format="csr", random_state=1)
+    @staticmethod
+    def svd_peak(n, m=300, k=40, nnz=120_000):
+        a = sparse.random(m, n, density=nnz / (m * n), format="csr", random_state=1)
         tracemalloc.start()
         try:
             randomized_svd(a, k=k, oversample=10, power_iters=2)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 1.5 * n * (k + 10) * 8
+        return peak
 
-    def test_zero_singular_values_give_zero_vt_rows(self):
-        u, s, vt = randomized_svd(np.zeros((6, 5)), k=2, oversample=10, power_iters=2)
-        assert u.shape == (6, 2) and np.all(s == 0)
-        assert np.array_equal(vt, np.zeros((2, 5)))
+    def test_peak_memory_does_not_grow_with_n(self):
+        """The term side is only ever held one block at a time, so no
+        n-by-width array exists. The transposed copy of the input grows with
+        its nonzeros, which stay fixed here while n doubles."""
+        width = 40 + 10
+        peaks = {n: self.svd_peak(n) for n in (40000, 80000)}
+        for n, peak in peaks.items():
+            assert peak < 0.5 * n * width * 8
+        assert peaks[80000] <= 1.1 * peaks[40000]
+
+    def test_zero_input_gives_zero_singular_values(self):
+        u, s = randomized_svd(np.zeros((6, 5)), k=2, oversample=10, power_iters=2)
+        assert u.shape == (6, 2) and np.array_equal(s, np.zeros(2))
 
     def test_exact_on_low_rank_matrices(self):
         rng = np.random.default_rng(5)
         left = rng.standard_normal((60, 8))
         right = rng.standard_normal((8, 40))
         a = left @ right
-        u, s, vt = randomized_svd(a, k=8, oversample=10, power_iters=2, seed=1)
-        np.testing.assert_allclose(u @ np.diag(s) @ vt, a, atol=1e-8)
+        u, s = randomized_svd(a, k=8, oversample=10, power_iters=2, seed=1)
+        np.testing.assert_allclose(u @ (u.T @ a), a, atol=1e-8)
         s_exact = np.linalg.svd(a, compute_uv=False)[:8]
         np.testing.assert_allclose(s, s_exact, rtol=1e-10)
 
     def test_close_to_dense_oracle_on_full_rank_input(self):
         rng = np.random.default_rng(7)
         a = rng.standard_normal((80, 50))
-        _, s, _ = randomized_svd(a, k=10, oversample=40, power_iters=8, seed=2)
+        _, s = randomized_svd(a, k=10, oversample=40, power_iters=8, seed=2)
         s_exact = np.linalg.svd(a, compute_uv=False)[:10]
         np.testing.assert_allclose(s, s_exact, rtol=1e-3)
 
     def test_singular_values_non_increasing_and_deterministic(self):
         rng = np.random.default_rng(11)
         a = rng.standard_normal((30, 20))
-        u1, s1, v1 = randomized_svd(a, k=5, oversample=10, power_iters=2, seed=9)
-        u2, s2, v2 = randomized_svd(a, k=5, oversample=10, power_iters=2, seed=9)
-        assert np.array_equal(u1, u2) and np.array_equal(s1, s2) and np.array_equal(v1, v2)
+        u1, s1 = randomized_svd(a, k=5, oversample=10, power_iters=2, seed=9)
+        u2, s2 = randomized_svd(a, k=5, oversample=10, power_iters=2, seed=9)
+        assert np.array_equal(u1, u2) and np.array_equal(s1, s2)
         assert all(s1[i] >= s1[i + 1] for i in range(len(s1) - 1))
 
     def test_different_seed_changes_nothing_material(self):
         rng = np.random.default_rng(13)
         a = rng.standard_normal((40, 10))
-        _, s1, _ = randomized_svd(a, k=3, oversample=10, power_iters=4, seed=1)
-        _, s2, _ = randomized_svd(a, k=3, oversample=10, power_iters=4, seed=2)
+        _, s1 = randomized_svd(a, k=3, oversample=10, power_iters=4, seed=1)
+        _, s2 = randomized_svd(a, k=3, oversample=10, power_iters=4, seed=2)
         np.testing.assert_allclose(s1, s2, rtol=1e-6)
 
     def test_k_larger_than_dimensions_raises(self):
@@ -416,7 +433,7 @@ class TestTruncatedSvd:
         sem = self.embed()
         assert sem.matrix.shape == (3, 2)
         assert sem.k == 2
-        assert "d2" in sem
+        assert "d2" in sem.article_ids
         np.testing.assert_array_equal(sem.row("d2"), sem.matrix[1])
 
     def test_gram_matrix_matches_dense_svd_oracle(self):
