@@ -62,17 +62,6 @@ class TopicDataset:
             )
 
 
-@dataclass
-class TopicModel:
-    """A fitted forest plus the context needed to audit it."""
-
-    topic: str
-    forest: RandomForest
-    n_positives: int
-    n_negatives: int
-    oob_accuracy: float
-
-
 def build_dataset(
     topic: str,
     index: Index,
@@ -127,10 +116,11 @@ def train(
     sem: SemanticMatrix,
     config: ClassifierConfig = ClassifierConfig(),
     seed: int = 0,
-) -> TopicModel:
-    """Fit a forest on the embedding rows of the dataset's articles.
+) -> RandomForest:
+    """Fit a forest on the embedding rows of the dataset's articles and
+    return it.
 
-    Every labeled row trains the forest; its out-of-bag accuracy measures
+    Every labeled row trains the forest; its ``oob_accuracy`` measures
     generalization. Training is deterministic given the seed and dataset.
     """
     import numpy as np
@@ -155,25 +145,22 @@ def train(
         len(ids),
         forest.oob_accuracy,
     )
-    return TopicModel(
-        topic=dataset.topic,
-        forest=forest,
-        n_positives=len(dataset.positives),
-        n_negatives=len(dataset.negatives),
-        oob_accuracy=forest.oob_accuracy,
-    )
+    return forest
 
 
 def rank_corpus(
-    model: TopicModel, sem: SemanticMatrix, config: ClassifierConfig = ClassifierConfig()
+    topic: str,
+    forest: RandomForest,
+    sem: SemanticMatrix,
+    config: ClassifierConfig = ClassifierConfig(),
 ) -> RankedList:
-    """Score every embedded article and keep the ``config.top_n`` most
-    probable.
+    """Score every embedded article with the topic's fitted forest and
+    keep the ``config.top_n`` most probable as its classifier list.
 
     Ordering is by descending probability with ties broken by article id,
     so the ranking is reproducible bit for bit.
     """
-    probs = model.forest.predict_proba(sem.matrix)
+    probs = forest.predict_proba(sem.matrix)
     order = sorted(range(len(probs)), key=lambda i: (-probs[i], sem.article_ids[i]))
     entries = [(sem.article_ids[i], float(probs[i])) for i in order[: config.top_n]]
-    return RankedList(topic=model.topic, origin=ORIGIN_CLASSIFIER, entries=entries)
+    return RankedList(topic=topic, origin=ORIGIN_CLASSIFIER, entries=entries)

@@ -46,7 +46,9 @@ from .evaluation import format_table, report_records, sweep, write_plot_series
 from .fusion import fuse, invert, read_assignments, write_assignments
 from .index import Index, build_ground_truth, build_index, check_corpus_fields
 from .manifest import append_entry, config_fingerprint
-from .ranking import ORIGIN_FUSION, RankedList, read_ranked_list, write_ranked_list
+from .ranking import (
+    ORIGIN_CLASSIFIER, ORIGIN_FUSION, RankedList, read_ranked_list, write_ranked_list
+)
 from .semantic import SemanticMatrix, truncated_svd, vectorize
 from .seeds import derive_seed
 from .synsets import load_synsets, save_synsets, synset_rank
@@ -174,26 +176,29 @@ def _inherit_topic_inputs(*inputs) -> None:
     _topic_inputs = inputs
 
 
-def _train_topic(topic: str) -> tuple[bool, dict]:
+def _train_topic(topic: str) -> tuple[str | None, dict]:
     """Dataset, forest and ranked list for one topic, in a pool worker.
 
-    Returns ``(True, record)`` for the training summary's "trained" list,
-    or ``(False, record)`` for its "skipped" list when the topic has too few
-    positives.
+    Returns ``(None, record)`` for the training report's "trained" list, or
+    ``(warning, record)`` for its "skipped" list when the topic has too few
+    positives. A skipped topic still gets a classifier list, an empty one,
+    so that ``fuse`` reads every topic the same way.
     """
     cfg, ws, index, sem = _topic_inputs
+    path = ws.classifier_list_path(topic)
     try:
         dataset = build_dataset(topic, index, cfg.classifier, seed=cfg.seed)
     except InsufficientPositives as exc:
-        return False, {"topic": topic, "positives": exc.found, "required": exc.required}
-    model = train(dataset, sem, cfg.classifier, seed=cfg.seed)
-    ranked = rank_corpus(model, sem, cfg.classifier)
-    write_ranked_list(ranked, ws.classifier_list_path(topic))
-    oob = model.oob_accuracy
-    return True, {
+        write_ranked_list(RankedList(topic, ORIGIN_CLASSIFIER), path)
+        record = {"topic": topic, "positives": exc.found, "required": exc.required}
+        return f"skipping topic: {exc}", record
+    forest = train(dataset, sem, cfg.classifier, seed=cfg.seed)
+    write_ranked_list(rank_corpus(topic, forest, sem, cfg.classifier), path)
+    oob = forest.oob_accuracy
+    return None, {
         "topic": topic,
-        "positives": model.n_positives,
-        "negatives": model.n_negatives,
+        "positives": forest.n_positives,
+        "negatives": forest.n_negatives,
         "oob_accuracy": None if math.isnan(oob) else oob,  # JSON has no NaN
     }
 
@@ -223,29 +228,21 @@ def stage_train_rank(cfg: RunConfig) -> None:
     ) as pool:
         results = list(pool.map(_train_topic, topics))
 
-    trained: list[dict] = []
-    skipped: list[dict] = []
-    outputs: list[str] = []
-    for topic, (ok, record) in zip(topics, results):
-        if ok:
-            trained.append(record)
-            outputs.append(ws.classifier_list_path(topic))
-        else:
-            exc = InsufficientPositives(topic, record["positives"], record["required"])
-            logger.warning("skipping topic: %s", exc)
-            skipped.append(record)
-
-    summary = {"trained": trained, "skipped": skipped}
+    # A report for the operator; no stage reads it.
+    summary: dict[str, list[dict]] = {"trained": [], "skipped": []}
+    for warning, record in results:
+        if warning:
+            logger.warning("%s", warning)
+        summary["skipped" if warning else "trained"].append(record)
     with open(ws.training_summary_path, "w", encoding="utf-8") as fh:
         json.dump(summary, fh, indent=2)
-    outputs.append(ws.training_summary_path)
     _record(
         cfg,
         "train-rank",
         [ws.index_path, f"{ws.embedding_prefix}.npy"],
-        outputs,
+        [*map(ws.classifier_list_path, topics), ws.training_summary_path],
         started,
-        extra={"skipped_topics": [s["topic"] for s in skipped]},
+        extra={"skipped_topics": [s["topic"] for s in summary["skipped"]]},
     )
 
 
@@ -272,38 +269,19 @@ def stage_synset(cfg: RunConfig) -> None:
     _record(cfg, "synset", [cfg.synsets_path, ws.index_path], outputs, started)
 
 
-def _skipped_topics(ws: Workspace) -> set[str]:
-    with open(ws.training_summary_path, encoding="utf-8") as fh:
-        summary = json.load(fh)
-    return {entry["topic"] for entry in summary["skipped"]}
-
-
 def stage_fuse(cfg: RunConfig) -> None:
     started = time.time()
     ws = Workspace(cfg.output_dir)
-    _require(ws.training_summary_path, "train-rank")
-    skipped = _skipped_topics(ws)
-
-    inputs: list[str] = [ws.training_summary_path]
+    inputs: list[str] = []
     outputs: list[str] = []
     synset_lists: dict[str, RankedList] = {}
     classifier_lists: dict[str, RankedList] = {}
     for topic in _topics(cfg):
+        classifier_path = _require(ws.classifier_list_path(topic), "train-rank")
         synset_path = _require(ws.synset_list_path(topic), "synset")
+        classifier_lists[topic] = read_ranked_list(classifier_path)
         synset_lists[topic] = read_ranked_list(synset_path)
-        inputs.append(synset_path)
-        classifier_path = ws.classifier_list_path(topic)
-        if topic in skipped:
-            logger.warning(
-                "topic %r was skipped in training; fusing with an empty "
-                "classifier list",
-                topic,
-            )
-            classifier_lists[topic] = RankedList(topic=topic, origin="classifier")
-        else:
-            _require(classifier_path, "train-rank")
-            classifier_lists[topic] = read_ranked_list(classifier_path)
-            inputs.append(classifier_path)
+        inputs += [classifier_path, synset_path]
 
     # Each topic is fused once, at the greatest depth: the list at depth a
     # is its first a * |S| entries.
@@ -312,18 +290,14 @@ def stage_fuse(cfg: RunConfig) -> None:
     for a in sorted(cfg.fusion.a_values):
         ws.ensure("fusion", f"a{a}")
         ws.ensure("tags")
-        fused: dict[str, RankedList] = {}
-        for topic, full in deepest.items():
-            size = a * len(synset_lists[topic])
-            flist = RankedList(topic, ORIGIN_FUSION, full.entries[:size])
-            fused[topic] = flist
-            out = ws.fusion_list_path(a, topic)
-            write_ranked_list(flist, out)
-            outputs.append(out)
-        assignments = invert(
-            {t: lst for t, lst in fused.items() if len(lst)},
-            score_threshold=cfg.fusion.score_threshold,
-        )
+        fused = {
+            t: RankedList(t, ORIGIN_FUSION, full.entries[: a * len(synset_lists[t])])
+            for t, full in deepest.items()
+        }
+        for topic, flist in fused.items():
+            outputs.append(ws.fusion_list_path(a, topic))
+            write_ranked_list(flist, outputs[-1])
+        assignments = invert(fused, score_threshold=cfg.fusion.score_threshold)
         tags_out = ws.tags_path(a)
         write_assignments(assignments, tags_out)
         outputs.append(tags_out)
@@ -355,9 +329,7 @@ def stage_eval(cfg: RunConfig) -> None:
     synset_lists: dict[str, RankedList] = {}
     for topic in _topics(cfg):
         path = _require(ws.synset_list_path(topic), "synset")
-        lst = read_ranked_list(path)
-        if len(lst):
-            synset_lists[topic] = lst
+        synset_lists[topic] = read_ranked_list(path)
         inputs.append(path)
     methods = {"Synset": invert(synset_lists)}
     for a in sorted(cfg.fusion.a_values):

@@ -164,6 +164,7 @@ class RandomForest:
         self.config = config or ForestConfig()
         self.trees: list[_Tree] = []
         self.n_features = 0
+        self.n_positives = self.n_negatives = 0  # training rows per class
         self.oob_accuracy = float("nan")
 
     def fit(self, x: np.ndarray, y: np.ndarray, seed: int = 0) -> "RandomForest":
@@ -181,6 +182,7 @@ class RandomForest:
         self.n_features = x.shape[1]
         self.trees = []
         n = x.shape[0]
+        self.n_positives, self.n_negatives = int(y.sum()), n - int(y.sum())
         # Out-of-bag votes: each row is scored only by the trees whose
         # bootstrap sample left it out.
         votes = np.zeros(n)

@@ -149,8 +149,11 @@ class Index:
     @classmethod
     def load(cls, path: str) -> "Index":
         with open(path, "rb") as fh:
-            payload = pickle.load(fh)
-        if payload.get("format") != _PICKLE_FORMAT:
+            try:
+                payload = pickle.load(fh)
+            except (EOFError, pickle.UnpicklingError) as exc:
+                raise CorpusError(f"{path}: truncated or corrupt index ({exc})") from exc
+        if not isinstance(payload, dict) or payload.get("format") != _PICKLE_FORMAT:
             raise CorpusError(f"{path} is not a serialized index")
         if payload.get("version") != _PICKLE_VERSION:
             raise CorpusError(

@@ -105,12 +105,20 @@ class SemanticMatrix:
     @classmethod
     def load(cls, path_prefix: str) -> "SemanticMatrix":
         import numpy as np
-        with open(f"{path_prefix}.json", encoding="utf-8") as fh:
-            meta = json.load(fh)
-        if meta.get("format") != "tagfuse-embedding" or meta.get("version") != 1:
+        try:
+            with open(f"{path_prefix}.json", encoding="utf-8") as fh:
+                meta = json.load(fh)
+        except ValueError as exc:  # truncated, or not JSON
+            raise TagfuseError(f"{path_prefix}.json: {exc}") from exc
+        saved = isinstance(meta, dict) and {"k", "seed", "article_ids"} <= meta.keys()
+        saved = saved and meta.get("format") == "tagfuse-embedding"
+        if not saved or meta.get("version") != 1:
             raise TagfuseError(f"{path_prefix}.json: not a saved embedding")
-        matrix = np.load(f"{path_prefix}.npy")
-        if matrix.shape != (len(meta["article_ids"]), meta.get("k")):
+        try:
+            matrix = np.load(f"{path_prefix}.npy")
+        except (EOFError, ValueError) as exc:  # truncated, or not an array file
+            raise TagfuseError(f"{path_prefix}.npy: {exc}") from exc
+        if matrix.shape != (len(meta["article_ids"]), meta["k"]):
             raise TagfuseError(
                 f"{path_prefix}.npy: shape {matrix.shape}, but its .json has "
                 f"{len(meta['article_ids'])} article ids and k={meta.get('k')}"

@@ -128,23 +128,23 @@ class TestTrain:
         index = build_index(corpus)
         sem = embedding_for(corpus)
         dataset = build_dataset("mycology", index, small())
-        model = train(dataset, sem, ClassifierConfig(n_trees=20), seed=0)
-        assert model.topic == "mycology"
-        assert model.n_positives == 10
-        assert model.n_negatives == 10
-        assert model.oob_accuracy == 1.0
+        forest = train(dataset, sem, ClassifierConfig(n_trees=20), seed=0)
+        assert len(dataset.positives) == 10
+        assert len(dataset.negatives) == 10
+        assert (forest.n_positives, forest.n_negatives) == (10, 10)
+        assert forest.oob_accuracy == 1.0
 
     def test_training_is_deterministic(self):
         corpus = labeled_corpus()
         index = build_index(corpus)
         sem = embedding_for(corpus)
         dataset = build_dataset("mycology", index, small())
-        m1 = train(dataset, sem, ClassifierConfig(n_trees=10), seed=3)
-        m2 = train(dataset, sem, ClassifierConfig(n_trees=10), seed=3)
-        p1 = m1.forest.predict_proba(sem.matrix)
-        p2 = m2.forest.predict_proba(sem.matrix)
+        f1 = train(dataset, sem, ClassifierConfig(n_trees=10), seed=3)
+        f2 = train(dataset, sem, ClassifierConfig(n_trees=10), seed=3)
+        p1 = f1.predict_proba(sem.matrix)
+        p2 = f2.predict_proba(sem.matrix)
         assert np.array_equal(p1, p2)
-        assert m1.oob_accuracy == m2.oob_accuracy
+        assert f1.oob_accuracy == f2.oob_accuracy
 
     def test_empty_class_rejected(self):
         from tagfuse.classifier import TopicDataset
@@ -177,7 +177,7 @@ class TestTrain:
         sem = embedding_for(corpus)
         dataset = build_dataset("mycology", index, small())
         config = ClassifierConfig(n_trees=10)
-        model = train(dataset, sem, config, seed=4)
+        forest = train(dataset, sem, config, seed=4)
         ids = list(dataset.positives) + list(dataset.negatives)
         x = np.stack([sem.row(a) for a in ids])
         y = np.array([1] * len(dataset.positives) + [0] * len(dataset.negatives))
@@ -185,10 +185,10 @@ class TestTrain:
             x, y, seed=derive_seed(4, "train", "mycology")
         )
         assert np.array_equal(
-            model.forest.predict_proba(sem.matrix), expected.predict_proba(sem.matrix)
+            forest.predict_proba(sem.matrix), expected.predict_proba(sem.matrix)
         )
         # The reported accuracy is the kept forest's own out-of-bag estimate.
-        assert model.oob_accuracy == expected.oob_accuracy
+        assert forest.oob_accuracy == expected.oob_accuracy
 
 
 class TestRankCorpus:
@@ -197,12 +197,12 @@ class TestRankCorpus:
         index = build_index(corpus)
         sem = embedding_for(corpus)
         dataset = build_dataset("mycology", index, small())
-        model = train(dataset, sem, ClassifierConfig(n_trees=30), seed=seed)
-        return model, sem, corpus
+        forest = train(dataset, sem, ClassifierConfig(n_trees=30), seed=seed)
+        return forest, sem, corpus
 
     def test_every_article_is_scored_and_sorted(self):
-        model, sem, corpus = self.fitted()
-        ranked = rank_corpus(model, sem)
+        forest, sem, corpus = self.fitted()
+        ranked = rank_corpus("mycology", forest, sem)
         assert ranked.origin == ORIGIN_CLASSIFIER
         assert ranked.topic == "mycology"
         assert len(ranked) == len(corpus.ids())
@@ -210,8 +210,8 @@ class TestRankCorpus:
         assert scores == sorted(scores, reverse=True)
 
     def test_positives_rank_above_the_unrelated(self):
-        model, sem, _ = self.fitted()
-        ranked = rank_corpus(model, sem)
+        forest, sem, _ = self.fitted()
+        ranked = rank_corpus("mycology", forest, sem)
         top_ten = set(ranked.ids()[:10])
         planted = {f"t{i:02d}" for i in range(6)} | {f"b{i:02d}" for i in range(4)}
         assert top_ten == planted
@@ -219,25 +219,25 @@ class TestRankCorpus:
     def test_keyword_only_articles_can_still_be_reached(self):
         # They are excluded from training but share the positives' region
         # of the embedding, so scoring the whole corpus finds them.
-        model, sem, corpus = self.fitted()
+        forest, sem, corpus = self.fitted()
         boosted = sem.matrix.copy()
         for i, article_id in enumerate(sem.article_ids):
             if article_id.startswith("k"):
                 boosted[i, 0] += 3.0
         sem2 = SemanticMatrix(matrix=boosted, article_ids=sem.article_ids, seed=0)
-        ranked = rank_corpus(model, sem2)
+        ranked = rank_corpus("mycology", forest, sem2)
         top = set(ranked.ids()[:13])
         assert {f"k{i:02d}" for i in range(3)} <= top
 
     def test_top_n_truncates(self):
-        model, sem, _ = self.fitted()
-        ranked = rank_corpus(model, sem, ClassifierConfig(top_n=5))
+        forest, sem, _ = self.fitted()
+        ranked = rank_corpus("mycology", forest, sem, ClassifierConfig(top_n=5))
         assert len(ranked) == 5
-        assert ranked.ids() == rank_corpus(model, sem).ids()[:5]
+        assert ranked.ids() == rank_corpus("mycology", forest, sem).ids()[:5]
 
     def test_ties_break_by_article_id(self):
-        model, sem, _ = self.fitted()
-        ranked = rank_corpus(model, sem)
+        forest, sem, _ = self.fitted()
+        ranked = rank_corpus("mycology", forest, sem)
         by_score = {}
         for article_id, score in ranked.entries:
             by_score.setdefault(score, []).append(article_id)

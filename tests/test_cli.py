@@ -1,8 +1,8 @@
 import concurrent.futures
-import dataclasses
 import json
 import logging
 import os
+import pickle
 import shutil
 import subprocess
 import sys
@@ -18,6 +18,7 @@ from tagfuse.classifier import train
 from tagfuse.cli import main
 from tagfuse.config import topic_slug
 from tagfuse.manifest import MANIFEST_NAME, file_sha256
+from tagfuse.ranking import ORIGIN_CLASSIFIER, RankedList, read_ranked_list
 
 BENCH = {
     "n_topics": 4,
@@ -67,6 +68,18 @@ def copy_upstream(bench_out, out, edit_ids=None):
         meta = json.loads((out / "embedding.json").read_text(encoding="utf-8"))
         edit_ids(meta["article_ids"])
         (out / "embedding.json").write_text(json.dumps(meta), encoding="utf-8")
+
+
+def halve(path):
+    """Cut a file to the first half of its bytes."""
+    data = path.read_bytes()
+    path.write_bytes(data[: len(data) // 2])
+
+
+def drop_article_ids(path):
+    meta = json.loads(path.read_text(encoding="utf-8"))
+    del meta["article_ids"]
+    path.write_text(json.dumps(meta), encoding="utf-8")
 
 
 @pytest.fixture(scope="module")
@@ -215,6 +228,30 @@ class TestStagePipeline:
         assert result.stdout.splitlines()[-1] == "[]"
         assert os.path.exists(tmp_path / "out" / "reports" / "evaluation.txt")
 
+    def test_traced_train_rank_succeeds(self, stage_config, bench_run, tmp_path):
+        # The per-layer tracer wraps train-rank's pool workers too; its
+        # counters read the results of the classifier functions.
+        _, bench_out = bench_run
+        config = derived_config(stage_config, tmp_path)
+        copy_upstream(bench_out, tmp_path / "out")
+        tracer = os.path.join(os.path.dirname(__file__), "..", "perfbench", "tracer.py")
+        spans = tmp_path / "spans.jsonl"
+        src = os.path.dirname(os.path.dirname(tagfuse.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        result = subprocess.run(
+            [sys.executable, tracer, str(spans), "run", "train-rank", "--config", config],
+            env={**os.environ, "PYTHONPATH": path},
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
+        header = json.loads(spans.read_text(encoding="utf-8").splitlines()[0])
+        assert header["argv"][0] == "train-rank"
+        summary = tmp_path / "out" / "ranked" / "classifier" / "_training.json"
+        report = json.loads(summary.read_text(encoding="utf-8"))
+        assert len(report["trained"]) == len(TOPICS)
+
     def test_eval_prints_the_table(self, stage_config, capsys):
         config, _ = stage_config
         assert main(["eval", "--config", config]) == 0
@@ -231,8 +268,9 @@ class TestStagePipeline:
             assert main([command, "--config", config]) == 0, command
 
         def no_oob_rows(*args, **kwargs):
-            model = train(*args, **kwargs)
-            return dataclasses.replace(model, oob_accuracy=float("nan"))
+            forest = train(*args, **kwargs)
+            forest.oob_accuracy = float("nan")
+            return forest
 
         monkeypatch.setattr(cli, "train", no_oob_rows)
         assert main(["train-rank", "--config", config]) == 0
@@ -240,6 +278,22 @@ class TestStagePipeline:
         text = path.read_text(encoding="utf-8")
         assert "NaN" not in text
         assert all(t["oob_accuracy"] is None for t in json.loads(text)["trained"])
+
+    def test_fuse_reads_no_training_report(self, stage_config, bench_run, tmp_path):
+        _, bench_out = bench_run
+        config = derived_config(stage_config, tmp_path)
+        out = tmp_path / "out"
+        shutil.copytree(os.path.join(bench_out, "ranked"), out / "ranked")
+        (out / "ranked" / "classifier" / "_training.json").unlink()
+        assert main(["fuse", "--config", config]) == 0
+        for a in (1, 2, 3, 4):
+            lists = [f"fusion/a{a}/{topic_slug(t)}.tsv" for t in TOPICS]
+            for rel in (*lists, f"tags/tags_a{a}.jsonl"):
+                with open(os.path.join(bench_out, rel), "rb") as fh:
+                    assert (out / rel).read_bytes() == fh.read(), rel
+        entry = read_manifest(str(out))[-1]
+        assert entry["command"] == "fuse"
+        assert not [p for p in entry["inputs"] if p.endswith("_training.json")]
 
     def test_train_rank_reads_only_the_index_and_the_embedding(
         self, stage_config, bench_run, tmp_path, monkeypatch
@@ -327,7 +381,7 @@ class TestTopicPool:
             three = self.run(stage_config, bench_run, tmp_path, monkeypatch, {0, 1, 2})
         names = sorted(os.listdir(one))
         assert names == sorted(os.listdir(three))
-        assert len(names) == len(TOPICS) + 1
+        assert len(names) == len(TOPICS) + 3
         for name in names:
             assert (one / name).read_bytes() == (three / name).read_bytes(), name
         _, bench_out = bench_run
@@ -340,6 +394,9 @@ class TestTopicPool:
             "absent topic", "another absent topic"
         ]
         assert [t["topic"] for t in summary["trained"]] == TOPICS
+        for topic in ("absent topic", "another absent topic"):
+            skipped = read_ranked_list(str(one / f"{topic_slug(topic)}.tsv"))
+            assert skipped == RankedList(topic, ORIGIN_CLASSIFIER)
         skips = [r.message for r in caplog.records if "skipping topic" in r.message]
         assert len(skips) == 4
         assert ["another" in m for m in skips] == [False, True, False, True]
@@ -381,6 +438,37 @@ class TestFailureModes:
         errors = [r.message for r in caplog.records if r.levelno >= logging.ERROR]
         assert len(errors) == 1 and str(out / "embedding.npy") in errors[0]
         assert not (out / "ranked" / "classifier" / "_training.json").exists()
+
+    @pytest.mark.parametrize(
+        "name, damage",
+        [
+            ("index.pkl", halve),
+            ("index.pkl", lambda path: path.write_bytes(pickle.dumps([]))),
+            ("embedding.npy", halve),
+            ("embedding.json", halve),
+            ("embedding.json", drop_article_ids),
+        ],
+        ids=[
+            "truncated-index",
+            "index-not-a-dict",
+            "truncated-embedding",
+            "truncated-embedding-json",
+            "embedding-without-ids",
+        ],
+    )
+    def test_damaged_saved_artifact_exits_three_naming_it(
+        self, stage_config, bench_run, tmp_path, caplog, name, damage
+    ):
+        _, bench_out = bench_run
+        config = derived_config(stage_config, tmp_path)
+        out = tmp_path / "out"
+        copy_upstream(bench_out, out)
+        damage(out / name)
+        with caplog.at_level(logging.ERROR):
+            assert main(["train-rank", "--config", config]) == 3
+        errors = [r.message for r in caplog.records if r.levelno >= logging.ERROR]
+        assert len(errors) == 1 and str(out / name) in errors[0]
+        assert not (out / "ranked" / "classifier").exists()
 
     def test_embedding_without_the_indexed_ids_exits_three_from_a_worker(
         self, stage_config, bench_run, tmp_path, caplog

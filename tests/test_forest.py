@@ -34,6 +34,12 @@ class TestFit:
         # Independent check that the problem really is this easy.
         assert nearest_centroid_accuracy(x_train, y_train, x_test, y_test) >= 0.95
 
+    def test_records_training_rows_per_class(self):
+        forest = RandomForest(ForestConfig(n_trees=2)).fit(
+            np.arange(5.0).reshape(5, 1), np.array([1, 0, 1, 1, 0])
+        )
+        assert (forest.n_positives, forest.n_negatives) == (3, 2)
+
     def test_single_class_rejected(self):
         x = np.random.default_rng(0).standard_normal((10, 3))
         with pytest.raises(ValueError, match="both classes"):

@@ -243,13 +243,11 @@ class TestStageFuse:
             write_ranked_list(
                 ranked(topic, ORIGIN_SYNSET, synset_ids), ws.synset_list_path(topic)
             )
-            if topic != "skipped":
-                write_ranked_list(
-                    ranked(topic, ORIGIN_CLASSIFIER, classifier_ids),
-                    ws.classifier_list_path(topic),
-                )
-        with open(ws.training_summary_path, "w", encoding="utf-8") as fh:
-            json.dump({"trained": [], "skipped": [{"topic": "skipped"}]}, fh)
+            # A skipped topic's classifier list is empty.
+            write_ranked_list(
+                ranked(topic, ORIGIN_CLASSIFIER, classifier_ids),
+                ws.classifier_list_path(topic),
+            )
         cfg = RunConfig(
             output_dir=ws.root,
             topics=tuple(pairs),
