@@ -3,8 +3,8 @@
 Each completed subcommand appends one JSON line to ``manifest.jsonl`` in
 the output directory, recording the config fingerprint, the seed, and
 SHA-256 digests of every input and output file. Two runs are equivalent
-exactly when their input and output digests match; timings are recorded
-for operators but excluded from any equality check.
+exactly when their input and output digests match; timings and peak
+memory are recorded for operators but excluded from any equality check.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ import dataclasses
 import hashlib
 import json
 import os
+import resource
 import time
 
 MANIFEST_NAME = "manifest.jsonl"
@@ -47,6 +48,10 @@ def append_entry(
         "command": command,
         "started": time.strftime("%Y-%m-%dT%H:%M:%S%z", time.localtime(started)),
         "duration_s": round(time.time() - started, 3),
+        # High-water RSS in MiB (ru_maxrss is KiB on Linux) of this process
+        # or of its largest reaped child, such as a train-rank pool worker.
+        "peak_rss_mb": round(max(resource.getrusage(who).ru_maxrss for who in (
+            resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN)) / 1024, 1),
         "seed": seed,
         "config_sha256": fingerprint,
         "inputs": {path: file_sha256(path) for path in sorted(inputs)},

@@ -15,6 +15,8 @@ import logging
 import math
 from collections import defaultdict
 from dataclasses import dataclass
+from functools import reduce
+from operator import iadd
 from typing import TYPE_CHECKING
 
 # numpy is imported inside the functions that compute with it, and scipy
@@ -136,7 +138,7 @@ def vectorize(corpus: Corpus, config: SemanticConfig = SemanticConfig()) -> TfId
     are the kept terms in lexicographic order. Weights use the smoothed
     idf(t) = ln((1 + M) / (1 + df(t))) + 1 with M the corpus size. A
     document whose terms were all filtered away keeps an all-zero row.
-    Terms are counted as integer codes; only the kept ones become strings.
+    Terms are counted and ordered as integer codes; no term becomes a string.
     """
     import numpy as np
     from scipy import sparse
@@ -158,43 +160,47 @@ def vectorize(corpus: Corpus, config: SemanticConfig = SemanticConfig()) -> TfId
     # freed heap they would leave behind adds to the SVD's peak RSS.
     token = np.asarray(ids, dtype=np.int64)
     doc = np.repeat(np.arange(n_docs, dtype=np.int64), lengths)
-    # Term codes: the unigram u is u itself and the bigram (a, b) is
-    # U + a*U + b, with U < 3e9 tokens so that int64 cannot wrap; no
-    # bigram crosses a document boundary.
+    # Term codes: every token occurs, so the unigram codes are 0..u-1; the
+    # bigram (a, b) is u + the rank of a*u + b among the bigrams (u < 3e9
+    # tokens, so int64 cannot wrap); no bigram crosses a document boundary.
     u = len(token_id)
     within = doc[:-1] == doc[1:]
-    codes, term = np.unique(
-        np.concatenate([token, u + token[:-1][within] * u + token[1:][within]]),
-        return_inverse=True,
-    )
+    bigrams, term = np.unique(token[:-1][within] * u + token[1:][within], return_inverse=True)
+    n_terms = u + bigrams.size
+    term = np.concatenate([token, term + u])
     # One cell per (document, term), in row-major order, with its count.
-    cells, tf = np.unique(
-        np.concatenate([doc, doc[:-1][within]]) * codes.size + term, return_counts=True
-    )
-    del doc, within, term
-    cell_doc, cell_term = np.divmod(cells, codes.size)
+    term += np.concatenate([doc, doc[:-1][within]]) * n_terms
+    del token, ids, doc, within
+    cells, tf = np.unique(term, return_counts=True)
+    del term
+    cell_doc, cell_term = np.divmod(cells, n_terms)
     del cells
+    df = np.bincount(cell_term, minlength=n_terms)
     counts = sparse.csr_matrix(
         (tf.astype(np.float64), cell_term, np.searchsorted(cell_doc, np.arange(n_docs + 1))),
-        shape=(n_docs, codes.size),
+        shape=(n_docs, n_terms),
     )
-    df = np.bincount(cell_term, minlength=codes.size)
+    del cell_doc, cell_term, tf
 
-    in_range = (df >= config.min_df) & (df <= config.max_df_fraction * n_docs)
-    token_of = list(token_id)
-    kept = sorted(
-        (f"{token_of[c // u - 1]} {token_of[c % u]}" if c >= u else token_of[c], i)
-        for i, c in zip(np.flatnonzero(in_range).tolist(), codes[in_range].tolist())
-    )
-    if not kept:
+    kept = np.flatnonzero((df >= config.min_df) & (df <= config.max_df_fraction * n_docs))
+    if not kept.size:
         raise TagfuseError(
             f"vocabulary is empty after frequency filtering "
             f"(min_df={config.min_df}, max_df_fraction={config.max_df_fraction})"
         )
+    # Columns in the string order of the terms, "a" or "a b", with no string
+    # built: by the first token's rank among the sorted tokens (argsort
+    # inverts the sorted order), then the second's, -1 for none. No token
+    # holds a space or a character below it, so "a b" < "ab" as a < ab.
+    rank = np.argsort([i for _, i in sorted(token_id.items())])
+    n_unigrams = np.searchsorted(kept, u)
+    first, second = np.divmod(bigrams[kept[n_unigrams:] - u], u)
+    second = np.concatenate([np.full(n_unigrams, -1), rank[second]])
+    kept = kept[np.lexsort((second, rank[np.concatenate([kept[:n_unigrams], first])]))]
     # math.log per term: np.log's SIMD paths can differ in the last bit by CPU.
-    idf = np.array([math.log((1 + n_docs) / (1 + df[i])) + 1.0 for _, i in kept])
+    idf = np.array([math.log((1 + n_docs) / (1 + d)) + 1.0 for d in df[kept].tolist()])
 
-    matrix = counts[:, [i for _, i in kept]]
+    matrix = counts[:, kept]
     del counts
     matrix.sort_indices()
     matrix.data *= idf[matrix.indices]
@@ -248,14 +254,18 @@ def randomized_svd(
         z = b @ q
         return z.T @ z
 
-    y = sum(b.T @ rng.standard_normal((b.shape[0], width)) for b in blocks())
+    # reduce(iadd, ..., 0) adds as sum() does, 0 + p1 + p2 + ..., into one
+    # array, and each spent m-by-width array is freed before the next.
+    y = reduce(iadd, (b.T @ rng.standard_normal((b.shape[0], width)) for b in blocks()), 0)
     for _ in range(power_iters):
         q, _ = np.linalg.qr(y)
-        y = sum(b.T @ (b @ q) for b in blocks())
+        del y
+        y = reduce(iadd, (b.T @ (b @ q) for b in blocks()), 0)
+        del q
     q, _ = np.linalg.qr(y)
     del y
     try:
-        r = np.linalg.cholesky(sum(map(gram, blocks()))).T
+        r = np.linalg.cholesky(reduce(iadd, map(gram, blocks()), 0)).T
     except np.linalg.LinAlgError:  # singular Gram, e.g. an all-zero ``a``
         r = np.linalg.qr(at @ q, mode="r")
     u_small, s, _ = np.linalg.svd(r.T)

@@ -169,6 +169,11 @@ class TestBenchPipeline:
             for path, digest in {**entry["inputs"], **entry["outputs"]}.items():
                 assert file_sha256(path) == digest, f"{entry['command']}: {path}"
 
+    def test_every_entry_records_peak_memory(self, bench_run):
+        _, out = bench_run
+        for entry in read_manifest(out):
+            assert entry["peak_rss_mb"] > 0, entry["command"]
+
     def test_rerun_is_byte_identical(self, bench_run, tmp_path_factory):
         config, out = bench_run
         out2 = str(tmp_path_factory.mktemp("bench2") / "out")

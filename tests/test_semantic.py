@@ -156,6 +156,20 @@ class TestVectorize:
         """Sorted column indices and no duplicates in every row."""
         assert vectorize(small_bench_corpus(), SemanticConfig()).matrix.has_canonical_format
 
+    def test_peak_memory_per_token(self):
+        """Only the bigram codes go through ``np.unique``, no term becomes a
+        string, and each whole-corpus temporary is freed once spent: the
+        traced peak stays below 100 bytes per token."""
+        corpus, _, _ = generate(BenchmarkSpec(n_topics=3, docs_per_topic=400))
+        n_tokens = sum(len(tokenize(text_repr(rec))) for rec in corpus)
+        tracemalloc.start()
+        try:
+            vectorize(corpus, SemanticConfig())
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 100 * n_tokens
+
 
 def reference_vectorize(corpus, config):
     """The TF-IDF built from n-gram strings: provisional term ids in
@@ -205,6 +219,21 @@ def edge_case_corpus():
     )
 
 
+def prefix_corpus():
+    """Tokens that are prefixes of one another or hold digits. The space
+    sorts below every letter and digit, so the string order is "a" < "a b"
+    < "a0" and "data" < "data base" < "data basement" < "data2" < "data2
+    base" < "database"."""
+    return make_corpus(
+        [
+            ("p1", "data base", "database data basement data base a"),
+            ("p2", "data2 base", "a0 database a b"),
+            ("p3", "a0 a0", "data basement data2 base"),
+            ("p4", "a b a b a b", "database database data data2 a0"),
+        ]
+    )
+
+
 def small_bench_corpus():
     corpus, _, _ = generate(BenchmarkSpec(n_topics=3, docs_per_topic=40, doc_length=25))
     return corpus
@@ -219,9 +248,10 @@ class TestVectorizeMatchesStringReference:
         [
             (edge_case_corpus, NO_CUTOFFS),
             (edge_case_corpus, SemanticConfig(min_df=2, max_df_fraction=0.5)),
+            (prefix_corpus, NO_CUTOFFS),
             (small_bench_corpus, SemanticConfig()),
         ],
-        ids=["non-ascii-all-terms", "non-ascii-cutoffs", "bench"],
+        ids=["non-ascii-all-terms", "non-ascii-cutoffs", "prefixes", "bench"],
     )
     def test_bit_identical(self, corpus, config):
         corpus = corpus()
@@ -247,6 +277,14 @@ class TestVectorizeMatchesStringReference:
         assert ngrams(tokens[4]).count("east east") == 2
         # The bigram of token id 0 with itself has the smallest bigram code.
         assert "straße straße" in columns
+        # Prefix and digit terms are columns, and no two of them are equal,
+        # so putting any of them out of string order changes the matrix.
+        matrix, columns, _ = reference_vectorize(prefix_corpus(), NO_CUTOFFS)
+        terms = ["a", "a b", "a0", "data", "data base", "data basement", "data2",
+                 "data2 base", "database"]
+        assert [columns[t] for t in terms] == sorted(columns[t] for t in terms)
+        dense = matrix.toarray()
+        assert len({dense[:, columns[t]].tobytes() for t in terms}) == len(terms)
 
 
 def two_sided_randomized_svd(a, k, oversample=10, power_iters=2, seed=0):
@@ -272,6 +310,29 @@ def householder_randomized_svd(a, k, oversample=10, power_iters=2, seed=0):
     for _ in range(power_iters):
         q, _ = np.linalg.qr(a @ (a.T @ q))
     r = np.linalg.qr(a.T @ q, mode="r")
+    u_small, s, _ = np.linalg.svd(r.T)
+    return q @ u_small[:, :k], s[:k]
+
+
+def summed_randomized_svd(a, k, oversample=10, power_iters=2, seed=0):
+    """Reference: the blocked SVD with each product summed by ``sum()``
+    into a new array per block."""
+    rng = np.random.default_rng(seed)
+    m, n = a.shape
+    width = min(k + oversample, min(m, n))
+    at = sparse.csr_matrix(a.T)
+    step = tagfuse.semantic._TERM_BLOCK
+
+    def blocks():
+        return (at[lo : lo + step] for lo in range(0, n, step))
+
+    y = sum(b.T @ rng.standard_normal((b.shape[0], width)) for b in blocks())
+    for _ in range(power_iters):
+        q, _ = np.linalg.qr(y)
+        y = sum(b.T @ (b @ q) for b in blocks())
+    q, _ = np.linalg.qr(y)
+    zs = [b @ q for b in blocks()]
+    r = np.linalg.cholesky(sum(z.T @ z for z in zs)).T
     u_small, s, _ = np.linalg.svd(r.T)
     return q @ u_small[:, :k], s[:k]
 
@@ -316,6 +377,14 @@ class TestRandomizedSvd:
         u_ref, s_ref = two_sided_randomized_svd(a, k=k, seed=3)
         np.testing.assert_allclose(s, s_ref, rtol=0, atol=1e-10)
         np.testing.assert_allclose(u, u_ref, rtol=0, atol=1e-10)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("m, n, k", SHAPES[-2:])
+    def test_in_place_sums_equal_sum_bit_for_bit(self, m, n, k, seed):
+        a = sparse_input(m, n)()
+        u, s = randomized_svd(a, k=k, oversample=10, power_iters=2, seed=seed)
+        u_ref, s_ref = summed_randomized_svd(a, k=k, seed=seed)
+        assert np.array_equal(u, u_ref) and np.array_equal(s, s_ref)
 
     @pytest.mark.parametrize("make, k", SVD_INPUTS)
     def test_matches_householder_solve_without_sign_alignment(self, make, k):
@@ -380,6 +449,20 @@ class TestRandomizedSvd:
         for n, peak in peaks.items():
             assert peak < 0.5 * n * width * 8
         assert peaks[80000] <= 1.1 * peaks[40000]
+
+    def test_peak_memory_holds_few_m_by_width_arrays(self):
+        """Each product is added into one array, and each spent m-by-width
+        array is freed before the next is made: the traced peak stays
+        below 4 such arrays."""
+        m, width = 20000, 40 + 10
+        a = sparse.random(m, 2000, density=0.01, format="csr", random_state=0)
+        tracemalloc.start()
+        try:
+            randomized_svd(a, k=40, oversample=10, power_iters=2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * m * width * 8
 
     def test_zero_input_gives_zero_singular_values(self):
         u, s = randomized_svd(np.zeros((6, 5)), k=2, oversample=10, power_iters=2)
