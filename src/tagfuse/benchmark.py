@@ -23,7 +23,7 @@ from dataclasses import dataclass
 # that never do (index, synset, fuse, eval) then start without loading it.
 
 from .corpus import ArticleRecord, Corpus, GroundTruth
-from .errors import BenchmarkError
+from .errors import ConfigError, TagfuseError
 from .synsets import Synset, make_synset
 
 logger = logging.getLogger(__name__)
@@ -58,18 +58,16 @@ class BenchmarkSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n_topics < 1 or self.docs_per_topic < 1:
-            raise BenchmarkError("n_topics and docs_per_topic must be positive")
+        for name in ("n_topics", "docs_per_topic", "background_vocab_size"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"benchmark.{name} must be positive")
         if self.vocab_per_topic < 4:
-            raise BenchmarkError("vocab_per_topic must be at least 4")
-        if self.background_vocab_size < 1 or self.doc_length < 8:
-            raise BenchmarkError(
-                "background_vocab_size must be positive and doc_length at least 8"
-            )
+            raise ConfigError("benchmark.vocab_per_topic must be at least 4")
+        if self.doc_length < 8:
+            raise ConfigError("benchmark.doc_length must be at least 8")
         for name in ("alt_vocab_fraction", "cross_noise_fraction"):
-            value = getattr(self, name)
-            if not 0.0 <= value <= 1.0:
-                raise BenchmarkError(f"{name} must lie in [0, 1]")
+            if not 0.0 <= getattr(self, name) <= 1.0:
+                raise ConfigError(f"benchmark.{name} must lie in [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -109,7 +107,7 @@ def _check_disjoint(topics: list[_Topic], background: list[str]) -> None:
     ):
         for w in words:
             if w in seen:
-                raise BenchmarkError(f"vocabulary pools collide on {w!r}")
+                raise TagfuseError(f"vocabulary pools collide on {w!r}")
             seen.add(w)
 
 
@@ -200,7 +198,7 @@ def generate(spec: BenchmarkSpec) -> tuple[Corpus, GroundTruth, dict[str, Synset
         synset_vocab = {w.lower() for w in synsets[t.name].terms}
         alt_vocab = {w.lower() for w in t.alternate}
         if synset_vocab & alt_vocab:
-            raise BenchmarkError(
+            raise TagfuseError(
                 f"synset for {t.name!r} leaks into the alternate pool"
             )
     logger.info(

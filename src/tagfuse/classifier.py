@@ -17,7 +17,7 @@ from dataclasses import dataclass
 # that never do (index, synset, fuse, eval) then start without loading it.
 
 from .corpus import TEXT_FIELDS
-from .errors import ConfigError, DatasetError, InsufficientPositives
+from .errors import ConfigError, InsufficientPositives, TagfuseError
 from .forest import ForestConfig, RandomForest
 from .index import Index, has_any_match
 from .ranking import ORIGIN_CLASSIFIER, RankedList
@@ -38,8 +38,10 @@ class ClassifierConfig(ForestConfig):
 
     def __post_init__(self):
         super().__post_init__()
-        if self.neg_ratio < 0:
-            raise ConfigError("classifier.neg_ratio must be non-negative")
+        # ceil(neg_ratio * positives) is at least one negative exactly
+        # when neg_ratio > 0, and training needs both classes.
+        if self.neg_ratio <= 0:
+            raise ConfigError("classifier.neg_ratio must be positive")
         if self.min_positives < 1:
             raise ConfigError("classifier.min_positives must be positive")
         if self.top_n < 1:
@@ -53,13 +55,6 @@ class TopicDataset:
     topic: str
     positives: tuple[str, ...]
     negatives: tuple[str, ...]
-
-    def __post_init__(self):
-        overlap = set(self.positives) & set(self.negatives)
-        if overlap:
-            raise DatasetError(
-                f"topic {self.topic!r}: articles in both classes: {sorted(overlap)[:5]}"
-            )
 
 
 def build_dataset(
@@ -125,7 +120,7 @@ def train(
     """
     import numpy as np
     if not dataset.positives or not dataset.negatives:
-        raise DatasetError(
+        raise TagfuseError(
             f"topic {dataset.topic!r}: need both classes to train "
             f"({len(dataset.positives)} positives, {len(dataset.negatives)} negatives)"
         )

@@ -42,7 +42,7 @@ from .corpus import (
     save_ground_truth,
 )
 from .errors import ConfigError, InsufficientPositives, TagfuseError
-from .evaluation import format_table, report_records, sweep, write_plot_series
+from .evaluation import format_table, sweep, write_plot_series
 from .fusion import fuse, invert, read_assignments, write_assignments
 from .index import Index, build_ground_truth, build_index, check_corpus_fields
 from .manifest import append_entry, config_fingerprint
@@ -345,8 +345,8 @@ def stage_eval(cfg: RunConfig) -> None:
         fh.write(table + "\n")
     records_path = ws.report_path("evaluation.jsonl")
     with open(records_path, "w", encoding="utf-8") as fh:
-        for record in report_records(reports):
-            fh.write(json.dumps(record, ensure_ascii=False) + "\n")
+        for report in reports:
+            fh.write(json.dumps(dataclasses.asdict(report), ensure_ascii=False) + "\n")
     series_path = ws.report_path("plot_series.tsv")
     write_plot_series(reports, series_path)
     print(table)
@@ -434,7 +434,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"tagfuse {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name: str, help_text: str, topics_flag: bool = True, a_flag: bool = False):
+    # --topics only where each topic's output is its own file: a subset
+    # would otherwise overwrite or score outputs that cover every topic.
+    def add(name: str, help_text: str, topics_flag: bool = False, a_flag: bool = False):
         p = sub.add_parser(name, help=help_text)
         p.add_argument(
             "--config",
@@ -458,10 +460,10 @@ def build_parser() -> argparse.ArgumentParser:
         )
         return p
 
-    add("index", "build and save the inverted index", topics_flag=False)
-    add("embed", "compute and save document embeddings", topics_flag=False)
-    add("train-rank", "train per-topic classifiers and rank the corpus")
-    add("synset", "rank the corpus by synonym-set search")
+    add("index", "build and save the inverted index")
+    add("embed", "compute and save document embeddings")
+    add("train-rank", "train per-topic classifiers and rank the corpus", topics_flag=True)
+    add("synset", "rank the corpus by synonym-set search", topics_flag=True)
     add("fuse", "fuse rankings and emit tag assignments", a_flag=True)
     add("eval", "evaluate methods against ground truth", a_flag=True)
     add("all", "run index, embed, train-rank, synset, fuse, eval", a_flag=True)

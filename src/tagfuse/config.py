@@ -35,7 +35,7 @@ from dataclasses import MISSING, dataclass, field, fields as dataclass_fields
 from .benchmark import BenchmarkSpec
 from .classifier import ClassifierConfig
 from .corpus import TEXT_FIELDS
-from .errors import BenchmarkError, ConfigError
+from .errors import ConfigError
 from .fusion import FusionConfig
 from .index import IndexConfig
 from .semantic import SemanticConfig
@@ -121,10 +121,7 @@ def _build_section(cls, raw: dict, context: str):
         if not _conforms(value, hint):
             expected = hint if typing.get_args(hint) else hint.__name__
             raise ConfigError(f"{context}: {key} must be {expected}, got {raw[key]!r}")
-    try:
-        return cls(**kwargs)
-    except (BenchmarkError, TypeError, ValueError) as exc:
-        raise ConfigError(f"{context}: {exc}") from exc
+    return cls(**kwargs)
 
 
 def config_from_dict(raw: dict) -> RunConfig:

@@ -17,7 +17,7 @@ import logging
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 
-from .errors import CorpusError, TagfuseError
+from .errors import TagfuseError
 
 logger = logging.getLogger(__name__)
 
@@ -58,7 +58,7 @@ class Corpus:
         seen: set[str] = set()
         for rec in records:
             if rec.id in seen:
-                raise CorpusError(f"duplicate article id {rec.id!r}")
+                raise TagfuseError(f"duplicate article id {rec.id!r}")
             seen.add(rec.id)
         self._records = list(records)
 
@@ -93,10 +93,10 @@ def _string_list(value) -> tuple[str, ...] | None:
     return None
 
 
-def read_jsonl(path: str, error: type[TagfuseError]) -> Iterator[tuple[int, dict]]:
+def read_jsonl(path: str) -> Iterator[tuple[int, dict]]:
     """Yield ``(line number, record)`` for each non-blank line of a
     line-delimited JSON file; a line that is not a JSON object raises
-    ``error`` naming ``path:lineno``."""
+    :class:`TagfuseError` naming ``path:lineno``."""
     decode = json.JSONDecoder().decode
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -106,9 +106,9 @@ def read_jsonl(path: str, error: type[TagfuseError]) -> Iterator[tuple[int, dict
             try:
                 raw = decode(line)
             except json.JSONDecodeError as exc:
-                raise error(f"{path}:{lineno}: invalid record: {exc}") from exc
+                raise TagfuseError(f"{path}:{lineno}: invalid record: {exc}") from exc
             if not isinstance(raw, dict):
-                raise error(f"{path}:{lineno}: record is not an object")
+                raise TagfuseError(f"{path}:{lineno}: record is not an object")
             yield lineno, raw
 
 
@@ -121,7 +121,7 @@ def ingest_corpus(path: str) -> Corpus:
     """
     records: list[ArticleRecord] = []
     skipped = 0
-    for lineno, raw in read_jsonl(path, CorpusError):
+    for lineno, raw in read_jsonl(path):
         required = [raw.get(key) for key in ("id", "title", "abstract")]
         if not all(isinstance(v, str) and v.strip() for v in required):
             skipped += 1
@@ -174,17 +174,11 @@ def save_corpus(corpus: Corpus, path: str) -> None:
 
 @dataclass
 class GroundTruth:
-    """True topic labels per article id. Label sets are never empty."""
+    """True topic labels per article id. Label sets are never empty:
+    ``load_ground_truth`` rejects an empty topic list, and the builders
+    add only labels that matched."""
 
     labels: dict[str, set[str]]
-
-    def __post_init__(self):
-        for article_id, topics in self.labels.items():
-            if not topics:
-                raise CorpusError(f"empty label set for article {article_id!r}")
-
-    def __len__(self) -> int:
-        return len(self.labels)
 
     def __contains__(self, article_id: str) -> bool:
         return article_id in self.labels
@@ -197,19 +191,19 @@ def load_ground_truth(path: str, topics: list[str] | None = None) -> GroundTruth
     """
     allowed = set(topics) if topics is not None else None
     labels: dict[str, set[str]] = {}
-    for lineno, raw in read_jsonl(path, CorpusError):
+    for lineno, raw in read_jsonl(path):
         article_id = raw.get("id")
         names = raw.get("topics")
         if not isinstance(article_id, str) or _string_list(names) is None:
-            raise CorpusError(f"{path}:{lineno}: expected id and topics array")
+            raise TagfuseError(f"{path}:{lineno}: expected id and topics array")
         if article_id in labels:
-            raise CorpusError(f"{path}:{lineno}: duplicate article id {article_id!r}")
+            raise TagfuseError(f"{path}:{lineno}: duplicate article id {article_id!r}")
         if not names:
-            raise CorpusError(f"{path}:{lineno}: empty topic list for {article_id!r}")
+            raise TagfuseError(f"{path}:{lineno}: empty topic list for {article_id!r}")
         if allowed is not None:
             unknown = sorted(set(names) - allowed)
             if unknown:
-                raise CorpusError(
+                raise TagfuseError(
                     f"{path}:{lineno}: labels outside the topic list: {unknown}"
                 )
         labels[article_id] = set(names)

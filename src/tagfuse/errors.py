@@ -1,25 +1,19 @@
-"""Exception types shared across the pipeline."""
+"""Exception types shared across the pipeline.
+
+Every pipeline error is a :class:`TagfuseError`, and the CLI exits 3 on
+one. Its only subclasses are :class:`ConfigError`, on which the CLI exits
+2, and :class:`InsufficientPositives`, which ``train-rank`` catches to
+skip a topic.
+"""
 
 from __future__ import annotations
 
 
 class TagfuseError(Exception):
-    """Base class for all pipeline errors."""
+    """Base class for all pipeline errors: bad data or a failed stage."""
 
 
-class CorpusError(TagfuseError):
-    """Corpus file is malformed or violates identity constraints."""
-
-
-class SynsetError(TagfuseError):
-    """Synset file is missing, malformed, or incomplete for the topic list."""
-
-
-class DatasetError(TagfuseError):
-    """Training-set construction failed."""
-
-
-class InsufficientPositives(DatasetError):
+class InsufficientPositives(TagfuseError):
     """A topic produced fewer positive examples than the configured floor.
 
     Callers are expected to catch this, skip the topic, and report it.
@@ -33,14 +27,6 @@ class InsufficientPositives(DatasetError):
             f"topic {topic!r}: {found} positive examples, "
             f"need at least {required}"
         )
-
-
-class EvaluationError(TagfuseError):
-    """Evaluation is impossible, e.g. predictions and truth share no articles."""
-
-
-class BenchmarkError(TagfuseError):
-    """Synthetic corpus generation produced an inconsistent artifact."""
 
 
 class ConfigError(TagfuseError):

@@ -10,10 +10,10 @@ set is covering more ground even at equal per-article quality.
 from __future__ import annotations
 
 import logging
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 from .corpus import GroundTruth
-from .errors import EvaluationError
+from .errors import TagfuseError
 from .fusion import TagAssignment
 
 logger = logging.getLogger(__name__)
@@ -58,13 +58,10 @@ def evaluate(
         f1 = 2|P & T| / (|P| + |T|)      jaccard = |P & T| / |P | T|
         hamming = |P ^ T| / L
 
-    and every metric is the mean over E. An empty E is an error: it means
-    the predictions and the truth describe disjoint articles.
+    and every metric is the mean over E, with L the size of ``label_set``,
+    which names each label once. An empty E is an error: it means the
+    predictions and the truth describe disjoint articles.
     """
-    if not label_set:
-        raise EvaluationError("label set is empty")
-    if len(set(label_set)) != len(label_set):
-        raise EvaluationError("label set contains duplicates")
     labels = set(label_set)
     n_labels = len(label_set)
 
@@ -72,7 +69,7 @@ def evaluate(
     pairs: list[tuple[set[str], set[str]]] = []
     for assignment in assignments:
         if assignment.article_id in seen:
-            raise EvaluationError(f"duplicate assignment for {assignment.article_id!r}")
+            raise TagfuseError(f"duplicate assignment for {assignment.article_id!r}")
         seen.add(assignment.article_id)
         if assignment.article_id not in truth:
             continue
@@ -80,16 +77,16 @@ def evaluate(
         true = truth.labels[assignment.article_id]
         stray = (predicted | true) - labels
         if stray:
-            raise EvaluationError(
+            raise TagfuseError(
                 f"article {assignment.article_id!r} uses labels outside the "
                 f"label set: {sorted(stray)}"
             )
         if not predicted:
-            raise EvaluationError(f"article {assignment.article_id!r} has no tags")
+            raise TagfuseError(f"article {assignment.article_id!r} has no tags")
         pairs.append((predicted, true))
 
     if not pairs:
-        raise EvaluationError(
+        raise TagfuseError(
             f"method {method!r}: no overlap between tagged articles and truth"
         )
 
@@ -159,45 +156,12 @@ def format_table(reports: list[EvalReport]) -> str:
     return "\n".join(lines)
 
 
-def report_records(reports: list[EvalReport]) -> list[dict]:
-    """Reports as plain dicts, for structured output."""
-    return [asdict(report) for report in reports]
-
-
-PLOT_SERIES = (
-    "cardinality_difference",
-    "jaccard",
-    "hamming_loss_x10",
-    "f1",
-)
-
-
-def plot_series(reports: list[EvalReport]) -> list[dict]:
-    """Per-method values of the four comparison series.
-
-    Hamming loss is scaled by 10 so all four series share one axis range.
-    """
-    return [
-        {
-            "method": report.method,
-            "cardinality_difference": report.cardinality_difference,
-            "jaccard": report.jaccard,
-            "hamming_loss_x10": report.hamming_loss * 10.0,
-            "f1": report.f1,
-        }
-        for report in reports
-    ]
-
-
 def write_plot_series(reports: list[EvalReport], path: str) -> None:
-    """Tab-separated plot series, one row per method."""
-    rows = plot_series(reports)
+    """Tab-separated values of the four comparison series, one row per
+    method. Hamming loss is scaled by 10 so all four series share one
+    axis range."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("method\t" + "\t".join(PLOT_SERIES) + "\n")
-        for row in rows:
-            fh.write(
-                row["method"]
-                + "\t"
-                + "\t".join(repr(row[name]) for name in PLOT_SERIES)
-                + "\n"
-            )
+        fh.write("method\tcardinality_difference\tjaccard\thamming_loss_x10\tf1\n")
+        for r in reports:
+            values = (r.cardinality_difference, r.jaccard, r.hamming_loss * 10.0, r.f1)
+            fh.write(r.method + "\t" + "\t".join(map(repr, values)) + "\n")

@@ -22,6 +22,8 @@ from typing import TYPE_CHECKING
 if TYPE_CHECKING:
     import numpy as np
 
+from .errors import ConfigError
+
 
 @dataclass(frozen=True)
 class ForestConfig:
@@ -32,16 +34,18 @@ class ForestConfig:
 
     def __post_init__(self):
         if self.n_trees < 1:
-            raise ValueError("n_trees must be positive")
+            raise ConfigError("classifier.n_trees must be positive")
         if self.max_depth is not None and self.max_depth < 1:
-            raise ValueError("max_depth must be positive when set")
+            raise ConfigError("classifier.max_depth must be positive when set")
         if self.min_samples_leaf < 1:
-            raise ValueError("min_samples_leaf must be positive")
+            raise ConfigError("classifier.min_samples_leaf must be positive")
         if isinstance(self.max_features, str):
             if self.max_features not in ("sqrt", "all"):
-                raise ValueError("max_features must be 'sqrt', 'all', or an int")
+                raise ConfigError(
+                    "classifier.max_features must be 'sqrt', 'all', or an int"
+                )
         elif self.max_features < 1:
-            raise ValueError("max_features must be positive")
+            raise ConfigError("classifier.max_features must be positive")
 
     def resolve_max_features(self, n_features: int) -> int:
         if self.max_features == "sqrt":

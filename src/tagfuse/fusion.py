@@ -175,7 +175,7 @@ def write_assignments(assignments: list[TagAssignment], path: str) -> None:
 
 def read_assignments(path: str) -> list[TagAssignment]:
     assignments: list[TagAssignment] = []
-    for lineno, raw in read_jsonl(path, TagfuseError):
+    for lineno, raw in read_jsonl(path):
         try:
             tags = [(t["topic"], float(t["score"])) for t in raw["tags"]]
             article_id = raw["id"]

@@ -16,7 +16,7 @@ import pickle
 from dataclasses import dataclass
 
 from .corpus import CORE_LIST_FIELDS, TEXT_FIELDS, Corpus, GroundTruth
-from .errors import ConfigError, CorpusError
+from .errors import ConfigError, TagfuseError
 from .text import tokenize
 
 logger = logging.getLogger(__name__)
@@ -152,11 +152,11 @@ class Index:
             try:
                 payload = pickle.load(fh)
             except (EOFError, pickle.UnpicklingError) as exc:
-                raise CorpusError(f"{path}: truncated or corrupt index ({exc})") from exc
+                raise TagfuseError(f"{path}: truncated or corrupt index ({exc})") from exc
         if not isinstance(payload, dict) or payload.get("format") != _PICKLE_FORMAT:
-            raise CorpusError(f"{path} is not a serialized index")
+            raise TagfuseError(f"{path} is not a serialized index")
         if payload.get("version") != _PICKLE_VERSION:
-            raise CorpusError(
+            raise TagfuseError(
                 f"{path}: index version {payload.get('version')} not supported"
             )
         index = cls(tuple(payload["fields"]), list(payload["article_ids"]))
@@ -201,8 +201,6 @@ def _query(index: Index, terms: list[str], fields: tuple[str, ...]) -> list[list
     phrases = [tokens for tokens in map(tokenize, terms) if tokens]
     if not phrases:
         raise ValueError("no usable query terms")
-    if not fields:
-        raise ValueError("no fields given")
     unknown = [f for f in fields if f not in index._fields]
     if unknown:
         raise ValueError(f"fields not in index: {unknown} (have {list(index.fields)})")
@@ -219,8 +217,6 @@ def search_any(
     the phrase occurs by the sum of its terms' BM25 scores; article
     scores add up over fields and terms. Ties break by article id.
     """
-    if limit < 0:
-        raise ValueError("limit must be non-negative")
     combined: dict[int, float] = {}
     for tokens in _query(index, terms, fields):
         # A term's fields are summed before the term joins the article's score.
@@ -265,11 +261,6 @@ def build_ground_truth(
     does not label the topic "Mycology". Articles matching no topic are
     left out.
     """
-    if not topics:
-        raise CorpusError("topic list is empty")
-    for topic in topics:
-        if not tokenize(topic):
-            raise CorpusError(f"topic {topic!r} tokenizes to nothing")
     index = Index.build(corpus, fields)
     labels: dict[str, set[str]] = {}
     for topic in topics:

@@ -37,8 +37,6 @@ class RankedList:
     entries: list[tuple[str, float]] = field(default_factory=list)
 
     def __post_init__(self):
-        if self.origin not in _ORIGINS:
-            raise ValueError(f"unknown origin {self.origin!r}")
         ids = self.ids()
         if len(set(ids)) != len(ids):
             seen: set[str] = set()

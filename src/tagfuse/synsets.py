@@ -14,10 +14,9 @@ import logging
 from dataclasses import dataclass
 
 from .corpus import TEXT_FIELDS, read_jsonl
-from .errors import ConfigError, SynsetError
+from .errors import ConfigError, TagfuseError
 from .index import Index, search_any
 from .ranking import ORIGIN_SYNSET, RankedList
-from .text import tokenize
 
 logger = logging.getLogger(__name__)
 
@@ -39,21 +38,11 @@ class SynsetConfig:
 
 @dataclass(frozen=True)
 class Synset:
-    """A topic with its search terms. The topic name is always a term."""
+    """A topic with its search terms, built by :func:`make_synset`: the
+    topic name is always a term, and no two terms differ only in case."""
 
     topic: str
     terms: tuple[str, ...]
-
-    def __post_init__(self):
-        if not self.terms:
-            raise SynsetError(f"synset for topic {self.topic!r} has no terms")
-        lowered = [t.lower() for t in self.terms]
-        if len(set(lowered)) != len(lowered):
-            raise SynsetError(f"synset for topic {self.topic!r} has duplicate terms")
-        if self.topic.lower() not in lowered:
-            raise SynsetError(
-                f"synset for topic {self.topic!r} does not contain the topic name"
-            )
 
 
 def make_synset(topic: str, terms: list[str]) -> Synset:
@@ -79,19 +68,19 @@ def make_synset(topic: str, terms: list[str]) -> Synset:
 def load_synsets(path: str, topics: list[str] | None = None) -> dict[str, Synset]:
     """Read synsets; with ``topics`` given, every topic must be covered."""
     synsets: dict[str, Synset] = {}
-    for lineno, raw in read_jsonl(path, SynsetError):
+    for lineno, raw in read_jsonl(path):
         topic = raw.get("topic")
         terms = raw.get("terms")
         if not isinstance(topic, str) or not isinstance(terms, list):
-            raise SynsetError(f"{path}:{lineno}: expected topic and terms array")
+            raise TagfuseError(f"{path}:{lineno}: expected topic and terms array")
         if topic in synsets:
-            raise SynsetError(f"{path}:{lineno}: duplicate synset for {topic!r}")
+            raise TagfuseError(f"{path}:{lineno}: duplicate synset for {topic!r}")
         synsets[topic] = make_synset(topic, [str(t) for t in terms])
 
     if topics is not None:
         missing = [t for t in topics if t not in synsets]
         if missing:
-            raise SynsetError(f"{path}: no synset for topic(s): {missing}")
+            raise TagfuseError(f"{path}: no synset for topic(s): {missing}")
     logger.info("%s: loaded %d synset(s)", path, len(synsets))
     return synsets
 
@@ -112,9 +101,5 @@ def synset_rank(
     terms accumulates their scores. At most ``config.limit`` articles are
     kept.
     """
-    if not any(map(tokenize, synset.terms)):
-        raise SynsetError(
-            f"synset for topic {synset.topic!r} has no tokenizable terms"
-        )
     entries = search_any(index, list(synset.terms), config.fields, config.limit)
     return RankedList(topic=synset.topic, origin=ORIGIN_SYNSET, entries=entries)

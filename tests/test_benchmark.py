@@ -2,7 +2,7 @@ import pytest
 
 from tagfuse.benchmark import BenchmarkSpec, generate, topic_names
 from tagfuse.corpus import save_corpus
-from tagfuse.errors import BenchmarkError
+from tagfuse.errors import ConfigError
 from tagfuse.index import build_index
 from tagfuse.synsets import SynsetConfig, synset_rank
 from tagfuse.text import tokenize
@@ -19,19 +19,19 @@ SMALL = BenchmarkSpec(
 
 class TestSpecValidation:
     def test_bounds(self):
-        with pytest.raises(BenchmarkError):
+        with pytest.raises(ConfigError, match="benchmark.n_topics"):
             BenchmarkSpec(n_topics=0)
-        with pytest.raises(BenchmarkError):
+        with pytest.raises(ConfigError, match="benchmark.docs_per_topic"):
             BenchmarkSpec(docs_per_topic=0)
-        with pytest.raises(BenchmarkError):
+        with pytest.raises(ConfigError, match="benchmark.vocab_per_topic"):
             BenchmarkSpec(vocab_per_topic=3)
-        with pytest.raises(BenchmarkError):
+        with pytest.raises(ConfigError, match="benchmark.doc_length"):
             BenchmarkSpec(doc_length=7)
-        with pytest.raises(BenchmarkError):
+        with pytest.raises(ConfigError, match="benchmark.background_vocab_size"):
             BenchmarkSpec(background_vocab_size=0)
-        with pytest.raises(BenchmarkError):
+        with pytest.raises(ConfigError, match="benchmark.alt_vocab_fraction"):
             BenchmarkSpec(alt_vocab_fraction=1.5)
-        with pytest.raises(BenchmarkError):
+        with pytest.raises(ConfigError, match="benchmark.cross_noise_fraction"):
             BenchmarkSpec(cross_noise_fraction=-0.1)
 
     def test_topic_names_alternate_one_and_two_words(self):
@@ -48,7 +48,7 @@ class TestShape:
     def test_sizes_and_planted_truth(self):
         corpus, truth, synsets = generate(SMALL)
         assert len(corpus) == SMALL.n_topics * SMALL.docs_per_topic
-        assert len(truth) == len(corpus)
+        assert len(truth.labels) == len(corpus)
         assert set(synsets) == set(topic_names(SMALL))
         # Every article is labeled with exactly its subjects entry.
         for record in corpus:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from tagfuse.classifier import ClassifierConfig, build_dataset, rank_corpus, train
-from tagfuse.errors import ConfigError, DatasetError, InsufficientPositives
+from tagfuse.errors import ConfigError, InsufficientPositives, TagfuseError
 from tagfuse.forest import RandomForest
 from tagfuse.index import build_index
 from tagfuse.ranking import ORIGIN_CLASSIFIER
@@ -98,15 +98,10 @@ class TestBuildDataset:
         assert d1.negatives == d2.negatives
         assert d1.negatives != d3.negatives
 
-    def test_negative_ratio_must_be_non_negative(self):
-        with pytest.raises(ConfigError, match="neg_ratio"):
-            ClassifierConfig(neg_ratio=-0.1)
-
-    def test_overlapping_classes_rejected_at_construction(self):
-        from tagfuse.classifier import TopicDataset
-
-        with pytest.raises(DatasetError, match="both classes"):
-            TopicDataset(topic="x", positives=("a", "b"), negatives=("b", "c"))
+    @pytest.mark.parametrize("ratio", [-0.1, 0])
+    def test_negative_ratio_must_be_positive(self, ratio):
+        with pytest.raises(ConfigError, match="classifier.neg_ratio must be positive"):
+            ClassifierConfig(neg_ratio=ratio)
 
     def test_multiword_topic_name_uses_phrase_matching(self):
         corpus = make_corpus(
@@ -152,7 +147,7 @@ class TestTrain:
         corpus = labeled_corpus()
         sem = embedding_for(corpus)
         dataset = TopicDataset(topic="x", positives=("t00",), negatives=())
-        with pytest.raises(DatasetError, match="both classes"):
+        with pytest.raises(TagfuseError, match="both classes"):
             train(dataset, sem)
 
     def test_fits_one_forest_per_topic(self, monkeypatch):

@@ -154,8 +154,16 @@ class TestBenchPipeline:
     def test_evaluation_reports_every_method(self, bench_run):
         _, out = bench_run
         with open(os.path.join(out, "reports", "evaluation.jsonl")) as fh:
-            methods = [json.loads(line)["method"] for line in fh if line.strip()]
+            records = [json.loads(line) for line in fh if line.strip()]
+        methods = [r["method"] for r in records]
         assert methods == ["Synset", "Fusion1", "Fusion2", "Fusion3", "Fusion4"]
+        for r in records:
+            assert set(r) == {
+                "method", "intersection_size", "common_match", "precision",
+                "recall", "f1", "jaccard", "hamming_loss",
+                "label_cardinality_pred", "label_cardinality_true",
+                "cardinality_difference",
+            }
 
     def test_manifest_digests_match_the_files(self, bench_run):
         _, out = bench_run
@@ -355,6 +363,16 @@ class TestStagePipeline:
         config, _ = stage_config
         assert main(["synset", "--config", config, "--topics", "nope"]) == 2
 
+    @pytest.mark.parametrize("command", ["fuse", "eval", "all", "bench"])
+    def test_topics_flag_only_where_each_topic_has_its_own_output(
+        self, stage_config, capsys, command
+    ):
+        config, _ = stage_config
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, "--config", config, "--topics", TOPICS[0]])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --topics" in capsys.readouterr().err
+
 
 class TestTopicPool:
     """train-rank fans topics out over one worker per CPU in the affinity
@@ -534,13 +552,17 @@ class TestFailureModes:
             {"index": {"fields": ["title"]}},
         ],
     )
-    def test_invalid_config_exits_two_before_any_stage(self, tmp_path, section):
+    def test_invalid_config_exits_two_before_any_stage(self, tmp_path, caplog, section):
         out = tmp_path / "out"
         config = write_config(
             tmp_path / "config.json", output_dir=str(out), topics=["T"], **section
         )
-        for command in ("index", "train-rank"):
-            assert main([command, "--config", config]) == 2, command
+        with caplog.at_level(logging.ERROR):
+            for command in ("index", "train-rank"):
+                assert main([command, "--config", config]) == 2, command
+        [(name, keys)] = section.items()
+        errors = [r.message for r in caplog.records if r.levelno >= logging.ERROR]
+        assert len(errors) == 2 and all(f"{name}.{next(iter(keys))}" in e for e in errors)
         assert not out.exists()
 
     @pytest.mark.parametrize(
@@ -663,3 +685,45 @@ def test_malformed_ranked_list_exits_three_naming_the_line(
             assert main([command, "--config", config]) == 3, command
         errors = [r.message for r in caplog.records if r.levelno >= logging.ERROR]
         assert len(errors) == 1 and errors[0].startswith(f"{path}:{lineno}: "), errors
+
+
+ARTICLE = '{"id": "a1", "title": "t", "abstract": "x"}'
+
+
+# The exit code alone tells a configuration error (2) from a data error (3).
+# A str value is written to a file, and the config key gets its path, which
+# "{file}" in the message stands for.
+@pytest.mark.parametrize(
+    "command, key, value, code, message",
+    [
+        ("synset", "synsets_path", '{"topic": "T", "terms": "T"}', 3,
+         "{file}:1: expected topic and terms array"),
+        ("eval", "ground_truth_path", '{"id": "d00000", "topics": []}', 3,
+         "{file}:1: empty topic list"),
+        ("eval", "ground_truth_path", f'{{"id": "elsewhere", "topics": ["{TOPICS[0]}"]}}',
+         3, "no overlap between tagged articles and truth"),
+        ("index", "corpus_path", f"{ARTICLE}\n{ARTICLE}", 3, "duplicate article id 'a1'"),
+        ("bench", "benchmark", {"n_topics": 0}, 2, "benchmark.n_topics must be positive"),
+    ],
+    ids=["synset-line", "truth-empty-topics", "truth-disjoint", "duplicate-id",
+         "benchmark-key"],
+)
+def test_exit_code_is_the_only_error_kind(
+    stage_config, bench_run, tmp_path, caplog, capsys, command, key, value, code, message
+):
+    _, bench_out = bench_run
+    if isinstance(value, str):
+        path = tmp_path / "input.jsonl"
+        path.write_text(value + "\n", encoding="utf-8")
+        value, message = str(path), message.format(file=path)
+    config = derived_config(stage_config, tmp_path, **{key: value})
+    out = tmp_path / "out"
+    copy_upstream(bench_out, out)
+    for name in ("ranked", "tags"):
+        shutil.copytree(os.path.join(bench_out, name), out / name)
+    with caplog.at_level(logging.ERROR):
+        assert main([command, "--config", config]) == code
+    errors = [r for r in caplog.records if r.levelno >= logging.ERROR]
+    assert len(errors) == 1 and message in errors[0].getMessage(), errors
+    assert errors[0].exc_info is None
+    assert "Traceback" not in capsys.readouterr().err

@@ -81,7 +81,7 @@ class TestConfigFromDict:
             config_from_dict({"topics": ["My Topic", "my-topic"]})
 
     def test_benchmark_section_is_validated(self):
-        with pytest.raises(ConfigError, match="benchmark"):
+        with pytest.raises(ConfigError, match="benchmark.n_topics must be positive"):
             config_from_dict({"benchmark": {"n_topics": 0}})
 
     def test_section_value_errors_become_config_errors(self):
@@ -102,7 +102,7 @@ class TestConfigFromDict:
         ],
     )
     def test_forest_keys_are_validated(self, key, value):
-        with pytest.raises(ConfigError, match=f"section 'classifier': {key}"):
+        with pytest.raises(ConfigError, match=f"classifier.{key} must be"):
             config_from_dict({"classifier": {key: value}})
 
     def test_forest_bootstrap_is_not_a_key(self):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from tagfuse.errors import ConfigError
 from tagfuse.forest import ForestConfig, RandomForest, _grow_tree, _Tree
 
 
@@ -164,13 +165,13 @@ class TestDeterminism:
 
 class TestConfig:
     def test_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError, match="classifier.n_trees"):
             ForestConfig(n_trees=0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError, match="classifier.max_depth"):
             ForestConfig(max_depth=0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError, match="classifier.min_samples_leaf"):
             ForestConfig(min_samples_leaf=0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError, match="classifier.max_features"):
             ForestConfig(max_features="half")
 
     def test_max_features_resolution(self):

@@ -25,10 +25,6 @@ class TestRankedList:
         assert lst.ids() == ["b", "a", "c"]
         assert len(lst) == 3
 
-    def test_unknown_origin_rejected(self):
-        with pytest.raises(ValueError, match="unknown origin"):
-            RankedList(topic="T", origin="bm25", entries=[])
-
     def test_duplicate_article_rejected(self):
         with pytest.raises(ValueError, match="duplicate article"):
             RankedList(

@@ -2,11 +2,10 @@ import json
 
 import pytest
 
-from tagfuse.errors import SynsetError
+from tagfuse.errors import TagfuseError
 from tagfuse.index import build_index, search_any
 from tagfuse.ranking import ORIGIN_SYNSET
 from tagfuse.synsets import (
-    Synset,
     SynsetConfig,
     load_synsets,
     make_synset,
@@ -43,20 +42,6 @@ class TestMakeSynset:
         assert make_synset("Mycology", []).terms == ("Mycology",)
 
 
-class TestSynsetValidation:
-    def test_empty_terms_rejected(self):
-        with pytest.raises(SynsetError, match="no terms"):
-            Synset(topic="x", terms=())
-
-    def test_duplicate_terms_rejected(self):
-        with pytest.raises(SynsetError, match="duplicate"):
-            Synset(topic="x", terms=("x", "a", "A"))
-
-    def test_topic_name_must_be_a_term(self):
-        with pytest.raises(SynsetError, match="topic name"):
-            Synset(topic="Mycology", terms=("fungology",))
-
-
 class TestLoadSynsets:
     def test_round_trip(self, tmp_path):
         synsets = {
@@ -72,7 +57,7 @@ class TestLoadSynsets:
         path = write_synsets(
             tmp_path / "s.jsonl", [{"topic": "Mycology", "terms": ["Mycology"]}]
         )
-        with pytest.raises(SynsetError, match=r"Botany.*Zoology|'Botany', 'Zoology'"):
+        with pytest.raises(TagfuseError, match=r"Botany.*Zoology|'Botany', 'Zoology'"):
             load_synsets(path, topics=["Mycology", "Botany", "Zoology"])
 
     def test_duplicate_topic_fatal(self, tmp_path):
@@ -83,24 +68,24 @@ class TestLoadSynsets:
                 {"topic": "Mycology", "terms": ["fungology"]},
             ],
         )
-        with pytest.raises(SynsetError, match="duplicate synset"):
+        with pytest.raises(TagfuseError, match="duplicate synset"):
             load_synsets(path)
 
     def test_invalid_json_reports_line(self, tmp_path):
         path = tmp_path / "s.jsonl"
         path.write_text('{"topic": "A", "terms": ["A"]}\nnot json\n', encoding="utf-8")
-        with pytest.raises(SynsetError, match=":2:"):
+        with pytest.raises(TagfuseError, match=":2:"):
             load_synsets(str(path))
 
     def test_line_that_is_not_an_object_names_the_line(self, tmp_path):
         path = tmp_path / "s.jsonl"
         path.write_text('{"topic": "A", "terms": ["A"]}\n"A"\n', encoding="utf-8")
-        with pytest.raises(SynsetError, match="s.jsonl:2: record is not an object"):
+        with pytest.raises(TagfuseError, match="s.jsonl:2: record is not an object"):
             load_synsets(str(path))
 
     def test_wrong_shape_rejected(self, tmp_path):
         path = write_synsets(tmp_path / "s.jsonl", [{"topic": "A", "terms": "A"}])
-        with pytest.raises(SynsetError, match="terms array"):
+        with pytest.raises(TagfuseError, match="terms array"):
             load_synsets(path)
 
     def test_terms_are_normalized_on_load(self, tmp_path):
@@ -164,6 +149,6 @@ class TestSynsetRank:
         assert top_2.entries == full.entries[:2]
 
     def test_untokenizable_synset_raises(self, fungi_index):
-        synset = Synset(topic="...", terms=("...",))
-        with pytest.raises(SynsetError, match="tokenizable"):
+        synset = make_synset("...", [])
+        with pytest.raises(ValueError, match="no usable query terms"):
             synset_rank(synset, fungi_index, TOP_10)
