@@ -39,8 +39,8 @@ class ClassifierConfig(ForestConfig):
     def __post_init__(self):
         super().__post_init__()
         # ceil(neg_ratio * positives) is at least one negative exactly
-        # when neg_ratio > 0, and training needs both classes.
-        if self.neg_ratio <= 0:
+        # when neg_ratio > 0, and training needs both classes; NaN fails too.
+        if not self.neg_ratio > 0:
             raise ConfigError("classifier.neg_ratio must be positive")
         if self.min_positives < 1:
             raise ConfigError("classifier.min_positives must be positive")
@@ -84,15 +84,15 @@ def build_dataset(
 
     mentioned_anywhere = has_any_match(index, [topic], index.fields)
     pool = sorted(set(index.article_ids) - mentioned_anywhere)
-    n_wanted = math.ceil(config.neg_ratio * len(positives))
-    if n_wanted > len(pool):
+    wanted = config.neg_ratio * len(positives)  # compared before ceil: may be inf
+    n_wanted = len(pool) if wanted > len(pool) else math.ceil(wanted)
+    if wanted > len(pool):
         logger.warning(
-            "topic %r: negative pool has %d article(s), wanted %d; using all",
+            "topic %r: negative pool has %d article(s), wanted %g; using all",
             topic,
             len(pool),
-            n_wanted,
+            wanted,
         )
-        n_wanted = len(pool)
     rng = np.random.default_rng(derive_seed(seed, "dataset", topic))
     chosen = rng.choice(len(pool), size=n_wanted, replace=False) if n_wanted else []
     negatives = sorted(pool[i] for i in chosen)

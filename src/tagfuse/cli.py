@@ -22,6 +22,7 @@ pipeline failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import logging
@@ -35,11 +36,7 @@ from .benchmark import generate, topic_names
 from .classifier import build_dataset, rank_corpus, train
 from .config import RunConfig, load_config, topic_slug
 from .corpus import (
-    Corpus,
-    ingest_corpus,
-    load_ground_truth,
-    save_corpus,
-    save_ground_truth,
+    GroundTruth, ingest_corpus, load_ground_truth, save_corpus, save_ground_truth
 )
 from .errors import ConfigError, InsufficientPositives, TagfuseError
 from .evaluation import format_table, sweep, write_plot_series
@@ -57,10 +54,14 @@ logger = logging.getLogger(__name__)
 
 
 class Workspace:
-    """Canonical artifact locations inside one output directory."""
+    """Canonical artifact locations inside one output directory, and the
+    files one stage run reads and writes there."""
 
     def __init__(self, output_dir: str):
         self.root = output_dir
+        self.inputs: list[str] = []
+        self.outputs: list[str] = []
+        self.extra: dict = {}  # further keys for the manifest line
 
     def path(self, *parts: str) -> str:
         return os.path.join(self.root, *parts)
@@ -70,8 +71,8 @@ class Workspace:
         return self.path("index.pkl")
 
     @property
-    def embedding_prefix(self) -> str:
-        return self.path("embedding")
+    def embedding_paths(self) -> tuple[str, str]:
+        return self.path("embedding.npy"), self.path("embedding.json")
 
     def classifier_list_path(self, topic: str) -> str:
         return self.path("ranked", "classifier", f"{topic_slug(topic)}.tsv")
@@ -79,29 +80,52 @@ class Workspace:
     def synset_list_path(self, topic: str) -> str:
         return self.path("ranked", "synset", f"{topic_slug(topic)}.tsv")
 
-    @property
-    def training_summary_path(self) -> str:
-        return self.path("ranked", "classifier", "_training.json")
-
     def fusion_list_path(self, a: int, topic: str) -> str:
         return self.path("fusion", f"a{a}", f"{topic_slug(topic)}.tsv")
 
     def tags_path(self, a: int) -> str:
         return self.path("tags", f"tags_a{a}.jsonl")
 
-    def report_path(self, name: str) -> str:
-        return self.path("reports", name)
+    def input(self, path: str, producer: str | None = None) -> str:
+        """Record a file the stage reads; ``producer`` names the stage that
+        writes it, for the error when it is missing."""
+        if producer and not os.path.exists(path):
+            raise ConfigError(f"missing {path}; run 'tagfuse {producer}' first")
+        self.inputs.append(path)
+        return path
 
-    def ensure(self, *parts: str) -> str:
-        full = self.path(*parts)
-        os.makedirs(full, exist_ok=True)
-        return full
+    def output(self, path: str) -> str:
+        """Record a file the stage writes; return the partial path to write
+        it at, which ``_run`` renames to ``path`` once the stage succeeds."""
+        os.makedirs(os.path.dirname(path), exist_ok=True)
+        self.outputs.append(path)
+        return path + ".partial"
 
 
-def _require(path: str, hint: str) -> str:
-    if not os.path.exists(path):
-        raise ConfigError(f"missing {path}; run 'tagfuse {hint}' first")
-    return path
+@contextlib.contextmanager
+def _run(cfg: RunConfig, command: str):
+    """Run one stage in a fresh :class:`Workspace`.
+
+    On success every output is renamed into place, then the manifest gets
+    one line with exactly the recorded inputs and outputs. On any failure
+    the partial files are removed and no line is written, so the previous
+    artifacts stay as they were.
+    """
+    started = time.time()
+    ws = Workspace(cfg.output_dir)
+    try:
+        yield ws
+        for path in ws.outputs:
+            os.replace(path + ".partial", path)
+    except BaseException:
+        for path in ws.outputs:
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(path + ".partial")
+        raise
+    append_entry(
+        cfg.output_dir, command, cfg.seed, config_fingerprint(cfg),
+        ws.inputs, ws.outputs, started, ws.extra,
+    )
 
 
 def _require_input(path: str | None, what: str) -> str:
@@ -118,56 +142,26 @@ def _topics(cfg: RunConfig) -> list[str]:
     return list(cfg.topics)
 
 
-def _load_corpus(cfg: RunConfig) -> Corpus:
-    return ingest_corpus(_require_input(cfg.corpus_path, "corpus_path"))
-
-
-def _record(cfg, command, inputs, outputs, started, extra=None):
-    append_entry(
-        cfg.output_dir,
-        command,
-        cfg.seed,
-        config_fingerprint(cfg),
-        inputs,
-        outputs,
-        started,
-        extra,
-    )
-
-
 # -- stages ---------------------------------------------------------------
 
 
 def stage_index(cfg: RunConfig) -> None:
-    started = time.time()
-    ws = Workspace(cfg.output_dir)
-    corpus = _load_corpus(cfg)
-    index = build_index(corpus, cfg.index)
-    ws.ensure()
-    index.save(ws.index_path)
-    _record(cfg, "index", [cfg.corpus_path], [ws.index_path], started)
+    with _run(cfg, "index") as ws:
+        corpus = ingest_corpus(ws.input(_require_input(cfg.corpus_path, "corpus_path")))
+        build_index(corpus, cfg.index).save(ws.output(ws.index_path))
 
 
 def stage_embed(cfg: RunConfig) -> None:
-    started = time.time()
-    ws = Workspace(cfg.output_dir)
-    corpus = _load_corpus(cfg)
-    tfidf = vectorize(corpus, cfg.semantic)
-    sem = truncated_svd(tfidf, cfg.semantic, seed=derive_seed(cfg.seed, "svd"))
-    ws.ensure()
-    sem.save(ws.embedding_prefix)
-    _record(
-        cfg,
-        "embed",
-        [cfg.corpus_path],
-        [f"{ws.embedding_prefix}.npy", f"{ws.embedding_prefix}.json"],
-        started,
-        extra={"vocabulary_size": tfidf.matrix.shape[1], "k": cfg.semantic.k},
-    )
+    with _run(cfg, "embed") as ws:
+        corpus = ingest_corpus(ws.input(_require_input(cfg.corpus_path, "corpus_path")))
+        tfidf = vectorize(corpus, cfg.semantic)
+        sem = truncated_svd(tfidf, cfg.semantic, seed=derive_seed(cfg.seed, "svd"))
+        sem.save(*map(ws.output, ws.embedding_paths))
+        ws.extra = {"vocabulary_size": tfidf.matrix.shape[1], "k": cfg.semantic.k}
 
 
-# Set only in train-rank's pool workers: the config, workspace, index and
-# embedding they inherit through fork.
+# Set only in train-rank's pool workers: the config, index and embedding
+# they inherit through fork.
 _topic_inputs: tuple = ()
 
 
@@ -176,16 +170,16 @@ def _inherit_topic_inputs(*inputs) -> None:
     _topic_inputs = inputs
 
 
-def _train_topic(topic: str) -> tuple[str | None, dict]:
-    """Dataset, forest and ranked list for one topic, in a pool worker.
+def _train_topic(topic: str, path: str) -> tuple[str | None, dict]:
+    """Dataset, forest and ranked list (written to ``path``) for one topic,
+    in a pool worker.
 
     Returns ``(None, record)`` for the training report's "trained" list, or
     ``(warning, record)`` for its "skipped" list when the topic has too few
     positives. A skipped topic still gets a classifier list, an empty one,
     so that ``fuse`` reads every topic the same way.
     """
-    cfg, ws, index, sem = _topic_inputs
-    path = ws.classifier_list_path(topic)
+    cfg, index, sem = _topic_inputs
     try:
         dataset = build_dataset(topic, index, cfg.classifier, seed=cfg.seed)
     except InsufficientPositives as exc:
@@ -208,151 +202,114 @@ def stage_train_rank(cfg: RunConfig) -> None:
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
-    started = time.time()
-    ws = Workspace(cfg.output_dir)
-    index = Index.load(_require(ws.index_path, "index"))
-    _require(f"{ws.embedding_prefix}.json", "embed")
-    sem = SemanticMatrix.load(ws.embedding_prefix)
-    ws.ensure("ranked", "classifier")
+    with _run(cfg, "train-rank") as ws:
+        index = Index.load(ws.input(ws.index_path, "index"))
+        sem = SemanticMatrix.load(*[ws.input(p, "embed") for p in ws.embedding_paths])
+        # Recorded here: a worker's copy of ``ws`` records nothing.
+        topics = _topics(cfg)
+        paths = [ws.output(ws.classifier_list_path(t)) for t in topics]
 
-    # Topics are independent (each has its own seeds), so they train in
-    # parallel, one worker per CPU this process may run on. Fork, not the
-    # platform default, lets the workers inherit the index and embedding
-    # instead of unpickling them; the CLI starts no thread of its own.
-    topics = _topics(cfg)
-    with ProcessPoolExecutor(
-        min(len(os.sched_getaffinity(0)), len(topics)),
-        mp_context=multiprocessing.get_context("fork"),
-        initializer=_inherit_topic_inputs,
-        initargs=(cfg, ws, index, sem),
-    ) as pool:
-        results = list(pool.map(_train_topic, topics))
+        # Topics are independent (each has its own seeds), so they train in
+        # parallel, one worker per CPU this process may run on. Fork, not the
+        # platform default, lets the workers inherit the index and embedding
+        # instead of unpickling them; the CLI starts no thread of its own.
+        with ProcessPoolExecutor(
+            min(len(os.sched_getaffinity(0)), len(topics)),
+            mp_context=multiprocessing.get_context("fork"),
+            initializer=_inherit_topic_inputs,
+            initargs=(cfg, index, sem),
+        ) as pool:
+            results = list(pool.map(_train_topic, topics, paths))
 
-    # A report for the operator; no stage reads it.
-    summary: dict[str, list[dict]] = {"trained": [], "skipped": []}
-    for warning, record in results:
-        if warning:
-            logger.warning("%s", warning)
-        summary["skipped" if warning else "trained"].append(record)
-    with open(ws.training_summary_path, "w", encoding="utf-8") as fh:
-        json.dump(summary, fh, indent=2)
-    _record(
-        cfg,
-        "train-rank",
-        [ws.index_path, f"{ws.embedding_prefix}.npy"],
-        [*map(ws.classifier_list_path, topics), ws.training_summary_path],
-        started,
-        extra={"skipped_topics": [s["topic"] for s in summary["skipped"]]},
-    )
+        # A report for the operator; no stage reads it.
+        summary: dict[str, list[dict]] = {"trained": [], "skipped": []}
+        for warning, record in results:
+            if warning:
+                logger.warning("%s", warning)
+            summary["skipped" if warning else "trained"].append(record)
+        summary_path = ws.path("ranked", "classifier", "_training.json")
+        with open(ws.output(summary_path), "w", encoding="utf-8") as fh:
+            json.dump(summary, fh, indent=2)
+        ws.extra = {"skipped_topics": [s["topic"] for s in summary["skipped"]]}
 
 
 def stage_synset(cfg: RunConfig) -> None:
-    started = time.time()
-    ws = Workspace(cfg.output_dir)
-    index = Index.load(_require(ws.index_path, "index"))
-    unindexed = [f for f in cfg.synset_search.fields if f not in index.fields]
-    if unindexed:
-        raise ConfigError(
-            f"synset_search.fields names unindexed {unindexed} "
-            f"(indexed fields: {list(index.fields)})"
+    with _run(cfg, "synset") as ws:
+        index = Index.load(ws.input(ws.index_path, "index"))
+        unindexed = [f for f in cfg.synset_search.fields if f not in index.fields]
+        if unindexed:
+            raise ConfigError(
+                f"synset_search.fields names unindexed {unindexed} "
+                f"(indexed fields: {list(index.fields)})"
+            )
+        synsets = load_synsets(
+            ws.input(_require_input(cfg.synsets_path, "synsets_path")), _topics(cfg)
         )
-    synsets = load_synsets(
-        _require_input(cfg.synsets_path, "synsets_path"), _topics(cfg)
-    )
-    ws.ensure("ranked", "synset")
-    outputs = []
-    for topic in _topics(cfg):
-        ranked = synset_rank(synsets[topic], index, cfg.synset_search)
-        out = ws.synset_list_path(topic)
-        write_ranked_list(ranked, out)
-        outputs.append(out)
-    _record(cfg, "synset", [cfg.synsets_path, ws.index_path], outputs, started)
+        for topic in _topics(cfg):
+            ranked = synset_rank(synsets[topic], index, cfg.synset_search)
+            write_ranked_list(ranked, ws.output(ws.synset_list_path(topic)))
 
 
 def stage_fuse(cfg: RunConfig) -> None:
-    started = time.time()
-    ws = Workspace(cfg.output_dir)
-    inputs: list[str] = []
-    outputs: list[str] = []
-    synset_lists: dict[str, RankedList] = {}
-    classifier_lists: dict[str, RankedList] = {}
-    for topic in _topics(cfg):
-        classifier_path = _require(ws.classifier_list_path(topic), "train-rank")
-        synset_path = _require(ws.synset_list_path(topic), "synset")
-        classifier_lists[topic] = read_ranked_list(classifier_path)
-        synset_lists[topic] = read_ranked_list(synset_path)
-        inputs += [classifier_path, synset_path]
+    with _run(cfg, "fuse") as ws:
+        synset_lists: dict[str, RankedList] = {}
+        classifier_lists: dict[str, RankedList] = {}
+        for topic in _topics(cfg):
+            classifier_path = ws.input(ws.classifier_list_path(topic), "train-rank")
+            synset_path = ws.input(ws.synset_list_path(topic), "synset")
+            classifier_lists[topic] = read_ranked_list(classifier_path)
+            synset_lists[topic] = read_ranked_list(synset_path)
 
-    # Each topic is fused once, at the greatest depth: the list at depth a
-    # is its first a * |S| entries.
-    a_max = max(cfg.fusion.a_values)
-    deepest = {t: fuse(synset_lists[t], classifier_lists[t], a_max) for t in synset_lists}
-    for a in sorted(cfg.fusion.a_values):
-        ws.ensure("fusion", f"a{a}")
-        ws.ensure("tags")
-        fused = {
-            t: RankedList(t, ORIGIN_FUSION, full.entries[: a * len(synset_lists[t])])
-            for t, full in deepest.items()
-        }
-        for topic, flist in fused.items():
-            outputs.append(ws.fusion_list_path(a, topic))
-            write_ranked_list(flist, outputs[-1])
-        assignments = invert(fused, score_threshold=cfg.fusion.score_threshold)
-        tags_out = ws.tags_path(a)
-        write_assignments(assignments, tags_out)
-        outputs.append(tags_out)
-    _record(cfg, "fuse", inputs, outputs, started)
+        # Each topic is fused once, at the greatest depth: the list at depth
+        # a is its first a * |S| entries.
+        a_max = max(cfg.fusion.a_values)
+        deepest = {t: fuse(synset_lists[t], classifier_lists[t], a_max) for t in synset_lists}
+        for a in sorted(cfg.fusion.a_values):
+            fused = {
+                t: RankedList(t, ORIGIN_FUSION, full.entries[: a * len(synset_lists[t])])
+                for t, full in deepest.items()
+            }
+            for topic, flist in fused.items():
+                write_ranked_list(flist, ws.output(ws.fusion_list_path(a, topic)))
+            assignments = invert(fused, score_threshold=cfg.fusion.score_threshold)
+            write_assignments(assignments, ws.output(ws.tags_path(a)))
 
 
-def _load_truth(cfg: RunConfig):
+def _load_truth(cfg: RunConfig, ws: Workspace) -> GroundTruth:
     if cfg.ground_truth_path:
-        return (
-            load_ground_truth(
-                _require_input(cfg.ground_truth_path, "ground_truth_path"),
-                _topics(cfg),
-            ),
-            [cfg.ground_truth_path],
-        )
+        path = ws.input(_require_input(cfg.ground_truth_path, "ground_truth_path"))
+        return load_ground_truth(path, _topics(cfg))
     if cfg.ground_truth_fields:
-        corpus = _load_corpus(cfg)
+        corpus = ingest_corpus(ws.input(_require_input(cfg.corpus_path, "corpus_path")))
         check_corpus_fields(corpus, cfg.ground_truth_fields, "ground_truth_fields")
-        truth = build_ground_truth(corpus, _topics(cfg), cfg.ground_truth_fields)
-        return truth, [cfg.corpus_path]
+        return build_ground_truth(corpus, _topics(cfg), cfg.ground_truth_fields)
     raise ConfigError("config sets neither ground_truth_path nor ground_truth_fields")
 
 
 def stage_eval(cfg: RunConfig) -> None:
-    started = time.time()
-    ws = Workspace(cfg.output_dir)
-    truth, inputs = _load_truth(cfg)
+    with _run(cfg, "eval") as ws:
+        truth = _load_truth(cfg, ws)
+        synset_lists = {
+            t: read_ranked_list(ws.input(ws.synset_list_path(t), "synset"))
+            for t in _topics(cfg)
+        }
+        methods = {"Synset": invert(synset_lists)}
+        for a in sorted(cfg.fusion.a_values):
+            methods[f"Fusion{a}"] = read_assignments(ws.input(ws.tags_path(a), "fuse"))
 
-    synset_lists: dict[str, RankedList] = {}
-    for topic in _topics(cfg):
-        path = _require(ws.synset_list_path(topic), "synset")
-        synset_lists[topic] = read_ranked_list(path)
-        inputs.append(path)
-    methods = {"Synset": invert(synset_lists)}
-    for a in sorted(cfg.fusion.a_values):
-        path = _require(ws.tags_path(a), "fuse")
-        methods[f"Fusion{a}"] = read_assignments(path)
-        inputs.append(path)
-
-    reports = sweep(methods, truth, _topics(cfg))
-    ws.ensure("reports")
-    table = format_table(reports)
-    table_path = ws.report_path("evaluation.txt")
-    with open(table_path, "w", encoding="utf-8") as fh:
-        fh.write(table + "\n")
-    records_path = ws.report_path("evaluation.jsonl")
-    with open(records_path, "w", encoding="utf-8") as fh:
-        for report in reports:
-            fh.write(json.dumps(dataclasses.asdict(report), ensure_ascii=False) + "\n")
-    series_path = ws.report_path("plot_series.tsv")
-    write_plot_series(reports, series_path)
-    print(table)
-    _record(
-        cfg, "eval", inputs, [table_path, records_path, series_path], started
-    )
+        reports = sweep(methods, truth, _topics(cfg))
+        table = format_table(reports)
+        table_path, records_path, series_path = (
+            ws.output(ws.path("reports", name))
+            for name in ("evaluation.txt", "evaluation.jsonl", "plot_series.tsv")
+        )
+        with open(table_path, "w", encoding="utf-8") as fh:
+            fh.write(table + "\n")
+        with open(records_path, "w", encoding="utf-8") as fh:
+            for report in reports:
+                fh.write(json.dumps(dataclasses.asdict(report), ensure_ascii=False) + "\n")
+        write_plot_series(reports, series_path)
+        print(table)
 
 
 # Pipeline order: ``all`` runs the stages as listed.
@@ -373,25 +330,17 @@ def stage_all(cfg: RunConfig) -> None:
 
 
 def stage_bench(cfg: RunConfig) -> None:
-    started = time.time()
-    ws = Workspace(cfg.output_dir)
     spec = cfg.benchmark
-    corpus, truth, synsets = generate(spec)
-    data_dir = ws.ensure("data")
-    corpus_path = os.path.join(data_dir, "corpus.jsonl")
-    synsets_path = os.path.join(data_dir, "synsets.jsonl")
-    truth_path = os.path.join(data_dir, "ground_truth.jsonl")
-    save_corpus(corpus, corpus_path)
-    save_synsets(synsets, synsets_path)
-    save_ground_truth(truth, truth_path)
-    _record(
-        cfg,
-        "bench-generate",
-        [],
-        [corpus_path, synsets_path, truth_path],
-        started,
-        extra={"benchmark": dataclasses.asdict(spec)},
-    )
+    with _run(cfg, "bench-generate") as ws:
+        corpus, truth, synsets = generate(spec)
+        corpus_path, synsets_path, truth_path = (
+            ws.path("data", name)
+            for name in ("corpus.jsonl", "synsets.jsonl", "ground_truth.jsonl")
+        )
+        save_corpus(corpus, ws.output(corpus_path))
+        save_synsets(synsets, ws.output(synsets_path))
+        save_ground_truth(truth, ws.output(truth_path))
+        ws.extra = {"benchmark": dataclasses.asdict(spec)}
 
     pipeline_cfg = dataclasses.replace(
         cfg,

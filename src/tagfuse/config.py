@@ -138,12 +138,16 @@ def config_from_dict(raw: dict) -> RunConfig:
     return _build_section(RunConfig, top, "config")
 
 
+def _reject_constant(name: str):
+    raise ValueError(f"{name} is not a number")  # NaN, Infinity or -Infinity
+
+
 def load_config(path: str) -> RunConfig:
     try:
         with open(path, encoding="utf-8") as fh:
-            raw = json.load(fh)
+            raw = json.load(fh, parse_constant=_reject_constant)
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}") from None
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # not UTF-8 JSON, or a non-finite number
         raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
     return config_from_dict(raw)

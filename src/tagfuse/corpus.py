@@ -52,14 +52,10 @@ class ArticleRecord:
 
 
 class Corpus:
-    """Immutable collection of articles with unique, non-empty ids."""
+    """Immutable collection of articles. Ids are unique and non-empty:
+    ``ingest_corpus`` rejects a repeated id, and generated ids count up."""
 
     def __init__(self, records: list[ArticleRecord]):
-        seen: set[str] = set()
-        for rec in records:
-            if rec.id in seen:
-                raise TagfuseError(f"duplicate article id {rec.id!r}")
-            seen.add(rec.id)
         self._records = list(records)
 
     def __len__(self) -> int:
@@ -120,6 +116,7 @@ def ingest_corpus(path: str) -> Corpus:
     broken line is fatal, since it usually means the wrong file.
     """
     records: list[ArticleRecord] = []
+    seen: set[str] = set()
     skipped = 0
     for lineno, raw in read_jsonl(path):
         required = [raw.get(key) for key in ("id", "title", "abstract")]
@@ -130,6 +127,9 @@ def ingest_corpus(path: str) -> Corpus:
             )
             continue
         article_id, title, abstract = required
+        if article_id in seen:
+            raise TagfuseError(f"{path}:{lineno}: duplicate article id {article_id!r}")
+        seen.add(article_id)
 
         extra: dict[str, tuple[str, ...]] = {}
         for key, value in raw.items():

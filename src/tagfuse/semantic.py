@@ -90,10 +90,11 @@ class SemanticMatrix:
         except KeyError:
             raise TagfuseError(f"article {article_id!r} has no embedding") from None
 
-    def save(self, path_prefix: str) -> None:
-        """Write ``<prefix>.npy`` (rows) and ``<prefix>.json`` (metadata)."""
+    def save(self, npy_path: str, json_path: str) -> None:
+        """Write the rows to ``npy_path`` and the metadata to ``json_path``."""
         import numpy as np
-        np.save(f"{path_prefix}.npy", self.matrix)
+        with open(npy_path, "wb") as fh:  # np.save would append ".npy" to a path
+            np.save(fh, self.matrix)
         meta = {
             "format": "tagfuse-embedding",
             "version": 1,
@@ -101,28 +102,28 @@ class SemanticMatrix:
             "seed": int(self.seed),
             "article_ids": self.article_ids,
         }
-        with open(f"{path_prefix}.json", "w", encoding="utf-8") as fh:
+        with open(json_path, "w", encoding="utf-8") as fh:
             json.dump(meta, fh)
 
     @classmethod
-    def load(cls, path_prefix: str) -> "SemanticMatrix":
+    def load(cls, npy_path: str, json_path: str) -> "SemanticMatrix":
         import numpy as np
         try:
-            with open(f"{path_prefix}.json", encoding="utf-8") as fh:
+            with open(json_path, encoding="utf-8") as fh:
                 meta = json.load(fh)
         except ValueError as exc:  # truncated, or not JSON
-            raise TagfuseError(f"{path_prefix}.json: {exc}") from exc
+            raise TagfuseError(f"{json_path}: {exc}") from exc
         saved = isinstance(meta, dict) and {"k", "seed", "article_ids"} <= meta.keys()
         saved = saved and meta.get("format") == "tagfuse-embedding"
         if not saved or meta.get("version") != 1:
-            raise TagfuseError(f"{path_prefix}.json: not a saved embedding")
+            raise TagfuseError(f"{json_path}: not a saved embedding")
         try:
-            matrix = np.load(f"{path_prefix}.npy")
+            matrix = np.load(npy_path)
         except (EOFError, ValueError) as exc:  # truncated, or not an array file
-            raise TagfuseError(f"{path_prefix}.npy: {exc}") from exc
+            raise TagfuseError(f"{npy_path}: {exc}") from exc
         if matrix.shape != (len(meta["article_ids"]), meta["k"]):
             raise TagfuseError(
-                f"{path_prefix}.npy: shape {matrix.shape}, but its .json has "
+                f"{npy_path}: shape {matrix.shape}, but {json_path} has "
                 f"{len(meta['article_ids'])} article ids and k={meta.get('k')}"
             )
         return cls(matrix=matrix, article_ids=meta["article_ids"], seed=meta["seed"])

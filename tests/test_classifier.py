@@ -1,3 +1,4 @@
+import logging
 import math
 
 import numpy as np
@@ -67,6 +68,14 @@ class TestBuildDataset:
         # Even asking for far more negatives than exist never pulls them in.
         assert set(dataset.negatives) == {f"n{i:02d}" for i in range(17)}
 
+    def test_ratio_beyond_any_int_takes_the_whole_pool(self, caplog):
+        index = build_index(labeled_corpus())
+        with caplog.at_level(logging.WARNING, logger="tagfuse.classifier"):
+            dataset = build_dataset("mycology", index, small(neg_ratio=1e308))
+        assert dataset.negatives == tuple(f"n{i:02d}" for i in range(17))
+        [warning] = [r.getMessage() for r in caplog.records]
+        assert "wanted inf; using all" in warning
+
     def test_negative_count_is_ceil_of_ratio(self):
         corpus = labeled_corpus()
         index = build_index(corpus)
@@ -98,7 +107,7 @@ class TestBuildDataset:
         assert d1.negatives == d2.negatives
         assert d1.negatives != d3.negatives
 
-    @pytest.mark.parametrize("ratio", [-0.1, 0])
+    @pytest.mark.parametrize("ratio", [-0.1, 0, float("nan")])
     def test_negative_ratio_must_be_positive(self, ratio):
         with pytest.raises(ConfigError, match="classifier.neg_ratio must be positive"):
             ClassifierConfig(neg_ratio=ratio)

@@ -2,6 +2,7 @@ import concurrent.futures
 import json
 import logging
 import os
+import pathlib
 import pickle
 import shutil
 import subprocess
@@ -17,6 +18,8 @@ from tagfuse.benchmark import BenchmarkSpec, topic_names
 from tagfuse.classifier import train
 from tagfuse.cli import main
 from tagfuse.config import topic_slug
+from tagfuse.errors import TagfuseError
+from tagfuse.fusion import write_assignments
 from tagfuse.manifest import MANIFEST_NAME, file_sha256
 from tagfuse.ranking import ORIGIN_CLASSIFIER, RankedList, read_ranked_list
 
@@ -68,6 +71,13 @@ def copy_upstream(bench_out, out, edit_ids=None):
         meta = json.loads((out / "embedding.json").read_text(encoding="utf-8"))
         edit_ids(meta["article_ids"])
         (out / "embedding.json").write_text(json.dumps(meta), encoding="utf-8")
+
+
+def snapshot(root):
+    """Every file under ``root`` and its bytes."""
+    return {
+        str(p.relative_to(root)): p.read_bytes() for p in root.rglob("*") if p.is_file()
+    }
 
 
 def halve(path):
@@ -328,7 +338,9 @@ class TestStagePipeline:
         assert ingests == []
         entry = read_manifest(str(out))[-1]
         assert entry["command"] == "train-rank"
-        assert set(entry["inputs"]) == {str(out / "index.pkl"), str(out / "embedding.npy")}
+        assert set(entry["inputs"]) == {
+            str(out / name) for name in ("index.pkl", "embedding.npy", "embedding.json")
+        }
         for topic in TOPICS:
             listed = os.path.join(bench_out, "ranked", "classifier", f"{topic_slug(topic)}.tsv")
             written = out / "ranked" / "classifier" / f"{topic_slug(topic)}.tsv"
@@ -425,6 +437,60 @@ class TestTopicPool:
         assert ["another" in m for m in skips] == [False, True, False, True]
 
 
+class TestStageRunner:
+    """A stage renames its outputs into place and appends its manifest line
+    only when it succeeds; a failed stage leaves the directory as it was."""
+
+    def previous_run(self, bench_run, tmp_path, *dirs):
+        """A copy of the bench's output directory whose files under ``dirs``
+        hold bytes no stage writes, so a rewrite in place would show."""
+        _, bench_out = bench_run
+        out = tmp_path / "out"
+        shutil.copytree(bench_out, out)
+        for path in (p for d in dirs for p in (out / d).rglob("*") if p.is_file()):
+            path.write_bytes(b"previous run\n")
+        return out, snapshot(out)
+
+    def test_fuse_failing_at_the_second_depth_changes_nothing(
+        self, stage_config, bench_run, tmp_path, monkeypatch
+    ):
+        out, before = self.previous_run(bench_run, tmp_path, "fusion", "tags")
+        config = derived_config(stage_config, tmp_path)
+        written = []
+
+        def failing_write(assignments, path):
+            written.append(path)
+            if len(written) == 2:
+                raise TagfuseError("disk full")
+            write_assignments(assignments, path)
+
+        monkeypatch.setattr(cli, "write_assignments", failing_write)
+        assert main(["fuse", "--config", config]) == 3
+        assert len(written) == 2
+        assert snapshot(out) == before
+
+    def test_train_rank_failing_in_a_worker_changes_nothing(
+        self, stage_config, bench_run, tmp_path, monkeypatch
+    ):
+        out, before = self.previous_run(bench_run, tmp_path, "ranked/classifier")
+        config = derived_config(stage_config, tmp_path)
+
+        def failing_train(dataset, *args, **kwargs):
+            if dataset.topic == TOPICS[2]:
+                raise TagfuseError(f"cannot train {dataset.topic}")
+            return train(dataset, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "train", failing_train)
+        assert main(["train-rank", "--config", config]) == 3
+        assert snapshot(out) == before
+
+    def test_every_artifact_is_the_output_of_exactly_one_entry(self, bench_run):
+        _, out = bench_run
+        outputs = [path for entry in read_manifest(out) for path in entry["outputs"]]
+        files = [f for f in snapshot(pathlib.Path(out)) if f != MANIFEST_NAME]
+        assert sorted(os.path.relpath(p, out) for p in outputs) == sorted(files)
+
+
 class TestFailureModes:
     def test_stage_before_its_inputs_names_the_missing_stage(
         self, stage_config, tmp_path, caplog
@@ -443,6 +509,20 @@ class TestFailureModes:
             code = main(["train-rank", "--config", config, "--output-dir", empty_out])
         assert code == 2
         assert any("run 'tagfuse index' first" in r.message for r in caplog.records)
+
+    @pytest.mark.parametrize("name", ["embedding.npy", "embedding.json"])
+    def test_train_rank_requires_both_embedding_files(
+        self, stage_config, bench_run, tmp_path, caplog, name
+    ):
+        _, bench_out = bench_run
+        config = derived_config(stage_config, tmp_path)
+        out = tmp_path / "out"
+        copy_upstream(bench_out, out)
+        (out / name).unlink()
+        with caplog.at_level(logging.ERROR):
+            assert main(["train-rank", "--config", config]) == 2
+        errors = [r.message for r in caplog.records if r.levelno >= logging.ERROR]
+        assert errors == [f"missing {out / name}; run 'tagfuse embed' first"]
 
     @pytest.mark.parametrize(
         "change",
@@ -702,11 +782,14 @@ ARTICLE = '{"id": "a1", "title": "t", "abstract": "x"}'
          "{file}:1: empty topic list"),
         ("eval", "ground_truth_path", f'{{"id": "elsewhere", "topics": ["{TOPICS[0]}"]}}',
          3, "no overlap between tagged articles and truth"),
-        ("index", "corpus_path", f"{ARTICLE}\n{ARTICLE}", 3, "duplicate article id 'a1'"),
+        ("index", "corpus_path", f"{ARTICLE}\n{ARTICLE}", 3,
+         "{file}:2: duplicate article id 'a1'"),
         ("bench", "benchmark", {"n_topics": 0}, 2, "benchmark.n_topics must be positive"),
+        ("train-rank", "classifier", {"neg_ratio": float("nan")}, 2,
+         "{config}: invalid JSON: NaN is not a number"),
     ],
     ids=["synset-line", "truth-empty-topics", "truth-disjoint", "duplicate-id",
-         "benchmark-key"],
+         "benchmark-key", "nan"],
 )
 def test_exit_code_is_the_only_error_kind(
     stage_config, bench_run, tmp_path, caplog, capsys, command, key, value, code, message
@@ -717,6 +800,7 @@ def test_exit_code_is_the_only_error_kind(
         path.write_text(value + "\n", encoding="utf-8")
         value, message = str(path), message.format(file=path)
     config = derived_config(stage_config, tmp_path, **{key: value})
+    message = message.replace("{config}", config)
     out = tmp_path / "out"
     copy_upstream(bench_out, out)
     for name in ("ranked", "tags"):

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -159,4 +160,20 @@ class TestLoadConfig:
         path = tmp_path / "broken.json"
         path.write_text("{not json", encoding="utf-8")
         with pytest.raises(ConfigError, match="invalid JSON"):
+            load_config(str(path))
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            b'{"classifier": {"neg_ratio": NaN}}',
+            b'{"fusion": {"score_threshold": Infinity}}',
+            b'{"seed": -Infinity}',
+            b'{"output_dir": "\xff"}',
+        ],
+        ids=["nan", "infinity", "minus-infinity", "not-utf8"],
+    )
+    def test_non_finite_number_or_undecodable_byte_names_the_file(self, tmp_path, text):
+        path = tmp_path / "config.json"
+        path.write_bytes(text)
+        with pytest.raises(ConfigError, match=f"^{re.escape(str(path))}: invalid JSON"):
             load_config(str(path))

@@ -1,5 +1,6 @@
 import json
 import logging
+import os
 import random
 import re
 
@@ -237,8 +238,8 @@ class TestStageFuse:
             "skipped": (rng.sample(universe, 10), []),
         }
         ws = cli.Workspace(str(tmp_path / "out"))
-        ws.ensure("ranked", "synset")
-        ws.ensure("ranked", "classifier")
+        os.makedirs(ws.path("ranked", "synset"))
+        os.makedirs(ws.path("ranked", "classifier"))
         for topic, (synset_ids, classifier_ids) in pairs.items():
             write_ranked_list(
                 ranked(topic, ORIGIN_SYNSET, synset_ids), ws.synset_list_path(topic)

@@ -536,9 +536,9 @@ class TestTruncatedSvd:
 
     def test_save_load_round_trip(self, tmp_path):
         sem = self.embed()
-        prefix = str(tmp_path / "embedding")
-        sem.save(prefix)
-        again = SemanticMatrix.load(prefix)
+        paths = str(tmp_path / "embedding.npy"), str(tmp_path / "embedding.json")
+        sem.save(*paths)
+        again = SemanticMatrix.load(*paths)
         assert np.array_equal(sem.matrix, again.matrix)
         assert again.article_ids == sem.article_ids
         assert again.seed == sem.seed
@@ -554,15 +554,15 @@ class TestTruncatedSvd:
         ids=["missing-id", "extra-id", "wrong-k", "one-dimensional"],
     )
     def test_load_rejects_a_shape_mismatch(self, tmp_path, change):
-        prefix = str(tmp_path / "embedding")
-        self.embed().save(prefix)
-        with open(f"{prefix}.json", encoding="utf-8") as fh:
+        npy, meta_path = str(tmp_path / "embedding.npy"), str(tmp_path / "embedding.json")
+        self.embed().save(npy, meta_path)
+        with open(meta_path, encoding="utf-8") as fh:
             meta = json.load(fh)
-        change(meta, f"{prefix}.npy")
-        with open(f"{prefix}.json", "w", encoding="utf-8") as fh:
+        change(meta, npy)
+        with open(meta_path, "w", encoding="utf-8") as fh:
             json.dump(meta, fh)
         with pytest.raises(TagfuseError, match="embedding.npy: shape"):
-            SemanticMatrix.load(prefix)
+            SemanticMatrix.load(npy, meta_path)
 
     def test_k_below_two_rejected(self):
         with pytest.raises(ConfigError, match="at least 2"):
