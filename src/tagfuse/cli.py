@@ -44,7 +44,8 @@ from .fusion import fuse, invert, read_assignments, write_assignments
 from .index import Index, build_ground_truth, build_index, check_corpus_fields
 from .manifest import append_entry, config_fingerprint
 from .ranking import (
-    ORIGIN_CLASSIFIER, ORIGIN_FUSION, RankedList, read_ranked_list, write_ranked_list
+    ORIGIN_CLASSIFIER, ORIGIN_FUSION, ORIGIN_SYNSET, RankedList, read_ranked_list,
+    write_ranked_list,
 )
 from .semantic import SemanticMatrix, truncated_svd, vectorize
 from .seeds import derive_seed
@@ -205,6 +206,11 @@ def stage_train_rank(cfg: RunConfig) -> None:
     with _run(cfg, "train-rank") as ws:
         index = Index.load(ws.input(ws.index_path, "index"))
         sem = SemanticMatrix.load(*[ws.input(p, "embed") for p in ws.embedding_paths])
+        if sem.article_ids != index.article_ids:
+            raise TagfuseError(
+                f"{ws.embedding_paths[1]} and {ws.index_path} list different articles; "
+                "re-run 'tagfuse index' and 'tagfuse embed' on one corpus"
+            )
         # Recorded here: a worker's copy of ``ws`` records nothing.
         topics = _topics(cfg)
         paths = [ws.output(ws.classifier_list_path(t)) for t in topics]
@@ -257,8 +263,8 @@ def stage_fuse(cfg: RunConfig) -> None:
         for topic in _topics(cfg):
             classifier_path = ws.input(ws.classifier_list_path(topic), "train-rank")
             synset_path = ws.input(ws.synset_list_path(topic), "synset")
-            classifier_lists[topic] = read_ranked_list(classifier_path)
-            synset_lists[topic] = read_ranked_list(synset_path)
+            classifier_lists[topic] = read_ranked_list(classifier_path, topic, ORIGIN_CLASSIFIER)
+            synset_lists[topic] = read_ranked_list(synset_path, topic, ORIGIN_SYNSET)
 
         # Each topic is fused once, at the greatest depth: the list at depth
         # a is its first a * |S| entries.
@@ -288,16 +294,17 @@ def _load_truth(cfg: RunConfig, ws: Workspace) -> GroundTruth:
 
 def stage_eval(cfg: RunConfig) -> None:
     with _run(cfg, "eval") as ws:
+        topics = _topics(cfg)
         truth = _load_truth(cfg, ws)
         synset_lists = {
-            t: read_ranked_list(ws.input(ws.synset_list_path(t), "synset"))
-            for t in _topics(cfg)
+            t: read_ranked_list(ws.input(ws.synset_list_path(t), "synset"), t, ORIGIN_SYNSET)
+            for t in topics
         }
         methods = {"Synset": invert(synset_lists)}
         for a in sorted(cfg.fusion.a_values):
-            methods[f"Fusion{a}"] = read_assignments(ws.input(ws.tags_path(a), "fuse"))
+            methods[f"Fusion{a}"] = read_assignments(ws.input(ws.tags_path(a), "fuse"), topics)
 
-        reports = sweep(methods, truth, _topics(cfg))
+        reports = sweep(methods, truth, topics)
         table = format_table(reports)
         table_path, records_path, series_path = (
             ws.output(ws.path("reports", name))

@@ -62,6 +62,9 @@ class RunConfig:
     def __post_init__(self):
         if len(set(self.topics)) != len(self.topics):
             raise ConfigError("topics must be unique")
+        unprintable = [t for t in self.topics if not t.isprintable()]
+        if unprintable:
+            raise ConfigError(f"topic(s) a ranked-list header cannot hold: {unprintable}")
         unsearchable = [t for t in self.topics if not tokenize(t)]
         if unsearchable:
             raise ConfigError(f"topic(s) with no letters or digits: {unsearchable}")

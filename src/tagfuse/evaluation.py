@@ -51,8 +51,9 @@ def evaluate(
 ) -> EvalReport:
     """Score one method's assignments against the truth.
 
-    Per article in E, with predicted set P and true set T (both non-empty
-    by construction):
+    The assignments come from ``invert`` or ``read_assignments``: one per
+    article, each a non-empty subset of ``label_set``. Per article in E,
+    with predicted set P and true set T:
 
         precision = |P & T| / |P|        recall = |P & T| / |T|
         f1 = 2|P & T| / (|P| + |T|)      jaccard = |P & T| / |P | T|
@@ -62,28 +63,12 @@ def evaluate(
     which names each label once. An empty E is an error: it means the
     predictions and the truth describe disjoint articles.
     """
-    labels = set(label_set)
     n_labels = len(label_set)
-
-    seen: set[str] = set()
-    pairs: list[tuple[set[str], set[str]]] = []
-    for assignment in assignments:
-        if assignment.article_id in seen:
-            raise TagfuseError(f"duplicate assignment for {assignment.article_id!r}")
-        seen.add(assignment.article_id)
-        if assignment.article_id not in truth:
-            continue
-        predicted = assignment.topic_set()
-        true = truth.labels[assignment.article_id]
-        stray = (predicted | true) - labels
-        if stray:
-            raise TagfuseError(
-                f"article {assignment.article_id!r} uses labels outside the "
-                f"label set: {sorted(stray)}"
-            )
-        if not predicted:
-            raise TagfuseError(f"article {assignment.article_id!r} has no tags")
-        pairs.append((predicted, true))
+    pairs = [
+        (assignment.topic_set(), truth.labels[assignment.article_id])
+        for assignment in assignments
+        if assignment.article_id in truth
+    ]
 
     if not pairs:
         raise TagfuseError(

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 from .corpus import read_jsonl
 from .errors import ConfigError, TagfuseError
-from .ranking import ORIGIN_CLASSIFIER, ORIGIN_FUSION, ORIGIN_SYNSET, RankedList
+from .ranking import ORIGIN_FUSION, RankedList
 
 logger = logging.getLogger(__name__)
 
@@ -60,15 +60,6 @@ def fuse(synset_list: RankedList, classifier_list: RankedList, a: int) -> Ranked
     warning rather than an error: a topic foreign to the corpus should
     not kill a batch run.
     """
-    if synset_list.origin != ORIGIN_SYNSET:
-        raise TagfuseError(f"expected a synset list, got {synset_list.origin!r}")
-    if classifier_list.origin != ORIGIN_CLASSIFIER:
-        raise TagfuseError(f"expected a classifier list, got {classifier_list.origin!r}")
-    if synset_list.topic != classifier_list.topic:
-        raise TagfuseError(
-            f"topic mismatch: {synset_list.topic!r} vs {classifier_list.topic!r}"
-        )
-
     topic = synset_list.topic
     synset_size = len(synset_list)
     if synset_size == 0:
@@ -103,11 +94,6 @@ class TagAssignment:
     article_id: str
     tags: list[tuple[str, float]]
 
-    def __post_init__(self):
-        topics = [t for t, _ in self.tags]
-        if len(set(topics)) != len(topics):
-            raise TagfuseError(f"article {self.article_id!r} has duplicate topics")
-
     def topic_set(self) -> set[str]:
         return {t for t, _ in self.tags}
 
@@ -130,13 +116,6 @@ def invert(
     Assignments come back sorted by article id; each article's tags are
     sorted best first.
     """
-    origins = {lst.origin for lst in per_topic.values()}
-    if not origins <= {ORIGIN_FUSION, ORIGIN_SYNSET} or len(origins) > 1:
-        raise TagfuseError(f"cannot invert lists with origins {sorted(origins)}")
-    for topic, lst in per_topic.items():
-        if topic != lst.topic:
-            raise TagfuseError(f"list for {lst.topic!r} filed under {topic!r}")
-
     tags_by_article: dict[str, list[tuple[str, float]]] = {}
     for topic in per_topic:
         entries = per_topic[topic].entries
@@ -173,13 +152,29 @@ def write_assignments(assignments: list[TagAssignment], path: str) -> None:
         fh.write("".join(lines))
 
 
-def read_assignments(path: str) -> list[TagAssignment]:
+def read_assignments(path: str, topics: list[str]) -> list[TagAssignment]:
+    """Read a ``write_assignments`` file whose tags name ``topics``; a
+    malformed line raises TagfuseError naming ``path:line``."""
+    allowed = set(topics)
+    seen: set[str] = set()
     assignments: list[TagAssignment] = []
     for lineno, raw in read_jsonl(path):
         try:
-            tags = [(t["topic"], float(t["score"])) for t in raw["tags"]]
             article_id = raw["id"]
+            tags = [(t["topic"], float(t["score"])) for t in raw["tags"]]
+            names = {t for t, _ in tags}
+            unknown = sorted(names - allowed)
+            fault = (
+                "repeated article" if article_id in seen
+                else "empty tag list" if not tags
+                else "repeated topic" if len(names) != len(tags)
+                else f"topics outside the topic list: {unknown}" if unknown
+                else None
+            )
         except (KeyError, TypeError, ValueError) as exc:
             raise TagfuseError(f"{path}:{lineno}: invalid record: {exc!r}") from exc
+        if fault:
+            raise TagfuseError(f"{path}:{lineno}: article {article_id!r}: {fault}")
+        seen.add(article_id)
         assignments.append(TagAssignment(article_id=article_id, tags=tags))
     return assignments

@@ -3,7 +3,8 @@
 A classifier or synset list is ordered by descending score (higher is
 better); a fusion list is ordered by ascending combined rank (lower is
 better). Either way rank 1 is the best article and ties are already
-resolved: entry order is authoritative.
+resolved: entry order is authoritative. The lists the program builds are
+in order by construction; only ``read_ranked_list`` checks a list.
 """
 
 from __future__ import annotations
@@ -17,16 +18,6 @@ ORIGIN_CLASSIFIER = "classifier"
 ORIGIN_SYNSET = "synset"
 ORIGIN_FUSION = "fusion"
 
-_ORIGINS = (ORIGIN_CLASSIFIER, ORIGIN_SYNSET, ORIGIN_FUSION)
-
-
-class EntryError(ValueError):
-    """A ranked list fails a check at entry ``position``, counted from 0."""
-
-    def __init__(self, position: int, message: str):
-        super().__init__(message)
-        self.position = position
-
 
 @dataclass
 class RankedList:
@@ -35,28 +26,6 @@ class RankedList:
     topic: str
     origin: str
     entries: list[tuple[str, float]] = field(default_factory=list)
-
-    def __post_init__(self):
-        ids = self.ids()
-        if len(set(ids)) != len(ids):
-            seen: set[str] = set()
-            at = next(i for i, a in enumerate(ids) if a in seen or seen.add(a))
-            raise EntryError(
-                at,
-                f"duplicate article {ids[at]!r} in {self.origin} list "
-                f"for topic {self.topic!r}",
-            )
-        scores = [s for _, s in self.entries]
-        descending = self.origin in (ORIGIN_CLASSIFIER, ORIGIN_SYNSET)
-        # Equal neighbours, and a NaN next to anything, are in order.
-        out_of_order = operator.lt if descending else operator.gt
-        if any(map(out_of_order, scores, scores[1:])):
-            faults = list(map(out_of_order, scores, scores[1:]))
-            raise EntryError(
-                faults.index(True) + 1,
-                f"{self.origin} list for topic {self.topic!r} is not "
-                f"ordered ({'desc' if descending else 'asc'} expected)",
-            )
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -81,19 +50,16 @@ def write_ranked_list(ranked: RankedList, path: str) -> None:
             fh.write(f"{rank}\t{article_id}\t{score!r}\n")
 
 
-def read_ranked_list(path: str) -> RankedList:
-    """Read a ``write_ranked_list`` file; a malformed line raises TagfuseError."""
+def read_ranked_list(path: str, topic: str, origin: str) -> RankedList:
+    """Read the ``write_ranked_list`` file of ``topic``'s ``origin`` list; a
+    malformed line raises TagfuseError naming ``path:line``."""
     linenos = [1]  # the header's, then each entry's
+    at = None  # the entry at fault, counted from 0, once every line is read
     try:
         with open(path, encoding="utf-8") as fh:
-            header = fh.readline().rstrip("\n")
-            if not header.startswith("# topic="):
-                raise ValueError("missing ranked-list header")
-            topic_part, _, origin_part = header[2:].partition("\t")
-            topic = topic_part[len("topic="):]
-            origin = origin_part[len("origin="):]
-            if not origin_part.startswith("origin=") or origin not in _ORIGINS:
-                raise ValueError("malformed ranked-list header")
+            header = f"# topic={topic}\torigin={origin}"
+            if fh.readline().rstrip("\n") != header:
+                raise ValueError(f"expected the header {header!r}")
             entries: list[tuple[str, float]] = []
             for lineno, line in enumerate(fh, start=2):
                 line = line.rstrip("\n")
@@ -107,8 +73,19 @@ def read_ranked_list(path: str) -> RankedList:
                 if int(rank) != len(entries) + 1:
                     raise ValueError("rank out of sequence")
                 entries.append((article_id, float(score)))
-            return RankedList(topic=topic, origin=origin, entries=entries)
-    except EntryError as exc:
-        raise TagfuseError(f"{path}:{linenos[exc.position + 1]}: {exc}") from exc
-    except ValueError as exc:  # names the line being read
-        raise TagfuseError(f"{path}:{linenos[-1]}: {exc}") from exc
+        ids = [article_id for article_id, _ in entries]
+        if len(set(ids)) != len(ids):
+            seen: set[str] = set()
+            at = next(i for i, a in enumerate(ids) if a in seen or seen.add(a))
+            raise ValueError(f"duplicate article {ids[at]!r}")
+        scores = [s for _, s in entries]
+        descending = origin != ORIGIN_FUSION
+        # Equal neighbours, and a NaN next to anything, are in order.
+        out_of_order = operator.lt if descending else operator.gt
+        if any(map(out_of_order, scores, scores[1:])):
+            at = list(map(out_of_order, scores, scores[1:])).index(True) + 1
+            raise ValueError(f"not ordered ({'desc' if descending else 'asc'} expected)")
+        return RankedList(topic=topic, origin=origin, entries=entries)
+    except ValueError as exc:  # names the line being read, or the entry at fault
+        lineno = linenos[-1] if at is None else linenos[at + 1]
+        raise TagfuseError(f"{path}:{lineno}: {exc}") from exc

@@ -85,10 +85,7 @@ class SemanticMatrix:
         return self.matrix.shape[1]
 
     def row(self, article_id: str) -> np.ndarray:
-        try:
-            return self.matrix[self._row_of[article_id]]
-        except KeyError:
-            raise TagfuseError(f"article {article_id!r} has no embedding") from None
+        return self.matrix[self._row_of[article_id]]
 
     def save(self, npy_path: str, json_path: str) -> None:
         """Write the rows to ``npy_path`` and the metadata to ``json_path``."""

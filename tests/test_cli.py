@@ -430,7 +430,8 @@ class TestTopicPool:
         ]
         assert [t["topic"] for t in summary["trained"]] == TOPICS
         for topic in ("absent topic", "another absent topic"):
-            skipped = read_ranked_list(str(one / f"{topic_slug(topic)}.tsv"))
+            path = str(one / f"{topic_slug(topic)}.tsv")
+            skipped = read_ranked_list(path, topic, ORIGIN_CLASSIFIER)
             assert skipped == RankedList(topic, ORIGIN_CLASSIFIER)
         skips = [r.message for r in caplog.records if "skipping topic" in r.message]
         assert len(skips) == 4
@@ -573,7 +574,7 @@ class TestFailureModes:
         assert len(errors) == 1 and str(out / name) in errors[0]
         assert not (out / "ranked" / "classifier").exists()
 
-    def test_embedding_without_the_indexed_ids_exits_three_from_a_worker(
+    def test_embedding_without_the_indexed_ids_exits_three_before_training(
         self, stage_config, bench_run, tmp_path, caplog
     ):
         _, bench_out = bench_run
@@ -588,8 +589,30 @@ class TestFailureModes:
         with caplog.at_level(logging.ERROR):
             assert main(["train-rank", "--config", config]) == 3
         errors = [r.message for r in caplog.records if r.levelno >= logging.ERROR]
-        assert len(errors) == 1 and "has no embedding" in errors[0]
-        assert not (out / "ranked" / "classifier" / "_training.json").exists()
+        assert len(errors) == 1
+        assert str(out / "embedding.json") in errors[0] and str(out / "index.pkl") in errors[0]
+        assert "re-run 'tagfuse index' and 'tagfuse embed' on one corpus" in errors[0]
+        assert not (out / "ranked" / "classifier").exists()
+
+    def test_index_of_a_subset_of_the_embedded_corpus_exits_three(
+        self, stage_config, bench_run, tmp_path, caplog
+    ):
+        _, bench_out = bench_run
+        corpus = os.path.join(bench_out, "data", "corpus.jsonl")
+        with open(corpus, encoding="utf-8") as fh:
+            lines = fh.readlines()
+        subset = tmp_path / "subset.jsonl"
+        subset.write_text("".join(lines[: len(lines) * 2 // 3]), encoding="utf-8")
+        # Both configs write to tmp_path / "out"; the second replaces the first.
+        subset_config = derived_config(stage_config, tmp_path, corpus_path=str(subset))
+        assert main(["index", "--config", subset_config]) == 0
+        config = derived_config(stage_config, tmp_path)
+        assert main(["embed", "--config", config]) == 0
+        with caplog.at_level(logging.ERROR):
+            assert main(["train-rank", "--config", config]) == 3
+        errors = [r.message for r in caplog.records if r.levelno >= logging.ERROR]
+        assert len(errors) == 1 and "index.pkl" in errors[0], errors
+        assert not (tmp_path / "out" / "ranked" / "classifier").exists()
 
     def test_ground_truth_field_missing_from_corpus_exits_two(
         self, stage_config, tmp_path, caplog
@@ -724,7 +747,7 @@ class TestFailureModes:
         assert capsys.readouterr().out.startswith("tagfuse ")
 
 
-MALFORMED_CASES = ["header", "columns", "rank", "score", "sequence", "order", "duplicate"]
+MALFORMED_CASES = ["header", "topic", "columns", "rank", "score", "sequence", "order", "duplicate"]
 
 
 def corrupt(lines, case):
@@ -732,6 +755,9 @@ def corrupt(lines, case):
     error must name."""
     if case == "header":
         lines[0] = lines[0].replace("origin=synset", "origin=nope")
+        return 1
+    if case == "topic":
+        lines[0] = lines[0].replace(f"topic={TOPICS[0]}", f"topic={TOPICS[1]}")
         return 1
     rank, article_id, score = lines[2].split("\t")  # the second entry
     lines[2] = "\t".join(
@@ -765,6 +791,40 @@ def test_malformed_ranked_list_exits_three_naming_the_line(
             assert main([command, "--config", config]) == 3, command
         errors = [r.message for r in caplog.records if r.levelno >= logging.ERROR]
         assert len(errors) == 1 and errors[0].startswith(f"{path}:{lineno}: "), errors
+
+
+def tags_line(*topics, score=1.0):
+    return json.dumps({"id": "x", "tags": [{"topic": t, "score": score} for t in topics]})
+
+
+MALFORMED_TAGS = {
+    "json": lambda lines: "{broken",
+    "key": lambda lines: json.dumps({"id": "x"}),
+    "score": lambda lines: tags_line(TOPICS[0], score="high"),
+    "article": lambda lines: lines[0],
+    "topics": lambda lines: tags_line(TOPICS[0], TOPICS[0]),
+    "unknown-topic": lambda lines: tags_line("elsewhere"),
+    "empty": lambda lines: tags_line(),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED_TAGS)
+def test_malformed_tags_file_exits_three_naming_the_line(
+    stage_config, bench_run, tmp_path, caplog, case
+):
+    _, bench_out = bench_run
+    config = derived_config(stage_config, tmp_path)
+    out = tmp_path / "out"
+    for name in ("ranked", "tags"):
+        shutil.copytree(os.path.join(bench_out, name), out / name)
+    path = out / "tags" / "tags_a2.jsonl"
+    lines = path.read_text(encoding="utf-8").splitlines()
+    lines[1] = MALFORMED_TAGS[case](lines)
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with caplog.at_level(logging.ERROR):
+        assert main(["eval", "--config", config]) == 3
+    errors = [r.message for r in caplog.records if r.levelno >= logging.ERROR]
+    assert len(errors) == 1 and errors[0].startswith(f"{path}:2: "), errors
 
 
 ARTICLE = '{"id": "a1", "title": "t", "abstract": "x"}'

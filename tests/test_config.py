@@ -77,6 +77,12 @@ class TestConfigFromDict:
         with pytest.raises(ConfigError, match="unique"):
             config_from_dict({"topics": ["A", "A"]})
 
+    @pytest.mark.parametrize("separator", ["\t", "\n", "\r", "\u2028", "\x00"])
+    def test_topic_a_list_header_cannot_hold_is_rejected(self, separator):
+        topic = f"domain01{separator}studies"
+        with pytest.raises(ConfigError, match=re.escape(repr(topic))):
+            config_from_dict({"topics": ["domain00", topic]})
+
     def test_colliding_topic_slugs_rejected(self):
         with pytest.raises(ConfigError, match="collide"):
             config_from_dict({"topics": ["My Topic", "my-topic"]})

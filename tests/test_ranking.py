@@ -14,6 +14,13 @@ from tagfuse.ranking import (
 from tagfuse.seeds import derive_seed
 
 
+def read_back(tmp_path, origin, entries):
+    """Write a list of topic "T" and read it back; only the reader checks."""
+    path = str(tmp_path / "list.tsv")
+    write_ranked_list(RankedList(topic="T", origin=origin, entries=entries), path)
+    return read_ranked_list(path, "T", origin)
+
+
 class TestRankedList:
     def test_ranks_are_one_based_entry_order(self):
         lst = RankedList(
@@ -25,38 +32,31 @@ class TestRankedList:
         assert lst.ids() == ["b", "a", "c"]
         assert len(lst) == 3
 
-    def test_duplicate_article_rejected(self):
-        with pytest.raises(ValueError, match="duplicate article"):
-            RankedList(
-                topic="T",
-                origin=ORIGIN_SYNSET,
-                entries=[("a", 2.0), ("a", 1.0)],
-            )
+    def test_duplicate_article_rejected(self, tmp_path):
+        with pytest.raises(TagfuseError, match=r":3: duplicate article 'a'"):
+            read_back(tmp_path, ORIGIN_SYNSET, [("a", 2.0), ("a", 1.0)])
 
-    def test_score_order_enforced_per_origin(self):
+    def test_score_order_enforced_per_origin(self, tmp_path):
         ascending = [("a", 1.0), ("b", 2.0)]
         descending = [("a", 2.0), ("b", 1.0)]
-        RankedList(topic="T", origin=ORIGIN_FUSION, entries=list(ascending))
-        RankedList(topic="T", origin=ORIGIN_SYNSET, entries=list(descending))
-        RankedList(topic="T", origin=ORIGIN_CLASSIFIER, entries=list(descending))
-        with pytest.raises(ValueError, match="not ordered"):
-            RankedList(topic="T", origin=ORIGIN_FUSION, entries=list(descending))
-        with pytest.raises(ValueError, match="not ordered"):
-            RankedList(topic="T", origin=ORIGIN_SYNSET, entries=list(ascending))
+        read_back(tmp_path, ORIGIN_FUSION, ascending)
+        read_back(tmp_path, ORIGIN_SYNSET, descending)
+        read_back(tmp_path, ORIGIN_CLASSIFIER, descending)
+        with pytest.raises(TagfuseError, match=r":3: not ordered \(asc"):
+            read_back(tmp_path, ORIGIN_FUSION, descending)
+        with pytest.raises(TagfuseError, match=r":3: not ordered \(desc"):
+            read_back(tmp_path, ORIGIN_SYNSET, ascending)
 
-    def test_duplicate_named_is_the_first_repeated_id(self):
-        with pytest.raises(ValueError, match="duplicate article 'b'"):
-            RankedList(
-                topic="T",
-                origin=ORIGIN_FUSION,
-                entries=[("a", 1.0), ("b", 2.0), ("c", 3.0), ("b", 4.0), ("a", 5.0)],
-            )
+    def test_duplicate_named_is_the_first_repeated_id(self, tmp_path):
+        entries = [("a", 1.0), ("b", 2.0), ("c", 3.0), ("b", 4.0), ("a", 5.0)]
+        with pytest.raises(TagfuseError, match=r":5: duplicate article 'b'"):
+            read_back(tmp_path, ORIGIN_FUSION, entries)
 
-    def test_one_pair_out_of_order_is_rejected_in_either_direction(self):
+    def test_one_pair_out_of_order_is_rejected_in_either_direction(self, tmp_path):
         descending = [("a", 3.0), ("b", 2.0), ("c", 2.0), ("d", 1.0), ("e", 1.0)]
         ascending = [(aid, -score) for aid, score in descending]
-        RankedList(topic="T", origin=ORIGIN_SYNSET, entries=descending)
-        RankedList(topic="T", origin=ORIGIN_FUSION, entries=ascending)
+        read_back(tmp_path, ORIGIN_SYNSET, descending)
+        read_back(tmp_path, ORIGIN_FUSION, ascending)
         cases = ((ORIGIN_SYNSET, descending), (ORIGIN_FUSION, ascending))
         for i in range(len(descending) - 1):
             for origin, entries in cases:
@@ -65,26 +65,27 @@ class TestRankedList:
                 if sa == sb:
                     continue
                 swapped[i], swapped[i + 1] = (a, sb), (b, sa)
-                with pytest.raises(ValueError, match="not ordered"):
-                    RankedList(topic="T", origin=origin, entries=swapped)
+                # The header is line 1, entry i is line i + 2.
+                with pytest.raises(TagfuseError, match=f":{i + 3}: not ordered"):
+                    read_back(tmp_path, origin, swapped)
 
-    def test_nan_scores_are_never_out_of_order(self):
+    def test_nan_scores_are_never_out_of_order(self, tmp_path):
         nan = float("nan")
         for origin in (ORIGIN_CLASSIFIER, ORIGIN_FUSION):
             entries = [("a", 1.0), ("b", nan), ("c", nan), ("d", 2.0)]
-            assert len(RankedList(topic="T", origin=origin, entries=entries)) == 4
+            assert len(read_back(tmp_path, origin, entries)) == 4
 
-    def test_equal_scores_are_always_legal(self):
+    def test_equal_scores_are_always_legal(self, tmp_path):
         entries = [("a", 1.0), ("b", 1.0)]
         for origin in (ORIGIN_CLASSIFIER, ORIGIN_SYNSET, ORIGIN_FUSION):
-            assert len(RankedList(topic="T", origin=origin, entries=list(entries))) == 2
+            assert len(read_back(tmp_path, origin, entries)) == 2
 
 
 class TestRankedListIO:
     def roundtrip(self, lst, tmp_path):
         path = str(tmp_path / "list.tsv")
         write_ranked_list(lst, path)
-        return read_ranked_list(path), path
+        return read_ranked_list(path, lst.topic, lst.origin), path
 
     def test_scores_round_trip_exactly(self, tmp_path):
         lst = RankedList(
@@ -110,7 +111,15 @@ class TestRankedListIO:
         path = tmp_path / "bad.tsv"
         path.write_text("1\td1\t0.5\n", encoding="utf-8")
         with pytest.raises(TagfuseError, match="header"):
-            read_ranked_list(str(path))
+            read_ranked_list(str(path), "T", ORIGIN_SYNSET)
+
+    def test_header_must_name_the_expected_topic_and_origin(self, tmp_path):
+        lst = RankedList(topic="T", origin=ORIGIN_SYNSET, entries=[("x", 1.0)])
+        _, path = self.roundtrip(lst, tmp_path)
+        wrong = (("U", ORIGIN_SYNSET), ("t", ORIGIN_SYNSET), ("T", ORIGIN_CLASSIFIER))
+        for topic, origin in wrong:
+            with pytest.raises(TagfuseError, match=r"list.tsv:1: expected the header"):
+                read_ranked_list(path, topic, origin)
 
     def test_rank_gap_rejected(self, tmp_path):
         path = tmp_path / "bad.tsv"
@@ -118,13 +127,13 @@ class TestRankedListIO:
             "# topic=T\torigin=synset\n1\td1\t2.0\n3\td2\t1.0\n", encoding="utf-8"
         )
         with pytest.raises(TagfuseError, match="out of sequence"):
-            read_ranked_list(str(path))
+            read_ranked_list(str(path), "T", ORIGIN_SYNSET)
 
     def test_column_count_enforced(self, tmp_path):
         path = tmp_path / "bad.tsv"
         path.write_text("# topic=T\torigin=synset\n1\td1\n", encoding="utf-8")
         with pytest.raises(TagfuseError, match="3 columns"):
-            read_ranked_list(str(path))
+            read_ranked_list(str(path), "T", ORIGIN_SYNSET)
 
     def test_entry_check_names_the_line_past_blank_lines(self, tmp_path):
         path = tmp_path / "bad.tsv"
@@ -133,7 +142,7 @@ class TestRankedListIO:
             encoding="utf-8",
         )
         with pytest.raises(TagfuseError, match=r"bad.tsv:6: duplicate article 'd1'"):
-            read_ranked_list(str(path))
+            read_ranked_list(str(path), "T", ORIGIN_SYNSET)
 
     @given(
         scores=st.lists(
@@ -152,7 +161,7 @@ class TestRankedListIO:
         )
         path = str(tmp_path_factory.mktemp("rl") / "list.tsv")
         write_ranked_list(lst, path)
-        assert read_ranked_list(path) == lst
+        assert read_ranked_list(path, "T", ORIGIN_CLASSIFIER) == lst
 
 
 class TestDeriveSeed:

@@ -568,7 +568,3 @@ class TestTruncatedSvd:
         with pytest.raises(ConfigError, match="at least 2"):
             SemanticConfig(k=1)
 
-    def test_unknown_article_raises(self):
-        sem = self.embed()
-        with pytest.raises(TagfuseError, match="zz"):
-            sem.row("zz")
