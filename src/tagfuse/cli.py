@@ -5,7 +5,7 @@ the output directory, so expensive stages (indexing, embedding, training)
 are computed once and reused across fusion-depth sweeps:
 
     index       build and save the inverted index
-    embed       fit vocabulary, TF-IDF, truncated SVD; save embeddings
+    embed       TF-IDF from the index's tokens, truncated SVD; save embeddings
     train-rank  per topic, one worker per CPU: build dataset, train forest,
                 rank the corpus
     synset      per topic: rank the corpus by synonym-set search
@@ -41,7 +41,7 @@ from .corpus import (
 from .errors import ConfigError, InsufficientPositives, TagfuseError
 from .evaluation import format_table, sweep, write_plot_series
 from .fusion import fuse, invert, read_assignments, write_assignments
-from .index import Index, build_ground_truth, build_index, check_corpus_fields
+from .index import Index, build_ground_truth, build_index, check_fields
 from .manifest import append_entry, config_fingerprint
 from .ranking import (
     ORIGIN_CLASSIFIER, ORIGIN_FUSION, ORIGIN_SYNSET, RankedList, read_ranked_list,
@@ -154,8 +154,7 @@ def stage_index(cfg: RunConfig) -> None:
 
 def stage_embed(cfg: RunConfig) -> None:
     with _run(cfg, "embed") as ws:
-        corpus = ingest_corpus(ws.input(_require_input(cfg.corpus_path, "corpus_path")))
-        tfidf = vectorize(corpus, cfg.semantic)
+        tfidf = vectorize(Index.load(ws.input(ws.index_path, "index")), cfg.semantic)
         sem = truncated_svd(tfidf, cfg.semantic, seed=derive_seed(cfg.seed, "svd"))
         sem.save(*map(ws.output, ws.embedding_paths))
         ws.extra = {"vocabulary_size": tfidf.matrix.shape[1], "k": cfg.semantic.k}
@@ -242,12 +241,7 @@ def stage_train_rank(cfg: RunConfig) -> None:
 def stage_synset(cfg: RunConfig) -> None:
     with _run(cfg, "synset") as ws:
         index = Index.load(ws.input(ws.index_path, "index"))
-        unindexed = [f for f in cfg.synset_search.fields if f not in index.fields]
-        if unindexed:
-            raise ConfigError(
-                f"synset_search.fields names unindexed {unindexed} "
-                f"(indexed fields: {list(index.fields)})"
-            )
+        check_fields(cfg.synset_search.fields, index.fields, "synset_search.fields", "indexed")
         synsets = load_synsets(
             ws.input(_require_input(cfg.synsets_path, "synsets_path")), _topics(cfg)
         )
@@ -286,9 +280,9 @@ def _load_truth(cfg: RunConfig, ws: Workspace) -> GroundTruth:
         path = ws.input(_require_input(cfg.ground_truth_path, "ground_truth_path"))
         return load_ground_truth(path, _topics(cfg))
     if cfg.ground_truth_fields:
-        corpus = ingest_corpus(ws.input(_require_input(cfg.corpus_path, "corpus_path")))
-        check_corpus_fields(corpus, cfg.ground_truth_fields, "ground_truth_fields")
-        return build_ground_truth(corpus, _topics(cfg), cfg.ground_truth_fields)
+        index = Index.load(ws.input(ws.index_path, "index"))
+        check_fields(cfg.ground_truth_fields, index.fields, "ground_truth_fields", "indexed")
+        return build_ground_truth(index, _topics(cfg), cfg.ground_truth_fields)
     raise ConfigError("config sets neither ground_truth_path nor ground_truth_fields")
 
 

@@ -37,7 +37,7 @@ from .classifier import ClassifierConfig
 from .corpus import TEXT_FIELDS
 from .errors import ConfigError
 from .fusion import FusionConfig
-from .index import IndexConfig
+from .index import IndexConfig, check_fields
 from .semantic import SemanticConfig
 from .synsets import SynsetConfig
 from .text import tokenize
@@ -76,14 +76,17 @@ class RunConfig:
         if len(set(slugs)) != len(slugs):
             raise ConfigError("topic names collide after slugging; rename one")
         if self.index.fields is not None:
-            # The classifier's positives search reads the title and abstract.
+            # The positives search and the embedding read the title and abstract.
             searched = (*self.synset_search.fields, *TEXT_FIELDS)
             missing = sorted(set(searched) - set(self.index.fields))
             if missing:
                 raise ConfigError(
-                    f"index.fields leaves out {missing}, which synset_search.fields "
-                    "or the classifier's positives search"
+                    f"index.fields leaves out {missing}, which synset_search.fields, "
+                    "the classifier's positives search or the embedding read"
                 )
+            check_fields(
+                self.ground_truth_fields or (), self.index.fields, "ground_truth_fields", "indexed"
+            )
 
 
 def topic_slug(topic: str) -> str:

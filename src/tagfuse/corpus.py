@@ -75,14 +75,6 @@ class Corpus:
         return sorted(names)
 
 
-def text_repr(record: ArticleRecord) -> str:
-    """Title and abstract joined by a single space.
-
-    This is the document representation embedded by the semantic stage.
-    """
-    return f"{record.title} {record.abstract}"
-
-
 def _string_list(value) -> tuple[str, ...] | None:
     if isinstance(value, list) and all(isinstance(v, str) for v in value):
         return tuple(value)
@@ -127,6 +119,8 @@ def ingest_corpus(path: str) -> Corpus:
             )
             continue
         article_id, title, abstract = required
+        if not article_id.isprintable():  # a tab or line break would split a list's line
+            raise TagfuseError(f"{path}:{lineno}: article id {article_id!r} is not printable")
         if article_id in seen:
             raise TagfuseError(f"{path}:{lineno}: duplicate article id {article_id!r}")
         seen.add(article_id)

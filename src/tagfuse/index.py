@@ -10,10 +10,15 @@ the classifier's training sets and labels derived from category fields.
 
 from __future__ import annotations
 
+import json
 import logging
 import math
-import pickle
+import os
+import sys
+from array import array
+from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import accumulate
 
 from .corpus import CORE_LIST_FIELDS, TEXT_FIELDS, Corpus, GroundTruth
 from .errors import ConfigError, TagfuseError
@@ -26,8 +31,11 @@ logger = logging.getLogger(__name__)
 BM25_K1 = 1.2
 BM25_B = 0.75
 
-_PICKLE_FORMAT = "tagfuse-index"
-_PICKLE_VERSION = 1
+_FORMAT = "tagfuse-index"
+_VERSION = 2
+# A field's arrays in file order, with their typecodes; the version fixes them.
+_ARRAYS = (("term_ptr", "q"), ("docs", "i"), ("pos_ptr", "q"), ("positions", "i"),
+           ("doc_length", "i"))
 
 
 @dataclass(frozen=True)
@@ -46,45 +54,72 @@ class IndexConfig:
 
 
 class _FieldIndex:
-    """Postings, document lengths, and frequency statistics for one field."""
+    """Postings of one field in flat arrays. ``terms`` is sorted; term
+    ``t``'s postings are ``docs[term_ptr[t]:term_ptr[t + 1]]``, ascending
+    document ordinals, and posting ``p``'s token positions are
+    ``positions[pos_ptr[p]:pos_ptr[p + 1]]``; ``doc_length`` counts each
+    document's tokens."""
 
-    __slots__ = ("postings", "doc_length", "total_length")
+    def __init__(self, terms: list[str], *arrays: array):
+        self.terms = terms
+        self.term_ptr, self.docs, self.pos_ptr, self.positions, self.doc_length = arrays
+        self._postings: dict[str, dict[int, array]] = {}
 
-    def __init__(self, n_docs: int):
-        # term -> {doc ordinal -> tuple of token positions}
-        self.postings: dict[str, dict[int, tuple[int, ...]]] = {}
-        self.doc_length = [0] * n_docs
-        self.total_length = 0
+    @classmethod
+    def build(cls, entries_of_docs) -> "_FieldIndex":
+        """Index each document's entries, leaving a one-position gap after
+        each entry so that no phrase spans two of them."""
+        # term -> (each posting's document ordinal and position count, positions)
+        found: dict[str, tuple[array, array]] = {}
+        doc_length = array("i")
+        for ordinal, entries in enumerate(entries_of_docs):
+            pos = 0
+            by_term: dict[str, list[int]] = {}
+            for entry in entries:
+                tokens = tokenize(entry)
+                for p, tok in enumerate(tokens, pos):
+                    by_term.setdefault(tok, []).append(p)
+                pos += len(tokens) + 1  # one position of gap
+            doc_length.append(pos - len(entries))
+            for term, positions in by_term.items():
+                if term not in found:
+                    found[term] = (array("i"), array("i"))
+                postings, flat = found[term]
+                postings.extend((ordinal, len(positions)))
+                flat.extend(positions)
+        terms = sorted(found)
+        term_ptr, docs, counts, positions = array("q", [0]), array("i"), array("i"), array("i")
+        for term in terms:
+            postings, term_positions = found.pop(term)
+            docs += postings[::2]
+            counts += postings[1::2]
+            positions += term_positions
+            term_ptr.append(len(docs))
+        pos_ptr = array("q", accumulate(counts, initial=0))
+        return cls(terms, term_ptr, docs, pos_ptr, positions, doc_length)
 
-    def add(self, ordinal: int, entries: tuple[str, ...]) -> None:
-        pos = 0
-        by_term: dict[str, list[int]] = {}
-        for entry in entries:
-            tokens = tokenize(entry)
-            for tok in tokens:
-                by_term.setdefault(tok, []).append(pos)
-                pos += 1
-            pos += 1  # gap: no phrase can span two entries
-        length = sum(len(ps) for ps in by_term.values())
-        self.doc_length[ordinal] = length
-        self.total_length += length
-        for term, positions in by_term.items():
-            self.postings.setdefault(term, {})[ordinal] = tuple(positions)
-
-    def avg_length(self) -> float:
-        n = len(self.doc_length)
-        return self.total_length / n if n else 0.0
+    def postings(self, term: str) -> dict[int, array]:
+        """``{doc ordinal: positions}`` of a term, empty when the field
+        lacks it; built from the arrays the first time it is asked for."""
+        if term not in self._postings:
+            t = bisect_left(self.terms, term)
+            if t == len(self.terms) or self.terms[t] != term:
+                return {}
+            ptr = self.pos_ptr
+            self._postings[term] = {
+                self.docs[p]: self.positions[ptr[p] : ptr[p + 1]]
+                for p in range(self.term_ptr[t], self.term_ptr[t + 1])
+            }
+        return self._postings[term]
 
 
 class Index:
     """Inverted index over a fixed corpus snapshot."""
 
-    def __init__(self, fields: tuple[str, ...], article_ids: list[str]):
-        self.fields = fields
+    def __init__(self, article_ids: list[str], fields: dict[str, _FieldIndex]):
         self.article_ids = article_ids
-        self._fields: dict[str, _FieldIndex] = {
-            name: _FieldIndex(len(article_ids)) for name in fields
-        }
+        self.fields = tuple(fields)
+        self._fields = fields
 
     def __len__(self) -> int:
         return len(self.article_ids)
@@ -93,22 +128,21 @@ class Index:
 
     @classmethod
     def build(cls, corpus: Corpus, fields: tuple[str, ...]) -> "Index":
-        index = cls(fields, corpus.ids())
-        for ordinal, rec in enumerate(corpus):
-            for name in fields:
-                index._fields[name].add(ordinal, rec.field_values(name))
-        return index
+        return cls(corpus.ids(), {
+            name: _FieldIndex.build(rec.field_values(name) for rec in corpus)
+            for name in fields
+        })
 
     # -- scoring --------------------------------------------------------
 
     def _term_scores(self, field: "_FieldIndex", term: str) -> dict[int, float]:
         """BM25 scores of a term present in the field (so avgdl > 0)."""
-        postings = field.postings[term]
+        postings = field.postings(term)
         df = len(postings)
         n = len(self.article_ids)
         # Lucene-style BM25 idf; non-negative even for df > n/2.
         idf = math.log(1.0 + (n - df + 0.5) / (df + 0.5))
-        avgdl = field.avg_length()
+        avgdl = len(field.positions) / n  # every token has one position
         scores: dict[int, float] = {}
         for ordinal, positions in postings.items():
             tf = len(positions)
@@ -118,7 +152,7 @@ class Index:
 
     def _phrase_ordinals(self, field: "_FieldIndex", tokens: list[str]) -> set[int]:
         """Ordinals whose field contains the tokens as a contiguous run."""
-        first, *rest = [field.postings.get(tok, {}) for tok in tokens]
+        first, *rest = [field.postings(tok) for tok in tokens]
         if not rest:
             return set(first)
         matched: set[int] = set()
@@ -133,39 +167,62 @@ class Index:
     # -- persistence ------------------------------------------------------
 
     def save(self, path: str) -> None:
-        payload = {
-            "format": _PICKLE_FORMAT,
-            "version": _PICKLE_VERSION,
-            "fields": self.fields,
+        """Write the header's length as a little-endian u64, the JSON
+        header, then each field's arrays in ``_ARRAYS`` order."""
+        header = json.dumps({
+            "format": _FORMAT,
+            "version": _VERSION,
+            "byteorder": sys.byteorder,
+            "arrays": _ARRAYS,
             "article_ids": self.article_ids,
-            "field_data": {
-                name: (fi.postings, fi.doc_length, fi.total_length)
+            "fields": {
+                name: {"terms": fi.terms, "counts": [len(getattr(fi, a)) for a, _ in _ARRAYS]}
                 for name, fi in self._fields.items()
             },
-        }
+        }).encode("ascii")
         with open(path, "wb") as fh:
-            pickle.dump(payload, fh, protocol=4)
+            fh.write(len(header).to_bytes(8, "little") + header)
+            for fi in self._fields.values():
+                for name, _ in _ARRAYS:
+                    getattr(fi, name).tofile(fh)
 
     @classmethod
     def load(cls, path: str) -> "Index":
+        """Read an index that ``save`` wrote. The header is JSON and the
+        arrays are plain numbers, so loading runs nothing from the file,
+        whose size must be exactly what the header describes."""
+        def corrupt(why: str) -> TagfuseError:
+            return TagfuseError(f"{path}: {why}; re-run 'tagfuse index'")
+
         with open(path, "rb") as fh:
+            size = os.fstat(fh.fileno()).st_size
+            n = int.from_bytes(fh.read(8), "little")
             try:
-                payload = pickle.load(fh)
-            except (EOFError, pickle.UnpicklingError) as exc:
-                raise TagfuseError(f"{path}: truncated or corrupt index ({exc})") from exc
-        if not isinstance(payload, dict) or payload.get("format") != _PICKLE_FORMAT:
-            raise TagfuseError(f"{path} is not a serialized index")
-        if payload.get("version") != _PICKLE_VERSION:
-            raise TagfuseError(
-                f"{path}: index version {payload.get('version')} not supported"
-            )
-        index = cls(tuple(payload["fields"]), list(payload["article_ids"]))
-        for name, (postings, doc_length, total_length) in payload["field_data"].items():
-            fi = index._fields[name]
-            fi.postings = postings
-            fi.doc_length = doc_length
-            fi.total_length = total_length
-        return index
+                if n > size - 8:  # read(n) would allocate n bytes first
+                    raise ValueError("header longer than the file")
+                header = json.loads(fh.read(n))
+                if header["format"] != _FORMAT:
+                    raise ValueError(f"format {header['format']!r}")
+                if header["version"] != _VERSION:
+                    raise corrupt(f"index version {header['version']}, not {_VERSION}")
+                if header["byteorder"] != sys.byteorder:
+                    raise ValueError(f"{header['byteorder']}-endian arrays")
+                fields = {name: (f["terms"], f["counts"]) for name, f in header["fields"].items()}
+                expected = 8 + n + sum(
+                    array(code).itemsize * count
+                    for _, counts in fields.values() for (_, code), count in zip(_ARRAYS, counts)
+                )
+                article_ids = header["article_ids"]
+            except (ValueError, KeyError, TypeError, AttributeError) as exc:
+                raise corrupt(f"not an index saved by this version of tagfuse ({exc})") from exc
+            if size != expected:
+                raise corrupt(f"{size} bytes, but its header describes {expected}")
+            for name, (terms, counts) in fields.items():
+                arrays = [array(code) for _, code in _ARRAYS]
+                for a, count in zip(arrays, counts):
+                    a.fromfile(fh, count)
+                fields[name] = _FieldIndex(terms, *arrays)
+        return cls(article_ids, fields)
 
 
 def default_fields(corpus: Corpus) -> tuple[str, ...]:
@@ -173,22 +230,19 @@ def default_fields(corpus: Corpus) -> tuple[str, ...]:
     return (*TEXT_FIELDS, *CORE_LIST_FIELDS, *corpus.extra_field_names())
 
 
-def check_corpus_fields(corpus: Corpus, fields, key: str) -> None:
+def check_fields(fields, known, key: str, kind: str) -> None:
     """Raise :class:`ConfigError` naming the config ``key`` when ``fields``
-    lists a field the corpus does not have."""
-    known = default_fields(corpus)
+    lists one outside ``known``, the ``kind`` fields ("corpus", "indexed")."""
     unknown = [f for f in fields if f not in known]
     if unknown:
-        raise ConfigError(
-            f"{key} names fields not present in the corpus: {unknown} "
-            f"(corpus fields: {list(known)})"
-        )
+        raise ConfigError(f"{key} names {unknown}, not among the {kind} fields {list(known)}")
 
 
 def build_index(corpus: Corpus, config: IndexConfig = IndexConfig()) -> Index:
     """Index the corpus over the configured fields."""
-    fields = default_fields(corpus) if config.fields is None else config.fields
-    check_corpus_fields(corpus, fields, "index.fields")
+    known = default_fields(corpus)
+    fields = known if config.fields is None else config.fields
+    check_fields(fields, known, "index.fields", "corpus")
     index = Index.build(corpus, tuple(fields))
     logger.info(
         "indexed %d article(s) over fields %s", len(index), ", ".join(fields)
@@ -248,7 +302,7 @@ def has_any_match(
 
 
 def build_ground_truth(
-    corpus: Corpus,
+    index: Index,
     topics: list[str],
     fields: tuple[str, ...] = CORE_LIST_FIELDS,
 ) -> GroundTruth:
@@ -256,12 +310,11 @@ def build_ground_truth(
 
     A topic labels an article when the topic's token sequence occurs
     contiguously in some entry of a selected field, case-insensitively:
-    the phrase match of synset search, on an index of those fields.
-    Matching runs on tokens, not raw substrings, so "mycological methods"
-    does not label the topic "Mycology". Articles matching no topic are
-    left out.
+    the phrase match of synset search, which matches each field on its
+    own. Matching runs on tokens, not raw substrings, so "mycological
+    methods" does not label the topic "Mycology". Articles matching no
+    topic are left out.
     """
-    index = Index.build(corpus, fields)
     labels: dict[str, set[str]] = {}
     for topic in topics:
         for article_id in has_any_match(index, [topic], fields):

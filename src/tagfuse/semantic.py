@@ -13,7 +13,6 @@ from __future__ import annotations
 import json
 import logging
 import math
-from collections import defaultdict
 from dataclasses import dataclass
 from functools import reduce
 from operator import iadd
@@ -26,9 +25,9 @@ if TYPE_CHECKING:
     import numpy as np
     from scipy import sparse
 
-from .corpus import Corpus, text_repr
+from .corpus import TEXT_FIELDS
 from .errors import ConfigError, TagfuseError
-from .text import tokenize
+from .index import Index
 
 logger = logging.getLogger(__name__)
 
@@ -126,11 +125,12 @@ class SemanticMatrix:
         return cls(matrix=matrix, article_ids=meta["article_ids"], seed=meta["seed"])
 
 
-def vectorize(corpus: Corpus, config: SemanticConfig = SemanticConfig()) -> TfIdfMatrix:
+def vectorize(index: Index, config: SemanticConfig = SemanticConfig()) -> TfIdfMatrix:
     """TF-IDF of the unigrams and bigrams of title+abstract, rows
-    L2-normalized, from one tokenization of each document.
+    L2-normalized, from the token positions of the index: a document's
+    title and abstract tokens form one stream, so a bigram may join them.
 
-    Terms kept satisfy ``min_df <= df <= max_df_fraction * len(corpus)``
+    Terms kept satisfy ``min_df <= df <= max_df_fraction * len(index)``
     (both from ``config``). The lower cutoff drops hapax noise; the upper
     cutoff drops terms so common they carry no topical signal. Columns
     are the kept terms in lexicographic order. Weights use the smoothed
@@ -141,34 +141,41 @@ def vectorize(corpus: Corpus, config: SemanticConfig = SemanticConfig()) -> TfId
     import numpy as np
     from scipy import sparse
 
-    n_docs = len(corpus)
+    n_docs = len(index)
     if n_docs == 0:
         raise TagfuseError("cannot fit a vocabulary on an empty corpus")
 
-    # Token ids in first-seen order, one tokenization per document.
-    token_id: defaultdict[str, int] = defaultdict()
-    token_id.default_factory = token_id.__len__
-    ids: list[int] = []
-    lengths: list[int] = []
-    for rec in corpus:
-        words = tokenize(text_repr(rec))
-        ids.extend(map(token_id.__getitem__, words))
-        lengths.append(len(words))
+    # Token ids are string ranks over both fields' terms, so ordering ids
+    # orders terms. Each field's positions go into the stream at their
+    # document's start, the abstract's after the title's tokens.
+    fields = [index._fields[name] for name in TEXT_FIELDS]
+    rank = {t: i for i, t in enumerate(sorted(set().union(*(f.terms for f in fields))))}
+    u = len(rank)
+    lengths = sum(np.frombuffer(f.doc_length, np.intc).astype(np.int64) for f in fields)
+    start = np.cumsum(lengths) - lengths
+    token = np.empty(lengths.sum(), dtype=np.int64)
+    for f in fields:
+        ids = np.fromiter(map(rank.__getitem__, f.terms), np.int64, len(f.terms))
+        per_posting = np.diff(np.frombuffer(f.pos_ptr, np.int64))
+        at = np.repeat(start[np.frombuffer(f.docs, np.intc)], per_posting)
+        at += np.frombuffer(f.positions, np.intc)
+        ids = np.repeat(ids, np.diff(np.frombuffer(f.term_ptr, np.int64)))
+        token[at] = np.repeat(ids, per_posting)
+        del at, ids
+        start += np.frombuffer(f.doc_length, np.intc)
     # The large temporaries are deleted as soon as they are spent: the
     # freed heap they would leave behind adds to the SVD's peak RSS.
-    token = np.asarray(ids, dtype=np.int64)
     doc = np.repeat(np.arange(n_docs, dtype=np.int64), lengths)
     # Term codes: every token occurs, so the unigram codes are 0..u-1; the
     # bigram (a, b) is u + the rank of a*u + b among the bigrams (u < 3e9
     # tokens, so int64 cannot wrap); no bigram crosses a document boundary.
-    u = len(token_id)
     within = doc[:-1] == doc[1:]
     bigrams, term = np.unique(token[:-1][within] * u + token[1:][within], return_inverse=True)
     n_terms = u + bigrams.size
     term = np.concatenate([token, term + u])
     # One cell per (document, term), in row-major order, with its count.
     term += np.concatenate([doc, doc[:-1][within]]) * n_terms
-    del token, ids, doc, within
+    del token, doc, within
     cells, tf = np.unique(term, return_counts=True)
     del term
     cell_doc, cell_term = np.divmod(cells, n_terms)
@@ -187,14 +194,13 @@ def vectorize(corpus: Corpus, config: SemanticConfig = SemanticConfig()) -> TfId
             f"(min_df={config.min_df}, max_df_fraction={config.max_df_fraction})"
         )
     # Columns in the string order of the terms, "a" or "a b", with no string
-    # built: by the first token's rank among the sorted tokens (argsort
-    # inverts the sorted order), then the second's, -1 for none. No token
-    # holds a space or a character below it, so "a b" < "ab" as a < ab.
-    rank = np.argsort([i for _, i in sorted(token_id.items())])
+    # built: by the first token's id (its rank), then the second's, -1 for
+    # none. No token holds a space or a character below it, so "a b" < "ab"
+    # as a < ab.
     n_unigrams = np.searchsorted(kept, u)
     first, second = np.divmod(bigrams[kept[n_unigrams:] - u], u)
-    second = np.concatenate([np.full(n_unigrams, -1), rank[second]])
-    kept = kept[np.lexsort((second, rank[np.concatenate([kept[:n_unigrams], first])]))]
+    second = np.concatenate([np.full(n_unigrams, -1), second])
+    kept = kept[np.lexsort((second, np.concatenate([kept[:n_unigrams], first])))]
     # math.log per term: np.log's SIMD paths can differ in the last bit by CPU.
     idf = np.array([math.log((1 + n_docs) / (1 + d)) + 1.0 for d in df[kept].tolist()])
 
@@ -207,7 +213,7 @@ def vectorize(corpus: Corpus, config: SemanticConfig = SemanticConfig()) -> TfId
     rows = np.flatnonzero(row_nnz)
     norms = np.sqrt(np.add.reduceat(matrix.data**2, matrix.indptr[rows]))
     matrix.data *= np.repeat(1.0 / norms, row_nnz[rows])
-    return TfIdfMatrix(matrix=matrix, article_ids=corpus.ids())
+    return TfIdfMatrix(matrix=matrix, article_ids=list(index.article_ids))
 
 
 # Terms per block of the SVD's term-side products: no n-by-width array is

@@ -86,6 +86,22 @@ def halve(path):
     path.write_bytes(data[: len(data) // 2])
 
 
+def parent_format_index(path):
+    """Replace the index with a pickle in the layout of the format before."""
+    payload = {"format": "tagfuse-index", "version": 1, "fields": ("title",),
+               "article_ids": ["a1"], "field_data": {"title": ({}, [0], 0)}}
+    path.write_bytes(pickle.dumps(payload, protocol=4))
+
+
+def pad_one_byte(path):
+    path.write_bytes(path.read_bytes() + b"\0")
+
+
+def bump_index_version(path):
+    data = path.read_bytes()
+    path.write_bytes(data.replace(b'"version": 2', b'"version": 9', 1))
+
+
 def drop_article_ids(path):
     meta = json.loads(path.read_text(encoding="utf-8"))
     del meta["article_ids"]
@@ -198,6 +214,7 @@ class TestBenchPipeline:
         assert main(["bench", "--config", config, "--output-dir", out2]) == 0
         for rel in (
             "data/corpus.jsonl",
+            "index.pkl",
             "tags/tags_a1.jsonl",
             "tags/tags_a2.jsonl",
             "tags/tags_a3.jsonl",
@@ -345,6 +362,48 @@ class TestStagePipeline:
             listed = os.path.join(bench_out, "ranked", "classifier", f"{topic_slug(topic)}.tsv")
             written = out / "ranked" / "classifier" / f"{topic_slug(topic)}.tsv"
             assert written.read_bytes() == open(listed, "rb").read()
+
+    def test_embed_reads_only_the_index(
+        self, stage_config, bench_run, tmp_path, monkeypatch
+    ):
+        _, bench_out = bench_run
+        config = derived_config(stage_config, tmp_path)
+        out = tmp_path / "out"
+        copy_upstream(bench_out, out)
+        for name in ("embedding.npy", "embedding.json"):
+            (out / name).unlink()
+
+        def no_ingest(path):
+            raise AssertionError(f"embed ingested {path}")
+
+        monkeypatch.setattr(cli, "ingest_corpus", no_ingest)
+        assert main(["embed", "--config", config]) == 0
+        entry = read_manifest(str(out))[-1]
+        assert entry["command"] == "embed" and list(entry["inputs"]) == [str(out / "index.pkl")]
+        for name in ("embedding.npy", "embedding.json"):
+            with open(os.path.join(bench_out, name), "rb") as fh:
+                assert (out / name).read_bytes() == fh.read(), name
+
+    def test_loading_the_index_never_unpickles(
+        self, stage_config, bench_run, tmp_path, monkeypatch
+    ):
+        _, bench_out = bench_run
+        config = derived_config(stage_config, tmp_path)
+        out = tmp_path / "out"
+        copy_upstream(bench_out, out)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("unpickled")
+
+        for name in ("load", "loads", "Unpickler"):
+            monkeypatch.setattr(pickle, name, refuse)
+        for command in ("train-rank", "synset"):
+            assert main([command, "--config", config]) == 0, command
+        for origin in ("classifier", "synset"):
+            for topic in TOPICS:
+                rel = os.path.join("ranked", origin, f"{topic_slug(topic)}.tsv")
+                with open(os.path.join(bench_out, rel), "rb") as fh:
+                    assert (out / rel).read_bytes() == fh.read(), rel
 
     def test_a_override_restricts_the_sweep(self, stage_config, capsys):
         config, _ = stage_config
@@ -547,14 +606,18 @@ class TestFailureModes:
         "name, damage",
         [
             ("index.pkl", halve),
-            ("index.pkl", lambda path: path.write_bytes(pickle.dumps([]))),
+            ("index.pkl", parent_format_index),
+            ("index.pkl", pad_one_byte),
+            ("index.pkl", bump_index_version),
             ("embedding.npy", halve),
             ("embedding.json", halve),
             ("embedding.json", drop_article_ids),
         ],
         ids=[
             "truncated-index",
-            "index-not-a-dict",
+            "pickled-index",
+            "padded-index",
+            "unknown-index-version",
             "truncated-embedding",
             "truncated-embedding-json",
             "embedding-without-ids",
@@ -572,6 +635,8 @@ class TestFailureModes:
             assert main(["train-rank", "--config", config]) == 3
         errors = [r.message for r in caplog.records if r.levelno >= logging.ERROR]
         assert len(errors) == 1 and str(out / name) in errors[0]
+        if name == "index.pkl":
+            assert errors[0].endswith("re-run 'tagfuse index'"), errors
         assert not (out / "ranked" / "classifier").exists()
 
     def test_embedding_without_the_indexed_ids_exits_three_before_training(
@@ -594,7 +659,7 @@ class TestFailureModes:
         assert "re-run 'tagfuse index' and 'tagfuse embed' on one corpus" in errors[0]
         assert not (out / "ranked" / "classifier").exists()
 
-    def test_index_of_a_subset_of_the_embedded_corpus_exits_three(
+    def test_index_rerun_on_a_subset_after_embed_exits_three(
         self, stage_config, bench_run, tmp_path, caplog
     ):
         _, bench_out = bench_run
@@ -604,29 +669,68 @@ class TestFailureModes:
         subset = tmp_path / "subset.jsonl"
         subset.write_text("".join(lines[: len(lines) * 2 // 3]), encoding="utf-8")
         # Both configs write to tmp_path / "out"; the second replaces the first.
+        config = derived_config(stage_config, tmp_path)
+        for command in ("index", "embed"):
+            assert main([command, "--config", config]) == 0, command
         subset_config = derived_config(stage_config, tmp_path, corpus_path=str(subset))
         assert main(["index", "--config", subset_config]) == 0
         config = derived_config(stage_config, tmp_path)
-        assert main(["embed", "--config", config]) == 0
         with caplog.at_level(logging.ERROR):
             assert main(["train-rank", "--config", config]) == 3
         errors = [r.message for r in caplog.records if r.levelno >= logging.ERROR]
         assert len(errors) == 1 and "index.pkl" in errors[0], errors
         assert not (tmp_path / "out" / "ranked" / "classifier").exists()
 
-    def test_ground_truth_field_missing_from_corpus_exits_two(
-        self, stage_config, tmp_path, caplog
+    def test_unindexed_ground_truth_field_exits_two(
+        self, stage_config, bench_run, tmp_path, caplog
     ):
+        _, bench_out = bench_run
         config = derived_config(
             stage_config, tmp_path, ground_truth_path=None, ground_truth_fields=["subject"]
         )
+        copy_upstream(bench_out, tmp_path / "out")
         with caplog.at_level(logging.ERROR):
             assert main(["eval", "--config", config]) == 2
         errors = [r.message for r in caplog.records if r.levelno >= logging.ERROR]
         assert len(errors) == 1
         assert "ground_truth_fields" in errors[0] and "['subject']" in errors[0]
-        assert "corpus fields" in errors[0] and "'subjects'" in errors[0]
+        assert "indexed fields" in errors[0] and "'subjects'" in errors[0]
         assert not (tmp_path / "out" / "reports").exists()
+
+    def test_ground_truth_field_outside_explicit_index_fields_exits_two_at_load(
+        self, stage_config, tmp_path, caplog
+    ):
+        config = derived_config(
+            stage_config, tmp_path, ground_truth_path=None, ground_truth_fields=["subjects"],
+            index={"fields": ["title", "abstract", "keywords"]},
+        )
+        with caplog.at_level(logging.ERROR):
+            assert main(["index", "--config", config]) == 2
+        errors = [r.message for r in caplog.records if r.levelno >= logging.ERROR]
+        assert len(errors) == 1
+        assert "ground_truth_fields names ['subjects']" in errors[0]
+        assert "indexed fields ['title', 'abstract', 'keywords']" in errors[0]
+        assert not (tmp_path / "out").exists()
+
+    def test_unprintable_article_id_stops_index_naming_the_line(
+        self, stage_config, bench_run, tmp_path, caplog
+    ):
+        # Before ids were checked, this corpus ran index to synset and then
+        # failed fuse on a classifier list the program had written.
+        _, bench_out = bench_run
+        with open(os.path.join(bench_out, "data", "corpus.jsonl"), encoding="utf-8") as fh:
+            lines = fh.readlines()
+        record = json.loads(lines[0])
+        bad_id = record["id"] + "\tx"
+        lines[0] = json.dumps({**record, "id": bad_id}) + "\n"
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text("".join(lines), encoding="utf-8")
+        config = derived_config(stage_config, tmp_path, corpus_path=str(corpus))
+        with caplog.at_level(logging.ERROR):
+            assert main(["all", "--config", config]) == 3
+        errors = [r.message for r in caplog.records if r.levelno >= logging.ERROR]
+        assert errors == [f"{corpus}:1: article id {bad_id!r} is not printable"]
+        assert not (tmp_path / "out").exists()
 
     def test_config_is_required_outside_bench(self):
         assert main(["index"]) == 2
@@ -733,8 +837,11 @@ class TestFailureModes:
         errors = [r.message for r in caplog.records if r.levelno >= logging.ERROR]
         assert len(errors) == 1 and "['nope']" in errors[0]
 
-    def test_k_above_the_corpus_bound_names_the_key(self, stage_config, tmp_path, caplog):
+    def test_k_above_the_corpus_bound_names_the_key(
+        self, stage_config, bench_run, tmp_path, caplog
+    ):
         config = derived_config(stage_config, tmp_path, semantic={"k": 5000})
+        copy_upstream(bench_run[1], tmp_path / "out")  # embed reads the index
         with caplog.at_level(logging.ERROR):
             assert main(["embed", "--config", config]) == 3
         errors = [r.message for r in caplog.records if r.levelno >= logging.ERROR]

@@ -7,17 +7,15 @@ from hypothesis import strategies as st
 
 from tagfuse.benchmark import BenchmarkSpec, generate
 from tagfuse.corpus import (
-    ArticleRecord,
     Corpus,
     GroundTruth,
     ingest_corpus,
     load_ground_truth,
     save_corpus,
     save_ground_truth,
-    text_repr,
 )
 from tagfuse.errors import TagfuseError
-from tagfuse.index import build_ground_truth
+from tagfuse.index import build_ground_truth, build_index
 from tagfuse.text import tokenize
 
 from conftest import make_corpus, record
@@ -74,6 +72,15 @@ class TestIngest:
         with pytest.raises(TagfuseError, match="duplicate"):
             ingest_corpus(str(path))
 
+    @pytest.mark.parametrize("bad", ["\t", "\n", "\r", "\u2028", "\x00"])
+    def test_unprintable_id_is_fatal_with_line_number(self, tmp_path, bad):
+        # A ranked list is one TSV line per article: a tab or line break in
+        # an id would break the list that carries it.
+        path = tmp_path / "corpus.jsonl"
+        write_jsonl(path, [GOOD, GOOD | {"id": f"d00000{bad}x"}])
+        with pytest.raises(TagfuseError, match="corpus.jsonl:2: article id .* is not printable"):
+            ingest_corpus(str(path))
+
     def test_broken_json_is_fatal_with_line_number(self, tmp_path):
         path = tmp_path / "corpus.jsonl"
         path.write_text(json.dumps(GOOD) + "\nnot json\n")
@@ -98,10 +105,6 @@ class TestCorpus:
         assert record(fungi_corpus, "a3").title == "Organ transplantation outcomes"
         assert fungi_corpus.ids().index("a1") == 0
         assert fungi_corpus.ids() == [rec.id for rec in fungi_corpus]
-
-    def test_text_repr_is_title_space_abstract(self):
-        rec = ArticleRecord(id="x", title="A title", abstract="An abstract.")
-        assert text_repr(rec) == "A title An abstract."
 
 
 # Words, repeated tokens and punctuation-only pieces for generated entries.
@@ -138,7 +141,8 @@ def bench_corpus():
 
 class TestBuildGroundTruth:
     def test_whole_phrase_matching_in_category_fields(self, fungi_corpus):
-        truth = build_ground_truth(fungi_corpus, ["Mycology", "Transplantation"])
+        index = build_index(fungi_corpus)
+        truth = build_ground_truth(index, ["Mycology", "Transplantation"])
         assert truth.labels == {
             "a1": {"Mycology"},
             "a2": {"Mycology"},
@@ -150,49 +154,49 @@ class TestBuildGroundTruth:
         corpus = make_corpus(
             [("b1", "t", "x", ("mycological methods",), ())]
         )
-        truth = build_ground_truth(corpus, ["Mycology"], fields=("keywords",))
+        truth = build_ground_truth(build_index(corpus), ["Mycology"], fields=("keywords",))
         assert "b1" not in truth
 
     def test_phrase_inside_entry_labels(self):
         corpus = make_corpus(
             [("b1", "t", "x", (), ("History of Mycology",))]
         )
-        truth = build_ground_truth(corpus, ["Mycology"], fields=("subjects",))
+        truth = build_ground_truth(build_index(corpus), ["Mycology"], fields=("subjects",))
         assert truth.labels["b1"] == {"Mycology"}
 
     def test_matching_is_case_insensitive(self):
         corpus = make_corpus([("b1", "t", "x", ("MYCOLOGY",), ())])
-        truth = build_ground_truth(corpus, ["mycology"], fields=("keywords",))
+        truth = build_ground_truth(build_index(corpus), ["mycology"], fields=("keywords",))
         assert truth.labels["b1"] == {"mycology"}
 
     def test_zero_match_articles_are_left_out(self, fungi_corpus):
-        truth = build_ground_truth(fungi_corpus, ["Mycology"])
+        truth = build_ground_truth(build_index(fungi_corpus), ["Mycology"])
         assert "a5" not in truth
         assert "a3" not in truth
 
     def test_contiguous_run_within_an_entry_labels(self):
         corpus = make_corpus([("b1", "t", "x", (), ("History of Mycology",))])
         topics = ["Mycology", "of mycology", "history of mycology"]
-        truth = build_ground_truth(corpus, topics, fields=("subjects",))
+        truth = build_ground_truth(build_index(corpus), topics, fields=("subjects",))
         assert truth.labels["b1"] == set(topics)
 
     def test_gap_or_reorder_does_not_label(self):
         corpus = make_corpus([("b1", "t", "x", (), ("History of Mycology",))])
         truth = build_ground_truth(
-            corpus, ["history mycology", "mycology of"], fields=("subjects",)
+            build_index(corpus), ["history mycology", "mycology of"], fields=("subjects",)
         )
         assert "b1" not in truth
 
     def test_phrase_straddling_two_entries_does_not_label(self):
         corpus = make_corpus([("b1", "t", "x", ("deep learning", "systems biology"))])
         truth = build_ground_truth(
-            corpus, ["learning systems", "systems biology"], fields=("keywords",)
+            build_index(corpus), ["learning systems", "systems biology"], fields=("keywords",)
         )
         assert truth.labels["b1"] == {"systems biology"}
 
     def test_topic_that_tokenizes_to_nothing_raises(self, fungi_corpus):
         with pytest.raises(ValueError, match="no usable query terms"):
-            build_ground_truth(fungi_corpus, ["Mycology", "—"])
+            build_ground_truth(build_index(fungi_corpus), ["Mycology", "—"])
 
     @settings(max_examples=80, deadline=None)
     @given(
@@ -217,7 +221,7 @@ class TestBuildGroundTruth:
         corpus = make_corpus(
             [(f"d{i}", "t", "x", kw, subj) for i, (kw, subj) in enumerate(entries)]
         )
-        truth = build_ground_truth(corpus, topics, fields)
+        truth = build_ground_truth(build_index(corpus), topics, fields)
         assert truth.labels == per_entry_scan(corpus, topics, fields)
 
     @pytest.mark.parametrize(
@@ -227,7 +231,7 @@ class TestBuildGroundTruth:
         self, bench_corpus, fields
     ):
         corpus, topics = bench_corpus
-        truth = build_ground_truth(corpus, topics, fields)
+        truth = build_ground_truth(build_index(corpus), topics, fields)
         assert truth.labels == per_entry_scan(corpus, topics, fields)
 
 

@@ -1,11 +1,14 @@
 import math
+import pickle
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tagfuse.benchmark import BenchmarkSpec, generate
-from tagfuse.errors import ConfigError
+from tagfuse.corpus import Corpus
+from tagfuse.errors import ConfigError, TagfuseError
 from tagfuse.index import (
     BM25_B,
     BM25_K1,
@@ -42,6 +45,71 @@ class TestBuild:
         original = search_any(fungi_index, ["mycology"], ("title",), 10)
         again = search_any(loaded, ["mycology"], ("title",), 10)
         assert original == again
+
+
+def saved(index, tmp_path):
+    """``index`` saved under ``tmp_path``, and the file's path."""
+    path = tmp_path / "index.pkl"
+    index.save(str(path))
+    return path
+
+
+def with_version(data, version):
+    """The saved bytes with the header's version replaced by a one-digit one."""
+    n = int.from_bytes(data[:8], "little")
+    header = data[8 : 8 + n].replace(b'"version": 2', f'"version": {version}'.encode())
+    assert len(header) == n
+    return data[:8] + header + data[8 + n :]
+
+
+class TestSavedFormat:
+    def test_reloaded_index_answers_every_query_alike(self, tmp_path, fungi_corpus):
+        spec = BenchmarkSpec(n_topics=4, docs_per_topic=60, vocab_per_topic=8,
+                             background_vocab_size=150, doc_length=30, seed=3)
+        bench, _, synsets = generate(spec)
+        bench_queries = [list(s.terms) for s in synsets.values()]
+        bench_queries += [[t] for s in synsets.values() for t in s.terms]
+        fungi_queries = [["mycology"], ["fungology", "graft"], ["machine learning"],
+                         ["mycological methods"], ["Botany"]]
+        # An extra category field, so that every kind of field is saved.
+        fungi = Corpus([replace(rec, extra={"categories:wos": ("Botany", rec.title)})
+                        for rec in fungi_corpus])
+        for corpus, queries in ((bench, bench_queries), (fungi, fungi_queries)):
+            built = build_index(corpus)
+            loaded = Index.load(str(saved(built, tmp_path)))
+            assert (loaded.fields, loaded.article_ids) == (built.fields, built.article_ids)
+            for name in built.fields:
+                for terms in queries:
+                    args = (terms, (name,))
+                    hits = search_any(built, *args, len(corpus))
+                    assert search_any(loaded, *args, len(corpus)) == hits
+                    assert has_any_match(loaded, *args) == has_any_match(built, *args)
+        assert "categories:wos" in built.fields and hits
+
+    def test_same_index_same_bytes(self, tmp_path, fungi_corpus):
+        first = saved(build_index(fungi_corpus), tmp_path).read_bytes()
+        assert saved(build_index(fungi_corpus), tmp_path).read_bytes() == first
+
+    @pytest.mark.parametrize(
+        "damage, reason",
+        [
+            (lambda data: pickle.dumps({"format": "tagfuse-index", "version": 1}, protocol=4),
+             "not an index saved by this version of tagfuse"),
+            (lambda data: data[:-1], "bytes, but its header describes"),
+            (lambda data: data + b"\0", "bytes, but its header describes"),
+            (lambda data: with_version(data, 3), "index version 3, not 2"),
+            (lambda data: data[:5], "not an index saved by this version of tagfuse"),
+        ],
+        ids=["pickled", "truncated", "padded", "unknown-version", "shorter-than-the-length"],
+    )
+    def test_damaged_file_is_rejected_naming_it(self, tmp_path, fungi_index, damage, reason):
+        path = saved(fungi_index, tmp_path)
+        path.write_bytes(damage(path.read_bytes()))
+        with pytest.raises(TagfuseError) as excinfo:
+            Index.load(str(path))
+        message = str(excinfo.value)
+        assert message.startswith(f"{path}: ") and reason in message
+        assert message.endswith("; re-run 'tagfuse index'")
 
 
 class TestPhraseSearch:

@@ -6,10 +6,12 @@ import numpy as np
 import pytest
 from scipy import sparse
 
+import tagfuse.index
 import tagfuse.semantic
 from tagfuse.benchmark import BenchmarkSpec, generate
-from tagfuse.corpus import text_repr
+from tagfuse.corpus import TEXT_FIELDS
 from tagfuse.errors import ConfigError, TagfuseError
+from tagfuse.index import IndexConfig, build_index
 from tagfuse.semantic import (
     SemanticConfig,
     SemanticMatrix,
@@ -20,6 +22,11 @@ from tagfuse.semantic import (
 from tagfuse.text import tokenize
 
 from conftest import make_corpus
+
+
+def text_repr(record):
+    """The embedded document: title and abstract joined by a space."""
+    return f"{record.title} {record.abstract}"
 
 
 def ngrams(tokens, n_min=1, n_max=2):
@@ -69,7 +76,7 @@ class TestVocabulary:
         assert "dispersal" not in columns      # df 1, below min_df
         assert "fungal spore" not in columns   # bigram df 1, below min_df
         assert "data" not in columns           # df 3 > 0.99 * 3
-        assert vectorize(tiny_corpus(), config).matrix.shape == (3, len(columns))
+        assert vectorize(build_index(tiny_corpus()), config).matrix.shape == (3, len(columns))
         _, wide, _ = reference_vectorize(tiny_corpus(), NO_CUTOFFS)
         assert "fungal spore" in wide          # bigram kept once df allows
 
@@ -85,7 +92,7 @@ class TestVocabulary:
 
     def test_all_terms_filtered_is_an_error(self):
         with pytest.raises(TagfuseError, match="empty"):
-            vectorize(tiny_corpus(), SemanticConfig(min_df=4))
+            vectorize(build_index(tiny_corpus()), SemanticConfig(min_df=4))
 
     def test_parameter_validation(self):
         with pytest.raises(ConfigError, match="min_df"):
@@ -97,7 +104,7 @@ class TestVocabulary:
 class TestVectorize:
     def test_matches_dense_reference_computation(self):
         corpus = tiny_corpus()
-        got = vectorize(corpus, NO_CUTOFFS).matrix.toarray()
+        got = vectorize(build_index(corpus), NO_CUTOFFS).matrix.toarray()
         _, columns, document_frequency = reference_vectorize(corpus, NO_CUTOFFS)
 
         m = len(corpus)
@@ -119,7 +126,7 @@ class TestVectorize:
 
     def test_rows_are_unit_norm(self):
         corpus = tiny_corpus()
-        tfidf = vectorize(corpus, NO_CUTOFFS)
+        tfidf = vectorize(build_index(corpus), NO_CUTOFFS)
         norms = np.sqrt(np.asarray(tfidf.matrix.multiply(tfidf.matrix).sum(axis=1))).ravel()
         np.testing.assert_allclose(norms, 1.0, atol=1e-9)
 
@@ -131,30 +138,36 @@ class TestVectorize:
                 ("d3", "loner", "completely separate text"),
             ]
         )
-        tfidf = vectorize(corpus, SemanticConfig(min_df=2, max_df_fraction=1.0))
+        tfidf = vectorize(build_index(corpus), SemanticConfig(min_df=2, max_df_fraction=1.0))
         assert tfidf.matrix[2].nnz == 0
 
     def test_tokenizes_each_document_once(self, monkeypatch):
+        """The index tokenizes each title and abstract once; ``vectorize``
+        reads its positions and tokenizes nothing."""
         calls = []
 
         def counting_tokenize(text):
             calls.append(text)
             return tokenize(text)
 
-        monkeypatch.setattr(tagfuse.semantic, "tokenize", counting_tokenize)
+        monkeypatch.setattr(tagfuse.index, "tokenize", counting_tokenize)
         corpus = tiny_corpus()
-        vectorize(corpus, NO_CUTOFFS)
-        assert len(calls) == len(corpus)
+        index = build_index(corpus, IndexConfig(TEXT_FIELDS))
+        assert len(calls) == 2 * len(corpus)
+        matrix, _, _ = reference_vectorize(corpus, NO_CUTOFFS)
+        assert (vectorize(index, NO_CUTOFFS).matrix != matrix).nnz == 0
+        assert len(calls) == 2 * len(corpus)
 
     def test_term_outside_vocabulary_is_ignored(self):
         config = SemanticConfig(min_df=2, max_df_fraction=0.99)
-        tfidf = vectorize(tiny_corpus(), config)
+        tfidf = vectorize(build_index(tiny_corpus()), config)
         _, columns, _ = reference_vectorize(tiny_corpus(), config)
         assert tfidf.matrix.shape == (3, len(columns))
 
     def test_result_has_canonical_format(self):
         """Sorted column indices and no duplicates in every row."""
-        assert vectorize(small_bench_corpus(), SemanticConfig()).matrix.has_canonical_format
+        tfidf = vectorize(build_index(small_bench_corpus()), SemanticConfig())
+        assert tfidf.matrix.has_canonical_format
 
     def test_peak_memory_per_token(self):
         """Only the bigram codes go through ``np.unique``, no term becomes a
@@ -162,9 +175,10 @@ class TestVectorize:
         traced peak stays below 100 bytes per token."""
         corpus, _, _ = generate(BenchmarkSpec(n_topics=3, docs_per_topic=400))
         n_tokens = sum(len(tokenize(text_repr(rec))) for rec in corpus)
+        index = build_index(corpus)
         tracemalloc.start()
         try:
-            vectorize(corpus, SemanticConfig())
+            vectorize(index, SemanticConfig())
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -234,6 +248,20 @@ def prefix_corpus():
     )
 
 
+def boundary_corpus():
+    """Bigrams across the title/abstract boundary, a title and an abstract
+    with no tokens, and a document boundary no bigram may cross."""
+    return make_corpus(
+        [
+            ("b1", "deep", "learning works"),
+            ("b2", "very deep", "learning"),
+            ("b3", "—", "deep learning"),
+            ("b4", "learning deep", "..."),
+            ("b5", "works", "deep"),
+        ]
+    )
+
+
 def small_bench_corpus():
     corpus, _, _ = generate(BenchmarkSpec(n_topics=3, docs_per_topic=40, doc_length=25))
     return corpus
@@ -249,13 +277,16 @@ class TestVectorizeMatchesStringReference:
             (edge_case_corpus, NO_CUTOFFS),
             (edge_case_corpus, SemanticConfig(min_df=2, max_df_fraction=0.5)),
             (prefix_corpus, NO_CUTOFFS),
+            (boundary_corpus, NO_CUTOFFS),
+            (boundary_corpus, SemanticConfig(min_df=2, max_df_fraction=1.0)),
             (small_bench_corpus, SemanticConfig()),
         ],
-        ids=["non-ascii-all-terms", "non-ascii-cutoffs", "prefixes", "bench"],
+        ids=["non-ascii-all-terms", "non-ascii-cutoffs", "prefixes", "boundary-all-terms",
+             "boundary-cutoffs", "bench"],
     )
     def test_bit_identical(self, corpus, config):
         corpus = corpus()
-        tfidf = vectorize(corpus, config)
+        tfidf = vectorize(build_index(corpus), config)
         matrix, _, _ = reference_vectorize(corpus, config)
         got = tfidf.matrix
         for name in ("indptr", "indices", "data"):
@@ -268,15 +299,16 @@ class TestVectorizeMatchesStringReference:
         # The corpus above really holds what the comparison is meant to cover.
         corpus = edge_case_corpus()
         config = SemanticConfig(min_df=2, max_df_fraction=0.5)
-        tfidf = vectorize(corpus, config)
+        tfidf = vectorize(build_index(corpus), config)
         _, columns, _ = reference_vectorize(corpus, config)
         tokens = [tokenize(text_repr(rec)) for rec in corpus]
         assert "i̇stanbul" in columns and "東京 大学" in columns
         assert tokens[1] == ["solo"]
         assert tfidf.matrix[1].nnz == 0 and tfidf.matrix[3].nnz == 0
         assert ngrams(tokens[4]).count("east east") == 2
-        # The bigram of token id 0 with itself has the smallest bigram code.
-        assert "straße straße" in columns
+        # Token ids are string ranks, so the bigram of the first token with
+        # itself has the smallest bigram code.
+        assert "east east" in columns and "straße straße" in columns
         # Prefix and digit terms are columns, and no two of them are equal,
         # so putting any of them out of string order changes the matrix.
         matrix, columns, _ = reference_vectorize(prefix_corpus(), NO_CUTOFFS)
@@ -285,6 +317,18 @@ class TestVectorizeMatchesStringReference:
         assert [columns[t] for t in terms] == sorted(columns[t] for t in terms)
         dense = matrix.toarray()
         assert len({dense[:, columns[t]].tobytes() for t in terms}) == len(terms)
+
+    def test_boundary_cases_are_present(self):
+        corpus = boundary_corpus()
+        assert [tokenize(rec.title) for rec in corpus][2] == []
+        assert [tokenize(rec.abstract) for rec in corpus][3] == []
+        _, _, df = reference_vectorize(corpus, NO_CUTOFFS)
+        # Two of the three "deep learning" span the boundary; "works deep"
+        # only does; "learning deep" would gain a df if b2 ran into b3.
+        assert df["deep learning"] == 3 and df["works deep"] == 1
+        assert df["learning deep"] == 1
+        tfidf = vectorize(build_index(corpus), SemanticConfig(min_df=2, max_df_fraction=1.0))
+        assert all(tfidf.matrix[i].nnz for i in range(len(corpus)))
 
 
 def two_sided_randomized_svd(a, k, oversample=10, power_iters=2, seed=0):
@@ -510,7 +554,7 @@ class TestTruncatedSvd:
     @staticmethod
     def embed(k=2, seed=0):
         config = SemanticConfig(k=k, min_df=1, max_df_fraction=1.0)
-        return truncated_svd(vectorize(tiny_corpus(), config), config, seed=seed)
+        return truncated_svd(vectorize(build_index(tiny_corpus()), config), config, seed=seed)
 
     def test_shape_and_id_lookup(self):
         sem = self.embed()
@@ -523,7 +567,7 @@ class TestTruncatedSvd:
         # U*s is defined up to sign/rotation in degenerate cases; the Gram
         # matrix of the embedding is invariant and must match exactly.
         corpus = tiny_corpus()
-        tfidf = vectorize(corpus, NO_CUTOFFS)
+        tfidf = vectorize(build_index(corpus), NO_CUTOFFS)
         sem = truncated_svd(tfidf, SemanticConfig(k=2), seed=0)
         u, s, _ = np.linalg.svd(tfidf.matrix.toarray(), full_matrices=False)
         exact = (u[:, :2] * s[:2]) @ (u[:, :2] * s[:2]).T
