@@ -22,8 +22,8 @@ from dataclasses import dataclass
 # numpy is imported inside the functions that compute with it: the stages
 # that never do (index, synset, fuse, eval) then start without loading it.
 
-from .corpus import ArticleRecord, Corpus, GroundTruth
-from .errors import ConfigError, TagfuseError
+from .corpus import ArticleRecord
+from .errors import ConfigError
 from .synsets import Synset, make_synset
 
 logger = logging.getLogger(__name__)
@@ -97,30 +97,23 @@ def _make_topics(spec: BenchmarkSpec) -> list[_Topic]:
     return topics
 
 
-def _check_disjoint(topics: list[_Topic], background: list[str]) -> None:
-    seen: set[str] = set()
-    for words in (
-        *[t.primary for t in topics],
-        *[t.alternate for t in topics],
-        [t.name for t in topics],
-        background,
-    ):
-        for w in words:
-            if w in seen:
-                raise TagfuseError(f"vocabulary pools collide on {w!r}")
-            seen.add(w)
+def generate(
+    spec: BenchmarkSpec,
+) -> tuple[list[ArticleRecord], dict[str, set[str]], dict[str, Synset]]:
+    """Generate a corpus, its exact planted truth (the label set of each
+    article id), and matching synsets.
 
+    Deterministic: the same spec always yields byte-identical artifacts,
+    and article ids count up, so they are unique. Guarantees by
+    construction:
 
-def generate(spec: BenchmarkSpec) -> tuple[Corpus, GroundTruth, dict[str, Synset]]:
-    """Generate a corpus, its exact planted truth, and matching synsets.
-
-    Deterministic: the same spec always yields byte-identical artifacts.
-    Guarantees by construction, and re-checked here:
-
-    * vocabulary pools, topic names, and background words are disjoint;
+    * vocabulary pools, topic names, and background words are disjoint,
+      since each kind has its own prefix (``domain``, ``pri..term``,
+      ``alt..term``, ``bg``);
     * alternate-community articles contain no synset term of their own
-      topic in title, abstract, or keywords (``subjects`` always names
-      the topic, but the search routes do not read it);
+      topic in title, abstract, or keywords, since synsets take words
+      only from the primary pool (``subjects`` always names the topic,
+      but the search routes do not read it);
     * every article carries its topic name in ``subjects``, which is what
       the planted ground truth records.
     """
@@ -128,7 +121,6 @@ def generate(spec: BenchmarkSpec) -> tuple[Corpus, GroundTruth, dict[str, Synset
     rng = np.random.default_rng(spec.seed)
     topics = _make_topics(spec)
     background = [f"bg{j:04d}" for j in range(spec.background_vocab_size)]
-    _check_disjoint(topics, background)
 
     ranks = np.arange(1, spec.background_vocab_size + 1, dtype=np.float64)
     zipf_p = ranks ** -_ZIPF_EXPONENT
@@ -188,26 +180,16 @@ def generate(spec: BenchmarkSpec) -> tuple[Corpus, GroundTruth, dict[str, Synset
             )
             labels[article_id] = {topic.name}
 
-    corpus = Corpus(records)
-    truth = GroundTruth(labels)
     synsets = {
         t.name: make_synset(t.name, [t.name, *t.synset_terms]) for t in topics
     }
-
-    for t in topics:
-        synset_vocab = {w.lower() for w in synsets[t.name].terms}
-        alt_vocab = {w.lower() for w in t.alternate}
-        if synset_vocab & alt_vocab:
-            raise TagfuseError(
-                f"synset for {t.name!r} leaks into the alternate pool"
-            )
     logger.info(
         "generated %d article(s), %d topic(s), %d alternate-community per topic",
-        len(corpus),
+        len(records),
         spec.n_topics,
         n_alt,
     )
-    return corpus, truth, synsets
+    return records, labels, synsets
 
 
 def topic_names(spec: BenchmarkSpec) -> list[str]:

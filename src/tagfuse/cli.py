@@ -35,9 +35,7 @@ from . import __version__
 from .benchmark import generate, topic_names
 from .classifier import build_dataset, rank_corpus, train
 from .config import RunConfig, load_config, topic_slug
-from .corpus import (
-    GroundTruth, ingest_corpus, load_ground_truth, save_corpus, save_ground_truth
-)
+from .corpus import ingest_corpus, load_ground_truth, save_corpus, save_ground_truth
 from .errors import ConfigError, InsufficientPositives, TagfuseError
 from .evaluation import format_table, sweep, write_plot_series
 from .fusion import fuse, invert, read_assignments, write_assignments
@@ -275,7 +273,7 @@ def stage_fuse(cfg: RunConfig) -> None:
             write_assignments(assignments, ws.output(ws.tags_path(a)))
 
 
-def _load_truth(cfg: RunConfig, ws: Workspace) -> GroundTruth:
+def _load_truth(cfg: RunConfig, ws: Workspace) -> dict[str, set[str]]:
     if cfg.ground_truth_path:
         path = ws.input(_require_input(cfg.ground_truth_path, "ground_truth_path"))
         return load_ground_truth(path, _topics(cfg))

@@ -6,8 +6,9 @@ A corpus file is UTF-8, line-delimited JSON, one article per line:
      "keywords": ["..."], "subjects": ["..."], "categories:wos": ["..."]}
 
 ``id``, ``title`` and ``abstract`` are required; ``keywords`` and
-``subjects`` default to empty. Any other key whose value is an array of
-strings is kept as an extra category field under its own name.
+``subjects`` are arrays of strings, empty when absent or ``null``. Any
+other key whose value is an array of strings is kept as an extra category
+field under its own name; other extra keys are ignored.
 """
 
 from __future__ import annotations
@@ -40,39 +41,11 @@ class ArticleRecord:
 
     def field_values(self, name: str) -> tuple[str, ...]:
         """Text entries for a named field; scalar fields yield one entry."""
-        if name == "title":
-            return (self.title,)
-        if name == "abstract":
-            return (self.abstract,)
-        if name == "keywords":
-            return self.keywords
-        if name == "subjects":
-            return self.subjects
+        if name in TEXT_FIELDS:
+            return (getattr(self, name),)
+        if name in CORE_LIST_FIELDS:
+            return getattr(self, name)
         return self.extra.get(name, ())
-
-
-class Corpus:
-    """Immutable collection of articles. Ids are unique and non-empty:
-    ``ingest_corpus`` rejects a repeated id, and generated ids count up."""
-
-    def __init__(self, records: list[ArticleRecord]):
-        self._records = list(records)
-
-    def __len__(self) -> int:
-        return len(self._records)
-
-    def __iter__(self):
-        return iter(self._records)
-
-    def ids(self) -> list[str]:
-        return [rec.id for rec in self._records]
-
-    def extra_field_names(self) -> list[str]:
-        """Names of extra category fields present on any record, sorted."""
-        names: set[str] = set()
-        for rec in self._records:
-            names.update(rec.extra)
-        return sorted(names)
 
 
 def _string_list(value) -> tuple[str, ...] | None:
@@ -100,12 +73,15 @@ def read_jsonl(path: str) -> Iterator[tuple[int, dict]]:
             yield lineno, raw
 
 
-def ingest_corpus(path: str) -> Corpus:
+def ingest_corpus(path: str) -> list[ArticleRecord]:
     """Read a line-delimited corpus file.
 
     Records missing an id, title, or abstract are skipped with a warning
     and counted; they never enter the corpus silently. A syntactically
-    broken line is fatal, since it usually means the wrong file.
+    broken line is fatal, since it usually means the wrong file, and so
+    are a ``keywords`` or ``subjects`` value that is not an array of
+    strings and a repeated or unprintable id: the ids of the returned
+    records are unique.
     """
     records: list[ArticleRecord] = []
     seen: set[str] = set()
@@ -125,6 +101,13 @@ def ingest_corpus(path: str) -> Corpus:
             raise TagfuseError(f"{path}:{lineno}: duplicate article id {article_id!r}")
         seen.add(article_id)
 
+        core = {}
+        for key in CORE_LIST_FIELDS:
+            value = raw.get(key)
+            core[key] = () if value is None else _string_list(value)
+            if core[key] is None:
+                raise TagfuseError(f"{path}:{lineno}: {key} is not an array of strings")
+
         extra: dict[str, tuple[str, ...]] = {}
         for key, value in raw.items():
             if key in ("id", "title", "abstract", *CORE_LIST_FIELDS):
@@ -133,24 +116,15 @@ def ingest_corpus(path: str) -> Corpus:
             if values is not None:
                 extra[key] = values
 
-        records.append(
-            ArticleRecord(
-                id=article_id,
-                title=title,
-                abstract=abstract,
-                keywords=_string_list(raw.get("keywords", [])) or (),
-                subjects=_string_list(raw.get("subjects", [])) or (),
-                extra=extra,
-            )
-        )
+        records.append(ArticleRecord(article_id, title, abstract, **core, extra=extra))
 
     if skipped:
         logger.warning("%s: skipped %d incomplete record(s)", path, skipped)
     logger.info("%s: ingested %d article(s)", path, len(records))
-    return Corpus(records)
+    return records
 
 
-def save_corpus(corpus: Corpus, path: str) -> None:
+def save_corpus(corpus: list[ArticleRecord], path: str) -> None:
     """Write the corpus in the same line-delimited format ``ingest_corpus`` reads."""
     with open(path, "w", encoding="utf-8") as fh:
         for rec in corpus:
@@ -166,22 +140,12 @@ def save_corpus(corpus: Corpus, path: str) -> None:
             fh.write(json.dumps(raw, ensure_ascii=False) + "\n")
 
 
-@dataclass
-class GroundTruth:
-    """True topic labels per article id. Label sets are never empty:
-    ``load_ground_truth`` rejects an empty topic list, and the builders
-    add only labels that matched."""
+def load_ground_truth(path: str, topics: list[str] | None = None) -> dict[str, set[str]]:
+    """Read the label set of each article id from a line-delimited file of
+    ``{"id": ..., "topics": [...]}``.
 
-    labels: dict[str, set[str]]
-
-    def __contains__(self, article_id: str) -> bool:
-        return article_id in self.labels
-
-
-def load_ground_truth(path: str, topics: list[str] | None = None) -> GroundTruth:
-    """Read labels from a line-delimited file of ``{"id": ..., "topics": [...]}``.
-
-    When ``topics`` is given, any label outside that list is an error.
+    An empty topic list is an error, and so, when ``topics`` is given, is
+    any label outside that list.
     """
     allowed = set(topics) if topics is not None else None
     labels: dict[str, set[str]] = {}
@@ -201,12 +165,12 @@ def load_ground_truth(path: str, topics: list[str] | None = None) -> GroundTruth
                     f"{path}:{lineno}: labels outside the topic list: {unknown}"
                 )
         labels[article_id] = set(names)
-    return GroundTruth(labels)
+    return labels
 
 
-def save_ground_truth(truth: GroundTruth, path: str) -> None:
+def save_ground_truth(truth: dict[str, set[str]], path: str) -> None:
     """Write labels in the same line-delimited format ``load_ground_truth`` reads."""
     with open(path, "w", encoding="utf-8") as fh:
-        for article_id in sorted(truth.labels):
-            rec = {"id": article_id, "topics": sorted(truth.labels[article_id])}
+        for article_id in sorted(truth):
+            rec = {"id": article_id, "topics": sorted(truth[article_id])}
             fh.write(json.dumps(rec, ensure_ascii=False) + "\n")

@@ -12,9 +12,8 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 
-from .corpus import GroundTruth
 from .errors import TagfuseError
-from .fusion import TagAssignment
+from .fusion import Assignments
 
 logger = logging.getLogger(__name__)
 
@@ -44,16 +43,17 @@ class EvalReport:
 
 
 def evaluate(
-    assignments: list[TagAssignment],
-    truth: GroundTruth,
+    assignments: Assignments,
+    truth: dict[str, set[str]],
     label_set: list[str],
     method: str = "method",
 ) -> EvalReport:
     """Score one method's assignments against the truth.
 
-    The assignments come from ``invert`` or ``read_assignments``: one per
-    article, each a non-empty subset of ``label_set``. Per article in E,
-    with predicted set P and true set T:
+    The assignments come from ``invert`` or ``read_assignments``, and the
+    truth maps article ids to non-empty label sets; each article's tags
+    name a non-empty subset of ``label_set``. Per article in E, with
+    predicted set P and true set T:
 
         precision = |P & T| / |P|        recall = |P & T| / |T|
         f1 = 2|P & T| / (|P| + |T|)      jaccard = |P & T| / |P | T|
@@ -65,9 +65,9 @@ def evaluate(
     """
     n_labels = len(label_set)
     pairs = [
-        (assignment.topic_set(), truth.labels[assignment.article_id])
-        for assignment in assignments
-        if assignment.article_id in truth
+        ({topic for topic, _ in tags}, truth[article_id])
+        for article_id, tags in assignments.items()
+        if article_id in truth
     ]
 
     if not pairs:
@@ -101,8 +101,8 @@ def evaluate(
 
 
 def sweep(
-    methods: dict[str, list[TagAssignment]],
-    truth: GroundTruth,
+    methods: dict[str, Assignments],
+    truth: dict[str, set[str]],
     label_set: list[str],
 ) -> list[EvalReport]:
     """Evaluate several methods against the same truth, in given order."""

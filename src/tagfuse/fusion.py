@@ -87,21 +87,14 @@ def fuse(synset_list: RankedList, classifier_list: RankedList, a: int) -> Ranked
     )
 
 
-@dataclass
-class TagAssignment:
-    """Tags for one article: (topic, normalized score), best first."""
-
-    article_id: str
-    tags: list[tuple[str, float]]
-
-    def topic_set(self) -> set[str]:
-        return {t for t, _ in self.tags}
+# Tags per article id: (topic, normalized score) pairs, best first.
+Assignments = dict[str, list[tuple[str, float]]]
 
 
 def invert(
     per_topic: dict[str, RankedList],
     score_threshold: float | None = None,
-) -> list[TagAssignment]:
+) -> Assignments:
     """Turn per-topic lists into per-article tag assignments.
 
     A tag's score is its normalized rank, ``1 - (rank - 1) / |list|``:
@@ -113,10 +106,10 @@ def invert(
     With ``score_threshold`` set, tags scoring below it are dropped,
     which is the depth-free alternative to the ``a`` budget.
 
-    Assignments come back sorted by article id; each article's tags are
-    sorted best first.
+    Articles come back sorted by id; each article's tags are sorted best
+    first.
     """
-    tags_by_article: dict[str, list[tuple[str, float]]] = {}
+    tags_by_article: Assignments = {}
     for topic in per_topic:
         entries = per_topic[topic].entries
         size = len(entries)
@@ -126,38 +119,36 @@ def invert(
                 continue
             tags_by_article.setdefault(article_id, []).append((topic, score))
 
-    assignments = []
-    for article_id in sorted(tags_by_article):
-        tags = sorted(tags_by_article[article_id], key=lambda ts: (-ts[1], ts[0]))
-        assignments.append(TagAssignment(article_id=article_id, tags=tags))
-    return assignments
+    return {
+        article_id: sorted(tags_by_article[article_id], key=lambda ts: (-ts[1], ts[0]))
+        for article_id in sorted(tags_by_article)
+    }
 
 
-def write_assignments(assignments: list[TagAssignment], path: str) -> None:
+def write_assignments(assignments: Assignments, path: str) -> None:
     """One JSON object per line: ``{"id": ..., "tags": [{topic, score}]}``,
     the bytes of ``json.dumps(record, ensure_ascii=False)``; scores are
     finite floats, which ``json`` writes as their ``repr``."""
     quote = json.JSONEncoder(ensure_ascii=False).encode
     quote_topic = functools.cache(quote)
     lines = [
-        f'{{"id": {quote(assignment.article_id)}, "tags": ['
+        f'{{"id": {quote(article_id)}, "tags": ['
         + ", ".join(
             f'{{"topic": {quote_topic(topic)}, "score": {score!r}}}'
-            for topic, score in assignment.tags
+            for topic, score in tags
         )
         + "]}\n"
-        for assignment in assignments
+        for article_id, tags in assignments.items()
     ]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("".join(lines))
 
 
-def read_assignments(path: str, topics: list[str]) -> list[TagAssignment]:
+def read_assignments(path: str, topics: list[str]) -> Assignments:
     """Read a ``write_assignments`` file whose tags name ``topics``; a
     malformed line raises TagfuseError naming ``path:line``."""
     allowed = set(topics)
-    seen: set[str] = set()
-    assignments: list[TagAssignment] = []
+    assignments: Assignments = {}
     for lineno, raw in read_jsonl(path):
         try:
             article_id = raw["id"]
@@ -165,7 +156,7 @@ def read_assignments(path: str, topics: list[str]) -> list[TagAssignment]:
             names = {t for t, _ in tags}
             unknown = sorted(names - allowed)
             fault = (
-                "repeated article" if article_id in seen
+                "repeated article" if article_id in assignments
                 else "empty tag list" if not tags
                 else "repeated topic" if len(names) != len(tags)
                 else f"topics outside the topic list: {unknown}" if unknown
@@ -175,6 +166,5 @@ def read_assignments(path: str, topics: list[str]) -> list[TagAssignment]:
             raise TagfuseError(f"{path}:{lineno}: invalid record: {exc!r}") from exc
         if fault:
             raise TagfuseError(f"{path}:{lineno}: article {article_id!r}: {fault}")
-        seen.add(article_id)
-        assignments.append(TagAssignment(article_id=article_id, tags=tags))
+        assignments[article_id] = tags
     return assignments

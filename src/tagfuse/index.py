@@ -20,7 +20,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import accumulate
 
-from .corpus import CORE_LIST_FIELDS, TEXT_FIELDS, Corpus, GroundTruth
+from .corpus import CORE_LIST_FIELDS, TEXT_FIELDS, ArticleRecord
 from .errors import ConfigError, TagfuseError
 from .text import tokenize
 
@@ -127,8 +127,8 @@ class Index:
     # -- construction ---------------------------------------------------
 
     @classmethod
-    def build(cls, corpus: Corpus, fields: tuple[str, ...]) -> "Index":
-        return cls(corpus.ids(), {
+    def build(cls, corpus: list[ArticleRecord], fields: tuple[str, ...]) -> "Index":
+        return cls([rec.id for rec in corpus], {
             name: _FieldIndex.build(rec.field_values(name) for rec in corpus)
             for name in fields
         })
@@ -225,9 +225,10 @@ class Index:
         return cls(article_ids, fields)
 
 
-def default_fields(corpus: Corpus) -> tuple[str, ...]:
-    """All text fields present in the corpus, core fields first."""
-    return (*TEXT_FIELDS, *CORE_LIST_FIELDS, *corpus.extra_field_names())
+def default_fields(corpus: list[ArticleRecord]) -> tuple[str, ...]:
+    """All text fields present in the corpus, core fields first, then the
+    extra fields of any record, sorted."""
+    return (*TEXT_FIELDS, *CORE_LIST_FIELDS, *sorted({k for rec in corpus for k in rec.extra}))
 
 
 def check_fields(fields, known, key: str, kind: str) -> None:
@@ -238,7 +239,7 @@ def check_fields(fields, known, key: str, kind: str) -> None:
         raise ConfigError(f"{key} names {unknown}, not among the {kind} fields {list(known)}")
 
 
-def build_index(corpus: Corpus, config: IndexConfig = IndexConfig()) -> Index:
+def build_index(corpus: list[ArticleRecord], config: IndexConfig = IndexConfig()) -> Index:
     """Index the corpus over the configured fields."""
     known = default_fields(corpus)
     fields = known if config.fields is None else config.fields
@@ -305,18 +306,19 @@ def build_ground_truth(
     index: Index,
     topics: list[str],
     fields: tuple[str, ...] = CORE_LIST_FIELDS,
-) -> GroundTruth:
+) -> dict[str, set[str]]:
     """Derive labels from category fields by whole-phrase topic matching.
 
     A topic labels an article when the topic's token sequence occurs
     contiguously in some entry of a selected field, case-insensitively:
     the phrase match of synset search, which matches each field on its
     own. Matching runs on tokens, not raw substrings, so "mycological
-    methods" does not label the topic "Mycology". Articles matching no
-    topic are left out.
+    methods" does not label the topic "Mycology". Returns the label set of
+    each article id; articles matching no topic are left out, so no set is
+    empty.
     """
     labels: dict[str, set[str]] = {}
     for topic in topics:
         for article_id in has_any_match(index, [topic], fields):
             labels.setdefault(article_id, set()).add(topic)
-    return GroundTruth(labels)
+    return labels

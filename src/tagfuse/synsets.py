@@ -66,16 +66,19 @@ def make_synset(topic: str, terms: list[str]) -> Synset:
 
 
 def load_synsets(path: str, topics: list[str] | None = None) -> dict[str, Synset]:
-    """Read synsets; with ``topics`` given, every topic must be covered."""
+    """Read synsets, whose terms are strings; with ``topics`` given, every
+    topic must be covered."""
     synsets: dict[str, Synset] = {}
     for lineno, raw in read_jsonl(path):
         topic = raw.get("topic")
         terms = raw.get("terms")
-        if not isinstance(topic, str) or not isinstance(terms, list):
+        if not isinstance(topic, str) or not isinstance(terms, list) or not all(
+            isinstance(t, str) for t in terms
+        ):
             raise TagfuseError(f"{path}:{lineno}: expected topic and terms array")
         if topic in synsets:
             raise TagfuseError(f"{path}:{lineno}: duplicate synset for {topic!r}")
-        synsets[topic] = make_synset(topic, [str(t) for t in terms])
+        synsets[topic] = make_synset(topic, terms)
 
     if topics is not None:
         missing = [t for t in topics if t not in synsets]

@@ -1,8 +1,9 @@
 """Tokenization shared by every text-consuming stage.
 
-Indexing, vocabulary building, ground-truth matching, and query parsing all
-run through :func:`tokenize` so that a phrase matched in one stage is
-guaranteed to match in the others.
+Indexing and query parsing run through :func:`tokenize`, and the TF-IDF
+vocabulary and the ground-truth labels read the index's tokens rather
+than tokenizing again, so a phrase matched in one stage is guaranteed to
+match in the others.
 """
 
 from __future__ import annotations

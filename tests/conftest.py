@@ -1,11 +1,11 @@
 import pytest
 
-from tagfuse.corpus import ArticleRecord, Corpus
+from tagfuse.corpus import ArticleRecord
 from tagfuse.index import build_index
 
 
 def make_corpus(rows):
-    """Corpus from (id, title, abstract[, keywords[, subjects]]) tuples."""
+    """Records from (id, title, abstract[, keywords[, subjects]]) tuples."""
     records = []
     for row in rows:
         row = list(row) + [()] * (5 - len(row))
@@ -19,7 +19,7 @@ def make_corpus(rows):
                 subjects=tuple(subjects),
             )
         )
-    return Corpus(records)
+    return records
 
 
 def record(corpus, article_id):

@@ -141,9 +141,7 @@ def metric_oracle(pairs, n_labels):
 
 
 def test_criterion_2_metric_suite_matches_brute_force():
-    from tagfuse.corpus import GroundTruth
     from tagfuse.evaluation import evaluate
-    from tagfuse.fusion import TagAssignment
 
     rng = random.Random(2024)
     ok = True
@@ -158,13 +156,10 @@ def test_criterion_2_metric_suite_matches_brute_force():
             truth_labels[aid] = set(rng.sample(label_set, rng.randint(1, n_labels)))
             if rng.random() < 0.8 or i == 0:
                 predicted[aid] = rng.sample(label_set, rng.randint(1, n_labels))
-        assignments = [
-            TagAssignment(article_id=aid, tags=[(t, 0.5) for t in topics])
-            for aid, topics in sorted(predicted.items())
-        ]
-        report = evaluate(
-            assignments, GroundTruth(truth_labels), label_set, method="m"
-        )
+        assignments = {
+            aid: [(t, 0.5) for t in topics] for aid, topics in sorted(predicted.items())
+        }
+        report = evaluate(assignments, truth_labels, label_set, method="m")
         pairs = [
             (set(topics), truth_labels[aid])
             for aid, topics in sorted(predicted.items())
@@ -184,8 +179,8 @@ def test_criterion_2_metric_suite_matches_brute_force():
     # One article tagged with one correct and one incorrect topic must
     # score exactly 0.5 precision.
     mixed = evaluate(
-        [TagAssignment(article_id="a", tags=[("Mycology", 1.0), ("Transplantation", 0.9)])],
-        GroundTruth({"a": {"Transplantation"}}),
+        {"a": [("Mycology", 1.0), ("Transplantation", 0.9)]},
+        {"a": {"Transplantation"}},
         ["Mycology", "Transplantation"],
     )
     ok = ok and mixed.precision == 0.5
@@ -337,7 +332,7 @@ def test_criterion_7_intersection_accounting(bench_artifacts):
             for line in fh:
                 if line.strip():
                     tagged.add(json.loads(line)["id"])
-        recount = len(tagged & set(truth.labels))
+        recount = len(tagged & set(truth))
         reported = reports[f"Fusion{a}"]["intersection_size"]
         sizes.append(recount)
         if recount != reported:
@@ -352,7 +347,7 @@ def test_criterion_7_intersection_accounting(bench_artifacts):
             for line in fh:
                 if line.strip():
                     synset_tagged.add(line.split("\t")[1])
-    synset_recount = len(synset_tagged & set(truth.labels))
+    synset_recount = len(synset_tagged & set(truth))
     if synset_recount != reports["Synset"]["intersection_size"]:
         ok = False
 

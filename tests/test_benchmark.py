@@ -1,6 +1,6 @@
 import pytest
 
-from tagfuse.benchmark import BenchmarkSpec, generate, topic_names
+from tagfuse.benchmark import BenchmarkSpec, _make_topics, generate, topic_names
 from tagfuse.corpus import save_corpus
 from tagfuse.errors import ConfigError
 from tagfuse.index import build_index
@@ -48,16 +48,16 @@ class TestShape:
     def test_sizes_and_planted_truth(self):
         corpus, truth, synsets = generate(SMALL)
         assert len(corpus) == SMALL.n_topics * SMALL.docs_per_topic
-        assert len(truth.labels) == len(corpus)
+        assert len(truth) == len(corpus)
         assert set(synsets) == set(topic_names(SMALL))
         # Every article is labeled with exactly its subjects entry.
         for record in corpus:
-            assert truth.labels[record.id] == set(record.subjects)
-            assert len(truth.labels[record.id]) == 1
+            assert truth[record.id] == set(record.subjects)
+            assert len(truth[record.id]) == 1
 
     def test_ids_are_stable_and_zero_padded(self):
         corpus, _, _ = generate(SMALL)
-        ids = corpus.ids()
+        ids = [record.id for record in corpus]
         assert ids[0] == "d00000"
         assert ids[-1] == f"d{len(ids) - 1:05d}"
         assert ids == sorted(ids)
@@ -78,6 +78,24 @@ class TestShape:
         assert synset.terms[1:] == expected
 
 
+def assert_alternate_articles_avoid_their_own_synset(spec):
+    """Alt-community docs are the first alt-fraction block of each topic's
+    id range. Their text fields (everything but subjects) must contain no
+    term the topic's synset could match."""
+    corpus, truth, synsets = generate(spec)
+    n_alt = round(spec.alt_vocab_fraction * spec.docs_per_topic)
+    for topic_i, topic in enumerate(topic_names(spec)):
+        synset_tokens = {
+            token for term in synsets[topic].terms for token in tokenize(term)
+        }
+        for record in corpus[topic_i * spec.docs_per_topic:][:n_alt]:
+            assert truth[record.id] == {topic}
+            text_tokens = set(
+                tokenize(" ".join([record.title, record.abstract, *record.keywords]))
+            )
+            assert not text_tokens & synset_tokens
+
+
 class TestVocabularySplit:
     def test_pools_are_disjoint_across_topics(self):
         corpus, _, synsets = generate(SMALL)
@@ -88,23 +106,33 @@ class TestVocabularySplit:
             all_terms |= terms
 
     def test_alternate_community_articles_avoid_their_own_synset(self):
-        # Alt-community docs are the first alt-fraction block of each
-        # topic's id range. Their text fields (everything but subjects)
-        # must contain no term the topic's synset could match.
-        corpus, truth, synsets = generate(SMALL)
-        records = list(corpus)
-        n_alt = round(SMALL.alt_vocab_fraction * SMALL.docs_per_topic)
-        for topic_i, topic in enumerate(topic_names(SMALL)):
-            synset_tokens = {
-                token for term in synsets[topic].terms for token in tokenize(term)
-            }
-            block = records[topic_i * SMALL.docs_per_topic:(topic_i + 1) * SMALL.docs_per_topic]
-            for record in block[:n_alt]:
-                assert truth.labels[record.id] == {topic}
-                text_tokens = set(
-                    tokenize(" ".join([record.title, record.abstract, *record.keywords]))
-                )
-                assert not text_tokens & synset_tokens
+        assert_alternate_articles_avoid_their_own_synset(SMALL)
+
+    def test_wide_indices_keep_every_kind_of_word_apart(self):
+        # Topic and pool indices reach 100 and background indices 10000,
+        # so every index outgrows its zero-padding.
+        spec = BenchmarkSpec(n_topics=101, docs_per_topic=4, vocab_per_topic=101,
+                             background_vocab_size=10001, doc_length=40,
+                             cross_noise_fraction=0.0, seed=2)
+        topics = _make_topics(spec)
+        names = [t.name for t in topics]
+        name_words = {token for name in names for token in tokenize(name)}
+        pools = [set(pool) for t in topics for pool in (t.primary, t.alternate)]
+        pool_words = set().union(*pools)
+        assert len(set(names)) == spec.n_topics
+        assert len(pool_words) == len(pools) * spec.vocab_per_topic
+        assert not name_words & pool_words
+        # Without cross-topic noise, an alternate-community abstract is its
+        # topic's alternate words plus background words.
+        corpus, _, _ = generate(spec)
+        n_alt = round(spec.alt_vocab_fraction * spec.docs_per_topic)
+        background = set()
+        for topic_i, topic in enumerate(topics):
+            for record in corpus[topic_i * spec.docs_per_topic:][:n_alt]:
+                background |= set(tokenize(record.abstract)) - set(topic.alternate)
+        assert 0 < len(background) <= spec.background_vocab_size
+        assert not background & (name_words | pool_words)
+        assert_alternate_articles_avoid_their_own_synset(spec)
 
     def test_pure_alternate_articles_are_invisible_without_noise(self):
         spec = BenchmarkSpec(
@@ -121,7 +149,7 @@ class TestVocabularySplit:
         n_alt = round(spec.alt_vocab_fraction * spec.docs_per_topic)
         for topic, synset in synsets.items():
             hits = set(synset_rank(synset, index, SynsetConfig(limit=10_000)).ids())
-            members = {a for a, labels in truth.labels.items() if topic in labels}
+            members = {a for a, labels in truth.items() if topic in labels}
             # Exactly the primary community is reachable, never the
             # alternate community, and never another topic's articles.
             assert hits <= members
@@ -142,7 +170,7 @@ class TestVocabularySplit:
         foreign = 0
         for topic, synset in synsets.items():
             hits = set(synset_rank(synset, index, SynsetConfig(limit=10_000)).ids())
-            members = {a for a, labels in truth.labels.items() if topic in labels}
+            members = {a for a, labels in truth.items() if topic in labels}
             foreign += len(hits - members)
         assert foreign > 0
 

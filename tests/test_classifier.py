@@ -40,7 +40,7 @@ def small(**overrides):
 def embedding_for(corpus, dim=4, seed=0):
     """Synthetic embedding: positives cluster apart from the rest."""
     rng = np.random.default_rng(seed)
-    ids = corpus.ids()
+    ids = [rec.id for rec in corpus]
     rows = rng.standard_normal((len(ids), dim)) * 0.1
     for i, article_id in enumerate(ids):
         if article_id.startswith(("t", "b")):
@@ -209,7 +209,7 @@ class TestRankCorpus:
         ranked = rank_corpus("mycology", forest, sem)
         assert ranked.origin == ORIGIN_CLASSIFIER
         assert ranked.topic == "mycology"
-        assert len(ranked) == len(corpus.ids())
+        assert len(ranked) == len(corpus)
         scores = [score for _, score in ranked.entries]
         assert scores == sorted(scores, reverse=True)
 

@@ -951,11 +951,18 @@ ARTICLE = '{"id": "a1", "title": "t", "abstract": "x"}'
          3, "no overlap between tagged articles and truth"),
         ("index", "corpus_path", f"{ARTICLE}\n{ARTICLE}", 3,
          "{file}:2: duplicate article id 'a1'"),
+        ("synset", "synsets_path", '{"topic": "T", "terms": ["fungology", null, 5, ["x"]]}', 3,
+         "{file}:1: expected topic and terms array"),
+        ("index", "corpus_path", ARTICLE[:-1] + ', "keywords": "fungi"}', 3,
+         "{file}:1: keywords is not an array of strings"),
+        ("index", "corpus_path", ARTICLE[:-1] + ', "subjects": ["Mycology", 3]}', 3,
+         "{file}:1: subjects is not an array of strings"),
         ("bench", "benchmark", {"n_topics": 0}, 2, "benchmark.n_topics must be positive"),
         ("train-rank", "classifier", {"neg_ratio": float("nan")}, 2,
          "{config}: invalid JSON: NaN is not a number"),
     ],
     ids=["synset-line", "truth-empty-topics", "truth-disjoint", "duplicate-id",
+         "synset-term-not-a-string", "keywords-not-an-array", "subjects-not-strings",
          "benchmark-key", "nan"],
 )
 def test_exit_code_is_the_only_error_kind(

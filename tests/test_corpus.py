@@ -7,15 +7,13 @@ from hypothesis import strategies as st
 
 from tagfuse.benchmark import BenchmarkSpec, generate
 from tagfuse.corpus import (
-    Corpus,
-    GroundTruth,
     ingest_corpus,
     load_ground_truth,
     save_corpus,
     save_ground_truth,
 )
 from tagfuse.errors import TagfuseError
-from tagfuse.index import build_ground_truth, build_index
+from tagfuse.index import build_ground_truth, build_index, default_fields
 from tagfuse.text import tokenize
 
 from conftest import make_corpus, record
@@ -47,7 +45,7 @@ class TestIngest:
         assert rec.keywords == ("fungi",)
         assert rec.subjects == ("Mycology",)
         assert rec.extra == {"categories:extra": ("Botany",)}
-        assert corpus.extra_field_names() == ["categories:extra"]
+        assert default_fields(corpus)[-1] == "categories:extra"
 
     def test_skips_incomplete_records_with_warning(self, tmp_path, caplog):
         path = tmp_path / "corpus.jsonl"
@@ -62,7 +60,7 @@ class TestIngest:
         )
         with caplog.at_level(logging.WARNING):
             corpus = ingest_corpus(str(path))
-        assert corpus.ids() == ["a1"]
+        assert [rec.id for rec in corpus] == ["a1"]
         skip_lines = [r for r in caplog.records if "skipping record" in r.message]
         assert len(skip_lines) == 3
 
@@ -81,6 +79,25 @@ class TestIngest:
         with pytest.raises(TagfuseError, match="corpus.jsonl:2: article id .* is not printable"):
             ingest_corpus(str(path))
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [("keywords", "fungi"), ("subjects", ["Mycology", 3]), ("keywords", {"a": "b"}),
+         ("subjects", ""), ("keywords", False)],
+    )
+    def test_list_field_that_is_not_a_string_array_is_fatal(self, tmp_path, key, value):
+        # Read as empty, it would silently drop the labels of ground_truth_fields.
+        path = tmp_path / "corpus.jsonl"
+        write_jsonl(path, [GOOD | {"id": "a0"}, GOOD | {key: value}])
+        with pytest.raises(TagfuseError, match=f"corpus.jsonl:2: {key} is not an array of strings"):
+            ingest_corpus(str(path))
+
+    def test_absent_or_null_list_field_is_empty_and_other_keys_are_ignored(self, tmp_path):
+        path = tmp_path / "corpus.jsonl"
+        bare = {k: GOOD[k] for k in ("id", "title", "abstract")}
+        write_jsonl(path, [bare | {"subjects": None, "year": 2018, "categories:x": ["A", 1]}])
+        [rec] = ingest_corpus(str(path))
+        assert (rec.keywords, rec.subjects, rec.extra) == ((), (), {})
+
     def test_broken_json_is_fatal_with_line_number(self, tmp_path):
         path = tmp_path / "corpus.jsonl"
         path.write_text(json.dumps(GOOD) + "\nnot json\n")
@@ -96,15 +113,13 @@ class TestIngest:
         path = tmp_path / "corpus.jsonl"
         save_corpus(fungi_corpus, str(path))
         again = ingest_corpus(str(path))
-        assert again.ids() == fungi_corpus.ids()
-        assert [r for r in again] == [r for r in fungi_corpus]
+        assert again == fungi_corpus
 
 
 class TestCorpus:
     def test_lookup_and_ordinals(self, fungi_corpus):
         assert record(fungi_corpus, "a3").title == "Organ transplantation outcomes"
-        assert fungi_corpus.ids().index("a1") == 0
-        assert fungi_corpus.ids() == [rec.id for rec in fungi_corpus]
+        assert [rec.id for rec in fungi_corpus] == ["a1", "a2", "a3", "a4", "a5"]
 
 
 # Words, repeated tokens and punctuation-only pieces for generated entries.
@@ -143,7 +158,7 @@ class TestBuildGroundTruth:
     def test_whole_phrase_matching_in_category_fields(self, fungi_corpus):
         index = build_index(fungi_corpus)
         truth = build_ground_truth(index, ["Mycology", "Transplantation"])
-        assert truth.labels == {
+        assert truth == {
             "a1": {"Mycology"},
             "a2": {"Mycology"},
             "a3": {"Transplantation"},
@@ -162,12 +177,12 @@ class TestBuildGroundTruth:
             [("b1", "t", "x", (), ("History of Mycology",))]
         )
         truth = build_ground_truth(build_index(corpus), ["Mycology"], fields=("subjects",))
-        assert truth.labels["b1"] == {"Mycology"}
+        assert truth["b1"] == {"Mycology"}
 
     def test_matching_is_case_insensitive(self):
         corpus = make_corpus([("b1", "t", "x", ("MYCOLOGY",), ())])
         truth = build_ground_truth(build_index(corpus), ["mycology"], fields=("keywords",))
-        assert truth.labels["b1"] == {"mycology"}
+        assert truth["b1"] == {"mycology"}
 
     def test_zero_match_articles_are_left_out(self, fungi_corpus):
         truth = build_ground_truth(build_index(fungi_corpus), ["Mycology"])
@@ -178,7 +193,7 @@ class TestBuildGroundTruth:
         corpus = make_corpus([("b1", "t", "x", (), ("History of Mycology",))])
         topics = ["Mycology", "of mycology", "history of mycology"]
         truth = build_ground_truth(build_index(corpus), topics, fields=("subjects",))
-        assert truth.labels["b1"] == set(topics)
+        assert truth["b1"] == set(topics)
 
     def test_gap_or_reorder_does_not_label(self):
         corpus = make_corpus([("b1", "t", "x", (), ("History of Mycology",))])
@@ -192,7 +207,7 @@ class TestBuildGroundTruth:
         truth = build_ground_truth(
             build_index(corpus), ["learning systems", "systems biology"], fields=("keywords",)
         )
-        assert truth.labels["b1"] == {"systems biology"}
+        assert truth["b1"] == {"systems biology"}
 
     def test_topic_that_tokenizes_to_nothing_raises(self, fungi_corpus):
         with pytest.raises(ValueError, match="no usable query terms"):
@@ -222,7 +237,7 @@ class TestBuildGroundTruth:
             [(f"d{i}", "t", "x", kw, subj) for i, (kw, subj) in enumerate(entries)]
         )
         truth = build_ground_truth(build_index(corpus), topics, fields)
-        assert truth.labels == per_entry_scan(corpus, topics, fields)
+        assert truth == per_entry_scan(corpus, topics, fields)
 
     @pytest.mark.parametrize(
         "fields", [("subjects",), ("keywords", "subjects"), ("title", "abstract")]
@@ -232,16 +247,16 @@ class TestBuildGroundTruth:
     ):
         corpus, topics = bench_corpus
         truth = build_ground_truth(build_index(corpus), topics, fields)
-        assert truth.labels == per_entry_scan(corpus, topics, fields)
+        assert truth == per_entry_scan(corpus, topics, fields)
 
 
 class TestGroundTruthIO:
     def test_round_trip(self, tmp_path):
-        truth = GroundTruth({"a1": {"X"}, "a2": {"X", "Y"}})
+        truth = {"a1": {"X"}, "a2": {"X", "Y"}}
         path = tmp_path / "truth.jsonl"
         save_ground_truth(truth, str(path))
         again = load_ground_truth(str(path))
-        assert again.labels == truth.labels
+        assert again == truth
 
     def test_label_outside_topic_list_raises(self, tmp_path):
         path = tmp_path / "truth.jsonl"

@@ -4,17 +4,13 @@ import random
 
 import pytest
 
-from tagfuse.corpus import GroundTruth
 from tagfuse.errors import TagfuseError
 from tagfuse.evaluation import evaluate, format_table, sweep, write_plot_series
-from tagfuse.fusion import TagAssignment
 
 
-def assignment(article_id, *topics):
-    return TagAssignment(
-        article_id=article_id,
-        tags=[(t, 1.0 - i * 0.01) for i, t in enumerate(topics)],
-    )
+def tags(*topics):
+    """One article's tags, best first."""
+    return [(t, 1.0 - i * 0.01) for i, t in enumerate(topics)]
 
 
 def reference_metrics(pairs, n_labels):
@@ -60,12 +56,10 @@ def random_evaluation_instance(rng):
     # A few predictions for articles outside the truth must be ignored.
     for i in range(rng.randint(0, 3)):
         predicted[f"extra{i}"] = rng.sample(label_set, 1)
-    truth = GroundTruth(labels=truth_labels)
-    assignments = [
-        TagAssignment(article_id=a, tags=[(t, 0.5) for t in topics])
-        for a, topics in sorted(predicted.items())
-    ]
-    return assignments, truth, label_set
+    assignments = {
+        a: [(t, 0.5) for t in topics] for a, topics in sorted(predicted.items())
+    }
+    return assignments, truth_labels, label_set
 
 
 class TestEvaluate:
@@ -75,9 +69,9 @@ class TestEvaluate:
             assignments, truth, label_set = random_evaluation_instance(rng)
             report = evaluate(assignments, truth, label_set, method="m")
             pairs = [
-                (a.topic_set(), truth.labels[a.article_id])
-                for a in assignments
-                if a.article_id in truth
+                ({t for t, _ in a_tags}, truth[a])
+                for a, a_tags in assignments.items()
+                if a in truth
             ]
             expected = reference_metrics(pairs, len(label_set))
             assert report.intersection_size == len(pairs)
@@ -90,11 +84,9 @@ class TestEvaluate:
 
     def test_half_right_prediction_scores_half_precision(self):
         # One article, two predicted topics, one of them true.
-        truth = GroundTruth(
-            labels={"a4": {"Transplantation"}},
-        )
+        truth = {"a4": {"Transplantation"}}
         report = evaluate(
-            [assignment("a4", "Mycology", "Transplantation")],
+            {"a4": tags("Mycology", "Transplantation")},
             truth,
             ["Mycology", "Transplantation"],
         )
@@ -106,8 +98,8 @@ class TestEvaluate:
 
     def test_hamming_counts_symmetric_difference_over_label_count(self):
         label_set = [f"L{i:02d}" for i in range(35)]
-        truth = GroundTruth(labels={"a1": {"L00", "L01"}})
-        report = evaluate([assignment("a1", "L01", "L02")], truth, label_set)
+        truth = {"a1": {"L00", "L01"}}
+        report = evaluate({"a1": tags("L01", "L02")}, truth, label_set)
         assert report.hamming_loss == pytest.approx(2 / 35)
 
     def test_singleton_truth_identities(self):
@@ -116,27 +108,20 @@ class TestEvaluate:
         # jaccard collapse to precision.
         rng = random.Random(7)
         label_set = [f"L{i}" for i in range(8)]
-        truth = GroundTruth(
-            labels={f"d{i}": {rng.choice(label_set)} for i in range(30)},
-        )
-        assignments = [
-            TagAssignment(
-                article_id=f"d{i}",
-                tags=[(t, 0.5) for t in rng.sample(label_set, rng.randint(1, 4))],
-            )
+        truth = {f"d{i}": {rng.choice(label_set)} for i in range(30)}
+        assignments = {
+            f"d{i}": [(t, 0.5) for t in rng.sample(label_set, rng.randint(1, 4))]
             for i in range(30)
-        ]
+        }
         report = evaluate(assignments, truth, label_set)
         assert report.common_match == pytest.approx(report.recall, abs=1e-12)
         assert report.jaccard == pytest.approx(report.precision, abs=1e-12)
 
     def test_perfect_predictions(self):
         label_set = ["A", "B"]
-        truth = GroundTruth(
-            labels={"d1": {"A"}, "d2": {"A", "B"}}
-        )
+        truth = {"d1": {"A"}, "d2": {"A", "B"}}
         report = evaluate(
-            [assignment("d1", "A"), assignment("d2", "A", "B")], truth, label_set
+            {"d1": tags("A"), "d2": tags("A", "B")}, truth, label_set
         )
         assert report.precision == 1.0
         assert report.recall == 1.0
@@ -146,27 +131,23 @@ class TestEvaluate:
         assert report.cardinality_difference == 0.0
 
     def test_untagged_truth_articles_do_not_count(self):
-        truth = GroundTruth(
-            labels={"d1": {"A"}, "d2": {"A"}, "d3": {"B"}}
-        )
-        report = evaluate([assignment("d1", "A")], truth, ["A", "B"])
+        truth = {"d1": {"A"}, "d2": {"A"}, "d3": {"B"}}
+        report = evaluate({"d1": tags("A")}, truth, ["A", "B"])
         assert report.intersection_size == 1
         assert report.recall == 1.0
 
     def test_disjoint_predictions_and_truth_raise(self):
-        truth = GroundTruth(labels={"d1": {"A"}})
+        truth = {"d1": {"A"}}
         with pytest.raises(TagfuseError, match="no overlap"):
-            evaluate([assignment("other", "A")], truth, ["A"])
+            evaluate({"other": tags("A")}, truth, ["A"])
 
 
 class TestSweep:
     def make_inputs(self):
-        truth = GroundTruth(
-            labels={"d1": {"A"}, "d2": {"B"}}
-        )
+        truth = {"d1": {"A"}, "d2": {"B"}}
         methods = {
-            "Exact": [assignment("d1", "A"), assignment("d2", "B")],
-            "Noisy": [assignment("d1", "A", "B"), assignment("d2", "A", "B")],
+            "Exact": {"d1": tags("A"), "d2": tags("B")},
+            "Noisy": {"d1": tags("A", "B"), "d2": tags("A", "B")},
         }
         return methods, truth, ["A", "B"]
 
@@ -217,8 +198,8 @@ def read_series(reports, tmp_path):
 
 class TestPlotSeries:
     def test_hamming_is_scaled_by_ten(self, tmp_path):
-        truth = GroundTruth(labels={"d1": {"A"}})
-        reports = sweep({"M": [assignment("d1", "B")]}, truth, ["A", "B"])
+        truth = {"d1": {"A"}}
+        reports = sweep({"M": {"d1": tags("B")}}, truth, ["A", "B"])
         _, series = read_series(reports, tmp_path)
         assert series["M"]["hamming_loss_x10"] == pytest.approx(
             reports[0].hamming_loss * 10.0
@@ -229,10 +210,10 @@ class TestPlotSeries:
 
     def test_written_series_parse_back_exactly(self, tmp_path):
         methods = {
-            "M1": [assignment("d1", "A")],
-            "M2": [assignment("d1", "A", "B")],
+            "M1": {"d1": tags("A")},
+            "M2": {"d1": tags("A", "B")},
         }
-        truth = GroundTruth(labels={"d1": {"A"}})
+        truth = {"d1": {"A"}}
         reports = sweep(methods, truth, ["A", "B"])
         header, series = read_series(reports, tmp_path)
         assert header == [

@@ -13,7 +13,6 @@ from tagfuse.config import RunConfig
 from tagfuse.errors import ConfigError, TagfuseError
 from tagfuse.fusion import (
     FusionConfig,
-    TagAssignment,
     fuse,
     invert,
     read_assignments,
@@ -261,7 +260,7 @@ class TestInvert:
     def test_top_of_list_scores_one(self):
         lst = ranked("T", ORIGIN_FUSION, [f"f{i}" for i in range(10)])
         assignments = invert({"T": lst})
-        scores = {a.article_id: a.tags[0][1] for a in assignments}
+        scores = {a: tags[0][1] for a, tags in assignments.items()}
         assert scores["f0"] == 1.0
         assert scores["f1"] == pytest.approx(0.9)
         assert scores["f9"] == pytest.approx(0.1)
@@ -270,7 +269,7 @@ class TestInvert:
         short = ranked("A", ORIGIN_FUSION, ["x", "y"])
         long = ranked("B", ORIGIN_FUSION, [f"z{i}" for i in range(100)] + ["x"])
         assignments = invert({"A": short, "B": long})
-        by_id = {a.article_id: dict(a.tags) for a in assignments}
+        by_id = {a: dict(tags) for a, tags in assignments.items()}
         assert by_id["x"]["A"] == 1.0
         assert by_id["x"]["B"] == pytest.approx(1.0 - 100 / 101)
         assert by_id["y"]["A"] == pytest.approx(0.5)
@@ -279,23 +278,21 @@ class TestInvert:
         list_a = ranked("A", ORIGIN_FUSION, ["m", "n"])
         list_b = ranked("B", ORIGIN_FUSION, ["n", "m"])
         assignments = invert({"A": list_a, "B": list_b})
-        assert [a.article_id for a in assignments] == ["m", "n"]
-        assert assignments[0].topic_set() == {"A", "B"}
-        assert assignments[1].topic_set() == {"A", "B"}
+        assert list(assignments) == ["m", "n"]
+        assert {t for t, _ in assignments["m"]} == {"A", "B"}
+        assert {t for t, _ in assignments["n"]} == {"A", "B"}
 
     def test_tags_are_sorted_best_first_then_by_topic(self):
         list_a = ranked("A", ORIGIN_FUSION, ["m", "n"])
         list_b = ranked("B", ORIGIN_FUSION, ["m", "n"])
         list_c = ranked("C", ORIGIN_FUSION, ["n", "m"])
         assignments = invert({"C": list_c, "B": list_b, "A": list_a})
-        m = next(a for a in assignments if a.article_id == "m")
-        assert m.tags == [("A", 1.0), ("B", 1.0), ("C", 0.5)]
+        assert assignments["m"] == [("A", 1.0), ("B", 1.0), ("C", 0.5)]
 
     def test_threshold_drops_weak_tags(self):
         lst = ranked("T", ORIGIN_FUSION, [f"f{i}" for i in range(10)])
         assignments = invert({"T": lst}, score_threshold=0.75)
-        kept = {a.article_id for a in assignments}
-        assert kept == {"f0", "f1", "f2"}
+        assert set(assignments) == {"f0", "f1", "f2"}
 
     def test_threshold_zero_keeps_everything(self):
         lst = ranked("T", ORIGIN_FUSION, [f"f{i}" for i in range(10)])
@@ -304,55 +301,45 @@ class TestInvert:
     def test_synset_lists_invert_for_the_baseline(self):
         lst = ranked("T", ORIGIN_SYNSET, ["s1", "s2"])
         assignments = invert({"T": lst})
-        assert [a.article_id for a in assignments] == ["s1", "s2"]
+        assert list(assignments) == ["s1", "s2"]
 
     def test_empty_input_inverts_to_nothing(self):
-        assert invert({}) == []
+        assert invert({}) == {}
 
 
 class TestAssignmentIO:
     def test_round_trip(self, tmp_path):
-        assignments = [
-            TagAssignment(article_id="a1", tags=[("A", 1.0), ("B", 0.25)]),
-            TagAssignment(article_id="a2", tags=[("B", 0.5)]),
-        ]
+        assignments = {"a1": [("A", 1.0), ("B", 0.25)], "a2": [("B", 0.5)]}
         path = str(tmp_path / "tags.jsonl")
         write_assignments(assignments, path)
         loaded = read_assignments(path, ["A", "B"])
-        assert loaded == assignments
+        assert list(loaded.items()) == list(assignments.items())
 
     def test_duplicate_topics_rejected(self, tmp_path):
         path = tmp_path / "tags.jsonl"
-        twice = TagAssignment(article_id="a1", tags=[("A", 1.0), ("A", 0.5)])
-        write_assignments([twice], str(path))
+        write_assignments({"a1": [("A", 1.0), ("A", 0.5)]}, str(path))
         with pytest.raises(TagfuseError, match=r"tags.jsonl:1: article 'a1': repeated topic"):
             read_assignments(str(path), ["A"])
 
     def test_lines_are_the_bytes_of_json_dumps(self, tmp_path):
         odd = ['q"uote', "back\\slash", "tab\there", "Zürich 東京", "line\u2028sep"]
-        assignments = [
-            TagAssignment(
-                article_id=article_id,
-                tags=[(topic, score) for topic, score in zip(odd, (1.0, 0.1, 1 / 3))],
-            )
+        assignments = {
+            article_id: [(topic, score) for topic, score in zip(odd, (1.0, 0.1, 1 / 3))]
             for article_id in odd
-        ]
-        assignments.append(TagAssignment(article_id="d1", tags=[(odd[4], 2.5e-17)]))
+        }
+        assignments["d1"] = [(odd[4], 2.5e-17)]
         path = tmp_path / "tags.jsonl"
         write_assignments(assignments, str(path))
         expected = "".join(
             json.dumps(
-                {
-                    "id": a.article_id,
-                    "tags": [{"topic": t, "score": s} for t, s in a.tags],
-                },
+                {"id": a, "tags": [{"topic": t, "score": s} for t, s in tags]},
                 ensure_ascii=False,
             )
             + "\n"
-            for a in assignments
+            for a, tags in assignments.items()
         )
         assert path.read_bytes() == expected.encode("utf-8")
-        assert read_assignments(str(path), odd) == assignments
+        assert list(read_assignments(str(path), odd).items()) == list(assignments.items())
 
     @pytest.mark.parametrize(
         "line",

@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tagfuse.benchmark import BenchmarkSpec, generate
-from tagfuse.corpus import Corpus
 from tagfuse.errors import ConfigError, TagfuseError
 from tagfuse.index import (
     BM25_B,
@@ -72,8 +71,8 @@ class TestSavedFormat:
         fungi_queries = [["mycology"], ["fungology", "graft"], ["machine learning"],
                          ["mycological methods"], ["Botany"]]
         # An extra category field, so that every kind of field is saved.
-        fungi = Corpus([replace(rec, extra={"categories:wos": ("Botany", rec.title)})
-                        for rec in fungi_corpus])
+        fungi = [replace(rec, extra={"categories:wos": ("Botany", rec.title)})
+                 for rec in fungi_corpus]
         for corpus, queries in ((bench, bench_queries), (fungi, fungi_queries)):
             built = build_index(corpus)
             loaded = Index.load(str(saved(built, tmp_path)))

@@ -293,7 +293,7 @@ class TestVectorizeMatchesStringReference:
             assert getattr(got, name).dtype == getattr(matrix, name).dtype
             assert np.array_equal(getattr(got, name), getattr(matrix, name))
         assert got.shape == matrix.shape
-        assert tfidf.article_ids == corpus.ids()
+        assert tfidf.article_ids == [rec.id for rec in corpus]
 
     def test_edge_cases_are_present(self):
         # The corpus above really holds what the comparison is meant to cover.

@@ -88,6 +88,16 @@ class TestLoadSynsets:
         with pytest.raises(TagfuseError, match="terms array"):
             load_synsets(path)
 
+    @pytest.mark.parametrize("term", [None, 5, ["x"]])
+    def test_term_that_is_not_a_string_names_the_line(self, tmp_path, term):
+        # Read as str(term), it would make "none", "5" or "x" search terms.
+        path = write_synsets(
+            tmp_path / "s.jsonl",
+            [{"topic": "A", "terms": ["A"]}, {"topic": "Mycology", "terms": ["fungology", term]}],
+        )
+        with pytest.raises(TagfuseError, match="s.jsonl:2: expected topic and terms array"):
+            load_synsets(path)
+
     def test_terms_are_normalized_on_load(self, tmp_path):
         path = write_synsets(
             tmp_path / "s.jsonl",
