@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 from .corpus import ArticleRecord
 from .errors import ConfigError
-from .synsets import Synset, make_synset
+from .synsets import make_synset
 
 logger = logging.getLogger(__name__)
 
@@ -61,6 +61,8 @@ class BenchmarkSpec:
         for name in ("n_topics", "docs_per_topic", "background_vocab_size"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"benchmark.{name} must be positive")
+        if self.seed < 0:
+            raise ConfigError("benchmark.seed must not be negative")
         if self.vocab_per_topic < 4:
             raise ConfigError("benchmark.vocab_per_topic must be at least 4")
         if self.doc_length < 8:
@@ -99,9 +101,9 @@ def _make_topics(spec: BenchmarkSpec) -> list[_Topic]:
 
 def generate(
     spec: BenchmarkSpec,
-) -> tuple[list[ArticleRecord], dict[str, set[str]], dict[str, Synset]]:
+) -> tuple[list[ArticleRecord], dict[str, set[str]], dict[str, tuple[str, ...]]]:
     """Generate a corpus, its exact planted truth (the label set of each
-    article id), and matching synsets.
+    article id), and matching synsets (the terms of each topic).
 
     Deterministic: the same spec always yields byte-identical artifacts,
     and article ids count up, so they are unique. Guarantees by

@@ -20,7 +20,7 @@ from .corpus import TEXT_FIELDS
 from .errors import ConfigError, InsufficientPositives, TagfuseError
 from .forest import ForestConfig, RandomForest
 from .index import Index, has_any_match
-from .ranking import ORIGIN_CLASSIFIER, RankedList
+from .ranking import Entries
 from .seeds import derive_seed
 from .semantic import SemanticMatrix
 
@@ -48,22 +48,14 @@ class ClassifierConfig(ForestConfig):
             raise ConfigError("classifier.top_n must be positive")
 
 
-@dataclass(frozen=True)
-class TopicDataset:
-    """Training examples for one topic, as article id lists."""
-
-    topic: str
-    positives: tuple[str, ...]
-    negatives: tuple[str, ...]
-
-
 def build_dataset(
     topic: str,
     index: Index,
     config: ClassifierConfig = ClassifierConfig(),
     seed: int = 0,
-) -> TopicDataset:
-    """Assemble positives and sampled negatives for one topic.
+) -> tuple[list[str], list[str]]:
+    """Assemble positives and sampled negatives for one topic, as two
+    sorted article id lists.
 
     Positives: topic name occurs as a phrase in the title or abstract;
     fewer than ``config.min_positives`` of them is too few.
@@ -103,40 +95,39 @@ def build_dataset(
         len(negatives),
         len(pool),
     )
-    return TopicDataset(topic=topic, positives=tuple(positives), negatives=tuple(negatives))
+    return positives, negatives
 
 
 def train(
-    dataset: TopicDataset,
+    topic: str,
+    positives: list[str],
+    negatives: list[str],
     sem: SemanticMatrix,
     config: ClassifierConfig = ClassifierConfig(),
     seed: int = 0,
 ) -> RandomForest:
-    """Fit a forest on the embedding rows of the dataset's articles and
-    return it.
+    """Fit a forest on the embedding rows of one topic's positive and
+    negative articles and return it.
 
     Every labeled row trains the forest; its ``oob_accuracy`` measures
     generalization. Training is deterministic given the seed and dataset.
     """
     import numpy as np
-    if not dataset.positives or not dataset.negatives:
+    if not positives or not negatives:
         raise TagfuseError(
-            f"topic {dataset.topic!r}: need both classes to train "
-            f"({len(dataset.positives)} positives, {len(dataset.negatives)} negatives)"
+            f"topic {topic!r}: need both classes to train "
+            f"({len(positives)} positives, {len(negatives)} negatives)"
         )
-    ids = list(dataset.positives) + list(dataset.negatives)
+    ids = positives + negatives
     x = np.stack([sem.row(a) for a in ids])
     y = np.concatenate(
-        [np.ones(len(dataset.positives), dtype=np.int64),
-         np.zeros(len(dataset.negatives), dtype=np.int64)]
+        [np.ones(len(positives), dtype=np.int64), np.zeros(len(negatives), dtype=np.int64)]
     )
 
-    forest = RandomForest(config).fit(
-        x, y, seed=derive_seed(seed, "train", dataset.topic)
-    )
+    forest = RandomForest(config).fit(x, y, seed=derive_seed(seed, "train", topic))
     logger.info(
         "topic %r: trained on %d rows, out-of-bag accuracy %.3f",
-        dataset.topic,
+        topic,
         len(ids),
         forest.oob_accuracy,
     )
@@ -144,11 +135,10 @@ def train(
 
 
 def rank_corpus(
-    topic: str,
     forest: RandomForest,
     sem: SemanticMatrix,
     config: ClassifierConfig = ClassifierConfig(),
-) -> RankedList:
+) -> Entries:
     """Score every embedded article with the topic's fitted forest and
     keep the ``config.top_n`` most probable as its classifier list.
 
@@ -157,5 +147,4 @@ def rank_corpus(
     """
     probs = forest.predict_proba(sem.matrix)
     order = sorted(range(len(probs)), key=lambda i: (-probs[i], sem.article_ids[i]))
-    entries = [(sem.article_ids[i], float(probs[i])) for i in order[: config.top_n]]
-    return RankedList(topic=topic, origin=ORIGIN_CLASSIFIER, entries=entries)
+    return [(sem.article_ids[i], float(probs[i])) for i in order[: config.top_n]]

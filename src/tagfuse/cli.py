@@ -42,8 +42,7 @@ from .fusion import fuse, invert, read_assignments, write_assignments
 from .index import Index, build_ground_truth, build_index, check_fields
 from .manifest import append_entry, config_fingerprint
 from .ranking import (
-    ORIGIN_CLASSIFIER, ORIGIN_FUSION, ORIGIN_SYNSET, RankedList, read_ranked_list,
-    write_ranked_list,
+    ORIGIN_CLASSIFIER, ORIGIN_FUSION, ORIGIN_SYNSET, read_ranked_list, write_ranked_list,
 )
 from .semantic import SemanticMatrix, truncated_svd, vectorize
 from .seeds import derive_seed
@@ -179,13 +178,13 @@ def _train_topic(topic: str, path: str) -> tuple[str | None, dict]:
     """
     cfg, index, sem = _topic_inputs
     try:
-        dataset = build_dataset(topic, index, cfg.classifier, seed=cfg.seed)
+        positives, negatives = build_dataset(topic, index, cfg.classifier, seed=cfg.seed)
     except InsufficientPositives as exc:
-        write_ranked_list(RankedList(topic, ORIGIN_CLASSIFIER), path)
+        write_ranked_list([], topic, ORIGIN_CLASSIFIER, path)
         record = {"topic": topic, "positives": exc.found, "required": exc.required}
         return f"skipping topic: {exc}", record
-    forest = train(dataset, sem, cfg.classifier, seed=cfg.seed)
-    write_ranked_list(rank_corpus(topic, forest, sem, cfg.classifier), path)
+    forest = train(topic, positives, negatives, sem, cfg.classifier, seed=cfg.seed)
+    write_ranked_list(rank_corpus(forest, sem, cfg.classifier), topic, ORIGIN_CLASSIFIER, path)
     oob = forest.oob_accuracy
     return None, {
         "topic": topic,
@@ -244,31 +243,30 @@ def stage_synset(cfg: RunConfig) -> None:
             ws.input(_require_input(cfg.synsets_path, "synsets_path")), _topics(cfg)
         )
         for topic in _topics(cfg):
-            ranked = synset_rank(synsets[topic], index, cfg.synset_search)
-            write_ranked_list(ranked, ws.output(ws.synset_list_path(topic)))
+            entries = synset_rank(synsets[topic], index, cfg.synset_search)
+            path = ws.output(ws.synset_list_path(topic))
+            write_ranked_list(entries, topic, ORIGIN_SYNSET, path)
 
 
 def stage_fuse(cfg: RunConfig) -> None:
     with _run(cfg, "fuse") as ws:
-        synset_lists: dict[str, RankedList] = {}
-        classifier_lists: dict[str, RankedList] = {}
-        for topic in _topics(cfg):
-            classifier_path = ws.input(ws.classifier_list_path(topic), "train-rank")
-            synset_path = ws.input(ws.synset_list_path(topic), "synset")
-            classifier_lists[topic] = read_ranked_list(classifier_path, topic, ORIGIN_CLASSIFIER)
-            synset_lists[topic] = read_ranked_list(synset_path, topic, ORIGIN_SYNSET)
-
         # Each topic is fused once, at the greatest depth: the list at depth
         # a is its first a * |S| entries.
         a_max = max(cfg.fusion.a_values)
-        deepest = {t: fuse(synset_lists[t], classifier_lists[t], a_max) for t in synset_lists}
+        deepest = {}  # topic to (|S|, fused list)
+        for topic in _topics(cfg):
+            classifier_path = ws.input(ws.classifier_list_path(topic), "train-rank")
+            synset_path = ws.input(ws.synset_list_path(topic), "synset")
+            classifier = read_ranked_list(classifier_path, topic, ORIGIN_CLASSIFIER)
+            synset = read_ranked_list(synset_path, topic, ORIGIN_SYNSET)
+            if not synset:  # a topic foreign to the corpus must not kill a batch run
+                logger.warning("topic %r: empty synset list, fusion is empty", topic)
+            deepest[topic] = len(synset), fuse(synset, classifier, a_max)
         for a in sorted(cfg.fusion.a_values):
-            fused = {
-                t: RankedList(t, ORIGIN_FUSION, full.entries[: a * len(synset_lists[t])])
-                for t, full in deepest.items()
-            }
-            for topic, flist in fused.items():
-                write_ranked_list(flist, ws.output(ws.fusion_list_path(a, topic)))
+            fused = {t: full[: a * size] for t, (size, full) in deepest.items()}
+            for topic, entries in fused.items():
+                path = ws.output(ws.fusion_list_path(a, topic))
+                write_ranked_list(entries, topic, ORIGIN_FUSION, path)
             assignments = invert(fused, score_threshold=cfg.fusion.score_threshold)
             write_assignments(assignments, ws.output(ws.tags_path(a)))
 

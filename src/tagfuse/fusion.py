@@ -15,20 +15,20 @@ synset-only treated symmetrically to classifier-only. The fused list
 keeps the ``a * |S|`` best combined ranks (ascending ``t_A``, ties by
 article id), so ``a`` dials how far beyond the synset's reach the fusion
 is allowed to grow.
+
+Both functions take plain entry lists (``ranking.Entries``); the caller
+knows which topic each list ranks.
 """
 
 from __future__ import annotations
 
 import functools
 import json
-import logging
 from dataclasses import dataclass
 
 from .corpus import read_jsonl
 from .errors import ConfigError, TagfuseError
-from .ranking import ORIGIN_FUSION, RankedList
-
-logger = logging.getLogger(__name__)
+from .ranking import Entries
 
 
 @dataclass(frozen=True)
@@ -51,23 +51,14 @@ class FusionConfig:
             raise ConfigError("fusion.score_threshold must lie in [0, 1]")
 
 
-def fuse(synset_list: RankedList, classifier_list: RankedList, a: int) -> RankedList:
+def fuse(synset_entries: Entries, classifier_entries: Entries, a: int) -> Entries:
     """Fuse one topic's two rankings into a list of at most ``a * |S|``,
-    for a depth ``a >= 1`` as :class:`FusionConfig` checks it.
-
-    An empty synset list cannot anchor a fusion (the length budget is a
-    multiple of its size), so it yields an empty fusion list with a
-    warning rather than an error: a topic foreign to the corpus should
-    not kill a batch run.
-    """
-    topic = synset_list.topic
-    synset_size = len(synset_list)
-    if synset_size == 0:
-        logger.warning("topic %r: empty synset list, fusion is empty", topic)
-        return RankedList(topic=topic, origin=ORIGIN_FUSION, entries=[])
-
-    s_ranks = synset_list.ranks()
-    r_ranks = classifier_list.ranks()
+    for a depth ``a >= 1`` as :class:`FusionConfig` checks it. An empty
+    synset list yields an empty fusion: the length budget is a multiple
+    of its size."""
+    synset_size = len(synset_entries)
+    s_ranks = {aid: s for s, (aid, _) in enumerate(synset_entries, start=1)}
+    r_ranks = {aid: r for r, (aid, _) in enumerate(classifier_entries, start=1)}
     # (t_A, article id) per candidate: one comprehension per route.
     scored = [
         ((s + r_ranks[aid]) / 2.0 if aid in r_ranks else float(s * synset_size), aid)
@@ -79,12 +70,7 @@ def fuse(synset_list: RankedList, classifier_list: RankedList, a: int) -> Ranked
         if aid not in s_ranks
     ]
     scored.sort()
-    kept = scored[: a * synset_size]
-    return RankedList(
-        topic=topic,
-        origin=ORIGIN_FUSION,
-        entries=[(article_id, t) for t, article_id in kept],
-    )
+    return [(article_id, t) for t, article_id in scored[: a * synset_size]]
 
 
 # Tags per article id: (topic, normalized score) pairs, best first.
@@ -92,7 +78,7 @@ Assignments = dict[str, list[tuple[str, float]]]
 
 
 def invert(
-    per_topic: dict[str, RankedList],
+    per_topic: dict[str, Entries],
     score_threshold: float | None = None,
 ) -> Assignments:
     """Turn per-topic lists into per-article tag assignments.
@@ -110,8 +96,7 @@ def invert(
     first.
     """
     tags_by_article: Assignments = {}
-    for topic in per_topic:
-        entries = per_topic[topic].entries
+    for topic, entries in per_topic.items():
         size = len(entries)
         for rank0, (article_id, _) in enumerate(entries):
             score = 1.0 - rank0 / size
@@ -152,12 +137,14 @@ def read_assignments(path: str, topics: list[str]) -> Assignments:
     for lineno, raw in read_jsonl(path):
         try:
             article_id = raw["id"]
-            tags = [(t["topic"], float(t["score"])) for t in raw["tags"]]
+            tags = [(t["topic"], t["score"]) for t in raw["tags"]]
             names = {t for t, _ in tags}
             unknown = sorted(names - allowed)
             fault = (
-                "repeated article" if article_id in assignments
+                "id is not a string" if not isinstance(article_id, str)
+                else "repeated article" if article_id in assignments
                 else "empty tag list" if not tags
+                else "score is not a float" if any(type(s) is not float for _, s in tags)
                 else "repeated topic" if len(names) != len(tags)
                 else f"topics outside the topic list: {unknown}" if unknown
                 else None

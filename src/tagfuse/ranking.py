@@ -1,16 +1,17 @@
 """Ranked article lists, the common currency between pipeline stages.
 
-A classifier or synset list is ordered by descending score (higher is
-better); a fusion list is ordered by ascending combined rank (lower is
-better). Either way rank 1 is the best article and ties are already
-resolved: entry order is authoritative. The lists the program builds are
-in order by construction; only ``read_ranked_list`` checks a list.
+A list is its entries, ``(article_id, score)`` pairs best first; only its
+file names the topic and origin, in its header. A classifier or synset
+list is ordered by descending score (higher is better); a fusion list is
+ordered by ascending combined rank (lower is better). Either way rank 1
+is the best article and ties are already resolved: entry order is
+authoritative. The lists the program builds are in order by
+construction; only ``read_ranked_list`` checks a list.
 """
 
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field
 
 from .errors import TagfuseError
 
@@ -18,41 +19,25 @@ ORIGIN_CLASSIFIER = "classifier"
 ORIGIN_SYNSET = "synset"
 ORIGIN_FUSION = "fusion"
 
-
-@dataclass
-class RankedList:
-    """Per-topic ranking: entries are (article_id, score), best first."""
-
-    topic: str
-    origin: str
-    entries: list[tuple[str, float]] = field(default_factory=list)
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def ids(self) -> list[str]:
-        return [article_id for article_id, _ in self.entries]
-
-    def ranks(self) -> dict[str, int]:
-        """Article id to 1-based rank."""
-        return dict(zip(self.ids(), range(1, len(self.entries) + 1)))
+# One topic's list: (article_id, score) pairs, best first.
+Entries = list[tuple[str, float]]
 
 
-def write_ranked_list(ranked: RankedList, path: str) -> None:
+def write_ranked_list(entries: Entries, topic: str, origin: str, path: str) -> None:
     """Serialize as tab-separated ``rank  article_id  score`` rows.
 
     The first line is a header comment naming the topic and origin. Scores
     are written with ``repr`` so they round-trip exactly.
     """
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"# topic={ranked.topic}\torigin={ranked.origin}\n")
-        for rank, (article_id, score) in enumerate(ranked.entries, start=1):
+        fh.write(f"# topic={topic}\torigin={origin}\n")
+        for rank, (article_id, score) in enumerate(entries, start=1):
             fh.write(f"{rank}\t{article_id}\t{score!r}\n")
 
 
-def read_ranked_list(path: str, topic: str, origin: str) -> RankedList:
-    """Read the ``write_ranked_list`` file of ``topic``'s ``origin`` list; a
-    malformed line raises TagfuseError naming ``path:line``."""
+def read_ranked_list(path: str, topic: str, origin: str) -> Entries:
+    """Read the entries of the ``write_ranked_list`` file of ``topic``'s
+    ``origin`` list; a malformed line raises TagfuseError naming ``path:line``."""
     linenos = [1]  # the header's, then each entry's
     at = None  # the entry at fault, counted from 0, once every line is read
     try:
@@ -60,7 +45,7 @@ def read_ranked_list(path: str, topic: str, origin: str) -> RankedList:
             header = f"# topic={topic}\torigin={origin}"
             if fh.readline().rstrip("\n") != header:
                 raise ValueError(f"expected the header {header!r}")
-            entries: list[tuple[str, float]] = []
+            entries: Entries = []
             for lineno, line in enumerate(fh, start=2):
                 line = line.rstrip("\n")
                 if not line:
@@ -72,6 +57,8 @@ def read_ranked_list(path: str, topic: str, origin: str) -> RankedList:
                 rank, article_id, score = parts
                 if int(rank) != len(entries) + 1:
                     raise ValueError("rank out of sequence")
+                if not article_id:
+                    raise ValueError("empty article id")
                 entries.append((article_id, float(score)))
         ids = [article_id for article_id, _ in entries]
         if len(set(ids)) != len(ids):
@@ -85,7 +72,7 @@ def read_ranked_list(path: str, topic: str, origin: str) -> RankedList:
         if any(map(out_of_order, scores, scores[1:])):
             at = list(map(out_of_order, scores, scores[1:])).index(True) + 1
             raise ValueError(f"not ordered ({'desc' if descending else 'asc'} expected)")
-        return RankedList(topic=topic, origin=origin, entries=entries)
+        return entries
     except ValueError as exc:  # names the line being read, or the entry at fault
         lineno = linenos[-1] if at is None else linenos[at + 1]
         raise TagfuseError(f"{path}:{lineno}: {exc}") from exc

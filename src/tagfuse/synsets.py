@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from .corpus import TEXT_FIELDS, read_jsonl
 from .errors import ConfigError, TagfuseError
 from .index import Index, search_any
-from .ranking import ORIGIN_SYNSET, RankedList
+from .ranking import Entries
 
 logger = logging.getLogger(__name__)
 
@@ -36,20 +36,12 @@ class SynsetConfig:
             raise ConfigError("synset_search.limit must be positive")
 
 
-@dataclass(frozen=True)
-class Synset:
-    """A topic with its search terms, built by :func:`make_synset`: the
-    topic name is always a term, and no two terms differ only in case."""
-
-    topic: str
-    terms: tuple[str, ...]
-
-
-def make_synset(topic: str, terms: list[str]) -> Synset:
-    """Normalize raw terms: case-insensitive dedup, topic name guaranteed.
+def make_synset(topic: str, terms: list[str]) -> tuple[str, ...]:
+    """Normalize a topic's raw terms into its synset: case-insensitive
+    dedup, topic name guaranteed.
 
     The first spelling of each term wins; the topic name is prepended when
-    the raw list omits it.
+    the raw list omits it, so no two terms differ only in case.
     """
     seen: set[str] = set()
     kept: list[str] = []
@@ -62,13 +54,13 @@ def make_synset(topic: str, terms: list[str]) -> Synset:
             kept.append(term)
     if topic.lower() not in seen:
         kept.insert(0, topic)
-    return Synset(topic=topic, terms=tuple(kept))
+    return tuple(kept)
 
 
-def load_synsets(path: str, topics: list[str] | None = None) -> dict[str, Synset]:
-    """Read synsets, whose terms are strings; with ``topics`` given, every
-    topic must be covered."""
-    synsets: dict[str, Synset] = {}
+def load_synsets(path: str, topics: list[str] | None = None) -> dict[str, tuple[str, ...]]:
+    """Read each topic's synset, whose terms are strings; with ``topics``
+    given, every topic must be covered."""
+    synsets: dict[str, tuple[str, ...]] = {}
     for lineno, raw in read_jsonl(path):
         topic = raw.get("topic")
         terms = raw.get("terms")
@@ -88,21 +80,20 @@ def load_synsets(path: str, topics: list[str] | None = None) -> dict[str, Synset
     return synsets
 
 
-def save_synsets(synsets: dict[str, Synset], path: str) -> None:
+def save_synsets(synsets: dict[str, tuple[str, ...]], path: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        for topic in synsets:
-            record = {"topic": topic, "terms": list(synsets[topic].terms)}
+        for topic, terms in synsets.items():
+            record = {"topic": topic, "terms": list(terms)}
             fh.write(json.dumps(record, ensure_ascii=False) + "\n")
 
 
 def synset_rank(
-    synset: Synset, index: Index, config: SynsetConfig = SynsetConfig()
-) -> RankedList:
+    terms: tuple[str, ...], index: Index, config: SynsetConfig = SynsetConfig()
+) -> Entries:
     """Rank articles matching any synset term as a phrase, best first.
 
     Multi-word terms must occur contiguously; an article matching several
     terms accumulates their scores. At most ``config.limit`` articles are
     kept.
     """
-    entries = search_any(index, list(synset.terms), config.fields, config.limit)
-    return RankedList(topic=synset.topic, origin=ORIGIN_SYNSET, entries=entries)
+    return search_any(index, list(terms), config.fields, config.limit)

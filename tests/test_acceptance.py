@@ -19,7 +19,6 @@ from tagfuse.benchmark import BenchmarkSpec, topic_names
 from tagfuse.cli import main
 from tagfuse.corpus import load_ground_truth
 from tagfuse.fusion import fuse
-from tagfuse.ranking import ORIGIN_CLASSIFIER, ORIGIN_SYNSET, RankedList
 from tagfuse.semantic import randomized_svd
 
 
@@ -95,20 +94,12 @@ def test_criterion_1_fusion_formulas_exact():
         synset_ids = rng.sample(universe, rng.randint(1, len(universe)))
         classifier_ids = rng.sample(universe, rng.randint(0, len(universe)))
         a = rng.randint(1, 4)
-        synset_list = RankedList(
-            topic="T",
-            origin=ORIGIN_SYNSET,
-            entries=[(aid, 1.0 - i * 1e-4) for i, aid in enumerate(synset_ids)],
-        )
-        classifier_list = RankedList(
-            topic="T",
-            origin=ORIGIN_CLASSIFIER,
-            entries=[(aid, 1.0 - i * 1e-4) for i, aid in enumerate(classifier_ids)],
-        )
+        synset_list = [(aid, 1.0 - i * 1e-4) for i, aid in enumerate(synset_ids)]
+        classifier_list = [(aid, 1.0 - i * 1e-4) for i, aid in enumerate(classifier_ids)]
         first = fuse(synset_list, classifier_list, a=a)
         second = fuse(synset_list, classifier_list, a=a)
         expected = fusion_oracle(synset_ids, classifier_ids, a)
-        if first.entries != expected or second.entries != first.entries:
+        if first != expected or second != first:
             ok = False
             break
         if len(first) > a * len(synset_ids):

@@ -33,6 +33,8 @@ class TestSpecValidation:
             BenchmarkSpec(alt_vocab_fraction=1.5)
         with pytest.raises(ConfigError, match="benchmark.cross_noise_fraction"):
             BenchmarkSpec(cross_noise_fraction=-0.1)
+        with pytest.raises(ConfigError, match="benchmark.seed"):
+            BenchmarkSpec(seed=-1)
 
     def test_topic_names_alternate_one_and_two_words(self):
         names = topic_names(BenchmarkSpec(n_topics=4))
@@ -73,9 +75,9 @@ class TestShape:
     def test_synsets_cover_name_plus_half_the_primary_pool(self):
         _, _, synsets = generate(SMALL)
         synset = synsets["domain00"]
-        assert synset.terms[0] == "domain00"
+        assert synset[0] == "domain00"
         expected = tuple(f"pri00term{j:02d}" for j in range(SMALL.vocab_per_topic // 2))
-        assert synset.terms[1:] == expected
+        assert synset[1:] == expected
 
 
 def assert_alternate_articles_avoid_their_own_synset(spec):
@@ -86,7 +88,7 @@ def assert_alternate_articles_avoid_their_own_synset(spec):
     n_alt = round(spec.alt_vocab_fraction * spec.docs_per_topic)
     for topic_i, topic in enumerate(topic_names(spec)):
         synset_tokens = {
-            token for term in synsets[topic].terms for token in tokenize(term)
+            token for term in synsets[topic] for token in tokenize(term)
         }
         for record in corpus[topic_i * spec.docs_per_topic:][:n_alt]:
             assert truth[record.id] == {topic}
@@ -101,7 +103,7 @@ class TestVocabularySplit:
         corpus, _, synsets = generate(SMALL)
         all_terms: set[str] = set()
         for synset in synsets.values():
-            terms = {t.lower() for t in synset.terms}
+            terms = {t.lower() for t in synset}
             assert not terms & all_terms
             all_terms |= terms
 
@@ -148,7 +150,7 @@ class TestVocabularySplit:
         index = build_index(corpus)
         n_alt = round(spec.alt_vocab_fraction * spec.docs_per_topic)
         for topic, synset in synsets.items():
-            hits = set(synset_rank(synset, index, SynsetConfig(limit=10_000)).ids())
+            hits = {a for a, _ in synset_rank(synset, index, SynsetConfig(limit=10_000))}
             members = {a for a, labels in truth.items() if topic in labels}
             # Exactly the primary community is reachable, never the
             # alternate community, and never another topic's articles.
@@ -169,7 +171,7 @@ class TestVocabularySplit:
         index = build_index(corpus)
         foreign = 0
         for topic, synset in synsets.items():
-            hits = set(synset_rank(synset, index, SynsetConfig(limit=10_000)).ids())
+            hits = {a for a, _ in synset_rank(synset, index, SynsetConfig(limit=10_000))}
             members = {a for a, labels in truth.items() if topic in labels}
             foreign += len(hits - members)
         assert foreign > 0

@@ -8,7 +8,6 @@ from tagfuse.classifier import ClassifierConfig, build_dataset, rank_corpus, tra
 from tagfuse.errors import ConfigError, InsufficientPositives, TagfuseError
 from tagfuse.forest import RandomForest
 from tagfuse.index import build_index
-from tagfuse.ranking import ORIGIN_CLASSIFIER
 from tagfuse.seeds import derive_seed
 from tagfuse.semantic import SemanticMatrix
 
@@ -52,27 +51,27 @@ class TestBuildDataset:
     def test_positives_are_title_and_abstract_phrase_matches(self):
         corpus = labeled_corpus()
         index = build_index(corpus)
-        dataset = build_dataset("mycology", index, small())
+        positives, negatives = build_dataset("mycology", index, small())
         expected = sorted(f"t{i:02d}" for i in range(6)) + sorted(
             f"b{i:02d}" for i in range(4)
         )
-        assert list(dataset.positives) == sorted(expected)
+        assert positives == sorted(expected)
 
     def test_keyword_only_mentions_are_in_neither_class(self):
         corpus = labeled_corpus()
         index = build_index(corpus)
-        dataset = build_dataset("mycology", index, small(neg_ratio=10.0))
+        positives, negatives = build_dataset("mycology", index, small(neg_ratio=10.0))
         keyword_only = {f"k{i:02d}" for i in range(3)}
-        assert not keyword_only & set(dataset.positives)
-        assert not keyword_only & set(dataset.negatives)
+        assert not keyword_only & set(positives)
+        assert not keyword_only & set(negatives)
         # Even asking for far more negatives than exist never pulls them in.
-        assert set(dataset.negatives) == {f"n{i:02d}" for i in range(17)}
+        assert set(negatives) == {f"n{i:02d}" for i in range(17)}
 
     def test_ratio_beyond_any_int_takes_the_whole_pool(self, caplog):
         index = build_index(labeled_corpus())
         with caplog.at_level(logging.WARNING, logger="tagfuse.classifier"):
-            dataset = build_dataset("mycology", index, small(neg_ratio=1e308))
-        assert dataset.negatives == tuple(f"n{i:02d}" for i in range(17))
+            _, negatives = build_dataset("mycology", index, small(neg_ratio=1e308))
+        assert negatives == [f"n{i:02d}" for i in range(17)]
         [warning] = [r.getMessage() for r in caplog.records]
         assert "wanted inf; using all" in warning
 
@@ -80,14 +79,14 @@ class TestBuildDataset:
         corpus = labeled_corpus()
         index = build_index(corpus)
         for ratio in (0.25, 0.5, 1.0, 1.3):
-            dataset = build_dataset("mycology", index, small(neg_ratio=ratio))
-            assert len(dataset.negatives) == math.ceil(ratio * 10)
+            _, negatives = build_dataset("mycology", index, small(neg_ratio=ratio))
+            assert len(negatives) == math.ceil(ratio * 10)
 
     def test_negatives_never_overlap_positives(self):
         corpus = labeled_corpus()
         index = build_index(corpus)
-        dataset = build_dataset("mycology", index, small())
-        assert not set(dataset.positives) & set(dataset.negatives)
+        positives, negatives = build_dataset("mycology", index, small())
+        assert not set(positives) & set(negatives)
 
     def test_too_few_positives_raises_with_counts(self):
         corpus = labeled_corpus()
@@ -101,11 +100,11 @@ class TestBuildDataset:
     def test_negative_sampling_is_seed_deterministic(self):
         corpus = labeled_corpus()
         index = build_index(corpus)
-        d1 = build_dataset("mycology", index, small(neg_ratio=0.5), seed=7)
-        d2 = build_dataset("mycology", index, small(neg_ratio=0.5), seed=7)
-        d3 = build_dataset("mycology", index, small(neg_ratio=0.5), seed=8)
-        assert d1.negatives == d2.negatives
-        assert d1.negatives != d3.negatives
+        _, n1 = build_dataset("mycology", index, small(neg_ratio=0.5), seed=7)
+        _, n2 = build_dataset("mycology", index, small(neg_ratio=0.5), seed=7)
+        _, n3 = build_dataset("mycology", index, small(neg_ratio=0.5), seed=8)
+        assert n1 == n2
+        assert n1 != n3
 
     @pytest.mark.parametrize("ratio", [-0.1, 0, float("nan")])
     def test_negative_ratio_must_be_positive(self, ratio):
@@ -121,9 +120,9 @@ class TestBuildDataset:
             ]
         )
         index = build_index(corpus)
-        dataset = build_dataset("machine learning", index, small())
-        assert list(dataset.positives) == ["p1"]
-        assert "p2" in dataset.negatives
+        positives, negatives = build_dataset("machine learning", index, small())
+        assert positives == ["p1"]
+        assert "p2" in negatives
 
 
 class TestTrain:
@@ -131,10 +130,11 @@ class TestTrain:
         corpus = labeled_corpus()
         index = build_index(corpus)
         sem = embedding_for(corpus)
-        dataset = build_dataset("mycology", index, small())
-        forest = train(dataset, sem, ClassifierConfig(n_trees=20), seed=0)
-        assert len(dataset.positives) == 10
-        assert len(dataset.negatives) == 10
+        positives, negatives = build_dataset("mycology", index, small())
+        config = ClassifierConfig(n_trees=20)
+        forest = train("mycology", positives, negatives, sem, config, seed=0)
+        assert len(positives) == 10
+        assert len(negatives) == 10
         assert (forest.n_positives, forest.n_negatives) == (10, 10)
         assert forest.oob_accuracy == 1.0
 
@@ -142,28 +142,25 @@ class TestTrain:
         corpus = labeled_corpus()
         index = build_index(corpus)
         sem = embedding_for(corpus)
-        dataset = build_dataset("mycology", index, small())
-        f1 = train(dataset, sem, ClassifierConfig(n_trees=10), seed=3)
-        f2 = train(dataset, sem, ClassifierConfig(n_trees=10), seed=3)
+        positives, negatives = build_dataset("mycology", index, small())
+        config = ClassifierConfig(n_trees=10)
+        f1 = train("mycology", positives, negatives, sem, config, seed=3)
+        f2 = train("mycology", positives, negatives, sem, config, seed=3)
         p1 = f1.predict_proba(sem.matrix)
         p2 = f2.predict_proba(sem.matrix)
         assert np.array_equal(p1, p2)
         assert f1.oob_accuracy == f2.oob_accuracy
 
     def test_empty_class_rejected(self):
-        from tagfuse.classifier import TopicDataset
-
-        corpus = labeled_corpus()
-        sem = embedding_for(corpus)
-        dataset = TopicDataset(topic="x", positives=("t00",), negatives=())
-        with pytest.raises(TagfuseError, match="both classes"):
-            train(dataset, sem)
+        sem = embedding_for(labeled_corpus())
+        with pytest.raises(TagfuseError, match="topic 'x': need both classes"):
+            train("x", ["t00"], [], sem)
 
     def test_fits_one_forest_per_topic(self, monkeypatch):
         corpus = labeled_corpus()
         index = build_index(corpus)
         sem = embedding_for(corpus)
-        dataset = build_dataset("mycology", index, small())
+        positives, negatives = build_dataset("mycology", index, small())
         calls = []
         fit = RandomForest.fit
 
@@ -172,19 +169,19 @@ class TestTrain:
             return fit(self, *args, **kwargs)
 
         monkeypatch.setattr(RandomForest, "fit", counting_fit)
-        train(dataset, sem, ClassifierConfig(n_trees=5), seed=0)
+        train("mycology", positives, negatives, sem, ClassifierConfig(n_trees=5), seed=0)
         assert len(calls) == 1
 
     def test_forest_keeps_the_topic_train_seed(self):
         corpus = labeled_corpus()
         index = build_index(corpus)
         sem = embedding_for(corpus)
-        dataset = build_dataset("mycology", index, small())
+        positives, negatives = build_dataset("mycology", index, small())
         config = ClassifierConfig(n_trees=10)
-        forest = train(dataset, sem, config, seed=4)
-        ids = list(dataset.positives) + list(dataset.negatives)
+        forest = train("mycology", positives, negatives, sem, config, seed=4)
+        ids = positives + negatives
         x = np.stack([sem.row(a) for a in ids])
-        y = np.array([1] * len(dataset.positives) + [0] * len(dataset.negatives))
+        y = np.array([1] * len(positives) + [0] * len(negatives))
         expected = RandomForest(config).fit(
             x, y, seed=derive_seed(4, "train", "mycology")
         )
@@ -200,23 +197,23 @@ class TestRankCorpus:
         corpus = labeled_corpus()
         index = build_index(corpus)
         sem = embedding_for(corpus)
-        dataset = build_dataset("mycology", index, small())
-        forest = train(dataset, sem, ClassifierConfig(n_trees=30), seed=seed)
+        positives, negatives = build_dataset("mycology", index, small())
+        forest = train(
+            "mycology", positives, negatives, sem, ClassifierConfig(n_trees=30), seed=seed
+        )
         return forest, sem, corpus
 
     def test_every_article_is_scored_and_sorted(self):
         forest, sem, corpus = self.fitted()
-        ranked = rank_corpus("mycology", forest, sem)
-        assert ranked.origin == ORIGIN_CLASSIFIER
-        assert ranked.topic == "mycology"
+        ranked = rank_corpus(forest, sem)
         assert len(ranked) == len(corpus)
-        scores = [score for _, score in ranked.entries]
+        scores = [score for _, score in ranked]
         assert scores == sorted(scores, reverse=True)
 
     def test_positives_rank_above_the_unrelated(self):
         forest, sem, _ = self.fitted()
-        ranked = rank_corpus("mycology", forest, sem)
-        top_ten = set(ranked.ids()[:10])
+        ranked = rank_corpus(forest, sem)
+        top_ten = {article_id for article_id, _ in ranked[:10]}
         planted = {f"t{i:02d}" for i in range(6)} | {f"b{i:02d}" for i in range(4)}
         assert top_ten == planted
 
@@ -229,21 +226,21 @@ class TestRankCorpus:
             if article_id.startswith("k"):
                 boosted[i, 0] += 3.0
         sem2 = SemanticMatrix(matrix=boosted, article_ids=sem.article_ids, seed=0)
-        ranked = rank_corpus("mycology", forest, sem2)
-        top = set(ranked.ids()[:13])
+        ranked = rank_corpus(forest, sem2)
+        top = {article_id for article_id, _ in ranked[:13]}
         assert {f"k{i:02d}" for i in range(3)} <= top
 
     def test_top_n_truncates(self):
         forest, sem, _ = self.fitted()
-        ranked = rank_corpus("mycology", forest, sem, ClassifierConfig(top_n=5))
+        ranked = rank_corpus(forest, sem, ClassifierConfig(top_n=5))
         assert len(ranked) == 5
-        assert ranked.ids() == rank_corpus("mycology", forest, sem).ids()[:5]
+        assert ranked == rank_corpus(forest, sem)[:5]
 
     def test_ties_break_by_article_id(self):
         forest, sem, _ = self.fitted()
-        ranked = rank_corpus("mycology", forest, sem)
+        ranked = rank_corpus(forest, sem)
         by_score = {}
-        for article_id, score in ranked.entries:
+        for article_id, score in ranked:
             by_score.setdefault(score, []).append(article_id)
         for ids in by_score.values():
             assert ids == sorted(ids)

@@ -21,7 +21,7 @@ from tagfuse.config import topic_slug
 from tagfuse.errors import TagfuseError
 from tagfuse.fusion import write_assignments
 from tagfuse.manifest import MANIFEST_NAME, file_sha256
-from tagfuse.ranking import ORIGIN_CLASSIFIER, RankedList, read_ranked_list
+from tagfuse.ranking import ORIGIN_CLASSIFIER, read_ranked_list
 
 BENCH = {
     "n_topics": 4,
@@ -268,18 +268,26 @@ class TestStagePipeline:
         assert result.stdout.splitlines()[-1] == "[]"
         assert os.path.exists(tmp_path / "out" / "reports" / "evaluation.txt")
 
-    def test_traced_train_rank_succeeds(self, stage_config, bench_run, tmp_path):
+    @pytest.mark.parametrize(
+        "stage, counter",
+        [("train-rank", None), ("synset", "synsets.S_total"),
+         ("fuse", "ranking.read_ranked_list.entries")],
+        ids=["train-rank", "synset", "fuse"],
+    )
+    def test_traced_stage_succeeds(self, stage_config, bench_run, tmp_path, stage, counter):
         # The per-layer tracer wraps train-rank's pool workers too; its
-        # counters read the results of the classifier functions.
+        # counters take len() of what the synset and list-reading functions return.
         _, bench_out = bench_run
         config = derived_config(stage_config, tmp_path)
         copy_upstream(bench_out, tmp_path / "out")
+        if stage == "fuse":
+            shutil.copytree(os.path.join(bench_out, "ranked"), tmp_path / "out" / "ranked")
         tracer = os.path.join(os.path.dirname(__file__), "..", "perfbench", "tracer.py")
         spans = tmp_path / "spans.jsonl"
         src = os.path.dirname(os.path.dirname(tagfuse.__file__))
         path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         result = subprocess.run(
-            [sys.executable, tracer, str(spans), "run", "train-rank", "--config", config],
+            [sys.executable, tracer, str(spans), "run", stage, "--config", config],
             env={**os.environ, "PYTHONPATH": path},
             capture_output=True,
             text=True,
@@ -287,10 +295,13 @@ class TestStagePipeline:
         )
         assert result.returncode == 0, result.stderr
         header = json.loads(spans.read_text(encoding="utf-8").splitlines()[0])
-        assert header["argv"][0] == "train-rank"
-        summary = tmp_path / "out" / "ranked" / "classifier" / "_training.json"
-        report = json.loads(summary.read_text(encoding="utf-8"))
-        assert len(report["trained"]) == len(TOPICS)
+        assert header["argv"][0] == stage
+        if counter:
+            assert header["counts"][counter] > 0
+        else:
+            summary = tmp_path / "out" / "ranked" / "classifier" / "_training.json"
+            report = json.loads(summary.read_text(encoding="utf-8"))
+            assert len(report["trained"]) == len(TOPICS)
 
     def test_eval_prints_the_table(self, stage_config, capsys):
         config, _ = stage_config
@@ -490,8 +501,7 @@ class TestTopicPool:
         assert [t["topic"] for t in summary["trained"]] == TOPICS
         for topic in ("absent topic", "another absent topic"):
             path = str(one / f"{topic_slug(topic)}.tsv")
-            skipped = read_ranked_list(path, topic, ORIGIN_CLASSIFIER)
-            assert skipped == RankedList(topic, ORIGIN_CLASSIFIER)
+            assert read_ranked_list(path, topic, ORIGIN_CLASSIFIER) == []
         skips = [r.message for r in caplog.records if "skipping topic" in r.message]
         assert len(skips) == 4
         assert ["another" in m for m in skips] == [False, True, False, True]
@@ -535,10 +545,10 @@ class TestStageRunner:
         out, before = self.previous_run(bench_run, tmp_path, "ranked/classifier")
         config = derived_config(stage_config, tmp_path)
 
-        def failing_train(dataset, *args, **kwargs):
-            if dataset.topic == TOPICS[2]:
-                raise TagfuseError(f"cannot train {dataset.topic}")
-            return train(dataset, *args, **kwargs)
+        def failing_train(topic, *args, **kwargs):
+            if topic == TOPICS[2]:
+                raise TagfuseError(f"cannot train {topic}")
+            return train(topic, *args, **kwargs)
 
         monkeypatch.setattr(cli, "train", failing_train)
         assert main(["train-rank", "--config", config]) == 3
@@ -854,7 +864,9 @@ class TestFailureModes:
         assert capsys.readouterr().out.startswith("tagfuse ")
 
 
-MALFORMED_CASES = ["header", "topic", "columns", "rank", "score", "sequence", "order", "duplicate"]
+MALFORMED_CASES = [
+    "header", "topic", "columns", "rank", "score", "sequence", "order", "duplicate", "empty-id"
+]
 
 
 def corrupt(lines, case):
@@ -875,6 +887,7 @@ def corrupt(lines, case):
             "sequence": ["3", article_id, score],
             "order": [rank, article_id, "1e300"],
             "duplicate": [rank, lines[1].split("\t")[1], score],
+            "empty-id": [rank, "", "nan"],  # a NaN score is never out of order
         }[case]
     )
     return 3
@@ -912,6 +925,9 @@ MALFORMED_TAGS = {
     "topics": lambda lines: tags_line(TOPICS[0], TOPICS[0]),
     "unknown-topic": lambda lines: tags_line("elsewhere"),
     "empty": lambda lines: tags_line(),
+    "id-not-a-string": lambda lines: json.dumps({"id": 5, "tags": json.loads(lines[0])["tags"]}),
+    "score-a-string": lambda lines: tags_line(TOPICS[0], score="0.5"),
+    "score-a-bool": lambda lines: tags_line(TOPICS[0], score=True),
 }
 
 
@@ -958,12 +974,13 @@ ARTICLE = '{"id": "a1", "title": "t", "abstract": "x"}'
         ("index", "corpus_path", ARTICLE[:-1] + ', "subjects": ["Mycology", 3]}', 3,
          "{file}:1: subjects is not an array of strings"),
         ("bench", "benchmark", {"n_topics": 0}, 2, "benchmark.n_topics must be positive"),
+        ("bench", "benchmark", {"seed": -1}, 2, "benchmark.seed must not be negative"),
         ("train-rank", "classifier", {"neg_ratio": float("nan")}, 2,
          "{config}: invalid JSON: NaN is not a number"),
     ],
     ids=["synset-line", "truth-empty-topics", "truth-disjoint", "duplicate-id",
          "synset-term-not-a-string", "keywords-not-an-array", "subjects-not-strings",
-         "benchmark-key", "nan"],
+         "benchmark-key", "benchmark-seed", "nan"],
 )
 def test_exit_code_is_the_only_error_kind(
     stage_config, bench_run, tmp_path, caplog, capsys, command, key, value, code, message

@@ -22,20 +22,21 @@ from tagfuse.ranking import (
     ORIGIN_CLASSIFIER,
     ORIGIN_FUSION,
     ORIGIN_SYNSET,
-    RankedList,
     read_ranked_list,
     write_ranked_list,
 )
 
 
-def ranked(topic, origin, ids, start=1.0, step=0.001):
-    """Ranked list over the given ids, scored consistently with the origin:
+def ranked(article_ids, origin=ORIGIN_SYNSET, start=1.0, step=0.001):
+    """Entries over the given ids, scored consistently with the origin:
     fusion lists carry ascending combined ranks, the rest descending scores."""
     if origin == ORIGIN_FUSION:
-        entries = [(article_id, float(i + 1)) for i, article_id in enumerate(ids)]
-    else:
-        entries = [(article_id, start - i * step) for i, article_id in enumerate(ids)]
-    return RankedList(topic=topic, origin=origin, entries=entries)
+        return [(article_id, float(i + 1)) for i, article_id in enumerate(article_ids)]
+    return [(article_id, start - i * step) for i, article_id in enumerate(article_ids)]
+
+
+def ids(entries):
+    return [article_id for article_id, _ in entries]
 
 
 def random_instance(rng, max_universe=40):
@@ -43,16 +44,13 @@ def random_instance(rng, max_universe=40):
     universe = [f"x{i:03d}" for i in range(rng.randint(1, max_universe))]
     synset_ids = rng.sample(universe, rng.randint(1, len(universe)))
     classifier_ids = rng.sample(universe, rng.randint(0, len(universe)))
-    return (
-        ranked("T", ORIGIN_SYNSET, synset_ids),
-        ranked("T", ORIGIN_CLASSIFIER, classifier_ids),
-    )
+    return ranked(synset_ids), ranked(classifier_ids)
 
 
 def brute_force_fusion(synset_list, classifier_list, a):
     """Re-derive the fused list from first principles, no shared code."""
-    s_rank = {aid: i + 1 for i, (aid, _) in enumerate(synset_list.entries)}
-    r_rank = {aid: i + 1 for i, (aid, _) in enumerate(classifier_list.entries)}
+    s_rank = {aid: i + 1 for i, (aid, _) in enumerate(synset_list)}
+    r_rank = {aid: i + 1 for i, (aid, _) in enumerate(classifier_list)}
     size = len(s_rank)
     combined = []
     for aid in set(s_rank) | set(r_rank):
@@ -70,8 +68,8 @@ def brute_force_fusion(synset_list, classifier_list, a):
 def fused_ranks(synset_list, classifier_list):
     """Combined rank t_A of every candidate, from a fusion deep enough to
     keep them all."""
-    depth = len(set(synset_list.ids()) | set(classifier_list.ids()))
-    return dict(fuse(synset_list, classifier_list, a=depth).entries)
+    depth = len(set(ids(synset_list)) | set(ids(classifier_list)))
+    return dict(fuse(synset_list, classifier_list, a=depth))
 
 
 class TestCombinedRank:
@@ -79,20 +77,14 @@ class TestCombinedRank:
         synset_ids = [f"s{i}" for i in range(50)]
         synset_ids[2], synset_ids[0], synset_ids[1] = "p", "q", "m"
         classifier_ids = ["c1", "c2", "c3", "c4", "p", "q", "x", "m"]
-        t = fused_ranks(
-            ranked("T", ORIGIN_SYNSET, synset_ids),
-            ranked("T", ORIGIN_CLASSIFIER, classifier_ids),
-        )
+        t = fused_ranks(ranked(synset_ids), ranked(classifier_ids))
         assert t["p"] == 4.0  # (3 + 5) / 2
         assert t["q"] == 3.5  # (1 + 6) / 2
         assert t["m"] == 5.0  # (2 + 8) / 2
 
     def test_single_route_scales_by_synset_size(self):
         synset_ids = [f"s{i}" for i in range(100)]
-        t = fused_ranks(
-            ranked("T", ORIGIN_SYNSET, synset_ids),
-            ranked("T", ORIGIN_CLASSIFIER, ["c1", "c2", "s0"]),
-        )
+        t = fused_ranks(ranked(synset_ids), ranked(["c1", "c2", "s0"]))
         assert t["c2"] == 200.0 and type(t["c2"]) is float
         assert t["s6"] == 700.0 and type(t["s6"]) is float
 
@@ -104,19 +96,15 @@ class TestCombinedRank:
             synset_list, classifier_list = random_instance(rng)
             if len(classifier_list) > len(synset_list):
                 continue
-            dual = set(synset_list.ids()) & set(classifier_list.ids())
+            dual = set(ids(synset_list)) & set(ids(classifier_list))
             t = fused_ranks(synset_list, classifier_list)
             single = [rank for aid, rank in t.items() if aid not in dual]
             if dual and single:
                 assert max(t[aid] for aid in dual) <= min(single)
         # The bound is reached: a dual article at ranks (|S|, |S|) ties the
         # top single-route articles at t = |S|, and ties go by article id.
-        fused = fuse(
-            ranked("T", ORIGIN_SYNSET, ["s1", "s2", "z"]),
-            ranked("T", ORIGIN_CLASSIFIER, ["a", "b", "z"]),
-            a=1,
-        )
-        assert fused.entries == [("a", 3.0), ("s1", 3.0), ("z", 3.0)]
+        fused = fuse(ranked(["s1", "s2", "z"]), ranked(["a", "b", "z"]), a=1)
+        assert fused == [("a", 3.0), ("s1", 3.0), ("z", 3.0)]
 
 
 class TestFuse:
@@ -127,22 +115,19 @@ class TestFuse:
             a = rng.randint(1, 4)
             fused = fuse(synset_list, classifier_list, a=a)
             expected = brute_force_fusion(synset_list, classifier_list, a)
-            assert fused.entries == expected
-            assert fused.origin == ORIGIN_FUSION
+            assert fused == expected
 
     def test_length_budget_is_a_times_synset_size(self):
-        synset_list = ranked("T", ORIGIN_SYNSET, [f"s{i}" for i in range(50)])
-        classifier_list = ranked(
-            "T", ORIGIN_CLASSIFIER, [f"c{i}" for i in range(500)]
-        )
+        synset_list = ranked([f"s{i}" for i in range(50)])
+        classifier_list = ranked([f"c{i}" for i in range(500)])
         fused = fuse(synset_list, classifier_list, a=2)
         assert len(fused) == 100
 
     def test_shorter_candidate_pool_than_budget_keeps_everything(self):
-        synset_list = ranked("T", ORIGIN_SYNSET, ["s1", "s2", "s3"])
-        classifier_list = ranked("T", ORIGIN_CLASSIFIER, ["s1"])
+        synset_list = ranked(["s1", "s2", "s3"])
+        classifier_list = ranked(["s1"])
         fused = fuse(synset_list, classifier_list, a=4)
-        assert set(fused.ids()) == {"s1", "s2", "s3"}
+        assert set(ids(fused)) == {"s1", "s2", "s3"}
 
     def test_smaller_a_is_a_prefix_of_larger_a(self):
         rng = random.Random(99)
@@ -152,30 +137,21 @@ class TestFuse:
             for a in (1, 2, 3, 4):
                 fused = fuse(synset_list, classifier_list, a=a)
                 if previous is not None:
-                    assert fused.entries[: len(previous)] == previous
-                previous = fused.entries
+                    assert fused[: len(previous)] == previous
+                previous = fused
 
     def test_ties_break_by_article_id(self):
         # s: z1 at rank 1, a1 at rank 2; r: a1 rank 1, z1 rank 2.
         # Both average to 1.5; a1 must come first.
-        synset_list = ranked("T", ORIGIN_SYNSET, ["z1", "a1"])
-        classifier_list = ranked("T", ORIGIN_CLASSIFIER, ["a1", "z1"])
+        synset_list = ranked(["z1", "a1"])
+        classifier_list = ranked(["a1", "z1"])
         fused = fuse(synset_list, classifier_list, a=1)
-        assert fused.ids() == ["a1", "z1"]
-
-    def test_empty_synset_list_warns_and_fuses_empty(self, caplog):
-        synset_list = RankedList(topic="T", origin=ORIGIN_SYNSET, entries=[])
-        classifier_list = ranked("T", ORIGIN_CLASSIFIER, ["c1", "c2"])
-        with caplog.at_level(logging.WARNING):
-            fused = fuse(synset_list, classifier_list, a=2)
-        assert fused.entries == []
-        assert any("empty synset list" in r.message for r in caplog.records)
+        assert ids(fused) == ["a1", "z1"]
 
     def test_empty_classifier_list_degrades_to_synset_order(self):
-        synset_list = ranked("T", ORIGIN_SYNSET, ["s1", "s2", "s3"])
-        classifier_list = RankedList(topic="T", origin=ORIGIN_CLASSIFIER, entries=[])
-        fused = fuse(synset_list, classifier_list, a=1)
-        assert fused.ids() == ["s1", "s2", "s3"]
+        synset_list = ranked(["s1", "s2", "s3"])
+        fused = fuse(synset_list, [], a=1)
+        assert ids(fused) == ["s1", "s2", "s3"]
 
     def test_config_validation(self):
         for bad in ((), (0, 1), (2, 2)):
@@ -197,17 +173,35 @@ class TestFuse:
     ):
         rng = random.Random(overlap_seed)
         universe = [f"u{i:03d}" for i in range(60)]
-        synset_list = ranked("T", ORIGIN_SYNSET, rng.sample(universe, n_synset))
-        classifier_list = ranked(
-            "T", ORIGIN_CLASSIFIER, rng.sample(universe, n_classifier)
-        )
+        synset_list = ranked(rng.sample(universe, n_synset))
+        classifier_list = ranked(rng.sample(universe, n_classifier))
         fused = fuse(synset_list, classifier_list, a=a)
         assert len(fused) <= a * n_synset
-        assert len(set(fused.ids())) == len(fused)
-        assert set(fused.ids()) <= set(synset_list.ids()) | set(classifier_list.ids())
+        assert len(set(ids(fused))) == len(fused)
+        assert set(ids(fused)) <= set(ids(synset_list)) | set(ids(classifier_list))
 
 
 class TestStageFuse:
+    def fuse_stage(self, tmp_path, pairs, a_values):
+        """Write each topic's (synset ids, classifier ids) pair as its two
+        ranked lists, run ``stage_fuse`` and return its workspace."""
+        ws = cli.Workspace(str(tmp_path / "out"))
+        os.makedirs(ws.path("ranked", "synset"))
+        os.makedirs(ws.path("ranked", "classifier"))
+        for topic, (synset_ids, classifier_ids) in pairs.items():
+            write_ranked_list(
+                ranked(synset_ids), topic, ORIGIN_SYNSET, ws.synset_list_path(topic)
+            )
+            write_ranked_list(
+                ranked(classifier_ids), topic, ORIGIN_CLASSIFIER,
+                ws.classifier_list_path(topic),
+            )
+        cfg = RunConfig(
+            output_dir=ws.root, topics=tuple(pairs), fusion=FusionConfig(a_values=a_values)
+        )
+        cli.stage_fuse(cfg)
+        return ws
+
     def test_every_depth_matches_brute_force(self, tmp_path):
         rng = random.Random(11)
         universe = [f"x{i:03d}" for i in range(300)]
@@ -220,45 +214,35 @@ class TestStageFuse:
                 ["x005", "x009", "x001"],
             ),
             "random": (rng.sample(universe, 40), rng.sample(universe, 60)),
+            # A skipped topic's classifier list is empty.
             "skipped": (rng.sample(universe, 10), []),
         }
-        ws = cli.Workspace(str(tmp_path / "out"))
-        os.makedirs(ws.path("ranked", "synset"))
-        os.makedirs(ws.path("ranked", "classifier"))
-        for topic, (synset_ids, classifier_ids) in pairs.items():
-            write_ranked_list(
-                ranked(topic, ORIGIN_SYNSET, synset_ids), ws.synset_list_path(topic)
-            )
-            # A skipped topic's classifier list is empty.
-            write_ranked_list(
-                ranked(topic, ORIGIN_CLASSIFIER, classifier_ids),
-                ws.classifier_list_path(topic),
-            )
-        cfg = RunConfig(
-            output_dir=ws.root,
-            topics=tuple(pairs),
-            fusion=FusionConfig(a_values=(3, 1, 6)),
-        )
-        cli.stage_fuse(cfg)
+        ws = self.fuse_stage(tmp_path, pairs, (3, 1, 6))
 
         for a in (1, 3, 6):
             expected = {}
             for topic, (synset_ids, classifier_ids) in pairs.items():
-                entries = brute_force_fusion(
-                    ranked(topic, ORIGIN_SYNSET, synset_ids),
-                    ranked(topic, ORIGIN_CLASSIFIER, classifier_ids),
-                    a,
+                expected[topic] = brute_force_fusion(
+                    ranked(synset_ids), ranked(classifier_ids), a
                 )
                 written = read_ranked_list(ws.fusion_list_path(a, topic), topic, ORIGIN_FUSION)
-                assert written.entries == entries
-                expected[topic] = RankedList(topic, ORIGIN_FUSION, entries)
+                assert written == expected[topic]
             assert read_assignments(ws.tags_path(a), list(pairs)) == invert(expected)
             assert len(expected["narrow"]) == min(6, a * 5)
+
+    def test_empty_synset_list_warns_and_fuses_empty(self, tmp_path, caplog):
+        pairs = {"T": ([], ["c1", "c2"]), "U": (["u1"], ["u1"])}
+        with caplog.at_level(logging.WARNING):
+            ws = self.fuse_stage(tmp_path, pairs, (2,))
+        assert read_ranked_list(ws.fusion_list_path(2, "T"), "T", ORIGIN_FUSION) == []
+        assert read_assignments(ws.tags_path(2), ["T", "U"]) == {"u1": [("U", 1.0)]}
+        warnings = [r.message for r in caplog.records if r.levelno == logging.WARNING]
+        assert warnings == ["topic 'T': empty synset list, fusion is empty"]
 
 
 class TestInvert:
     def test_top_of_list_scores_one(self):
-        lst = ranked("T", ORIGIN_FUSION, [f"f{i}" for i in range(10)])
+        lst = ranked([f"f{i}" for i in range(10)], ORIGIN_FUSION)
         assignments = invert({"T": lst})
         scores = {a: tags[0][1] for a, tags in assignments.items()}
         assert scores["f0"] == 1.0
@@ -266,8 +250,8 @@ class TestInvert:
         assert scores["f9"] == pytest.approx(0.1)
 
     def test_scores_are_rank_normalized_per_list(self):
-        short = ranked("A", ORIGIN_FUSION, ["x", "y"])
-        long = ranked("B", ORIGIN_FUSION, [f"z{i}" for i in range(100)] + ["x"])
+        short = ranked(["x", "y"], ORIGIN_FUSION)
+        long = ranked([f"z{i}" for i in range(100)] + ["x"], ORIGIN_FUSION)
         assignments = invert({"A": short, "B": long})
         by_id = {a: dict(tags) for a, tags in assignments.items()}
         assert by_id["x"]["A"] == 1.0
@@ -275,31 +259,31 @@ class TestInvert:
         assert by_id["y"]["A"] == pytest.approx(0.5)
 
     def test_articles_collect_tags_from_every_list(self):
-        list_a = ranked("A", ORIGIN_FUSION, ["m", "n"])
-        list_b = ranked("B", ORIGIN_FUSION, ["n", "m"])
+        list_a = ranked(["m", "n"], ORIGIN_FUSION)
+        list_b = ranked(["n", "m"], ORIGIN_FUSION)
         assignments = invert({"A": list_a, "B": list_b})
         assert list(assignments) == ["m", "n"]
         assert {t for t, _ in assignments["m"]} == {"A", "B"}
         assert {t for t, _ in assignments["n"]} == {"A", "B"}
 
     def test_tags_are_sorted_best_first_then_by_topic(self):
-        list_a = ranked("A", ORIGIN_FUSION, ["m", "n"])
-        list_b = ranked("B", ORIGIN_FUSION, ["m", "n"])
-        list_c = ranked("C", ORIGIN_FUSION, ["n", "m"])
+        list_a = ranked(["m", "n"], ORIGIN_FUSION)
+        list_b = ranked(["m", "n"], ORIGIN_FUSION)
+        list_c = ranked(["n", "m"], ORIGIN_FUSION)
         assignments = invert({"C": list_c, "B": list_b, "A": list_a})
         assert assignments["m"] == [("A", 1.0), ("B", 1.0), ("C", 0.5)]
 
     def test_threshold_drops_weak_tags(self):
-        lst = ranked("T", ORIGIN_FUSION, [f"f{i}" for i in range(10)])
+        lst = ranked([f"f{i}" for i in range(10)], ORIGIN_FUSION)
         assignments = invert({"T": lst}, score_threshold=0.75)
         assert set(assignments) == {"f0", "f1", "f2"}
 
     def test_threshold_zero_keeps_everything(self):
-        lst = ranked("T", ORIGIN_FUSION, [f"f{i}" for i in range(10)])
+        lst = ranked([f"f{i}" for i in range(10)], ORIGIN_FUSION)
         assert len(invert({"T": lst}, score_threshold=0.0)) == 10
 
     def test_synset_lists_invert_for_the_baseline(self):
-        lst = ranked("T", ORIGIN_SYNSET, ["s1", "s2"])
+        lst = ranked(["s1", "s2"])
         assignments = invert({"T": lst})
         assert list(assignments) == ["s1", "s2"]
 

@@ -66,8 +66,8 @@ class TestSavedFormat:
         spec = BenchmarkSpec(n_topics=4, docs_per_topic=60, vocab_per_topic=8,
                              background_vocab_size=150, doc_length=30, seed=3)
         bench, _, synsets = generate(spec)
-        bench_queries = [list(s.terms) for s in synsets.values()]
-        bench_queries += [[t] for s in synsets.values() for t in s.terms]
+        bench_queries = [list(s) for s in synsets.values()]
+        bench_queries += [[t] for s in synsets.values() for t in s]
         fungi_queries = [["mycology"], ["fungology", "graft"], ["machine learning"],
                          ["mycological methods"], ["Botany"]]
         # An extra category field, so that every kind of field is saved.
@@ -292,8 +292,8 @@ class TestSummationOrder:
         index = build_index(corpus)
         fields = ("title", "abstract", "keywords", "subjects")
         for synset in synsets.values():
-            hits = search_any(index, list(synset.terms), fields, len(corpus))
-            assert dict(hits) == per_term_then_total(index, synset.terms, fields)
+            hits = search_any(index, list(synset), fields, len(corpus))
+            assert dict(hits) == per_term_then_total(index, synset, fields)
 
 
 class TestDeterminism:

@@ -7,7 +7,6 @@ from tagfuse.ranking import (
     ORIGIN_CLASSIFIER,
     ORIGIN_FUSION,
     ORIGIN_SYNSET,
-    RankedList,
     read_ranked_list,
     write_ranked_list,
 )
@@ -17,21 +16,11 @@ from tagfuse.seeds import derive_seed
 def read_back(tmp_path, origin, entries):
     """Write a list of topic "T" and read it back; only the reader checks."""
     path = str(tmp_path / "list.tsv")
-    write_ranked_list(RankedList(topic="T", origin=origin, entries=entries), path)
+    write_ranked_list(entries, "T", origin, path)
     return read_ranked_list(path, "T", origin)
 
 
 class TestRankedList:
-    def test_ranks_are_one_based_entry_order(self):
-        lst = RankedList(
-            topic="T",
-            origin=ORIGIN_SYNSET,
-            entries=[("b", 3.0), ("a", 2.0), ("c", 1.0)],
-        )
-        assert lst.ranks() == {"b": 1, "a": 2, "c": 3}
-        assert lst.ids() == ["b", "a", "c"]
-        assert len(lst) == 3
-
     def test_duplicate_article_rejected(self, tmp_path):
         with pytest.raises(TagfuseError, match=r":3: duplicate article 'a'"):
             read_back(tmp_path, ORIGIN_SYNSET, [("a", 2.0), ("a", 1.0)])
@@ -82,28 +71,22 @@ class TestRankedList:
 
 
 class TestRankedListIO:
-    def roundtrip(self, lst, tmp_path):
+    def roundtrip(self, entries, topic, origin, tmp_path):
         path = str(tmp_path / "list.tsv")
-        write_ranked_list(lst, path)
-        return read_ranked_list(path, lst.topic, lst.origin), path
+        write_ranked_list(entries, topic, origin, path)
+        return read_ranked_list(path, topic, origin), path
 
     def test_scores_round_trip_exactly(self, tmp_path):
-        lst = RankedList(
-            topic="domain01 studies",
-            origin=ORIGIN_SYNSET,
-            entries=[("d1", 2.5000000000000004), ("d2", 0.1), ("d3", 1e-17)],
-        )
-        loaded, _ = self.roundtrip(lst, tmp_path)
-        assert loaded == lst
+        entries = [("d1", 2.5000000000000004), ("d2", 0.1), ("d3", 1e-17)]
+        loaded, _ = self.roundtrip(entries, "domain01 studies", ORIGIN_SYNSET, tmp_path)
+        assert loaded == entries
 
     def test_empty_list_round_trips(self, tmp_path):
-        lst = RankedList(topic="T", origin=ORIGIN_FUSION, entries=[])
-        loaded, _ = self.roundtrip(lst, tmp_path)
-        assert loaded == lst
+        loaded, _ = self.roundtrip([], "T", ORIGIN_FUSION, tmp_path)
+        assert loaded == []
 
     def test_header_carries_topic_and_origin(self, tmp_path):
-        lst = RankedList(topic="My Topic", origin=ORIGIN_CLASSIFIER, entries=[("x", 1.0)])
-        _, path = self.roundtrip(lst, tmp_path)
+        _, path = self.roundtrip([("x", 1.0)], "My Topic", ORIGIN_CLASSIFIER, tmp_path)
         with open(path, encoding="utf-8") as fh:
             assert fh.readline() == "# topic=My Topic\torigin=classifier\n"
 
@@ -114,8 +97,7 @@ class TestRankedListIO:
             read_ranked_list(str(path), "T", ORIGIN_SYNSET)
 
     def test_header_must_name_the_expected_topic_and_origin(self, tmp_path):
-        lst = RankedList(topic="T", origin=ORIGIN_SYNSET, entries=[("x", 1.0)])
-        _, path = self.roundtrip(lst, tmp_path)
+        _, path = self.roundtrip([("x", 1.0)], "T", ORIGIN_SYNSET, tmp_path)
         wrong = (("U", ORIGIN_SYNSET), ("t", ORIGIN_SYNSET), ("T", ORIGIN_CLASSIFIER))
         for topic, origin in wrong:
             with pytest.raises(TagfuseError, match=r"list.tsv:1: expected the header"):
@@ -154,14 +136,10 @@ class TestRankedListIO:
     @settings(max_examples=50, deadline=None)
     def test_any_descending_scores_round_trip(self, scores, tmp_path_factory):
         ordered = sorted(scores, reverse=True)
-        lst = RankedList(
-            topic="T",
-            origin=ORIGIN_CLASSIFIER,
-            entries=[(f"d{i:03d}", s) for i, s in enumerate(ordered)],
-        )
+        entries = [(f"d{i:03d}", s) for i, s in enumerate(ordered)]
         path = str(tmp_path_factory.mktemp("rl") / "list.tsv")
-        write_ranked_list(lst, path)
-        assert read_ranked_list(path, "T", ORIGIN_CLASSIFIER) == lst
+        write_ranked_list(entries, "T", ORIGIN_CLASSIFIER, path)
+        assert read_ranked_list(path, "T", ORIGIN_CLASSIFIER) == entries
 
 
 class TestDeriveSeed:

@@ -4,7 +4,6 @@ import pytest
 
 from tagfuse.errors import TagfuseError
 from tagfuse.index import build_index, search_any
-from tagfuse.ranking import ORIGIN_SYNSET
 from tagfuse.synsets import (
     SynsetConfig,
     load_synsets,
@@ -18,6 +17,10 @@ from conftest import make_corpus
 TOP_10 = SynsetConfig(limit=10)
 
 
+def ids(entries):
+    return [article_id for article_id, _ in entries]
+
+
 def write_synsets(path, records):
     with open(path, "w", encoding="utf-8") as fh:
         for record in records:
@@ -28,18 +31,18 @@ def write_synsets(path, records):
 class TestMakeSynset:
     def test_keeps_first_spelling_on_case_clash(self):
         synset = make_synset("Mycology", ["Mycology", "Fungology", "fungology"])
-        assert synset.terms == ("Mycology", "Fungology")
+        assert synset == ("Mycology", "Fungology")
 
     def test_prepends_missing_topic_name(self):
         synset = make_synset("Mycology", ["fungology"])
-        assert synset.terms == ("Mycology", "fungology")
+        assert synset == ("Mycology", "fungology")
 
     def test_blank_terms_are_dropped(self):
         synset = make_synset("Mycology", ["", "  ", "fungology"])
-        assert synset.terms == ("Mycology", "fungology")
+        assert synset == ("Mycology", "fungology")
 
     def test_topic_name_alone_is_valid(self):
-        assert make_synset("Mycology", []).terms == ("Mycology",)
+        assert make_synset("Mycology", []) == ("Mycology",)
 
 
 class TestLoadSynsets:
@@ -104,7 +107,7 @@ class TestLoadSynsets:
             [{"topic": "Mycology", "terms": ["fungology", "FUNGOLOGY"]}],
         )
         loaded = load_synsets(path)
-        assert loaded["Mycology"].terms == ("Mycology", "fungology")
+        assert loaded["Mycology"] == ("Mycology", "fungology")
 
 
 class TestSynsetRank:
@@ -113,22 +116,21 @@ class TestSynsetRank:
         with_synonym = synset_rank(
             make_synset("Mycology", ["fungology"]), fungi_index, TOP_10
         )
-        assert "a2" not in name_only.ids()
-        assert "a2" in with_synonym.ids()
-        assert set(name_only.ids()) <= set(with_synonym.ids())
+        assert "a2" not in ids(name_only)
+        assert "a2" in ids(with_synonym)
+        assert set(ids(name_only)) <= set(ids(with_synonym))
 
     def test_origin_and_ordering(self, fungi_index):
         ranked = synset_rank(
             make_synset("Mycology", ["fungology"]), fungi_index, TOP_10
         )
-        assert ranked.origin == ORIGIN_SYNSET
-        scores = [score for _, score in ranked.entries]
+        scores = [score for _, score in ranked]
         assert scores == sorted(scores, reverse=True)
 
     def test_single_term_equals_phrase_search(self, fungi_index):
         ranked = synset_rank(make_synset("Mycology", []), fungi_index, TOP_10)
         direct = search_any(fungi_index, ["Mycology"], ("title", "abstract"), 10)
-        assert ranked.entries == direct
+        assert ranked == direct
 
     def test_multiword_term_is_a_phrase(self):
         corpus = make_corpus(
@@ -139,7 +141,7 @@ class TestSynsetRank:
         )
         index = build_index(corpus)
         synset = make_synset("Fungal biology", [])
-        assert synset_rank(synset, index, TOP_10).ids() == ["c1"]
+        assert ids(synset_rank(synset, index, TOP_10)) == ["c1"]
 
     def test_search_fields_default_excludes_keywords(self, fungi_corpus, fungi_index):
         # a4 carries "mycological methods" only as a keyword; a topic named
@@ -149,14 +151,14 @@ class TestSynsetRank:
         with_keywords = synset_rank(
             synset, fungi_index, SynsetConfig(("title", "abstract", "keywords"), limit=10)
         )
-        assert default.ids() == []
-        assert with_keywords.ids() == ["a4"]
+        assert ids(default) == []
+        assert ids(with_keywords) == ["a4"]
 
     def test_limit_truncates(self, fungi_index):
         synset = make_synset("Mycology", ["fungology"])
         full = synset_rank(synset, fungi_index, TOP_10)
         top_2 = synset_rank(synset, fungi_index, SynsetConfig(limit=2))
-        assert top_2.entries == full.entries[:2]
+        assert top_2 == full[:2]
 
     def test_untokenizable_synset_raises(self, fungi_index):
         synset = make_synset("...", [])
