@@ -304,7 +304,7 @@ def stage_eval(cfg: RunConfig) -> None:
             fh.write(table + "\n")
         with open(records_path, "w", encoding="utf-8") as fh:
             for report in reports:
-                fh.write(json.dumps(dataclasses.asdict(report), ensure_ascii=False) + "\n")
+                fh.write(json.dumps(report, ensure_ascii=False) + "\n")
         write_plot_series(reports, series_path)
         print(table)
 
@@ -441,7 +441,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         logger.error("%s", exc)
         return 2
-    except TagfuseError as exc:
+    except (TagfuseError, OSError) as exc:  # OSError: an unreadable input
         logger.error("%s", exc)
         return 3
     return 0

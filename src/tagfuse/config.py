@@ -1,8 +1,8 @@
 """Run configuration.
 
-One JSON file drives every subcommand. Unknown keys are rejected rather
-than ignored, so a typo fails loudly instead of silently running with a
-default. Example:
+One JSON file drives every subcommand. Unknown and repeated keys are
+rejected rather than ignored, so a typo fails loudly instead of silently
+running with a default or the last value. Example:
 
     {
       "corpus_path": "data/corpus.jsonl",
@@ -28,7 +28,6 @@ an int, and every element of a tuple is checked.
 from __future__ import annotations
 
 import json
-import re
 import typing
 from dataclasses import MISSING, dataclass, field, fields as dataclass_fields
 
@@ -90,9 +89,9 @@ class RunConfig:
 
 
 def topic_slug(topic: str) -> str:
-    """Filesystem-safe name for per-topic artifacts."""
-    slug = re.sub(r"[^0-9A-Za-z]+", "-", topic.lower()).strip("-")
-    return slug or "topic"
+    """Filesystem-safe name for per-topic artifacts: the topic's tokens,
+    joined by hyphens."""
+    return "-".join(tokenize(topic))
 
 
 # Section name -> its dataclass, the default factory of the RunConfig field.
@@ -148,12 +147,22 @@ def _reject_constant(name: str):
     raise ValueError(f"{name} is not a number")  # NaN, Infinity or -Infinity
 
 
+def _unique_keys(pairs: list) -> dict:
+    keys = [k for k, _ in pairs]
+    repeated = sorted({k for k in keys if keys.count(k) > 1})
+    if repeated:  # json would keep the last value silently
+        raise ConfigError(f"repeated key(s) in config: {repeated}")
+    return dict(pairs)
+
+
 def load_config(path: str) -> RunConfig:
     try:
         with open(path, encoding="utf-8") as fh:
-            raw = json.load(fh, parse_constant=_reject_constant)
+            raw = json.load(fh, parse_constant=_reject_constant, object_pairs_hook=_unique_keys)
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}") from None
+    except OSError as exc:  # a directory, or no read permission
+        raise ConfigError(f"cannot read config file {path}: {exc.strerror}") from None
     except ValueError as exc:  # not UTF-8 JSON, or a non-finite number
         raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
     return config_from_dict(raw)

@@ -56,17 +56,18 @@ def _string_list(value) -> tuple[str, ...] | None:
 
 def read_jsonl(path: str) -> Iterator[tuple[int, dict]]:
     """Yield ``(line number, record)`` for each non-blank line of a
-    line-delimited JSON file; a line that is not a JSON object raises
-    :class:`TagfuseError` naming ``path:lineno``."""
+    line-delimited JSON file; a line that is not UTF-8 or not a JSON object
+    raises :class:`TagfuseError` naming ``path:lineno``."""
     decode = json.JSONDecoder().decode
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
+    # Bytes are decoded line by line, so a decoding error knows its line.
+    with open(path, "rb") as fh:
+        for lineno, data in enumerate(fh, start=1):
             try:
+                line = data.decode("utf-8").strip()
+                if not line:
+                    continue
                 raw = decode(line)
-            except json.JSONDecodeError as exc:
+            except ValueError as exc:  # not UTF-8, or not JSON
                 raise TagfuseError(f"{path}:{lineno}: invalid record: {exc}") from exc
             if not isinstance(raw, dict):
                 raise TagfuseError(f"{path}:{lineno}: record is not an object")

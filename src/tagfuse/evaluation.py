@@ -10,7 +10,6 @@ set is covering more ground even at equal per-article quality.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
 
 from .errors import TagfuseError
 from .fusion import Assignments
@@ -18,37 +17,14 @@ from .fusion import Assignments
 logger = logging.getLogger(__name__)
 
 
-@dataclass(frozen=True)
-class EvalReport:
-    """Sample-averaged multi-label metrics for one tagging method.
-
-    ``common_match`` is the fraction of articles whose predicted and true
-    sets intersect at all. ``hamming_loss`` is the symmetric-difference
-    size over the full label-set size L, averaged. Cardinalities are mean
-    set sizes; their difference (predicted minus true) tracks how much a
-    method over- or under-tags.
-    """
-
-    method: str
-    intersection_size: int
-    common_match: float
-    precision: float
-    recall: float
-    f1: float
-    jaccard: float
-    hamming_loss: float
-    label_cardinality_pred: float
-    label_cardinality_true: float
-    cardinality_difference: float
-
-
 def evaluate(
     assignments: Assignments,
     truth: dict[str, set[str]],
     label_set: list[str],
     method: str = "method",
-) -> EvalReport:
-    """Score one method's assignments against the truth.
+) -> dict:
+    """Score one method's assignments against the truth, as the dict that
+    is one line of ``reports/evaluation.jsonl``, its keys in that order.
 
     The assignments come from ``invert`` or ``read_assignments``, and the
     truth maps article ids to non-empty label sets; each article's tags
@@ -60,7 +36,10 @@ def evaluate(
         hamming = |P ^ T| / L
 
     and every metric is the mean over E, with L the size of ``label_set``,
-    which names each label once. An empty E is an error: it means the
+    which names each label once. ``common_match`` is the fraction of E
+    whose P and T intersect at all. The cardinalities are the mean sizes
+    of P and T; their difference (predicted minus true) tracks how much a
+    method over- or under-tags. An empty E is an error: it means the
     predictions and the truth describe disjoint articles.
     """
     n_labels = len(label_set)
@@ -85,26 +64,26 @@ def evaluate(
     card_pred = sum(len(p) for p, _ in pairs) / n
     card_true = sum(len(t) for _, t in pairs) / n
 
-    return EvalReport(
-        method=method,
-        intersection_size=n,
-        common_match=common,
-        precision=precision,
-        recall=recall,
-        f1=f1,
-        jaccard=jaccard,
-        hamming_loss=hamming,
-        label_cardinality_pred=card_pred,
-        label_cardinality_true=card_true,
-        cardinality_difference=card_pred - card_true,
-    )
+    return {
+        "method": method,
+        "intersection_size": n,
+        "common_match": common,
+        "precision": precision,
+        "recall": recall,
+        "f1": f1,
+        "jaccard": jaccard,
+        "hamming_loss": hamming,
+        "label_cardinality_pred": card_pred,
+        "label_cardinality_true": card_true,
+        "cardinality_difference": card_pred - card_true,
+    }
 
 
 def sweep(
     methods: dict[str, Assignments],
     truth: dict[str, set[str]],
     label_set: list[str],
-) -> list[EvalReport]:
+) -> list[dict]:
     """Evaluate several methods against the same truth, in given order."""
     return [
         evaluate(assignments, truth, label_set, method=name)
@@ -127,12 +106,12 @@ _TABLE_COLUMNS = [
 ]
 
 
-def format_table(reports: list[EvalReport]) -> str:
+def format_table(reports: list[dict]) -> str:
     """Aligned text table, one row per method."""
     rows = [[header for _, header, _ in _TABLE_COLUMNS]]
     for report in reports:
         rows.append(
-            [format(getattr(report, name), fmt) for name, _, fmt in _TABLE_COLUMNS]
+            [format(report[name], fmt) for name, _, fmt in _TABLE_COLUMNS]
         )
     widths = [max(len(row[i]) for row in rows) for i in range(len(_TABLE_COLUMNS))]
     lines = []
@@ -141,12 +120,12 @@ def format_table(reports: list[EvalReport]) -> str:
     return "\n".join(lines)
 
 
-def write_plot_series(reports: list[EvalReport], path: str) -> None:
+def write_plot_series(reports: list[dict], path: str) -> None:
     """Tab-separated values of the four comparison series, one row per
     method. Hamming loss is scaled by 10 so all four series share one
     axis range."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("method\tcardinality_difference\tjaccard\thamming_loss_x10\tf1\n")
         for r in reports:
-            values = (r.cardinality_difference, r.jaccard, r.hamming_loss * 10.0, r.f1)
-            fh.write(r.method + "\t" + "\t".join(map(repr, values)) + "\n")
+            values = (r["cardinality_difference"], r["jaccard"], r["hamming_loss"] * 10.0, r["f1"])
+            fh.write(r["method"] + "\t" + "\t".join(map(repr, values)) + "\n")

@@ -167,7 +167,6 @@ class RandomForest:
     def __init__(self, config: ForestConfig | None = None):
         self.config = config or ForestConfig()
         self.trees: list[_Tree] = []
-        self.n_features = 0
         self.n_positives = self.n_negatives = 0  # training rows per class
         self.oob_accuracy = float("nan")
 
@@ -175,15 +174,6 @@ class RandomForest:
         import numpy as np
         x = np.asarray(x, dtype=np.float64)
         y = np.asarray(y, dtype=np.int64)
-        if x.ndim != 2 or x.shape[0] != y.shape[0]:
-            raise ValueError("x must be 2-D with one label per row")
-        if x.shape[0] < 2:
-            raise ValueError("need at least two training rows")
-        classes = np.unique(y)
-        if not np.array_equal(classes, [0, 1]):
-            raise ValueError(f"labels must contain both classes 0 and 1, got {classes}")
-
-        self.n_features = x.shape[1]
         self.trees = []
         n = x.shape[0]
         self.n_positives, self.n_negatives = int(y.sum()), n - int(y.sum())
@@ -212,13 +202,7 @@ class RandomForest:
     def predict_proba(self, x: np.ndarray) -> np.ndarray:
         """Class-1 probability per row: mean of per-tree leaf frequencies."""
         import numpy as np
-        if not self.trees:
-            raise ValueError("forest is not fitted")
         x = np.asarray(x, dtype=np.float64)
-        if x.ndim != 2 or x.shape[1] != self.n_features:
-            raise ValueError(
-                f"expected shape (n, {self.n_features}), got {x.shape}"
-            )
         total = np.zeros(len(x))
         for tree in self.trees:
             total += tree.predict(x)

@@ -251,17 +251,6 @@ def build_index(corpus: list[ArticleRecord], config: IndexConfig = IndexConfig()
     return index
 
 
-def _query(index: Index, terms: list[str], fields: tuple[str, ...]) -> list[list[str]]:
-    """Tokenize the terms, dropping empty ones, and check the fields are indexed."""
-    phrases = [tokens for tokens in map(tokenize, terms) if tokens]
-    if not phrases:
-        raise ValueError("no usable query terms")
-    unknown = [f for f in fields if f not in index._fields]
-    if unknown:
-        raise ValueError(f"fields not in index: {unknown} (have {list(index.fields)})")
-    return phrases
-
-
 def search_any(
     index: Index, terms: list[str], fields: tuple[str, ...], limit: int
 ) -> list[tuple[str, float]]:
@@ -270,10 +259,11 @@ def search_any(
 
     Each term is itself matched as a phrase, scored on each field where
     the phrase occurs by the sum of its terms' BM25 scores; article
-    scores add up over fields and terms. Ties break by article id.
+    scores add up over fields and terms. Ties break by article id. The
+    fields must be indexed; a term with no token matches nothing.
     """
     combined: dict[int, float] = {}
-    for tokens in _query(index, terms, fields):
+    for tokens in filter(None, map(tokenize, terms)):
         # A term's fields are summed before the term joins the article's score.
         phrase: dict[int, float] = {}
         for name in fields:
@@ -296,7 +286,7 @@ def has_any_match(
 ) -> set[str]:
     """Ids of articles where at least one term occurs as a phrase."""
     matched: set[int] = set()
-    for tokens in _query(index, terms, fields):
+    for tokens in filter(None, map(tokenize, terms)):
         for name in fields:
             matched |= index._phrase_ordinals(index._fields[name], tokens)
     return {index.article_ids[o] for o in matched}

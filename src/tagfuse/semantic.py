@@ -244,8 +244,6 @@ def randomized_svd(
     import numpy as np
     from scipy import sparse
     m, n = a.shape
-    if k > min(m, n):
-        raise ValueError(f"k={k} exceeds min(m, n)={min(m, n)}")
 
     rng = np.random.default_rng(seed)
     width = min(k + oversample, min(m, n))

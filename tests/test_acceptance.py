@@ -157,11 +157,11 @@ def test_criterion_2_metric_suite_matches_brute_force():
             if aid in truth_labels
         ]
         expected = metric_oracle(pairs, n_labels)
-        if report.intersection_size != len(pairs):
+        if report["intersection_size"] != len(pairs):
             ok = False
             break
         for name, value in expected.items():
-            if abs(getattr(report, name) - value) > 1e-12:
+            if abs(report[name] - value) > 1e-12:
                 ok = False
                 break
         if not ok:
@@ -174,7 +174,7 @@ def test_criterion_2_metric_suite_matches_brute_force():
         {"a": {"Transplantation"}},
         ["Mycology", "Transplantation"],
     )
-    ok = ok and mixed.precision == 0.5
+    ok = ok and mixed["precision"] == 0.5
     assert verdict(2, "metric suite matches brute force", ok)
 
 

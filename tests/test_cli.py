@@ -748,6 +748,12 @@ class TestFailureModes:
     def test_missing_config_file(self, tmp_path):
         assert main(["index", "--config", str(tmp_path / "absent.json")]) == 2
 
+    def test_config_path_naming_a_directory_exits_two(self, tmp_path, caplog):
+        with caplog.at_level(logging.ERROR):
+            assert main(["index", "--config", str(tmp_path)]) == 2
+        errors = [r.message for r in caplog.records if r.levelno >= logging.ERROR]
+        assert errors == [f"cannot read config file {tmp_path}: Is a directory"]
+
     def test_data_errors_exit_three(self, tmp_path):
         corpus = tmp_path / "corpus.jsonl"
         corpus.write_text("this is not json\n", encoding="utf-8")
@@ -803,6 +809,48 @@ class TestFailureModes:
         errors = [r.message for r in caplog.records if r.levelno >= logging.ERROR]
         assert len(errors) == 1 and key in errors[0]
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "text, key",
+        [
+            ('{"seed": 1, "topics": ["T"], "seed": 2}', "seed"),
+            ('{"topics": ["T"], "semantic": {"k": 20, "k": 30}}', "k"),
+        ],
+        ids=["top-level", "section"],
+    )
+    def test_repeated_key_exits_two_naming_it(self, tmp_path, caplog, text, key):
+        config = tmp_path / "config.json"
+        config.write_text(text, encoding="utf-8")
+        with caplog.at_level(logging.ERROR):
+            assert main(["index", "--config", str(config)]) == 2
+        errors = [r.message for r in caplog.records if r.levelno >= logging.ERROR]
+        assert errors == [f"repeated key(s) in config: [{key!r}]"]
+
+    @pytest.mark.parametrize(
+        "make_corpus, message",
+        [
+            (lambda path: path.mkdir(), "Is a directory"),
+            (lambda path: path.write_bytes(b'{"id": "a1", "title": "caf\xe9"}\n'),
+             ":1: invalid record: 'utf-8' codec can't decode byte 0xe9"),
+        ],
+        ids=["directory", "latin-1"],
+    )
+    def test_unreadable_corpus_exits_three_in_one_line(
+        self, tmp_path, caplog, capsys, make_corpus, message
+    ):
+        corpus = tmp_path / "corpus.jsonl"
+        make_corpus(corpus)
+        out = tmp_path / "out"
+        config = write_config(
+            tmp_path / "config.json", output_dir=str(out), topics=["T"], corpus_path=str(corpus)
+        )
+        with caplog.at_level(logging.ERROR):
+            assert main(["index", "--config", config]) == 3
+        errors = [r for r in caplog.records if r.levelno >= logging.ERROR]
+        assert len(errors) == 1 and str(corpus) in errors[0].getMessage(), errors
+        assert message in errors[0].getMessage() and errors[0].exc_info is None
+        assert "Traceback" not in capsys.readouterr().err
+        assert not out.exists() or not os.listdir(out)
 
     def test_topic_without_letters_or_digits_exits_two_before_any_stage(
         self, stage_config, tmp_path, caplog

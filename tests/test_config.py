@@ -21,7 +21,16 @@ class TestTopicSlug:
         assert topic_slug("C. elegans (worm)") == "c-elegans-worm"
 
     def test_degenerate_names_still_get_a_slug(self):
-        assert topic_slug("...") == "topic"
+        # A slug is the topic's tokens, so letters outside ASCII stay.
+        assert topic_slug("生物学") == "生物学"
+        assert topic_slug("Ökologie") == "ökologie"
+        assert topic_slug("Ökologie, marine") == "ökologie-marine"
+
+    def test_topics_without_ascii_letters_do_not_collide(self):
+        cfg = config_from_dict({"topics": ["生物学", "化学"]})
+        assert [topic_slug(t) for t in cfg.topics] == ["生物学", "化学"]
+        with pytest.raises(ConfigError, match="collide"):
+            config_from_dict({"topics": ["Ökologie", "ökologie"]})
 
 
 class TestConfigFromDict:

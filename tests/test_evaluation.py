@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import random
 
@@ -74,10 +73,10 @@ class TestEvaluate:
                 if a in truth
             ]
             expected = reference_metrics(pairs, len(label_set))
-            assert report.intersection_size == len(pairs)
+            assert report["intersection_size"] == len(pairs)
             for name, value in expected.items():
-                assert getattr(report, name) == pytest.approx(value, abs=1e-12)
-            assert report.cardinality_difference == pytest.approx(
+                assert report[name] == pytest.approx(value, abs=1e-12)
+            assert report["cardinality_difference"] == pytest.approx(
                 expected["label_cardinality_pred"] - expected["label_cardinality_true"],
                 abs=1e-12,
             )
@@ -90,17 +89,17 @@ class TestEvaluate:
             truth,
             ["Mycology", "Transplantation"],
         )
-        assert report.precision == 0.5
-        assert report.recall == 1.0
-        assert report.common_match == 1.0
-        assert report.f1 == pytest.approx(2 / 3)
-        assert report.jaccard == 0.5
+        assert report["precision"] == 0.5
+        assert report["recall"] == 1.0
+        assert report["common_match"] == 1.0
+        assert report["f1"] == pytest.approx(2 / 3)
+        assert report["jaccard"] == 0.5
 
     def test_hamming_counts_symmetric_difference_over_label_count(self):
         label_set = [f"L{i:02d}" for i in range(35)]
         truth = {"a1": {"L00", "L01"}}
         report = evaluate({"a1": tags("L01", "L02")}, truth, label_set)
-        assert report.hamming_loss == pytest.approx(2 / 35)
+        assert report["hamming_loss"] == pytest.approx(2 / 35)
 
     def test_singleton_truth_identities(self):
         # With one true label per article, a match either happens or not,
@@ -114,8 +113,8 @@ class TestEvaluate:
             for i in range(30)
         }
         report = evaluate(assignments, truth, label_set)
-        assert report.common_match == pytest.approx(report.recall, abs=1e-12)
-        assert report.jaccard == pytest.approx(report.precision, abs=1e-12)
+        assert report["common_match"] == pytest.approx(report["recall"], abs=1e-12)
+        assert report["jaccard"] == pytest.approx(report["precision"], abs=1e-12)
 
     def test_perfect_predictions(self):
         label_set = ["A", "B"]
@@ -123,18 +122,18 @@ class TestEvaluate:
         report = evaluate(
             {"d1": tags("A"), "d2": tags("A", "B")}, truth, label_set
         )
-        assert report.precision == 1.0
-        assert report.recall == 1.0
-        assert report.f1 == 1.0
-        assert report.jaccard == 1.0
-        assert report.hamming_loss == 0.0
-        assert report.cardinality_difference == 0.0
+        assert report["precision"] == 1.0
+        assert report["recall"] == 1.0
+        assert report["f1"] == 1.0
+        assert report["jaccard"] == 1.0
+        assert report["hamming_loss"] == 0.0
+        assert report["cardinality_difference"] == 0.0
 
     def test_untagged_truth_articles_do_not_count(self):
         truth = {"d1": {"A"}, "d2": {"A"}, "d3": {"B"}}
         report = evaluate({"d1": tags("A")}, truth, ["A", "B"])
-        assert report.intersection_size == 1
-        assert report.recall == 1.0
+        assert report["intersection_size"] == 1
+        assert report["recall"] == 1.0
 
     def test_disjoint_predictions_and_truth_raise(self):
         truth = {"d1": {"A"}}
@@ -154,9 +153,9 @@ class TestSweep:
     def test_sweep_keeps_method_order_and_names(self):
         methods, truth, label_set = self.make_inputs()
         reports = sweep(methods, truth, label_set)
-        assert [r.method for r in reports] == ["Exact", "Noisy"]
-        assert reports[0].precision == 1.0
-        assert reports[1].precision == 0.5
+        assert [r["method"] for r in reports] == ["Exact", "Noisy"]
+        assert reports[0]["precision"] == 1.0
+        assert reports[1]["precision"] == 0.5
 
     def test_format_table_has_header_and_one_row_per_method(self):
         methods, truth, label_set = self.make_inputs()
@@ -174,17 +173,16 @@ class TestSweep:
     def test_report_records_round_trip_fields(self):
         methods, truth, label_set = self.make_inputs()
         reports = sweep(methods, truth, label_set)
-        records = [
-            json.loads(json.dumps(dataclasses.asdict(report))) for report in reports
-        ]
+        records = [json.loads(json.dumps(report)) for report in reports]
         assert records[0]["method"] == "Exact"
         assert records[0]["intersection_size"] == 2
-        assert set(records[0]) == {
+        # The field order of a reports/evaluation.jsonl record.
+        assert list(records[0]) == [
             "method", "intersection_size", "common_match", "precision",
             "recall", "f1", "jaccard", "hamming_loss",
             "label_cardinality_pred", "label_cardinality_true",
             "cardinality_difference",
-        }
+        ]
 
 
 def read_series(reports, tmp_path):
@@ -202,11 +200,11 @@ class TestPlotSeries:
         reports = sweep({"M": {"d1": tags("B")}}, truth, ["A", "B"])
         _, series = read_series(reports, tmp_path)
         assert series["M"]["hamming_loss_x10"] == pytest.approx(
-            reports[0].hamming_loss * 10.0
+            reports[0]["hamming_loss"] * 10.0
         )
-        assert series["M"]["cardinality_difference"] == reports[0].cardinality_difference
-        assert series["M"]["f1"] == reports[0].f1
-        assert series["M"]["jaccard"] == reports[0].jaccard
+        assert series["M"]["cardinality_difference"] == reports[0]["cardinality_difference"]
+        assert series["M"]["f1"] == reports[0]["f1"]
+        assert series["M"]["jaccard"] == reports[0]["jaccard"]
 
     def test_written_series_parse_back_exactly(self, tmp_path):
         methods = {
@@ -221,9 +219,9 @@ class TestPlotSeries:
         ]
         assert list(series) == ["M1", "M2"]
         for report in reports:
-            assert series[report.method] == {
-                "cardinality_difference": report.cardinality_difference,
-                "jaccard": report.jaccard,
-                "hamming_loss_x10": report.hamming_loss * 10.0,
-                "f1": report.f1,
+            assert series[report["method"]] == {
+                "cardinality_difference": report["cardinality_difference"],
+                "jaccard": report["jaccard"],
+                "hamming_loss_x10": report["hamming_loss"] * 10.0,
+                "f1": report["f1"],
             }

@@ -41,15 +41,6 @@ class TestFit:
         )
         assert (forest.n_positives, forest.n_negatives) == (3, 2)
 
-    def test_single_class_rejected(self):
-        x = np.random.default_rng(0).standard_normal((10, 3))
-        with pytest.raises(ValueError, match="both classes"):
-            RandomForest().fit(x, np.ones(10, dtype=int))
-
-    def test_shape_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            RandomForest().fit(np.zeros((4, 2)), np.array([0, 1, 0]))
-
 
 class TestProbabilities:
     def test_bounded_and_monotone_with_vote_share(self):
@@ -68,16 +59,6 @@ class TestProbabilities:
         probs = forest.predict_proba(x)
         assert probs[y == 1].mean() > 0.9
         assert probs[y == 0].mean() < 0.1
-
-    def test_unfitted_forest_raises(self):
-        with pytest.raises(ValueError, match="not fitted"):
-            RandomForest().predict_proba(np.zeros((1, 2)))
-
-    def test_feature_count_mismatch_raises(self):
-        x, y = two_blobs(n_per=20, seed=3)
-        forest = RandomForest(ForestConfig(n_trees=3)).fit(x, y, seed=1)
-        with pytest.raises(ValueError, match="expected shape"):
-            forest.predict_proba(np.zeros((2, x.shape[1] + 1)))
 
 
 def oob_oracle(forest, x, y, seed):

@@ -146,8 +146,8 @@ class TestPhraseSearch:
         assert len(hits) == 1
 
     def test_empty_query_raises(self, fungi_index):
-        with pytest.raises(ValueError, match="no usable query terms"):
-            search_any(fungi_index, ["!!!"], ("title",), 10)
+        # A query with no token matches nothing; it does not raise.
+        assert search_any(fungi_index, ["!!!"], ("title",), 10) == []
 
     def test_scores_positive_and_sorted(self, fungi_index):
         hits = search_any(fungi_index, ["mycology"], ("title", "abstract"), 10)
@@ -230,8 +230,7 @@ class TestSearchAny:
     def test_unusable_terms_are_skipped_but_all_unusable_raises(self, fungi_index):
         hits = search_any(fungi_index, ["mycology", "..."], ("title",), 10)
         assert {a for a, _ in hits} == {"a1", "a4"}
-        with pytest.raises(ValueError, match="no usable"):
-            search_any(fungi_index, ["...", ""], ("title",), 10)
+        assert search_any(fungi_index, ["...", ""], ("title",), 10) == []
 
 
 class TestHasAnyMatch:
@@ -255,8 +254,7 @@ class TestHasAnyMatch:
         fields = ("title", "abstract")
         expected = has_any_match(fungi_index, ["fungology"], fields)
         assert has_any_match(fungi_index, ["", "...", "fungology"], fields) == expected
-        with pytest.raises(ValueError, match="no usable query terms"):
-            has_any_match(fungi_index, ["", "—"], fields)
+        assert has_any_match(fungi_index, ["", "—"], fields) == set()
 
 
 def per_term_then_total(index, terms, fields):

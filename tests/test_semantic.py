@@ -544,11 +544,6 @@ class TestRandomizedSvd:
         _, s2 = randomized_svd(a, k=3, oversample=10, power_iters=4, seed=2)
         np.testing.assert_allclose(s1, s2, rtol=1e-6)
 
-    def test_k_larger_than_dimensions_raises(self):
-        a = np.eye(4)
-        with pytest.raises(ValueError, match="exceeds"):
-            randomized_svd(a, k=5, oversample=10, power_iters=2)
-
 
 class TestTruncatedSvd:
     @staticmethod
