@@ -20,7 +20,7 @@ from .corpus import TEXT_FIELDS
 from .errors import ConfigError, InsufficientPositives, TagfuseError
 from .forest import ForestConfig, RandomForest
 from .index import Index, has_any_match
-from .ranking import Entries
+from .ranking import Ranked
 from .seeds import derive_seed
 from .semantic import SemanticMatrix
 
@@ -138,7 +138,7 @@ def rank_corpus(
     forest: RandomForest,
     sem: SemanticMatrix,
     config: ClassifierConfig = ClassifierConfig(),
-) -> Entries:
+) -> Ranked:
     """Score every embedded article with the topic's fitted forest and
     keep the ``config.top_n`` most probable as its classifier list.
 
@@ -146,5 +146,6 @@ def rank_corpus(
     so the ranking is reproducible bit for bit.
     """
     probs = forest.predict_proba(sem.matrix)
-    order = sorted(range(len(probs)), key=lambda i: (-probs[i], sem.article_ids[i]))
-    return [(sem.article_ids[i], float(probs[i])) for i in order[: config.top_n]]
+    ids = sem.article_ids
+    order = sorted(range(len(probs)), key=lambda i: (-probs[i], ids[i]))[: config.top_n]
+    return [ids[i] for i in order], probs[order].tolist()

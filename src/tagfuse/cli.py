@@ -24,6 +24,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import gc
 import json
 import logging
 import math
@@ -180,7 +181,7 @@ def _train_topic(topic: str, path: str) -> tuple[str | None, dict]:
     try:
         positives, negatives = build_dataset(topic, index, cfg.classifier, seed=cfg.seed)
     except InsufficientPositives as exc:
-        write_ranked_list([], topic, ORIGIN_CLASSIFIER, path)
+        write_ranked_list(([], []), topic, ORIGIN_CLASSIFIER, path)
         record = {"topic": topic, "positives": exc.found, "required": exc.required}
         return f"skipping topic: {exc}", record
     forest = train(topic, positives, negatives, sem, cfg.classifier, seed=cfg.seed)
@@ -243,30 +244,45 @@ def stage_synset(cfg: RunConfig) -> None:
             ws.input(_require_input(cfg.synsets_path, "synsets_path")), _topics(cfg)
         )
         for topic in _topics(cfg):
-            entries = synset_rank(synsets[topic], index, cfg.synset_search)
+            ranked = synset_rank(synsets[topic], index, cfg.synset_search)
             path = ws.output(ws.synset_list_path(topic))
-            write_ranked_list(entries, topic, ORIGIN_SYNSET, path)
+            write_ranked_list(ranked, topic, ORIGIN_SYNSET, path)
 
 
+@contextlib.contextmanager
+def _without_cyclic_gc():
+    """Pause the cyclic garbage collector, which would keep re-scanning the
+    stage's many acyclic lists and tuples; restore its state on exit."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
+@_without_cyclic_gc()
 def stage_fuse(cfg: RunConfig) -> None:
     with _run(cfg, "fuse") as ws:
         # Each topic is fused once, at the greatest depth: the list at depth
         # a is its first a * |S| entries.
         a_max = max(cfg.fusion.a_values)
-        deepest = {}  # topic to (|S|, fused list)
+        deepest = {}  # topic to (|S|, fused ids, their combined ranks)
         for topic in _topics(cfg):
             classifier_path = ws.input(ws.classifier_list_path(topic), "train-rank")
             synset_path = ws.input(ws.synset_list_path(topic), "synset")
-            classifier = read_ranked_list(classifier_path, topic, ORIGIN_CLASSIFIER)
-            synset = read_ranked_list(synset_path, topic, ORIGIN_SYNSET)
-            if not synset:  # a topic foreign to the corpus must not kill a batch run
+            classifier_ids, _ = read_ranked_list(classifier_path, topic, ORIGIN_CLASSIFIER)
+            synset_ids, _ = read_ranked_list(synset_path, topic, ORIGIN_SYNSET)
+            if not synset_ids:  # a topic foreign to the corpus must not kill a batch run
                 logger.warning("topic %r: empty synset list, fusion is empty", topic)
-            deepest[topic] = len(synset), fuse(synset, classifier, a_max)
+            deepest[topic] = len(synset_ids), *fuse(synset_ids, classifier_ids, a_max)
         for a in sorted(cfg.fusion.a_values):
-            fused = {t: full[: a * size] for t, (size, full) in deepest.items()}
-            for topic, entries in fused.items():
+            fused = {}  # topic to the ids of its list at depth a
+            for topic, (size, ids, ranks) in deepest.items():
+                fused[topic] = ids[: a * size]
                 path = ws.output(ws.fusion_list_path(a, topic))
-                write_ranked_list(entries, topic, ORIGIN_FUSION, path)
+                write_ranked_list((fused[topic], ranks[: a * size]), topic, ORIGIN_FUSION, path)
             assignments = invert(fused, score_threshold=cfg.fusion.score_threshold)
             write_assignments(assignments, ws.output(ws.tags_path(a)))
 
@@ -282,12 +298,13 @@ def _load_truth(cfg: RunConfig, ws: Workspace) -> dict[str, set[str]]:
     raise ConfigError("config sets neither ground_truth_path nor ground_truth_fields")
 
 
+@_without_cyclic_gc()
 def stage_eval(cfg: RunConfig) -> None:
     with _run(cfg, "eval") as ws:
         topics = _topics(cfg)
         truth = _load_truth(cfg, ws)
         synset_lists = {
-            t: read_ranked_list(ws.input(ws.synset_list_path(t), "synset"), t, ORIGIN_SYNSET)
+            t: read_ranked_list(ws.input(ws.synset_list_path(t), "synset"), t, ORIGIN_SYNSET)[0]
             for t in topics
         }
         methods = {"Synset": invert(synset_lists)}
@@ -385,25 +402,15 @@ def build_parser() -> argparse.ArgumentParser:
     def add(name: str, help_text: str, topics_flag: bool = False, a_flag: bool = False):
         p = sub.add_parser(name, help=help_text)
         p.add_argument(
-            "--config",
-            default=None,
-            help="JSON config file (bench runs on defaults without one)",
+            "--config", default=None, help="JSON config file (bench runs on defaults without one)"
         )
         p.add_argument("--seed", type=int, default=None, help="override the master seed")
-        p.add_argument(
-            "--output-dir", default=None, help="override the output directory"
-        )
+        p.add_argument("--output-dir", default=None, help="override the output directory")
         if topics_flag:
-            p.add_argument(
-                "--topics", default=None, help="comma-separated subset of topics"
-            )
+            p.add_argument("--topics", default=None, help="comma-separated subset of topics")
         if a_flag:
-            p.add_argument(
-                "--a", type=int, default=None, help="single fusion depth factor"
-            )
-        p.add_argument(
-            "-v", "--verbose", action="store_true", help="debug-level logging"
-        )
+            p.add_argument("--a", type=int, default=None, help="single fusion depth factor")
+        p.add_argument("-v", "--verbose", action="store_true", help="debug-level logging")
         return p
 
     add("index", "build and save the inverted index")

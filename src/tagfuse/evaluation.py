@@ -43,26 +43,26 @@ def evaluate(
     predictions and the truth describe disjoint articles.
     """
     n_labels = len(label_set)
-    pairs = [
-        ({topic for topic, _ in tags}, truth[article_id])
-        for article_id, tags in assignments.items()
-        if article_id in truth
-    ]
+    sizes = []  # |P|, |T| and |P & T| per article of E: |P | T| and |P ^ T| follow
+    for article_id, tags in assignments.items():
+        if article_id in truth:
+            predicted, true = {topic for topic, _ in tags}, truth[article_id]
+            sizes.append((len(predicted), len(true), len(predicted & true)))
 
-    if not pairs:
+    if not sizes:
         raise TagfuseError(
             f"method {method!r}: no overlap between tagged articles and truth"
         )
 
-    n = len(pairs)
-    common = sum(1 for p, t in pairs if p & t) / n
-    precision = sum(len(p & t) / len(p) for p, t in pairs) / n
-    recall = sum(len(p & t) / len(t) for p, t in pairs) / n
-    f1 = sum(2 * len(p & t) / (len(p) + len(t)) for p, t in pairs) / n
-    jaccard = sum(len(p & t) / len(p | t) for p, t in pairs) / n
-    hamming = sum(len(p ^ t) / n_labels for p, t in pairs) / n
-    card_pred = sum(len(p) for p, _ in pairs) / n
-    card_true = sum(len(t) for _, t in pairs) / n
+    n = len(sizes)
+    common = sum(1 for _, _, both in sizes if both) / n
+    precision = sum(both / p for p, _, both in sizes) / n
+    recall = sum(both / t for _, t, both in sizes) / n
+    f1 = sum(2 * both / (p + t) for p, t, both in sizes) / n
+    jaccard = sum(both / (p + t - both) for p, t, both in sizes) / n
+    hamming = sum((p + t - 2 * both) / n_labels for p, t, both in sizes) / n
+    card_pred = sum(p for p, _, _ in sizes) / n
+    card_true = sum(t for _, t, _ in sizes) / n
 
     return {
         "method": method,
@@ -109,15 +109,9 @@ _TABLE_COLUMNS = [
 def format_table(reports: list[dict]) -> str:
     """Aligned text table, one row per method."""
     rows = [[header for _, header, _ in _TABLE_COLUMNS]]
-    for report in reports:
-        rows.append(
-            [format(report[name], fmt) for name, _, fmt in _TABLE_COLUMNS]
-        )
+    rows += [[format(report[name], fmt) for name, _, fmt in _TABLE_COLUMNS] for report in reports]
     widths = [max(len(row[i]) for row in rows) for i in range(len(_TABLE_COLUMNS))]
-    lines = []
-    for row in rows:
-        lines.append("  ".join(cell.rjust(w) for cell, w in zip(row, widths)))
-    return "\n".join(lines)
+    return "\n".join("  ".join(cell.rjust(w) for cell, w in zip(row, widths)) for row in rows)
 
 
 def write_plot_series(reports: list[dict], path: str) -> None:

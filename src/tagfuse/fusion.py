@@ -16,19 +16,25 @@ keeps the ``a * |S|`` best combined ranks (ascending ``t_A``, ties by
 article id), so ``a`` dials how far beyond the synset's reach the fusion
 is allowed to grow.
 
-Both functions take plain entry lists (``ranking.Entries``); the caller
-knows which topic each list ranks.
+Both functions take the id columns of ranked lists (``ranking.Ranked``)
+and read positions only: the candidates of the synset list are sorted by
+``t_A``, and the classifier-only ones, already ascending in ``t_A``, are
+merged in until the budget is met. The caller knows which topic each
+list ranks.
 """
 
 from __future__ import annotations
 
 import functools
+import heapq
 import json
 from dataclasses import dataclass
+from itertools import islice
+from operator import itemgetter
 
 from .corpus import read_jsonl
 from .errors import ConfigError, TagfuseError
-from .ranking import Entries
+from .ranking import Ranked
 
 
 @dataclass(frozen=True)
@@ -51,37 +57,34 @@ class FusionConfig:
             raise ConfigError("fusion.score_threshold must lie in [0, 1]")
 
 
-def fuse(synset_entries: Entries, classifier_entries: Entries, a: int) -> Entries:
-    """Fuse one topic's two rankings into a list of at most ``a * |S|``,
-    for a depth ``a >= 1`` as :class:`FusionConfig` checks it. An empty
-    synset list yields an empty fusion: the length budget is a multiple
-    of its size."""
-    synset_size = len(synset_entries)
-    s_ranks = {aid: s for s, (aid, _) in enumerate(synset_entries, start=1)}
-    r_ranks = {aid: r for r, (aid, _) in enumerate(classifier_entries, start=1)}
-    # (t_A, article id) per candidate: one comprehension per route.
-    scored = [
+def fuse(synset_ids: list[str], classifier_ids: list[str], a: int) -> Ranked:
+    """Fuse one topic's two rankings, given as their id columns, into a
+    list of at most ``a * |S|``, for a depth ``a >= 1`` as
+    :class:`FusionConfig` checks it. An empty synset list yields an empty
+    fusion: the length budget is a multiple of its size."""
+    synset_size = len(synset_ids)
+    s_ranks = dict(zip(synset_ids, range(1, synset_size + 1)))
+    r_ranks = dict(zip(classifier_ids, range(1, len(classifier_ids) + 1)))
+    # (t_A, article id) per candidate. Only the synset's candidates need a
+    # sort: the classifier-only ones come in rank order, ascending in t_A.
+    synset_side = sorted(
         ((s + r_ranks[aid]) / 2.0 if aid in r_ranks else float(s * synset_size), aid)
         for aid, s in s_ranks.items()
-    ]
-    scored += [
-        (float(r * synset_size), aid)
-        for aid, r in r_ranks.items()
-        if aid not in s_ranks
-    ]
-    scored.sort()
-    return [(article_id, t) for t, article_id in scored[: a * synset_size]]
+    )
+    classifier_only = (
+        (float(r * synset_size), aid) for aid, r in r_ranks.items() if aid not in s_ranks
+    )
+    kept = list(islice(heapq.merge(synset_side, classifier_only), a * synset_size))
+    return [aid for _, aid in kept], [t for t, _ in kept]
 
 
 # Tags per article id: (topic, normalized score) pairs, best first.
 Assignments = dict[str, list[tuple[str, float]]]
 
 
-def invert(
-    per_topic: dict[str, Entries],
-    score_threshold: float | None = None,
-) -> Assignments:
-    """Turn per-topic lists into per-article tag assignments.
+def invert(per_topic: dict[str, list[str]], score_threshold: float | None = None) -> Assignments:
+    """Turn per-topic lists, given as their id columns, into per-article
+    tag assignments.
 
     A tag's score is its normalized rank, ``1 - (rank - 1) / |list|``:
     1.0 at the top, approaching 0 at the bottom, comparable across topics
@@ -93,21 +96,22 @@ def invert(
     which is the depth-free alternative to the ``a`` budget.
 
     Articles come back sorted by id; each article's tags are sorted best
-    first.
+    first, ties by topic.
     """
+    floor = score_threshold or 0.0  # every score is above 0
     tags_by_article: Assignments = {}
-    for topic, entries in per_topic.items():
-        size = len(entries)
-        for rank0, (article_id, _) in enumerate(entries):
+    for topic in sorted(per_topic):  # topic order, which the stable sort keeps for ties
+        ids = per_topic[topic]
+        size = len(ids)
+        for rank0, article_id in enumerate(ids):
             score = 1.0 - rank0 / size
-            if score_threshold is not None and score < score_threshold:
-                continue
+            if score < floor:
+                break  # scores fall along a list
             tags_by_article.setdefault(article_id, []).append((topic, score))
 
-    return {
-        article_id: sorted(tags_by_article[article_id], key=lambda ts: (-ts[1], ts[0]))
-        for article_id in sorted(tags_by_article)
-    }
+    for tags in tags_by_article.values():
+        tags.sort(key=itemgetter(1), reverse=True)
+    return {article_id: tags_by_article[article_id] for article_id in sorted(tags_by_article)}
 
 
 def write_assignments(assignments: Assignments, path: str) -> None:

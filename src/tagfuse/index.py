@@ -253,9 +253,9 @@ def build_index(corpus: list[ArticleRecord], config: IndexConfig = IndexConfig()
 
 def search_any(
     index: Index, terms: list[str], fields: tuple[str, ...], limit: int
-) -> list[tuple[str, float]]:
-    """OR-query over phrases: ``(article_id, score)`` pairs of the articles
-    matching at least one term, best first, at most ``limit`` of them.
+) -> tuple[list[str], list[float]]:
+    """OR-query over phrases: the ids and scores of the articles matching
+    at least one term, best first, at most ``limit`` of them.
 
     Each term is itself matched as a phrase, scored on each field where
     the phrase occurs by the sum of its terms' BM25 scores; article
@@ -277,8 +277,8 @@ def search_any(
                 phrase[ordinal] = phrase.get(ordinal, 0.0) + s
         for ordinal, score in phrase.items():
             combined[ordinal] = combined.get(ordinal, 0.0) + score
-    ranked = sorted(combined.items(), key=lambda kv: (-kv[1], index.article_ids[kv[0]]))
-    return [(index.article_ids[o], s) for o, s in ranked[:limit]]
+    ranked = sorted(combined.items(), key=lambda kv: (-kv[1], index.article_ids[kv[0]]))[:limit]
+    return [index.article_ids[o] for o, _ in ranked], [s for _, s in ranked]
 
 
 def has_any_match(

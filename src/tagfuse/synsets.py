@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from .corpus import TEXT_FIELDS, read_jsonl
 from .errors import ConfigError, TagfuseError
 from .index import Index, search_any
-from .ranking import Entries
+from .ranking import Ranked
 
 logger = logging.getLogger(__name__)
 
@@ -89,7 +89,7 @@ def save_synsets(synsets: dict[str, tuple[str, ...]], path: str) -> None:
 
 def synset_rank(
     terms: tuple[str, ...], index: Index, config: SynsetConfig = SynsetConfig()
-) -> Entries:
+) -> Ranked:
     """Rank articles matching any synset term as a phrase, best first.
 
     Multi-word terms must occur contiguously; an article matching several

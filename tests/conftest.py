@@ -22,6 +22,17 @@ def make_corpus(rows):
     return records
 
 
+def entries(ranked):
+    """The (article id, score) pairs of a ranked list's two columns."""
+    ids, scores = ranked
+    return list(zip(ids, scores))
+
+
+def columns(entries):
+    """The two columns, ids and scores, of (article id, score) pairs."""
+    return [aid for aid, _ in entries], [score for _, score in entries]
+
+
 def record(corpus, article_id):
     """The article of ``corpus`` with id ``article_id``."""
     return next(rec for rec in corpus if rec.id == article_id)

@@ -94,10 +94,8 @@ def test_criterion_1_fusion_formulas_exact():
         synset_ids = rng.sample(universe, rng.randint(1, len(universe)))
         classifier_ids = rng.sample(universe, rng.randint(0, len(universe)))
         a = rng.randint(1, 4)
-        synset_list = [(aid, 1.0 - i * 1e-4) for i, aid in enumerate(synset_ids)]
-        classifier_list = [(aid, 1.0 - i * 1e-4) for i, aid in enumerate(classifier_ids)]
-        first = fuse(synset_list, classifier_list, a=a)
-        second = fuse(synset_list, classifier_list, a=a)
+        first = list(zip(*fuse(synset_ids, classifier_ids, a=a)))
+        second = list(zip(*fuse(synset_ids, classifier_ids, a=a)))
         expected = fusion_oracle(synset_ids, classifier_ids, a)
         if first != expected or second != first:
             ok = False

@@ -150,7 +150,7 @@ class TestVocabularySplit:
         index = build_index(corpus)
         n_alt = round(spec.alt_vocab_fraction * spec.docs_per_topic)
         for topic, synset in synsets.items():
-            hits = {a for a, _ in synset_rank(synset, index, SynsetConfig(limit=10_000))}
+            hits = set(synset_rank(synset, index, SynsetConfig(limit=10_000))[0])
             members = {a for a, labels in truth.items() if topic in labels}
             # Exactly the primary community is reachable, never the
             # alternate community, and never another topic's articles.
@@ -171,7 +171,7 @@ class TestVocabularySplit:
         index = build_index(corpus)
         foreign = 0
         for topic, synset in synsets.items():
-            hits = {a for a, _ in synset_rank(synset, index, SynsetConfig(limit=10_000))}
+            hits = set(synset_rank(synset, index, SynsetConfig(limit=10_000))[0])
             members = {a for a, labels in truth.items() if topic in labels}
             foreign += len(hits - members)
         assert foreign > 0

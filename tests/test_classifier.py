@@ -11,7 +11,7 @@ from tagfuse.index import build_index
 from tagfuse.seeds import derive_seed
 from tagfuse.semantic import SemanticMatrix
 
-from conftest import make_corpus
+from conftest import entries, make_corpus
 
 
 def labeled_corpus():
@@ -205,14 +205,14 @@ class TestRankCorpus:
 
     def test_every_article_is_scored_and_sorted(self):
         forest, sem, corpus = self.fitted()
-        ranked = rank_corpus(forest, sem)
+        ranked = entries(rank_corpus(forest, sem))
         assert len(ranked) == len(corpus)
         scores = [score for _, score in ranked]
         assert scores == sorted(scores, reverse=True)
 
     def test_positives_rank_above_the_unrelated(self):
         forest, sem, _ = self.fitted()
-        ranked = rank_corpus(forest, sem)
+        ranked = entries(rank_corpus(forest, sem))
         top_ten = {article_id for article_id, _ in ranked[:10]}
         planted = {f"t{i:02d}" for i in range(6)} | {f"b{i:02d}" for i in range(4)}
         assert top_ten == planted
@@ -226,19 +226,19 @@ class TestRankCorpus:
             if article_id.startswith("k"):
                 boosted[i, 0] += 3.0
         sem2 = SemanticMatrix(matrix=boosted, article_ids=sem.article_ids, seed=0)
-        ranked = rank_corpus(forest, sem2)
+        ranked = entries(rank_corpus(forest, sem2))
         top = {article_id for article_id, _ in ranked[:13]}
         assert {f"k{i:02d}" for i in range(3)} <= top
 
     def test_top_n_truncates(self):
         forest, sem, _ = self.fitted()
-        ranked = rank_corpus(forest, sem, ClassifierConfig(top_n=5))
+        ranked = entries(rank_corpus(forest, sem, ClassifierConfig(top_n=5)))
         assert len(ranked) == 5
-        assert ranked == rank_corpus(forest, sem)[:5]
+        assert ranked == entries(rank_corpus(forest, sem))[:5]
 
     def test_ties_break_by_article_id(self):
         forest, sem, _ = self.fitted()
-        ranked = rank_corpus(forest, sem)
+        ranked = entries(rank_corpus(forest, sem))
         by_score = {}
         for article_id, score in ranked:
             by_score.setdefault(score, []).append(article_id)

@@ -501,7 +501,7 @@ class TestTopicPool:
         assert [t["topic"] for t in summary["trained"]] == TOPICS
         for topic in ("absent topic", "another absent topic"):
             path = str(one / f"{topic_slug(topic)}.tsv")
-            assert read_ranked_list(path, topic, ORIGIN_CLASSIFIER) == []
+            assert read_ranked_list(path, topic, ORIGIN_CLASSIFIER) == ([], [])
         skips = [r.message for r in caplog.records if "skipping topic" in r.message]
         assert len(skips) == 4
         assert ["another" in m for m in skips] == [False, True, False, True]

@@ -1,3 +1,4 @@
+import gc
 import json
 import logging
 import os
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from tagfuse import cli
 from tagfuse.config import RunConfig
+from tagfuse.corpus import save_ground_truth
 from tagfuse.errors import ConfigError, TagfuseError
 from tagfuse.fusion import (
     FusionConfig,
@@ -26,6 +28,8 @@ from tagfuse.ranking import (
     write_ranked_list,
 )
 
+from conftest import columns, entries
+
 
 def ranked(article_ids, origin=ORIGIN_SYNSET, start=1.0, step=0.001):
     """Entries over the given ids, scored consistently with the origin:
@@ -35,8 +39,13 @@ def ranked(article_ids, origin=ORIGIN_SYNSET, start=1.0, step=0.001):
     return [(article_id, start - i * step) for i, article_id in enumerate(article_ids)]
 
 
-def ids(entries):
-    return [article_id for article_id, _ in entries]
+def ids(pairs):
+    return [article_id for article_id, _ in pairs]
+
+
+def fused_entries(synset_list, classifier_list, a):
+    """``fuse`` of two lists of (article id, score) pairs, as such pairs."""
+    return entries(fuse(ids(synset_list), ids(classifier_list), a))
 
 
 def random_instance(rng, max_universe=40):
@@ -69,7 +78,7 @@ def fused_ranks(synset_list, classifier_list):
     """Combined rank t_A of every candidate, from a fusion deep enough to
     keep them all."""
     depth = len(set(ids(synset_list)) | set(ids(classifier_list)))
-    return dict(fuse(synset_list, classifier_list, a=depth))
+    return dict(fused_entries(synset_list, classifier_list, a=depth))
 
 
 class TestCombinedRank:
@@ -103,7 +112,7 @@ class TestCombinedRank:
                 assert max(t[aid] for aid in dual) <= min(single)
         # The bound is reached: a dual article at ranks (|S|, |S|) ties the
         # top single-route articles at t = |S|, and ties go by article id.
-        fused = fuse(ranked(["s1", "s2", "z"]), ranked(["a", "b", "z"]), a=1)
+        fused = fused_entries(ranked(["s1", "s2", "z"]), ranked(["a", "b", "z"]), a=1)
         assert fused == [("a", 3.0), ("s1", 3.0), ("z", 3.0)]
 
 
@@ -113,20 +122,37 @@ class TestFuse:
         for _ in range(300):
             synset_list, classifier_list = random_instance(rng)
             a = rng.randint(1, 4)
-            fused = fuse(synset_list, classifier_list, a=a)
+            fused = fused_entries(synset_list, classifier_list, a=a)
             expected = brute_force_fusion(synset_list, classifier_list, a)
             assert fused == expected
+        # Candidates far beyond the budget a * |S|: the merge stops early.
+        for _ in range(100):
+            universe = [f"x{i:04d}" for i in range(rng.randint(200, 1000))]
+            synset_list = ranked(rng.sample(universe, rng.randint(1, 12)))
+            classifier_list = ranked(rng.sample(universe, rng.randint(100, len(universe))))
+            a = rng.randint(1, 4)
+            fused = fused_entries(synset_list, classifier_list, a=a)
+            assert fused == brute_force_fusion(synset_list, classifier_list, a)
+
+    def test_synset_only_and_classifier_only_tie_by_id(self):
+        # "m" is synset-only at s = 2 and a classifier-only article is at
+        # r = 2: both have t = 2 * |S| = 6, and the smaller id comes first.
+        for other in ("c", "z"):
+            synset_ids, classifier_ids = ["d", "m", "e"], ["d", other, "e"]
+            fused = fused_entries(ranked(synset_ids), ranked(classifier_ids), a=3)
+            tied = sorted(["m", other])
+            assert fused == [("d", 1.0), ("e", 3.0), (tied[0], 6.0), (tied[1], 6.0)]
 
     def test_length_budget_is_a_times_synset_size(self):
         synset_list = ranked([f"s{i}" for i in range(50)])
         classifier_list = ranked([f"c{i}" for i in range(500)])
-        fused = fuse(synset_list, classifier_list, a=2)
+        fused = fused_entries(synset_list, classifier_list, a=2)
         assert len(fused) == 100
 
     def test_shorter_candidate_pool_than_budget_keeps_everything(self):
         synset_list = ranked(["s1", "s2", "s3"])
         classifier_list = ranked(["s1"])
-        fused = fuse(synset_list, classifier_list, a=4)
+        fused = fused_entries(synset_list, classifier_list, a=4)
         assert set(ids(fused)) == {"s1", "s2", "s3"}
 
     def test_smaller_a_is_a_prefix_of_larger_a(self):
@@ -135,7 +161,7 @@ class TestFuse:
             synset_list, classifier_list = random_instance(rng)
             previous = None
             for a in (1, 2, 3, 4):
-                fused = fuse(synset_list, classifier_list, a=a)
+                fused = fused_entries(synset_list, classifier_list, a=a)
                 if previous is not None:
                     assert fused[: len(previous)] == previous
                 previous = fused
@@ -145,12 +171,12 @@ class TestFuse:
         # Both average to 1.5; a1 must come first.
         synset_list = ranked(["z1", "a1"])
         classifier_list = ranked(["a1", "z1"])
-        fused = fuse(synset_list, classifier_list, a=1)
+        fused = fused_entries(synset_list, classifier_list, a=1)
         assert ids(fused) == ["a1", "z1"]
 
     def test_empty_classifier_list_degrades_to_synset_order(self):
         synset_list = ranked(["s1", "s2", "s3"])
-        fused = fuse(synset_list, [], a=1)
+        fused = fused_entries(synset_list, [], a=1)
         assert ids(fused) == ["s1", "s2", "s3"]
 
     def test_config_validation(self):
@@ -175,7 +201,7 @@ class TestFuse:
         universe = [f"u{i:03d}" for i in range(60)]
         synset_list = ranked(rng.sample(universe, n_synset))
         classifier_list = ranked(rng.sample(universe, n_classifier))
-        fused = fuse(synset_list, classifier_list, a=a)
+        fused = fused_entries(synset_list, classifier_list, a=a)
         assert len(fused) <= a * n_synset
         assert len(set(ids(fused))) == len(fused)
         assert set(ids(fused)) <= set(ids(synset_list)) | set(ids(classifier_list))
@@ -190,10 +216,10 @@ class TestStageFuse:
         os.makedirs(ws.path("ranked", "classifier"))
         for topic, (synset_ids, classifier_ids) in pairs.items():
             write_ranked_list(
-                ranked(synset_ids), topic, ORIGIN_SYNSET, ws.synset_list_path(topic)
+                columns(ranked(synset_ids)), topic, ORIGIN_SYNSET, ws.synset_list_path(topic)
             )
             write_ranked_list(
-                ranked(classifier_ids), topic, ORIGIN_CLASSIFIER,
+                columns(ranked(classifier_ids)), topic, ORIGIN_CLASSIFIER,
                 ws.classifier_list_path(topic),
             )
         cfg = RunConfig(
@@ -226,23 +252,69 @@ class TestStageFuse:
                     ranked(synset_ids), ranked(classifier_ids), a
                 )
                 written = read_ranked_list(ws.fusion_list_path(a, topic), topic, ORIGIN_FUSION)
-                assert written == expected[topic]
-            assert read_assignments(ws.tags_path(a), list(pairs)) == invert(expected)
+                assert entries(written) == expected[topic]
+            fused_ids = {topic: ids(fused) for topic, fused in expected.items()}
+            assert read_assignments(ws.tags_path(a), list(pairs)) == invert(fused_ids)
             assert len(expected["narrow"]) == min(6, a * 5)
 
     def test_empty_synset_list_warns_and_fuses_empty(self, tmp_path, caplog):
         pairs = {"T": ([], ["c1", "c2"]), "U": (["u1"], ["u1"])}
         with caplog.at_level(logging.WARNING):
             ws = self.fuse_stage(tmp_path, pairs, (2,))
-        assert read_ranked_list(ws.fusion_list_path(2, "T"), "T", ORIGIN_FUSION) == []
+        assert read_ranked_list(ws.fusion_list_path(2, "T"), "T", ORIGIN_FUSION) == ([], [])
         assert read_assignments(ws.tags_path(2), ["T", "U"]) == {"u1": [("U", 1.0)]}
         warnings = [r.message for r in caplog.records if r.levelno == logging.WARNING]
         assert warnings == ["topic 'T': empty synset list, fusion is empty"]
 
 
+class TestCyclicGc:
+    def fuse_and_eval(self, tmp_path, n):
+        """Run ``stage_fuse`` and ``stage_eval`` on three topics whose lists
+        draw on n articles; return what ``gc.collect()`` finds afterwards.
+
+        The collector stays off from the first stage to the count: once on,
+        its next automatic run would take the cycles before they are counted."""
+        rng = random.Random(n)
+        universe = [f"x{i:05d}" for i in range(n)]
+        topics = ("A", "B", "C")
+        ws = cli.Workspace(str(tmp_path / f"n{n}"))
+        for kind, origin in (("synset", ORIGIN_SYNSET), ("classifier", ORIGIN_CLASSIFIER)):
+            os.makedirs(ws.path("ranked", kind))
+            for topic in topics:
+                path = ws.path("ranked", kind, f"{topic.lower()}.tsv")
+                picked = rng.sample(universe, n // 10 if kind == "synset" else n)
+                write_ranked_list(columns(ranked(picked, origin)), topic, origin, path)
+        truth_path = ws.path("truth.jsonl")
+        save_ground_truth({aid: {rng.choice(topics)} for aid in universe}, truth_path)
+        cfg = RunConfig(output_dir=ws.root, topics=topics, ground_truth_path=truth_path)
+        gc.collect()
+        gc.disable()
+        try:
+            cli.stage_fuse(cfg)
+            cli.stage_eval(cfg)
+            return gc.collect()
+        finally:
+            gc.enable()
+
+    def test_fuse_and_eval_leave_no_cycles_that_grow_with_the_data(self, tmp_path, capsys):
+        self.fuse_and_eval(tmp_path, 100)  # first calls fill caches
+        assert self.fuse_and_eval(tmp_path, 500) == self.fuse_and_eval(tmp_path, 5000)
+
+    def test_collector_state_restored_when_the_stage_fails(self, tmp_path):
+        cfg = RunConfig(output_dir=str(tmp_path / "empty"), topics=("A",))
+        try:
+            for enabled in (True, False, True):
+                gc.enable() if enabled else gc.disable()
+                with pytest.raises(ConfigError, match="run 'tagfuse train-rank'"):
+                    cli.stage_fuse(cfg)
+                assert gc.isenabled() == enabled
+        finally:
+            gc.enable()
+
+
 class TestInvert:
     def test_top_of_list_scores_one(self):
-        lst = ranked([f"f{i}" for i in range(10)], ORIGIN_FUSION)
+        lst = ids(ranked([f"f{i}" for i in range(10)], ORIGIN_FUSION))
         assignments = invert({"T": lst})
         scores = {a: tags[0][1] for a, tags in assignments.items()}
         assert scores["f0"] == 1.0
@@ -250,8 +322,8 @@ class TestInvert:
         assert scores["f9"] == pytest.approx(0.1)
 
     def test_scores_are_rank_normalized_per_list(self):
-        short = ranked(["x", "y"], ORIGIN_FUSION)
-        long = ranked([f"z{i}" for i in range(100)] + ["x"], ORIGIN_FUSION)
+        short = ids(ranked(["x", "y"], ORIGIN_FUSION))
+        long = ids(ranked([f"z{i}" for i in range(100)] + ["x"], ORIGIN_FUSION))
         assignments = invert({"A": short, "B": long})
         by_id = {a: dict(tags) for a, tags in assignments.items()}
         assert by_id["x"]["A"] == 1.0
@@ -259,31 +331,41 @@ class TestInvert:
         assert by_id["y"]["A"] == pytest.approx(0.5)
 
     def test_articles_collect_tags_from_every_list(self):
-        list_a = ranked(["m", "n"], ORIGIN_FUSION)
-        list_b = ranked(["n", "m"], ORIGIN_FUSION)
+        list_a = ids(ranked(["m", "n"], ORIGIN_FUSION))
+        list_b = ids(ranked(["n", "m"], ORIGIN_FUSION))
         assignments = invert({"A": list_a, "B": list_b})
         assert list(assignments) == ["m", "n"]
         assert {t for t, _ in assignments["m"]} == {"A", "B"}
         assert {t for t, _ in assignments["n"]} == {"A", "B"}
 
     def test_tags_are_sorted_best_first_then_by_topic(self):
-        list_a = ranked(["m", "n"], ORIGIN_FUSION)
-        list_b = ranked(["m", "n"], ORIGIN_FUSION)
-        list_c = ranked(["n", "m"], ORIGIN_FUSION)
+        list_a = ids(ranked(["m", "n"], ORIGIN_FUSION))
+        list_b = ids(ranked(["m", "n"], ORIGIN_FUSION))
+        list_c = ids(ranked(["n", "m"], ORIGIN_FUSION))
         assignments = invert({"C": list_c, "B": list_b, "A": list_a})
         assert assignments["m"] == [("A", 1.0), ("B", 1.0), ("C", 0.5)]
 
+    def test_ties_by_topic_whatever_the_topic_order_and_threshold(self):
+        lists = {t: [f"f{i}" for i in range(4)] for t in ("D", "C", "B", "A")}
+        lists["B"].reverse()
+        for threshold in (None, 0.5):
+            assignments = invert(lists, score_threshold=threshold)
+            assert assignments["f0"][:3] == [("A", 1.0), ("C", 1.0), ("D", 1.0)]
+            assert assignments["f3"][0] == ("B", 1.0)
+        assert assignments["f1"] == [("A", 0.75), ("C", 0.75), ("D", 0.75), ("B", 0.5)]
+        assert assignments["f0"] == [("A", 1.0), ("C", 1.0), ("D", 1.0)]
+
     def test_threshold_drops_weak_tags(self):
-        lst = ranked([f"f{i}" for i in range(10)], ORIGIN_FUSION)
+        lst = ids(ranked([f"f{i}" for i in range(10)], ORIGIN_FUSION))
         assignments = invert({"T": lst}, score_threshold=0.75)
         assert set(assignments) == {"f0", "f1", "f2"}
 
     def test_threshold_zero_keeps_everything(self):
-        lst = ranked([f"f{i}" for i in range(10)], ORIGIN_FUSION)
+        lst = ids(ranked([f"f{i}" for i in range(10)], ORIGIN_FUSION))
         assert len(invert({"T": lst}, score_threshold=0.0)) == 10
 
     def test_synset_lists_invert_for_the_baseline(self):
-        lst = ranked(["s1", "s2"])
+        lst = ids(ranked(["s1", "s2"]))
         assignments = invert({"T": lst})
         assert list(assignments) == ["s1", "s2"]
 

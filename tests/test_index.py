@@ -20,7 +20,12 @@ from tagfuse.index import (
 )
 from tagfuse.text import tokenize
 
-from conftest import make_corpus
+from conftest import entries, make_corpus
+
+
+def search(*args):
+    """``search_any``'s ranked list as (article id, score) pairs."""
+    return entries(search_any(*args))
 
 
 class TestBuild:
@@ -41,8 +46,8 @@ class TestBuild:
         path = tmp_path / "index.pkl"
         fungi_index.save(str(path))
         loaded = Index.load(str(path))
-        original = search_any(fungi_index, ["mycology"], ("title",), 10)
-        again = search_any(loaded, ["mycology"], ("title",), 10)
+        original = search(fungi_index, ["mycology"], ("title",), 10)
+        again = search(loaded, ["mycology"], ("title",), 10)
         assert original == again
 
 
@@ -80,8 +85,8 @@ class TestSavedFormat:
             for name in built.fields:
                 for terms in queries:
                     args = (terms, (name,))
-                    hits = search_any(built, *args, len(corpus))
-                    assert search_any(loaded, *args, len(corpus)) == hits
+                    hits = search(built, *args, len(corpus))
+                    assert search(loaded, *args, len(corpus)) == hits
                     assert has_any_match(loaded, *args) == has_any_match(built, *args)
         assert "categories:wos" in built.fields and hits
 
@@ -120,7 +125,7 @@ class TestPhraseSearch:
             ]
         )
         index = build_index(corpus, IndexConfig(("title",)))
-        hits = search_any(index, ["information retrieval"], ("title",), 10)
+        hits = search(index, ["information retrieval"], ("title",), 10)
         assert [a for a, _ in hits] == ["d1"]
 
     def test_phrase_cannot_span_list_entries(self):
@@ -128,29 +133,29 @@ class TestPhraseSearch:
             [("d1", "t", "x", ("deep learning", "systems biology"), ())]
         )
         index = build_index(corpus, IndexConfig(("keywords",)))
-        assert search_any(index, ["learning systems"], ("keywords",), 10) == []
-        assert len(search_any(index, ["deep learning"], ("keywords",), 10)) == 1
+        assert search(index, ["learning systems"], ("keywords",), 10) == []
+        assert len(search(index, ["deep learning"], ("keywords",), 10)) == 1
 
     def test_match_is_field_restricted(self, fungi_index):
-        title_hits = search_any(fungi_index, ["surgery"], ("title", "abstract"), 10)
+        title_hits = search(fungi_index, ["surgery"], ("title", "abstract"), 10)
         assert title_hits == []
-        keyword_hits = search_any(fungi_index, ["surgery"], ("keywords",), 10)
+        keyword_hits = search(fungi_index, ["surgery"], ("keywords",), 10)
         assert [a for a, _ in keyword_hits] == ["a3"]
 
     def test_case_insensitive(self, fungi_index):
-        hits = search_any(fungi_index, ["MYCOLOGY"], ("title",), 10)
+        hits = search(fungi_index, ["MYCOLOGY"], ("title",), 10)
         assert {a for a, _ in hits} == {"a1", "a4"}
 
     def test_limit_truncates(self, fungi_index):
-        hits = search_any(fungi_index, ["mycology"], ("title",), 1)
+        hits = search(fungi_index, ["mycology"], ("title",), 1)
         assert len(hits) == 1
 
     def test_empty_query_raises(self, fungi_index):
         # A query with no token matches nothing; it does not raise.
-        assert search_any(fungi_index, ["!!!"], ("title",), 10) == []
+        assert search(fungi_index, ["!!!"], ("title",), 10) == []
 
     def test_scores_positive_and_sorted(self, fungi_index):
-        hits = search_any(fungi_index, ["mycology"], ("title", "abstract"), 10)
+        hits = search(fungi_index, ["mycology"], ("title", "abstract"), 10)
         scores = [s for _, s in hits]
         assert all(s > 0 for s in scores)
         assert scores == sorted(scores, reverse=True)
@@ -167,7 +172,7 @@ class TestBM25Values:
             ]
         )
         index = build_index(corpus, IndexConfig(("abstract",)))
-        hits = search_any(index, ["spore"], ("abstract",), 10)
+        hits = search(index, ["spore"], ("abstract",), 10)
 
         n, df = 3, 2
         idf = math.log(1 + (n - df + 0.5) / (df + 0.5))
@@ -191,10 +196,10 @@ class TestBM25Values:
             ]
         )
         index = build_index(corpus, IndexConfig(("abstract",)))
-        phrase = search_any(index, ["alpha beta"], ("abstract",), 10)
+        phrase = search(index, ["alpha beta"], ("abstract",), 10)
         assert [a for a, _ in phrase] == ["d1"]
-        alpha = search_any(index, ["alpha"], ("abstract",), 10)
-        beta = search_any(index, ["beta"], ("abstract",), 10)
+        alpha = search(index, ["alpha"], ("abstract",), 10)
+        beta = search(index, ["beta"], ("abstract",), 10)
         parts = dict(alpha)
         for article_id, score in beta:
             parts[article_id] += score
@@ -208,7 +213,7 @@ class TestBM25Values:
             ]
         )
         index = build_index(corpus, IndexConfig(("title",)))
-        hits = search_any(index, ["same words"], ("title",), 10)
+        hits = search(index, ["same words"], ("title",), 10)
         assert [a for a, _ in hits] == ["a1", "z9"]
         assert hits[0][1] == hits[1][1]
 
@@ -216,11 +221,11 @@ class TestBM25Values:
 class TestSearchAny:
     def test_union_semantics_with_score_accumulation(self, fungi_index):
         fields = ("title", "abstract")
-        both = search_any(fungi_index, ["mycology", "fungology"], fields, 10)
+        both = search(fungi_index, ["mycology", "fungology"], fields, 10)
         ids = {a for a, _ in both}
         assert ids == {"a1", "a2", "a4"}
-        only_fungology = dict(search_any(fungi_index, ["fungology"], fields, 10))
-        only_mycology = dict(search_any(fungi_index, ["mycology"], fields, 10))
+        only_fungology = dict(search(fungi_index, ["fungology"], fields, 10))
+        only_mycology = dict(search(fungi_index, ["mycology"], fields, 10))
         for article_id, score in both:
             expected = only_mycology.get(article_id, 0.0) + only_fungology.get(
                 article_id, 0.0
@@ -228,9 +233,9 @@ class TestSearchAny:
             assert score == pytest.approx(expected, abs=1e-12)
 
     def test_unusable_terms_are_skipped_but_all_unusable_raises(self, fungi_index):
-        hits = search_any(fungi_index, ["mycology", "..."], ("title",), 10)
+        hits = search(fungi_index, ["mycology", "..."], ("title",), 10)
         assert {a for a, _ in hits} == {"a1", "a4"}
-        assert search_any(fungi_index, ["...", ""], ("title",), 10) == []
+        assert search(fungi_index, ["...", ""], ("title",), 10) == []
 
 
 class TestHasAnyMatch:
@@ -290,7 +295,7 @@ class TestSummationOrder:
         index = build_index(corpus)
         fields = ("title", "abstract", "keywords", "subjects")
         for synset in synsets.values():
-            hits = search_any(index, list(synset), fields, len(corpus))
+            hits = search(index, list(synset), fields, len(corpus))
             assert dict(hits) == per_term_then_total(index, synset, fields)
 
 
@@ -300,7 +305,7 @@ class TestDeterminism:
         second = build_index(fungi_corpus)
         q = ["mycology", "graft", "learning"]
         fields = ("title", "abstract", "keywords")
-        assert search_any(first, q, fields, 50) == search_any(second, q, fields, 50)
+        assert search(first, q, fields, 50) == search(second, q, fields, 50)
 
 
 @settings(max_examples=40, deadline=None)
@@ -321,7 +326,7 @@ def test_property_search_any_singleton_matches_phrase(docs, term):
         [(f"d{i}", "t", " ".join(words), (), ()) for i, words in enumerate(docs)]
     )
     index = build_index(corpus, IndexConfig(("abstract",)))
-    hits = search_any(index, [term], ("abstract",), 100)
+    hits = search(index, [term], ("abstract",), 100)
     matched = {a for a, _ in hits}
     expected = {f"d{i}" for i, words in enumerate(docs) if term in words}
     assert matched == expected

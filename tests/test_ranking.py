@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,12 +14,14 @@ from tagfuse.ranking import (
 )
 from tagfuse.seeds import derive_seed
 
+from conftest import columns, entries
 
-def read_back(tmp_path, origin, entries):
+
+def read_back(tmp_path, origin, pairs):
     """Write a list of topic "T" and read it back; only the reader checks."""
     path = str(tmp_path / "list.tsv")
-    write_ranked_list(entries, "T", origin, path)
-    return read_ranked_list(path, "T", origin)
+    write_ranked_list(columns(pairs), "T", origin, path)
+    return entries(read_ranked_list(path, "T", origin))
 
 
 class TestRankedList:
@@ -71,10 +75,10 @@ class TestRankedList:
 
 
 class TestRankedListIO:
-    def roundtrip(self, entries, topic, origin, tmp_path):
+    def roundtrip(self, pairs, topic, origin, tmp_path):
         path = str(tmp_path / "list.tsv")
-        write_ranked_list(entries, topic, origin, path)
-        return read_ranked_list(path, topic, origin), path
+        write_ranked_list(columns(pairs), topic, origin, path)
+        return entries(read_ranked_list(path, topic, origin)), path
 
     def test_scores_round_trip_exactly(self, tmp_path):
         entries = [("d1", 2.5000000000000004), ("d2", 0.1), ("d3", 1e-17)]
@@ -117,6 +121,62 @@ class TestRankedListIO:
         with pytest.raises(TagfuseError, match="3 columns"):
             read_ranked_list(str(path), "T", ORIGIN_SYNSET)
 
+    def test_extra_column_then_missing_one_rejected_at_the_first(self, tmp_path):
+        # Split flat, the two lines would still give three fields each.
+        path = tmp_path / "bad.tsv"
+        path.write_text(
+            "# topic=T\torigin=synset\n1\td1\t2.0\t2\nd2\t1.0\n", encoding="utf-8"
+        )
+        with pytest.raises(TagfuseError, match=r"bad.tsv:2: expected 3 columns"):
+            read_ranked_list(str(path), "T", ORIGIN_SYNSET)
+
+    @pytest.mark.parametrize(
+        "ranks, lineno",
+        [(["+1", "2"], 2), (["1", " 2 "], 3), (["01", "2"], 2),
+         ([str(i) for i in range(1, 10)] + ["1_0"], 11)],
+        ids=["plus", "spaces", "leading-zero", "underscore"],
+    )
+    def test_rank_spelled_otherwise_than_written_rejected(self, tmp_path, ranks, lineno):
+        path = tmp_path / "bad.tsv"
+        rows = "".join(f"{rank}\td{i}\t{1.0 / (i + 1)!r}\n" for i, rank in enumerate(ranks))
+        path.write_text("# topic=T\torigin=synset\n" + rows, encoding="utf-8")
+        with pytest.raises(TagfuseError, match=f"bad.tsv:{lineno}: rank out of sequence"):
+            read_ranked_list(str(path), "T", ORIGIN_SYNSET)
+
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            ("1\td1\t2.0\n2\t\t1.0\n3\td3\tx\n", ":3: empty article id"),
+            ("1\td1\t2.0\n2\td2\tx\n3\t\t1.0\n", ":3: could not convert string to float: 'x'"),
+            ("1\td1\tx\n3\td2\t1.0\n", ":2: could not convert"),
+            ("1\td1\t2.0\n3\td2\tx\n2\td3\n", ":3: rank out of sequence"),
+        ],
+        ids=["empty-id", "bad-score", "score-before-rank", "rank-before-columns"],
+    )
+    def test_first_faulty_line_named_with_its_first_fault(self, tmp_path, rows, message):
+        path = tmp_path / "bad.tsv"
+        path.write_text("# topic=T\torigin=synset\n" + rows, encoding="utf-8")
+        with pytest.raises(TagfuseError, match=re.escape(f"bad.tsv{message}")):
+            read_ranked_list(str(path), "T", ORIGIN_SYNSET)
+
+    def test_crlf_line_ends_read_as_lf(self, tmp_path):
+        text = "# topic=T\torigin=synset\n1\td1\t2.0\n\n2\td2\t1.0\n"
+        lf, crlf = tmp_path / "lf.tsv", tmp_path / "crlf.tsv"
+        lf.write_bytes(text.encode())
+        crlf.write_bytes(text.replace("\n", "\r\n").encode())
+        expected = (["d1", "d2"], [2.0, 1.0])
+        for path in (lf, crlf):
+            assert read_ranked_list(str(path), "T", ORIGIN_SYNSET) == expected
+        crlf.write_bytes(crlf.read_bytes() + b"3\td1\t0.5\r\n")
+        with pytest.raises(TagfuseError, match=r"crlf.tsv:5: duplicate article 'd1'"):
+            read_ranked_list(str(crlf), "T", ORIGIN_SYNSET)
+
+    def test_undecodable_byte_named_at_its_line(self, tmp_path):
+        path = tmp_path / "bad.tsv"
+        path.write_bytes(b"# topic=T\torigin=synset\n1\td1\t2.0\n\n2\tcaf\xe9\t1.0\n")
+        with pytest.raises(TagfuseError, match=r"bad.tsv:4: 'utf-8' codec can't decode"):
+            read_ranked_list(str(path), "T", ORIGIN_SYNSET)
+
     def test_entry_check_names_the_line_past_blank_lines(self, tmp_path):
         path = tmp_path / "bad.tsv"
         path.write_text(
@@ -136,10 +196,10 @@ class TestRankedListIO:
     @settings(max_examples=50, deadline=None)
     def test_any_descending_scores_round_trip(self, scores, tmp_path_factory):
         ordered = sorted(scores, reverse=True)
-        entries = [(f"d{i:03d}", s) for i, s in enumerate(ordered)]
+        ranked = ([f"d{i:03d}" for i in range(len(ordered))], ordered)
         path = str(tmp_path_factory.mktemp("rl") / "list.tsv")
-        write_ranked_list(entries, "T", ORIGIN_CLASSIFIER, path)
-        assert read_ranked_list(path, "T", ORIGIN_CLASSIFIER) == entries
+        write_ranked_list(ranked, "T", ORIGIN_CLASSIFIER, path)
+        assert read_ranked_list(path, "T", ORIGIN_CLASSIFIER) == ranked
 
 
 class TestDeriveSeed:

@@ -17,8 +17,8 @@ from conftest import make_corpus
 TOP_10 = SynsetConfig(limit=10)
 
 
-def ids(entries):
-    return [article_id for article_id, _ in entries]
+def ids(ranked):
+    return ranked[0]
 
 
 def write_synsets(path, records):
@@ -124,7 +124,7 @@ class TestSynsetRank:
         ranked = synset_rank(
             make_synset("Mycology", ["fungology"]), fungi_index, TOP_10
         )
-        scores = [score for _, score in ranked]
+        _, scores = ranked
         assert scores == sorted(scores, reverse=True)
 
     def test_single_term_equals_phrase_search(self, fungi_index):
@@ -158,8 +158,8 @@ class TestSynsetRank:
         synset = make_synset("Mycology", ["fungology"])
         full = synset_rank(synset, fungi_index, TOP_10)
         top_2 = synset_rank(synset, fungi_index, SynsetConfig(limit=2))
-        assert top_2 == full[:2]
+        assert top_2 == (full[0][:2], full[1][:2])
 
     def test_untokenizable_synset_raises(self, fungi_index):
         # RunConfig rejects such a topic; the search itself matches nothing.
-        assert synset_rank(make_synset("...", []), fungi_index, TOP_10) == []
+        assert synset_rank(make_synset("...", []), fungi_index, TOP_10) == ([], [])
