@@ -39,7 +39,7 @@ from .config import RunConfig, load_config, topic_slug
 from .corpus import ingest_corpus, load_ground_truth, save_corpus, save_ground_truth
 from .errors import ConfigError, InsufficientPositives, TagfuseError
 from .evaluation import format_table, sweep, write_plot_series
-from .fusion import fuse, invert, read_assignments, write_assignments
+from .fusion import fuse, invert, write_assignments
 from .index import Index, build_ground_truth, build_index, check_fields
 from .manifest import append_entry, config_fingerprint
 from .ranking import (
@@ -303,13 +303,15 @@ def stage_eval(cfg: RunConfig) -> None:
     with _run(cfg, "eval") as ws:
         topics = _topics(cfg)
         truth = _load_truth(cfg, ws)
-        synset_lists = {
-            t: read_ranked_list(ws.input(ws.synset_list_path(t), "synset"), t, ORIGIN_SYNSET)[0]
-            for t in topics
-        }
-        methods = {"Synset": invert(synset_lists)}
+
+        def id_columns(origin, path, stage):  # of each topic's list at path(topic)
+            return {t: read_ranked_list(ws.input(path(t), stage), t, origin)[0] for t in topics}
+
+        # A method's tags are its lists inverted, as fuse inverted the fused lists.
+        methods = {"Synset": invert(id_columns(ORIGIN_SYNSET, ws.synset_list_path, "synset"))}
         for a in sorted(cfg.fusion.a_values):
-            methods[f"Fusion{a}"] = read_assignments(ws.input(ws.tags_path(a), "fuse"), topics)
+            fused = id_columns(ORIGIN_FUSION, lambda t: ws.fusion_list_path(a, t), "fuse")
+            methods[f"Fusion{a}"] = invert(fused, score_threshold=cfg.fusion.score_threshold)
 
         reports = sweep(methods, truth, topics)
         table = format_table(reports)

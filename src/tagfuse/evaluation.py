@@ -26,10 +26,9 @@ def evaluate(
     """Score one method's assignments against the truth, as the dict that
     is one line of ``reports/evaluation.jsonl``, its keys in that order.
 
-    The assignments come from ``invert`` or ``read_assignments``, and the
-    truth maps article ids to non-empty label sets; each article's tags
-    name a non-empty subset of ``label_set``. Per article in E, with
-    predicted set P and true set T:
+    The assignments come from ``invert`` and the truth maps article ids to
+    non-empty label sets; each article's tags name a non-empty subset of
+    ``label_set``. Per article in E, with predicted set P and true set T:
 
         precision = |P & T| / |P|        recall = |P & T| / |T|
         f1 = 2|P & T| / (|P| + |T|)      jaccard = |P & T| / |P | T|

@@ -32,8 +32,7 @@ from dataclasses import dataclass
 from itertools import islice
 from operator import itemgetter
 
-from .corpus import read_jsonl
-from .errors import ConfigError, TagfuseError
+from .errors import ConfigError
 from .ranking import Ranked
 
 
@@ -131,31 +130,3 @@ def write_assignments(assignments: Assignments, path: str) -> None:
     ]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("".join(lines))
-
-
-def read_assignments(path: str, topics: list[str]) -> Assignments:
-    """Read a ``write_assignments`` file whose tags name ``topics``; a
-    malformed line raises TagfuseError naming ``path:line``."""
-    allowed = set(topics)
-    assignments: Assignments = {}
-    for lineno, raw in read_jsonl(path):
-        try:
-            article_id = raw["id"]
-            tags = [(t["topic"], t["score"]) for t in raw["tags"]]
-            names = {t for t, _ in tags}
-            unknown = sorted(names - allowed)
-            fault = (
-                "id is not a string" if not isinstance(article_id, str)
-                else "repeated article" if article_id in assignments
-                else "empty tag list" if not tags
-                else "score is not a float" if any(type(s) is not float for _, s in tags)
-                else "repeated topic" if len(names) != len(tags)
-                else f"topics outside the topic list: {unknown}" if unknown
-                else None
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise TagfuseError(f"{path}:{lineno}: invalid record: {exc!r}") from exc
-        if fault:
-            raise TagfuseError(f"{path}:{lineno}: article {article_id!r}: {fault}")
-        assignments[article_id] = tags
-    return assignments

@@ -26,8 +26,10 @@ ORIGIN_FUSION = "fusion"
 Ranked = tuple[list[str], list[float]]
 
 # A body of ``rank  article_id  score`` rows: three tab-separated fields a
-# line, the id not empty.
-_ROWS = re.compile(r"[^\t\n]*\t[^\t\n]+\t[^\t\n]*(?:\n[^\t\n]*\t[^\t\n]+\t[^\t\n]*)*")
+# line, the id not empty, the score in the characters ``repr(float)`` writes
+# (``float()`` also reads underscores, blanks and non-ASCII digits).
+_SCORE = "[-+.0-9aefin]*"
+_ROWS = re.compile(rf"[^\t\n]*\t[^\t\n]+\t{_SCORE}(?:\n[^\t\n]*\t[^\t\n]+\t{_SCORE})*")
 
 
 @functools.lru_cache(maxsize=2)  # a classifier list's length, and the last synset list's
@@ -81,6 +83,8 @@ def read_ranked_list(path: str, topic: str, origin: str) -> Ranked:
                 if not parts[1]:
                     raise ValueError("empty article id")
                 float(parts[2])
+                if not re.fullmatch(_SCORE, parts[2]):
+                    raise ValueError(f"score {parts[2]!r} not spelled as written")
             raise
         if len(set(ids)) != len(ids):
             seen: set[str] = set()

@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from tagfuse.corpus import ArticleRecord
@@ -31,6 +33,13 @@ def entries(ranked):
 def columns(entries):
     """The two columns, ids and scores, of (article id, score) pairs."""
     return [aid for aid, _ in entries], [score for _, score in entries]
+
+
+def load_tags(path):
+    """The assignments of a ``write_assignments`` file, one ``json.loads`` a line."""
+    with open(path, encoding="utf-8") as fh:
+        records = [json.loads(line) for line in fh]
+    return {r["id"]: [(t["topic"], t["score"]) for t in r["tags"]] for r in records}
 
 
 def record(corpus, article_id):

@@ -18,10 +18,14 @@ from tagfuse.benchmark import BenchmarkSpec, topic_names
 from tagfuse.classifier import train
 from tagfuse.cli import main
 from tagfuse.config import topic_slug
+from tagfuse.corpus import load_ground_truth
 from tagfuse.errors import TagfuseError
+from tagfuse.evaluation import evaluate
 from tagfuse.fusion import write_assignments
 from tagfuse.manifest import MANIFEST_NAME, file_sha256
-from tagfuse.ranking import ORIGIN_CLASSIFIER, read_ranked_list
+from tagfuse.ranking import ORIGIN_CLASSIFIER, ORIGIN_FUSION, ORIGIN_SYNSET, read_ranked_list
+
+from conftest import load_tags
 
 BENCH = {
     "n_topics": 4,
@@ -225,6 +229,35 @@ class TestBenchPipeline:
             first = open(os.path.join(out, rel), "rb").read()
             second = open(os.path.join(out2, rel), "rb").read()
             assert first == second, rel
+
+    def test_eval_reads_the_truth_and_the_ranked_lists_and_no_tag_file(self, bench_run):
+        _, out = bench_run
+        [entry] = [e for e in read_manifest(out) if e["command"] == "eval"]
+        lists = [f"{topic_slug(t)}.tsv" for t in TOPICS]
+        assert list(entry["inputs"]) == sorted([
+            os.path.join(out, "data", "ground_truth.jsonl"),
+            *(os.path.join(out, "ranked", "synset", name) for name in lists),
+            *(os.path.join(out, "fusion", f"a{a}", name) for a in (1, 2, 3, 4) for name in lists),
+        ])
+
+
+def test_score_threshold_scores_the_published_tags(tmp_path):
+    """Each FusionN record scores the tag file that fuse wrote at depth N,
+    thinned by ``fusion.score_threshold``."""
+    out = tmp_path / "out"
+    config = write_config(
+        tmp_path / "config.json", benchmark=BENCH, output_dir=str(out), seed=5,
+        fusion={"score_threshold": 0.5},
+    )
+    assert main(["bench", "--config", config]) == 0
+    truth = load_ground_truth(str(out / "data" / "ground_truth.jsonl"))
+    with open(out / "reports" / "evaluation.jsonl", encoding="utf-8") as fh:
+        records = [json.loads(line) for line in fh]
+    assert [r["method"] for r in records] == ["Synset", "Fusion1", "Fusion2", "Fusion3", "Fusion4"]
+    for a, record in enumerate(records[1:], start=1):
+        tags = load_tags(out / "tags" / f"tags_a{a}.jsonl")
+        assert min(score for pairs in tags.values() for _, score in pairs) >= 0.5
+        assert record == evaluate(tags, truth, TOPICS, method=f"Fusion{a}")
 
 
 class TestStagePipeline:
@@ -913,15 +946,16 @@ class TestFailureModes:
 
 
 MALFORMED_CASES = [
-    "header", "topic", "columns", "rank", "score", "sequence", "order", "duplicate", "empty-id"
+    "header", "topic", "columns", "rank", "score", "sequence", "order", "duplicate", "empty-id",
+    "score-underscore", "score-blank",
 ]
 
 
-def corrupt(lines, case):
-    """Break a synset list's lines in one way; return the line number the
-    error must name."""
+def corrupt(lines, case, origin):
+    """Break the lines of an ``origin`` list in one way; return the line
+    number the error must name."""
     if case == "header":
-        lines[0] = lines[0].replace("origin=synset", "origin=nope")
+        lines[0] = lines[0].replace(f"origin={origin}", "origin=nope")
         return 1
     if case == "topic":
         lines[0] = lines[0].replace(f"topic={TOPICS[0]}", f"topic={TOPICS[1]}")
@@ -933,69 +967,46 @@ def corrupt(lines, case):
             "rank": ["two", article_id, score],
             "score": [rank, article_id, "high"],
             "sequence": ["3", article_id, score],
-            "order": [rank, article_id, "1e300"],
+            # A fusion list is ascending, the others descending.
+            "order": [rank, article_id, "-1e300" if origin == ORIGIN_FUSION else "1e300"],
             "duplicate": [rank, lines[1].split("\t")[1], score],
             "empty-id": [rank, "", "nan"],  # a NaN score is never out of order
+            # Spellings of the same score that float() reads, the writer never writes.
+            "score-underscore": [rank, article_id, "0_" + score],
+            "score-blank": [rank, article_id, " " + score],
         }[case]
     )
     return 3
 
 
-@pytest.mark.parametrize("case", MALFORMED_CASES)
+@pytest.mark.parametrize(
+    "origin, case",
+    [(ORIGIN_SYNSET, case) for case in MALFORMED_CASES]
+    + [(ORIGIN_FUSION, case) for case in MALFORMED_CASES],
+    ids=MALFORMED_CASES + [f"fused-{case}" for case in MALFORMED_CASES],
+)
 def test_malformed_ranked_list_exits_three_naming_the_line(
-    stage_config, bench_run, tmp_path, caplog, case
+    stage_config, bench_run, tmp_path, caplog, origin, case
 ):
     _, bench_out = bench_run
     config = derived_config(stage_config, tmp_path)
     out = tmp_path / "out"
     shutil.copytree(os.path.join(bench_out, "ranked"), out / "ranked")
-    path = out / "ranked" / "synset" / f"{topic_slug(TOPICS[0])}.tsv"
+    slug = topic_slug(TOPICS[0])
+    if origin == ORIGIN_SYNSET:  # with no fused list beside it
+        path, commands = out / "ranked" / "synset" / f"{slug}.tsv", ("fuse", "eval")
+    else:  # fuse would rewrite it, so only eval reads it
+        shutil.copytree(os.path.join(bench_out, "fusion"), out / "fusion")
+        path, commands = out / "fusion" / "a2" / f"{slug}.tsv", ("eval",)
     lines = path.read_text(encoding="utf-8").splitlines()
-    lineno = corrupt(lines, case)
+    lineno = corrupt(lines, case, origin)
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    for command in ("fuse", "eval"):
+    for command in commands:
         caplog.clear()
         with caplog.at_level(logging.ERROR):
             assert main([command, "--config", config]) == 3, command
         errors = [r.message for r in caplog.records if r.levelno >= logging.ERROR]
         assert len(errors) == 1 and errors[0].startswith(f"{path}:{lineno}: "), errors
-
-
-def tags_line(*topics, score=1.0):
-    return json.dumps({"id": "x", "tags": [{"topic": t, "score": score} for t in topics]})
-
-
-MALFORMED_TAGS = {
-    "json": lambda lines: "{broken",
-    "key": lambda lines: json.dumps({"id": "x"}),
-    "score": lambda lines: tags_line(TOPICS[0], score="high"),
-    "article": lambda lines: lines[0],
-    "topics": lambda lines: tags_line(TOPICS[0], TOPICS[0]),
-    "unknown-topic": lambda lines: tags_line("elsewhere"),
-    "empty": lambda lines: tags_line(),
-    "id-not-a-string": lambda lines: json.dumps({"id": 5, "tags": json.loads(lines[0])["tags"]}),
-    "score-a-string": lambda lines: tags_line(TOPICS[0], score="0.5"),
-    "score-a-bool": lambda lines: tags_line(TOPICS[0], score=True),
-}
-
-
-@pytest.mark.parametrize("case", MALFORMED_TAGS)
-def test_malformed_tags_file_exits_three_naming_the_line(
-    stage_config, bench_run, tmp_path, caplog, case
-):
-    _, bench_out = bench_run
-    config = derived_config(stage_config, tmp_path)
-    out = tmp_path / "out"
-    for name in ("ranked", "tags"):
-        shutil.copytree(os.path.join(bench_out, name), out / name)
-    path = out / "tags" / "tags_a2.jsonl"
-    lines = path.read_text(encoding="utf-8").splitlines()
-    lines[1] = MALFORMED_TAGS[case](lines)
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    with caplog.at_level(logging.ERROR):
-        assert main(["eval", "--config", config]) == 3
-    errors = [r.message for r in caplog.records if r.levelno >= logging.ERROR]
-    assert len(errors) == 1 and errors[0].startswith(f"{path}:2: "), errors
 
 
 ARTICLE = '{"id": "a1", "title": "t", "abstract": "x"}'
@@ -1042,7 +1053,7 @@ def test_exit_code_is_the_only_error_kind(
     message = message.replace("{config}", config)
     out = tmp_path / "out"
     copy_upstream(bench_out, out)
-    for name in ("ranked", "tags"):
+    for name in ("ranked", "fusion", "tags"):
         shutil.copytree(os.path.join(bench_out, name), out / name)
     with caplog.at_level(logging.ERROR):
         assert main([command, "--config", config]) == code

@@ -3,7 +3,6 @@ import json
 import logging
 import os
 import random
-import re
 
 import pytest
 from hypothesis import given, settings
@@ -12,12 +11,11 @@ from hypothesis import strategies as st
 from tagfuse import cli
 from tagfuse.config import RunConfig
 from tagfuse.corpus import save_ground_truth
-from tagfuse.errors import ConfigError, TagfuseError
+from tagfuse.errors import ConfigError
 from tagfuse.fusion import (
     FusionConfig,
     fuse,
     invert,
-    read_assignments,
     write_assignments,
 )
 from tagfuse.ranking import (
@@ -28,7 +26,7 @@ from tagfuse.ranking import (
     write_ranked_list,
 )
 
-from conftest import columns, entries
+from conftest import columns, entries, load_tags
 
 
 def ranked(article_ids, origin=ORIGIN_SYNSET, start=1.0, step=0.001):
@@ -254,7 +252,7 @@ class TestStageFuse:
                 written = read_ranked_list(ws.fusion_list_path(a, topic), topic, ORIGIN_FUSION)
                 assert entries(written) == expected[topic]
             fused_ids = {topic: ids(fused) for topic, fused in expected.items()}
-            assert read_assignments(ws.tags_path(a), list(pairs)) == invert(fused_ids)
+            assert load_tags(ws.tags_path(a)) == invert(fused_ids)
             assert len(expected["narrow"]) == min(6, a * 5)
 
     def test_empty_synset_list_warns_and_fuses_empty(self, tmp_path, caplog):
@@ -262,7 +260,7 @@ class TestStageFuse:
         with caplog.at_level(logging.WARNING):
             ws = self.fuse_stage(tmp_path, pairs, (2,))
         assert read_ranked_list(ws.fusion_list_path(2, "T"), "T", ORIGIN_FUSION) == ([], [])
-        assert read_assignments(ws.tags_path(2), ["T", "U"]) == {"u1": [("U", 1.0)]}
+        assert load_tags(ws.tags_path(2)) == {"u1": [("U", 1.0)]}
         warnings = [r.message for r in caplog.records if r.levelno == logging.WARNING]
         assert warnings == ["topic 'T': empty synset list, fusion is empty"]
 
@@ -378,14 +376,7 @@ class TestAssignmentIO:
         assignments = {"a1": [("A", 1.0), ("B", 0.25)], "a2": [("B", 0.5)]}
         path = str(tmp_path / "tags.jsonl")
         write_assignments(assignments, path)
-        loaded = read_assignments(path, ["A", "B"])
-        assert list(loaded.items()) == list(assignments.items())
-
-    def test_duplicate_topics_rejected(self, tmp_path):
-        path = tmp_path / "tags.jsonl"
-        write_assignments({"a1": [("A", 1.0), ("A", 0.5)]}, str(path))
-        with pytest.raises(TagfuseError, match=r"tags.jsonl:1: article 'a1': repeated topic"):
-            read_assignments(str(path), ["A"])
+        assert list(load_tags(path).items()) == list(assignments.items())
 
     def test_lines_are_the_bytes_of_json_dumps(self, tmp_path):
         odd = ['q"uote', "back\\slash", "tab\there", "Zürich 東京", "line\u2028sep"]
@@ -405,38 +396,4 @@ class TestAssignmentIO:
             for a, tags in assignments.items()
         )
         assert path.read_bytes() == expected.encode("utf-8")
-        assert list(read_assignments(str(path), odd).items()) == list(assignments.items())
-
-    @pytest.mark.parametrize(
-        "line",
-        [
-            "broken",
-            '{"id": "a2"}',
-            '{"id": "a2", "tags": [{"topic": "A"}]}',
-            '{"id": "a2", "tags": [{"topic": "A", "score": "high"}]}',
-            '{"id": "a2", "tags": 3}',
-            '["a2"]',
-            '{"id": ["a2"], "tags": [{"topic": "A", "score": 1.0}]}',
-            '{"id": "a1", "tags": [{"topic": "B", "score": 1.0}]}',
-            '{"id": "a2", "tags": []}',
-            '{"id": "a2", "tags": [{"topic": "Z", "score": 1.0}]}',
-        ],
-    )
-    def test_malformed_line_names_path_and_line(self, tmp_path, line):
-        path = tmp_path / "tags.jsonl"
-        path.write_text(
-            '{"id": "a1", "tags": [{"topic": "A", "score": 1.0}]}\n\n' + line + "\n",
-            encoding="utf-8",
-        )
-        where = re.escape(f"{path}:3: ")
-        with pytest.raises(TagfuseError, match=f"^{where}"):
-            read_assignments(str(path), ["A", "B"])
-
-    def test_invalid_json_reports_line(self, tmp_path):
-        path = tmp_path / "tags.jsonl"
-        path.write_text(
-            '{"id": "a1", "tags": [{"topic": "A", "score": 1.0}]}\nbroken\n',
-            encoding="utf-8",
-        )
-        with pytest.raises(TagfuseError, match=":2:"):
-            read_assignments(str(path), ["A"])
+        assert list(load_tags(path).items()) == list(assignments.items())

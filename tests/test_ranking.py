@@ -144,6 +144,17 @@ class TestRankedListIO:
             read_ranked_list(str(path), "T", ORIGIN_SYNSET)
 
     @pytest.mark.parametrize(
+        "score", ["0_5", " 0.5", "0.5 ", "\u0665"],
+        ids=["underscore", "leading-blank", "trailing-blank", "arabic-indic-digit"],
+    )
+    def test_score_spelled_otherwise_than_written_rejected(self, tmp_path, score):
+        path = tmp_path / "bad.tsv"  # float() reads each score, "\u0665" as 5.0
+        path.write_text(f"# topic=T\torigin=synset\n1\td1\t9.0\n2\td2\t{score}\n", "utf-8")
+        message = f"bad.tsv:3: score {score!r} not spelled as written"
+        with pytest.raises(TagfuseError, match=re.escape(message)):
+            read_ranked_list(str(path), "T", ORIGIN_SYNSET)
+
+    @pytest.mark.parametrize(
         "rows, message",
         [
             ("1\td1\t2.0\n2\t\t1.0\n3\td3\tx\n", ":3: empty article id"),
