@@ -377,8 +377,10 @@ def _apply_overrides(cfg: RunConfig, args: argparse.Namespace) -> RunConfig:
         cfg = dataclasses.replace(cfg, seed=args.seed)
     if args.output_dir is not None:
         cfg = dataclasses.replace(cfg, output_dir=args.output_dir)
-    if getattr(args, "topics", None):
+    if getattr(args, "topics", None) is not None:
         wanted = [t.strip() for t in args.topics.split(",") if t.strip()]
+        if not wanted:  # an empty shell variable must not stand for every topic
+            raise ConfigError("--topics names no topic")
         unknown = [t for t in wanted if t not in cfg.topics]
         if unknown:
             raise ConfigError(f"--topics not in config: {unknown}")

@@ -1,9 +1,19 @@
+import functools
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
+import tagfuse
+from tagfuse.cli import main
 from tagfuse.corpus import ArticleRecord
 from tagfuse.index import build_index
+from tagfuse.manifest import MANIFEST_NAME
+
+SPECS = pathlib.Path(__file__).parent / "specs"
 
 
 def make_corpus(rows):
@@ -40,6 +50,47 @@ def load_tags(path):
     with open(path, encoding="utf-8") as fh:
         records = [json.loads(line) for line in fh]
     return {r["id"]: [(t["topic"], t["score"]) for t in r["tags"]] for r in records}
+
+
+def read_manifest(output_dir):
+    """The manifest's entries, in order."""
+    with open(os.path.join(output_dir, MANIFEST_NAME), encoding="utf-8") as fh:
+        return [json.loads(line) for line in fh if line.strip()]
+
+
+def snapshot(root, *exclude):
+    """Every file under ``root`` and its bytes, but those ``diff -r -x exclude`` skips."""
+    root = pathlib.Path(root)
+    return {
+        str(p.relative_to(root)): p.read_bytes() for p in root.rglob("*")
+        if p.is_file() and not set(exclude) & set(p.relative_to(root).parts)
+    }
+
+
+def run_python(*args, env=None, cpus=None):
+    """``python *args`` in a fresh interpreter that imports this tagfuse, with
+    ``env`` added to its environment and, given ``cpus``, pinned to them."""
+    src = os.path.dirname(os.path.dirname(tagfuse.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *args],
+        env={**os.environ, **(env or {}), "PYTHONPATH": path},
+        preexec_fn=cpus and (lambda: os.sched_setaffinity(0, cpus)),
+        capture_output=True, text=True, timeout=300,
+    )
+
+
+@pytest.fixture(scope="session")
+def spec_run(tmp_path_factory):
+    """The output directory of a spec's bench run, made once in this process."""
+    @functools.cache
+    def run(name):
+        out = tmp_path_factory.mktemp(name) / "out"
+        config = str(SPECS / f"{name}.json")
+        assert main(["bench", "--config", config, "--output-dir", str(out)]) == 0
+        return out
+
+    return run
 
 
 def record(corpus, article_id):

@@ -2,16 +2,12 @@ import concurrent.futures
 import json
 import logging
 import os
-import pathlib
 import pickle
 import shutil
-import subprocess
-import sys
 from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
-import tagfuse
 import tagfuse.corpus
 from tagfuse import cli
 from tagfuse.benchmark import BenchmarkSpec, topic_names
@@ -25,7 +21,7 @@ from tagfuse.fusion import write_assignments
 from tagfuse.manifest import MANIFEST_NAME, file_sha256
 from tagfuse.ranking import ORIGIN_CLASSIFIER, ORIGIN_FUSION, ORIGIN_SYNSET, read_ranked_list
 
-from conftest import load_tags
+from conftest import load_tags, read_manifest, run_python, snapshot
 
 BENCH = {
     "n_topics": 4,
@@ -42,12 +38,6 @@ SECTIONS = {
 }
 
 TOPICS = topic_names(BenchmarkSpec(**BENCH))
-
-
-def read_manifest(output_dir):
-    """The manifest's entries, in order."""
-    with open(os.path.join(output_dir, MANIFEST_NAME), encoding="utf-8") as fh:
-        return [json.loads(line) for line in fh if line.strip()]
 
 
 def write_config(path, **extra):
@@ -75,13 +65,6 @@ def copy_upstream(bench_out, out, edit_ids=None):
         meta = json.loads((out / "embedding.json").read_text(encoding="utf-8"))
         edit_ids(meta["article_ids"])
         (out / "embedding.json").write_text(json.dumps(meta), encoding="utf-8")
-
-
-def snapshot(root):
-    """Every file under ``root`` and its bytes."""
-    return {
-        str(p.relative_to(root)): p.read_bytes() for p in root.rglob("*") if p.is_file()
-    }
 
 
 def halve(path):
@@ -288,15 +271,7 @@ class TestStagePipeline:
             "    assert code == 0, stage\n"
             "print(sorted(m for m in sys.modules if m.split('.')[0] in ('numpy', 'scipy')))\n"
         )
-        src = os.path.dirname(os.path.dirname(tagfuse.__file__))
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        result = subprocess.run(
-            [sys.executable, "-c", script, config],
-            env={**os.environ, "PYTHONPATH": path},
-            capture_output=True,
-            text=True,
-            timeout=120,
-        )
+        result = run_python("-c", script, config)
         assert result.returncode == 0, result.stderr
         assert result.stdout.splitlines()[-1] == "[]"
         assert os.path.exists(tmp_path / "out" / "reports" / "evaluation.txt")
@@ -317,15 +292,7 @@ class TestStagePipeline:
             shutil.copytree(os.path.join(bench_out, "ranked"), tmp_path / "out" / "ranked")
         tracer = os.path.join(os.path.dirname(__file__), "..", "perfbench", "tracer.py")
         spans = tmp_path / "spans.jsonl"
-        src = os.path.dirname(os.path.dirname(tagfuse.__file__))
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        result = subprocess.run(
-            [sys.executable, tracer, str(spans), "run", stage, "--config", config],
-            env={**os.environ, "PYTHONPATH": path},
-            capture_output=True,
-            text=True,
-            timeout=120,
-        )
+        result = run_python(tracer, str(spans), "run", stage, "--config", config)
         assert result.returncode == 0, result.stderr
         header = json.loads(spans.read_text(encoding="utf-8").splitlines()[0])
         assert header["argv"][0] == stage
@@ -474,9 +441,11 @@ class TestStagePipeline:
             os.path.join(sub_out, "ranked", "synset", "domain02.tsv")
         )
 
-    def test_unknown_topics_override_is_a_usage_error(self, stage_config):
+    @pytest.mark.parametrize("topics", ["nope", "", ","])  # "": an empty shell variable
+    def test_unknown_topics_override_is_a_usage_error(self, stage_config, caplog, topics):
         config, _ = stage_config
-        assert main(["synset", "--config", config, "--topics", "nope"]) == 2
+        assert main(["synset", "--config", config, "--topics", topics]) == 2
+        assert [r.message for r in caplog.records][-1].startswith("--topics ")
 
     @pytest.mark.parametrize("command", ["fuse", "eval", "all", "bench"])
     def test_topics_flag_only_where_each_topic_has_its_own_output(
@@ -587,10 +556,12 @@ class TestStageRunner:
         assert main(["train-rank", "--config", config]) == 3
         assert snapshot(out) == before
 
-    def test_every_artifact_is_the_output_of_exactly_one_entry(self, bench_run):
-        _, out = bench_run
+    @pytest.mark.parametrize("spec", ["bench", "ci"])
+    def test_every_artifact_is_the_output_of_exactly_one_entry(self, bench_run, spec_run, spec):
+        # A stray ``.partial`` file would show in the snapshot.
+        out = bench_run[1] if spec == "bench" else spec_run(spec)
         outputs = [path for entry in read_manifest(out) for path in entry["outputs"]]
-        files = [f for f in snapshot(pathlib.Path(out)) if f != MANIFEST_NAME]
+        files = snapshot(out, MANIFEST_NAME)
         assert sorted(os.path.relpath(p, out) for p in outputs) == sorted(files)
 
 

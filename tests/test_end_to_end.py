@@ -1,0 +1,137 @@
+"""The pipeline end to end, on the bench runs of the specs in ``tests/specs``."""
+
+import json
+import logging
+import os
+import shutil
+
+import pytest
+
+from tagfuse.benchmark import BenchmarkSpec, topic_names
+from tagfuse.cli import main
+from tagfuse.config import topic_slug
+from tagfuse.manifest import MANIFEST_NAME
+from tagfuse.semantic import _TERM_BLOCK
+
+from conftest import SPECS, read_manifest, run_python, snapshot
+
+
+def spec_topics(name):
+    with open(SPECS / f"{name}.json", encoding="utf-8") as fh:
+        return topic_names(BenchmarkSpec(**json.load(fh)["benchmark"]))
+
+
+def ci_data_config(path, ci, **keys):
+    """Write a config at ``path`` over the ``ci`` run's corpus, synsets and topics."""
+    data = {name: str(ci / "data" / f"{name}.jsonl") for name in ("corpus", "synsets")}
+    raw = {"corpus_path": data["corpus"], "synsets_path": data["synsets"],
+           "topics": spec_topics("ci"), **keys}
+    path.write_text(json.dumps(raw), encoding="utf-8")
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "spec, env, cpus",
+    [("ci", {}, None), ("ci-blocks", {}, None), ("ci-forest", {}, None),
+     ("ci", {"OPENBLAS_NUM_THREADS": "1"}, None),
+     ("ci-blocks", {"OPENBLAS_NUM_THREADS": "1"}, None),
+     ("ci", {}, {min(os.sched_getaffinity(0))})],  # one CPU: one train-rank worker
+    ids=["ci", "ci-blocks", "ci-forest", "ci-1thread", "ci-blocks-1thread", "ci-1cpu"],
+)
+def test_rerun_in_a_fresh_interpreter_is_byte_identical(spec_run, tmp_path, spec, env, cpus):
+    # It shares no hash seed and no module state with this process. Other BLAS
+    # threads or CPUs may change the embedding's last bits, and nothing else.
+    args = ["bench", "--config", str(SPECS / f"{spec}.json"), "--output-dir", str(tmp_path)]
+    result = run_python("-m", "tagfuse.cli", *args, env=env, cpus=cpus)
+    assert result.returncode == 0, result.stderr
+    excluded = [MANIFEST_NAME] + (["embedding.npy"] if env or cpus else [])
+    assert snapshot(spec_run(spec), *excluded) == snapshot(tmp_path, *excluded)
+
+
+def test_blocks_vocabulary_spans_two_svd_term_blocks(spec_run):
+    [embed] = [e for e in read_manifest(spec_run("ci-blocks")) if e["command"] == "embed"]
+    assert embed["vocabulary_size"] > _TERM_BLOCK
+
+
+def test_every_topic_skipped_in_training_is_fused_from_its_synset_list_alone(spec_run):
+    out = spec_run("ci-skip")
+    report = json.loads((out / "ranked" / "classifier" / "_training.json").read_text())
+    assert report["trained"] == []
+    for topic in spec_topics("ci-skip"):
+        path = out / "ranked" / "classifier" / f"{topic_slug(topic)}.tsv"
+        assert path.read_text(encoding="utf-8") == f"# topic={topic}\torigin=classifier\n"
+    tags = snapshot(out / "tags")
+    assert tags["tags_a1.jsonl"] == tags["tags_a4.jsonl"]
+
+
+def test_every_fusion_route_is_kept_and_each_fused_list_is_the_rule_recomputed(spec_run):
+    out = spec_run("ci-routes")
+
+    def rows(kind, slug):  # rank, article id, score
+        lines = (out / kind / f"{slug}.tsv").read_text(encoding="utf-8").splitlines()
+        return [line.split("\t") for line in lines[1:]]
+
+    for topic in spec_topics("ci-routes"):
+        slug = topic_slug(topic)
+        s = {aid: int(rank) for rank, aid, _ in rows("ranked/synset", slug)}
+        r = {aid: int(rank) for rank, aid, _ in rows("ranked/classifier", slug)}
+        t = {aid: (s[aid] + r[aid]) / 2 if aid in s and aid in r
+             else float((s[aid] if aid in s else r[aid]) * len(s)) for aid in {*s, *r}}
+        order = sorted(t, key=lambda aid: (t[aid], aid))
+        for a in (1, 2, 3, 4):
+            rule = [[str(i), aid, repr(t[aid])] for i, aid in enumerate(order[: a * len(s)], 1)]
+            assert rows(f"fusion/a{a}", slug) == rule, (topic, a)
+        a1 = [aid for _, aid, _ in rows("fusion/a1", slug)]
+        routes = [sum(1 for aid in a1 if (aid in s, aid in r) == key)
+                  for key in ((True, True), (True, False), (False, True))]
+        assert min(routes) > 0, (topic, "dual, synset-only, classifier-only", routes)
+
+
+def test_ground_truth_from_subjects_and_one_depth_alone_change_no_artifact(spec_run, tmp_path):
+    ci, out = spec_run("ci"), tmp_path / "ci-subjects"
+    config = ci_data_config(tmp_path / "ci-subjects.json", ci, ground_truth_fields=["subjects"])
+    assert main(["all", "--config", config, "--output-dir", str(out)]) == 0
+    assert snapshot(ci, MANIFEST_NAME, "data") == snapshot(out, MANIFEST_NAME, "data")
+    corpus = str(ci / "data" / "corpus.jsonl")
+    for run in (ci, out):  # only index reads the corpus
+        readers = {e["command"] for e in read_manifest(run) if corpus in e["inputs"]}
+        assert readers <= {"index", "bench-generate"}, (run, readers)
+
+    # One depth fused on a copy: the full run's list and tags, and evaluated
+    # without the tags: its record.
+    out = tmp_path / "ci-a2"
+    shutil.copytree(ci, out, ignore=shutil.ignore_patterns("fusion", "tags"))
+    a2 = ["--config", config, "--output-dir", str(out), "--a", "2"]
+    assert main(["fuse", *a2]) == 0
+    assert os.listdir(out / "fusion") == ["a2"] and os.listdir(out / "tags") == ["tags_a2.jsonl"]
+    assert snapshot(ci / "fusion" / "a2") == snapshot(out / "fusion" / "a2")
+    assert snapshot(ci / "tags")["tags_a2.jsonl"] == snapshot(out / "tags")["tags_a2.jsonl"]
+    shutil.rmtree(out / "tags")
+    assert main(["eval", *a2]) == 0
+    reports = [run / "reports" / "evaluation.jsonl" for run in (ci, out)]
+    full, depth = ([json.loads(line) for line in p.read_text().splitlines()] for p in reports)
+    assert [r["method"] for r in depth] == ["Synset", "Fusion2"]
+    assert depth[1] == next(r for r in full if r["method"] == "Fusion2")
+
+
+def test_a_topic_foreign_to_the_corpus_is_fused_empty_with_a_warning(spec_run, tmp_path, caplog):
+    ci, out = spec_run("ci"), tmp_path / "ci-foreign"
+    synsets = tmp_path / "synsets-foreign.jsonl"
+    foreign = json.dumps({"topic": "Astrobiology", "terms": ["exobiology"]})
+    synsets.write_text((ci / "data" / "synsets.jsonl").read_text() + foreign + "\n")
+    config = ci_data_config(
+        tmp_path / "ci-foreign.json", ci, synsets_path=str(synsets),
+        ground_truth_path=str(ci / "data" / "ground_truth.jsonl"),
+        topics=spec_topics("ci") + ["Astrobiology"],
+    )
+    with caplog.at_level(logging.WARNING, logger="tagfuse.cli"):
+        assert main(["all", "--config", config, "--output-dir", str(out)]) == 0
+    assert "skipping topic: topic 'Astrobiology'" in caplog.text
+    assert "topic 'Astrobiology': empty synset list" in caplog.text
+    header = "# topic=Astrobiology\torigin={}\n"
+    assert (out / "ranked" / "synset" / "astrobiology.tsv").read_text() == header.format("synset")
+    fused = sorted(out.glob("fusion/a*/astrobiology.tsv"))
+    assert len(fused) == 4, fused
+    for path in fused:
+        assert path.read_text() == header.format("fusion"), path
+    assert snapshot(ci / "tags") == snapshot(out / "tags")
