@@ -36,7 +36,7 @@ from . import __version__
 from .benchmark import generate, topic_names
 from .classifier import build_dataset, rank_corpus, train
 from .config import RunConfig, load_config, topic_slug
-from .corpus import ingest_corpus, load_ground_truth, save_corpus, save_ground_truth
+from .corpus import ingest_corpus, load_ground_truth, save_corpus, save_ground_truth, write_jsonl
 from .errors import ConfigError, InsufficientPositives, TagfuseError
 from .evaluation import format_table, sweep, write_plot_series
 from .fusion import fuse, invert, write_assignments
@@ -321,9 +321,7 @@ def stage_eval(cfg: RunConfig) -> None:
         )
         with open(table_path, "w", encoding="utf-8") as fh:
             fh.write(table + "\n")
-        with open(records_path, "w", encoding="utf-8") as fh:
-            for report in reports:
-                fh.write(json.dumps(report, ensure_ascii=False) + "\n")
+        write_jsonl(reports, records_path)
         write_plot_series(reports, series_path)
         print(table)
 

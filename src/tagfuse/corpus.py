@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 import logging
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 
 from .errors import TagfuseError
@@ -74,6 +74,13 @@ def read_jsonl(path: str) -> Iterator[tuple[int, dict]]:
             yield lineno, raw
 
 
+def write_jsonl(records: Iterable[dict], path: str) -> None:
+    """Write each record as one line of UTF-8 JSON, the format ``read_jsonl`` reads."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for record in records:
+            fh.write(json.dumps(record, ensure_ascii=False) + "\n")
+
+
 def ingest_corpus(path: str) -> list[ArticleRecord]:
     """Read a line-delimited corpus file.
 
@@ -127,18 +134,14 @@ def ingest_corpus(path: str) -> list[ArticleRecord]:
 
 def save_corpus(corpus: list[ArticleRecord], path: str) -> None:
     """Write the corpus in the same line-delimited format ``ingest_corpus`` reads."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for rec in corpus:
-            raw: dict = {
-                "id": rec.id,
-                "title": rec.title,
-                "abstract": rec.abstract,
-                "keywords": list(rec.keywords),
-                "subjects": list(rec.subjects),
-            }
-            for name in sorted(rec.extra):
-                raw[name] = list(rec.extra[name])
-            fh.write(json.dumps(raw, ensure_ascii=False) + "\n")
+    write_jsonl(({
+        "id": rec.id,
+        "title": rec.title,
+        "abstract": rec.abstract,
+        "keywords": list(rec.keywords),
+        "subjects": list(rec.subjects),
+        **{name: list(rec.extra[name]) for name in sorted(rec.extra)},
+    } for rec in corpus), path)
 
 
 def load_ground_truth(path: str, topics: list[str] | None = None) -> dict[str, set[str]]:
@@ -171,7 +174,4 @@ def load_ground_truth(path: str, topics: list[str] | None = None) -> dict[str, s
 
 def save_ground_truth(truth: dict[str, set[str]], path: str) -> None:
     """Write labels in the same line-delimited format ``load_ground_truth`` reads."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for article_id in sorted(truth):
-            rec = {"id": article_id, "topics": sorted(truth[article_id])}
-            fh.write(json.dumps(rec, ensure_ascii=False) + "\n")
+    write_jsonl(({"id": a, "topics": sorted(truth[a])} for a in sorted(truth)), path)

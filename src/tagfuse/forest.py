@@ -172,8 +172,6 @@ class RandomForest:
 
     def fit(self, x: np.ndarray, y: np.ndarray, seed: int = 0) -> "RandomForest":
         import numpy as np
-        x = np.asarray(x, dtype=np.float64)
-        y = np.asarray(y, dtype=np.int64)
         self.trees = []
         n = x.shape[0]
         self.n_positives, self.n_negatives = int(y.sum()), n - int(y.sum())
@@ -202,7 +200,6 @@ class RandomForest:
     def predict_proba(self, x: np.ndarray) -> np.ndarray:
         """Class-1 probability per row: mean of per-tree leaf frequencies."""
         import numpy as np
-        x = np.asarray(x, dtype=np.float64)
         total = np.zeros(len(x))
         for tree in self.trees:
             total += tree.predict(x)

@@ -79,10 +79,6 @@ class SemanticMatrix:
     def __post_init__(self):
         self._row_of = {a: i for i, a in enumerate(self.article_ids)}
 
-    @property
-    def k(self) -> int:
-        return self.matrix.shape[1]
-
     def row(self, article_id: str) -> np.ndarray:
         return self.matrix[self._row_of[article_id]]
 
@@ -94,7 +90,7 @@ class SemanticMatrix:
         meta = {
             "format": "tagfuse-embedding",
             "version": 1,
-            "k": int(self.k),
+            "k": int(self.matrix.shape[1]),
             "seed": int(self.seed),
             "article_ids": self.article_ids,
         }
@@ -145,32 +141,36 @@ def vectorize(index: Index, config: SemanticConfig = SemanticConfig()) -> TfIdfM
     if n_docs == 0:
         raise TagfuseError("cannot fit a vocabulary on an empty corpus")
 
+    def read(a):  # an index array, in the typecode the index gave it
+        return np.frombuffer(a, a.typecode)
+
     # Token ids are string ranks over both fields' terms, so ordering ids
     # orders terms. Each field's positions go into the stream at their
     # document's start, the abstract's after the title's tokens.
     fields = [index._fields[name] for name in TEXT_FIELDS]
     rank = {t: i for i, t in enumerate(sorted(set().union(*(f.terms for f in fields))))}
     u = len(rank)
-    lengths = sum(np.frombuffer(f.doc_length, np.intc).astype(np.int64) for f in fields)
+    lengths = sum(read(f.doc_length).astype(np.int64) for f in fields)
     start = np.cumsum(lengths) - lengths
     token = np.empty(lengths.sum(), dtype=np.int64)
     for f in fields:
         ids = np.fromiter(map(rank.__getitem__, f.terms), np.int64, len(f.terms))
-        per_posting = np.diff(np.frombuffer(f.pos_ptr, np.int64))
-        at = np.repeat(start[np.frombuffer(f.docs, np.intc)], per_posting)
-        at += np.frombuffer(f.positions, np.intc)
-        ids = np.repeat(ids, np.diff(np.frombuffer(f.term_ptr, np.int64)))
+        per_posting = np.diff(read(f.pos_ptr))
+        at = np.repeat(start[read(f.docs)], per_posting)
+        at += read(f.positions)
+        ids = np.repeat(ids, np.diff(read(f.term_ptr)))
         token[at] = np.repeat(ids, per_posting)
         del at, ids
-        start += np.frombuffer(f.doc_length, np.intc)
+        start += read(f.doc_length)
     # The large temporaries are deleted as soon as they are spent: the
     # freed heap they would leave behind adds to the SVD's peak RSS.
     doc = np.repeat(np.arange(n_docs, dtype=np.int64), lengths)
     # Term codes: every token occurs, so the unigram codes are 0..u-1; the
-    # bigram (a, b) is u + the rank of a*u + b among the bigrams (u < 3e9
-    # tokens, so int64 cannot wrap); no bigram crosses a document boundary.
+    # bigram (a, b) is u + the rank of its key a*(u+1) + b+1 (u < 3e9 tokens,
+    # so int64 cannot wrap); no bigram crosses a document boundary.
     within = doc[:-1] == doc[1:]
-    bigrams, term = np.unique(token[:-1][within] * u + token[1:][within], return_inverse=True)
+    bigrams, term = np.unique(
+        token[:-1][within] * (u + 1) + token[1:][within] + 1, return_inverse=True)
     n_terms = u + bigrams.size
     term = np.concatenate([token, term + u])
     # One cell per (document, term), in row-major order, with its count.
@@ -194,13 +194,10 @@ def vectorize(index: Index, config: SemanticConfig = SemanticConfig()) -> TfIdfM
             f"(min_df={config.min_df}, max_df_fraction={config.max_df_fraction})"
         )
     # Columns in the string order of the terms, "a" or "a b", with no string
-    # built: by the first token's id (its rank), then the second's, -1 for
-    # none. No token holds a space or a character below it, so "a b" < "ab"
-    # as a < ab.
-    n_unigrams = np.searchsorted(kept, u)
-    first, second = np.divmod(bigrams[kept[n_unigrams:] - u], u)
-    second = np.concatenate([np.full(n_unigrams, -1), second])
-    kept = kept[np.lexsort((second, np.concatenate([kept[:n_unigrams], first])))]
+    # built: by key, a*(u+1) for the unigram a. No token holds a space or a
+    # character below it, so "a" < "a b" < "ab" as a*(u+1) < a*(u+1) + b+1
+    # < (a+1)*(u+1).
+    kept = kept[np.argsort(np.concatenate([np.arange(u) * (u + 1), bigrams])[kept])]
     # math.log per term: np.log's SIMD paths can differ in the last bit by CPU.
     idf = np.array([math.log((1 + n_docs) / (1 + d)) + 1.0 for d in df[kept].tolist()])
 

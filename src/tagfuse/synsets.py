@@ -9,11 +9,10 @@ in any of them. The synset file is line-delimited JSON:
 
 from __future__ import annotations
 
-import json
 import logging
 from dataclasses import dataclass
 
-from .corpus import TEXT_FIELDS, read_jsonl
+from .corpus import TEXT_FIELDS, read_jsonl, write_jsonl
 from .errors import ConfigError, TagfuseError
 from .index import Index, search_any
 from .ranking import Ranked
@@ -81,10 +80,7 @@ def load_synsets(path: str, topics: list[str] | None = None) -> dict[str, tuple[
 
 
 def save_synsets(synsets: dict[str, tuple[str, ...]], path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for topic, terms in synsets.items():
-            record = {"topic": topic, "terms": list(terms)}
-            fh.write(json.dumps(record, ensure_ascii=False) + "\n")
+    write_jsonl(({"topic": t, "terms": list(terms)} for t, terms in synsets.items()), path)
 
 
 def synset_rank(

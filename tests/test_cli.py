@@ -195,24 +195,6 @@ class TestBenchPipeline:
         for entry in read_manifest(out):
             assert entry["peak_rss_mb"] > 0, entry["command"]
 
-    def test_rerun_is_byte_identical(self, bench_run, tmp_path_factory):
-        config, out = bench_run
-        out2 = str(tmp_path_factory.mktemp("bench2") / "out")
-        assert main(["bench", "--config", config, "--output-dir", out2]) == 0
-        for rel in (
-            "data/corpus.jsonl",
-            "index.pkl",
-            "tags/tags_a1.jsonl",
-            "tags/tags_a2.jsonl",
-            "tags/tags_a3.jsonl",
-            "tags/tags_a4.jsonl",
-            "reports/evaluation.txt",
-            "reports/plot_series.tsv",
-        ):
-            first = open(os.path.join(out, rel), "rb").read()
-            second = open(os.path.join(out2, rel), "rb").read()
-            assert first == second, rel
-
     def test_eval_reads_the_truth_and_the_ranked_lists_and_no_tag_file(self, bench_run):
         _, out = bench_run
         [entry] = [e for e in read_manifest(out) if e["command"] == "eval"]

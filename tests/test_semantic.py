@@ -1,6 +1,7 @@
 import json
 import math
 import tracemalloc
+from array import array
 
 import numpy as np
 import pytest
@@ -158,6 +159,24 @@ class TestVectorize:
         assert (vectorize(index, NO_CUTOFFS).matrix != matrix).nnz == 0
         assert len(calls) == 2 * len(corpus)
 
+    def test_reads_index_arrays_in_their_own_typecodes(self):
+        """The index's arrays rebuilt in the narrowest unsigned typecode
+        that holds them give the same TF-IDF bit for bit."""
+        index = build_index(small_bench_corpus(), IndexConfig(TEXT_FIELDS))
+        expected = vectorize(index, SemanticConfig()).matrix
+        for field in index._fields.values():
+            for name, code in tagfuse.index._ARRAYS:
+                values = getattr(field, name)
+                top = max(values, default=0)
+                narrow = "B" if top < 1 << 8 else "H" if top < 1 << 16 else "I"
+                assert array(narrow).itemsize < array(code).itemsize
+                setattr(field, name, array(narrow, values))
+        got = vectorize(index, SemanticConfig()).matrix
+        for name in ("indptr", "indices", "data"):
+            assert getattr(got, name).dtype == getattr(expected, name).dtype
+            assert np.array_equal(getattr(got, name), getattr(expected, name))
+        assert got.shape == expected.shape
+
     def test_term_outside_vocabulary_is_ignored(self):
         config = SemanticConfig(min_df=2, max_df_fraction=0.99)
         tfidf = vectorize(build_index(tiny_corpus()), config)
@@ -262,6 +281,11 @@ def boundary_corpus():
     )
 
 
+def one_token_corpus():
+    """Documents of one token each: the vocabulary has no bigram."""
+    return make_corpus([("o1", "spore", ""), ("o2", "", "graft"), ("o3", "spore", "—")])
+
+
 def small_bench_corpus():
     corpus, _, _ = generate(BenchmarkSpec(n_topics=3, docs_per_topic=40, doc_length=25))
     return corpus
@@ -279,10 +303,11 @@ class TestVectorizeMatchesStringReference:
             (prefix_corpus, NO_CUTOFFS),
             (boundary_corpus, NO_CUTOFFS),
             (boundary_corpus, SemanticConfig(min_df=2, max_df_fraction=1.0)),
+            (one_token_corpus, NO_CUTOFFS),
             (small_bench_corpus, SemanticConfig()),
         ],
         ids=["non-ascii-all-terms", "non-ascii-cutoffs", "prefixes", "boundary-all-terms",
-             "boundary-cutoffs", "bench"],
+             "boundary-cutoffs", "one-token", "bench"],
     )
     def test_bit_identical(self, corpus, config):
         corpus = corpus()
@@ -329,6 +354,9 @@ class TestVectorizeMatchesStringReference:
         assert df["learning deep"] == 1
         tfidf = vectorize(build_index(corpus), SemanticConfig(min_df=2, max_df_fraction=1.0))
         assert all(tfidf.matrix[i].nnz for i in range(len(corpus)))
+        # In one-token documents, a bigram could only cross a document boundary.
+        _, columns, _ = reference_vectorize(one_token_corpus(), NO_CUTOFFS)
+        assert sorted(columns) == ["graft", "spore"]
 
 
 def two_sided_randomized_svd(a, k, oversample=10, power_iters=2, seed=0):
@@ -554,7 +582,6 @@ class TestTruncatedSvd:
     def test_shape_and_id_lookup(self):
         sem = self.embed()
         assert sem.matrix.shape == (3, 2)
-        assert sem.k == 2
         assert "d2" in sem.article_ids
         np.testing.assert_array_equal(sem.row("d2"), sem.matrix[1])
 
