@@ -218,6 +218,25 @@ def vectorize(index: Index, config: SemanticConfig = SemanticConfig()) -> TfIdfM
 _TERM_BLOCK = 8192
 
 
+def _orthonormalize(y: np.ndarray) -> np.ndarray:
+    """Orthonormalize the tall ``y`` in place by CholeskyQR2 (Fukaya et al.
+    2014): twice ``y <- y @ inv(R)``, R the Cholesky factor of ``y.T @ y``,
+    over 512-row blocks. A singular or ill-conditioned Gram takes numpy's
+    Householder QR (``scipy.linalg`` would load a second OpenBLAS)."""
+    import numpy as np
+    for _ in range(2):
+        try:
+            r = np.linalg.cholesky(y.T @ y).T
+        except np.linalg.LinAlgError:
+            return np.linalg.qr(y)[0]
+        if np.diag(r).min() < 1e-7 * np.diag(r).max():
+            return np.linalg.qr(y)[0]
+        r_inv = np.linalg.inv(r)
+        for lo in range(0, len(y), 512):
+            y[lo : lo + 512] = y[lo : lo + 512] @ r_inv
+    return y
+
+
 def randomized_svd(
     a, k: int, oversample: int, power_iters: int, seed: int = 0
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -226,17 +245,20 @@ def randomized_svd(
 
     ``Q`` orthonormalizes ``a`` times a Gaussian test matrix of ``width =
     k + oversample`` columns, then ``power_iters`` rounds of ``Q <- qr(a @
-    (a.T @ Q))``; only this m side is orthonormalized. Every product with
-    ``a`` is summed over blocks of ``_TERM_BLOCK`` terms (rows of ``a.T``),
-    and the test matrix is drawn block by block from one generator, so its
-    numbers are those of one whole draw. The small solve takes R from the
-    Cholesky factor of the Gram of ``Z = a.T @ Q``, summed from the blocks'
-    Grams (CholeskyQR, Fukaya et al. 2014); only a singular Gram builds
-    ``Z`` whole, for its Householder R. With ``R.T = U_R S V_R^T``, ``u = Q
-    @ U_R``. ``U_R`` ignores R's row signs, so the column signs match
-    ``svd(Q.T @ a)`` to rounding; tests pin them, since the forest breaks
-    ties by order. Returns ``(u, s)`` of shapes (m, k) and (k,), ``s``
-    non-increasing; deterministic for a fixed seed.
+    (a.T @ Q))``; only this m side is orthonormalized, in the power
+    iterations by CholeskyQR2 with a Householder fallback, and at the end
+    by Householder, whose column signs the embedding keeps. Every product
+    with ``a`` is summed over blocks of ``_TERM_BLOCK`` terms (rows of
+    ``a.T``, a view of a CSC ``a``, a copy otherwise), and the test matrix
+    is drawn block by block from one generator, so its numbers are those
+    of one whole draw. The small solve takes R from the Cholesky factor of
+    the Gram of ``Z = a.T @ Q``, summed from the blocks' Grams (CholeskyQR,
+    Fukaya et al. 2014); only a singular Gram builds ``Z`` whole, for its
+    Householder R. With ``R.T = U_R S V_R^T``, ``u = Q @ U_R``. ``U_R``
+    ignores R's row signs, so the column signs match ``svd(Q.T @ a)`` to
+    rounding; tests pin them, since the forest breaks ties by order.
+    Returns ``(u, s)`` of shapes (m, k) and (k,), ``s`` non-increasing;
+    deterministic for a fixed seed.
     """
     import numpy as np
     from scipy import sparse
@@ -257,7 +279,7 @@ def randomized_svd(
     # array, and each spent m-by-width array is freed before the next.
     y = reduce(iadd, (b.T @ rng.standard_normal((b.shape[0], width)) for b in blocks()), 0)
     for _ in range(power_iters):
-        q, _ = np.linalg.qr(y)
+        q = _orthonormalize(y)
         del y
         y = reduce(iadd, (b.T @ (b @ q) for b in blocks()), 0)
         del q

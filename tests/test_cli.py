@@ -6,9 +6,12 @@ import pickle
 import shutil
 from concurrent.futures import ProcessPoolExecutor
 
+import numpy as np
 import pytest
+from scipy import sparse
 
 import tagfuse.corpus
+import tagfuse.semantic
 from tagfuse import cli
 from tagfuse.benchmark import BenchmarkSpec, topic_names
 from tagfuse.classifier import train
@@ -257,6 +260,39 @@ class TestStagePipeline:
         assert result.returncode == 0, result.stderr
         assert result.stdout.splitlines()[-1] == "[]"
         assert os.path.exists(tmp_path / "out" / "reports" / "evaluation.txt")
+
+    def test_embed_never_loads_scipy_linalg(self, stage_config, bench_run, tmp_path):
+        """``import scipy.linalg`` maps a second OpenBLAS into the process."""
+        _, bench_out = bench_run
+        config = derived_config(stage_config, tmp_path)
+        copy_upstream(bench_out, tmp_path / "out")
+        script = (
+            "import sys\n"
+            "import tagfuse.cli\n"
+            "assert tagfuse.cli.main(['embed', '--config', sys.argv[1]]) == 0\n"
+            "print('scipy.linalg' in sys.modules)\n"
+        )
+        result = run_python("-c", script, config)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.splitlines()[-1] == "False"
+
+    def test_embed_hands_the_svd_a_matrix_it_reads_without_a_copy(
+        self, stage_config, bench_run, tmp_path, monkeypatch
+    ):
+        _, bench_out = bench_run
+        config = derived_config(stage_config, tmp_path)
+        copy_upstream(bench_out, tmp_path / "out")
+        received = []
+        svd = tagfuse.semantic.randomized_svd
+
+        def recording_svd(a, *args):
+            received.append(a)
+            return svd(a, *args)
+
+        monkeypatch.setattr(tagfuse.semantic, "randomized_svd", recording_svd)
+        assert main(["embed", "--config", config]) == 0
+        [a] = received
+        assert np.shares_memory(sparse.csr_matrix(a.T).data, a.data)
 
     @pytest.mark.parametrize(
         "stage, counter",

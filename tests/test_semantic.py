@@ -388,7 +388,8 @@ def householder_randomized_svd(a, k, oversample=10, power_iters=2, seed=0):
 
 def summed_randomized_svd(a, k, oversample=10, power_iters=2, seed=0):
     """Reference: the blocked SVD with each product summed by ``sum()``
-    into a new array per block."""
+    into a new array per block; its power iterations orthonormalize as the
+    module does."""
     rng = np.random.default_rng(seed)
     m, n = a.shape
     width = min(k + oversample, min(m, n))
@@ -400,7 +401,7 @@ def summed_randomized_svd(a, k, oversample=10, power_iters=2, seed=0):
 
     y = sum(b.T @ rng.standard_normal((b.shape[0], width)) for b in blocks())
     for _ in range(power_iters):
-        q, _ = np.linalg.qr(y)
+        q = tagfuse.semantic._orthonormalize(y)
         y = sum(b.T @ (b @ q) for b in blocks())
     q, _ = np.linalg.qr(y)
     zs = [b @ q for b in blocks()]
@@ -470,7 +471,8 @@ class TestRandomizedSvd:
 
     @staticmethod
     def count_solves(monkeypatch):
-        """Record each Cholesky factorization and each R-only QR."""
+        """Record each Cholesky factorization, each reduced QR ("qr") and
+        each R-only QR ("qr-r")."""
         calls = []
         cholesky, qr = np.linalg.cholesky, np.linalg.qr
 
@@ -479,8 +481,7 @@ class TestRandomizedSvd:
             return cholesky(x)
 
         def counting_qr(x, mode="reduced"):
-            if mode == "r":
-                calls.append("qr-r")
+            calls.append("qr-r" if mode == "r" else "qr")
             return qr(x, mode=mode)
 
         monkeypatch.setattr(np.linalg, "cholesky", counting_cholesky)
@@ -489,16 +490,24 @@ class TestRandomizedSvd:
 
     @pytest.mark.parametrize("make, k", SVD_INPUTS)
     def test_small_solve_takes_the_cholesky_branch(self, make, k, monkeypatch):
+        """Each power iteration takes CholeskyQR2's two factorizations, the
+        final Q a Householder QR and the small solve one factorization. At
+        rank 25 the width of 30 exceeds the rank, so each power iteration
+        falls back to Householder after its first factorization."""
         calls = self.count_solves(monkeypatch)
-        randomized_svd(make(), k=k, oversample=10, power_iters=2, seed=3)
-        assert calls == ["cholesky"]
+        power_iters = 2
+        randomized_svd(make(), k=k, oversample=10, power_iters=power_iters, seed=3)
+        if make is rank_deficient_input:
+            assert calls == ["cholesky", "qr", "cholesky", "qr", "qr", "cholesky"]
+        else:
+            assert calls == ["cholesky"] * (2 * power_iters) + ["qr", "cholesky"]
 
     def test_all_zero_input_falls_back_to_householder_bit_for_bit(self, monkeypatch):
         a = np.zeros((6, 5))
         u_ref, s_ref = householder_randomized_svd(a, k=2, seed=4)
         calls = self.count_solves(monkeypatch)
         u, s = randomized_svd(a, k=2, oversample=10, power_iters=2, seed=4)
-        assert calls == ["cholesky", "qr-r"]
+        assert calls == ["cholesky", "qr"] * 2 + ["qr", "cholesky", "qr-r"]
         assert np.array_equal(u, u_ref) and np.array_equal(s, s_ref)
 
     @staticmethod
@@ -514,8 +523,9 @@ class TestRandomizedSvd:
 
     def test_peak_memory_does_not_grow_with_n(self):
         """The term side is only ever held one block at a time, so no
-        n-by-width array exists. The transposed copy of the input grows with
-        its nonzeros, which stay fixed here while n doubles."""
+        n-by-width array exists. The CSR copy of the input's transpose (a CSC
+        input would need none) grows with its nonzeros, which stay fixed here
+        while n doubles."""
         width = 40 + 10
         peaks = {n: self.svd_peak(n) for n in (40000, 80000)}
         for n, peak in peaks.items():
@@ -571,6 +581,27 @@ class TestRandomizedSvd:
         _, s1 = randomized_svd(a, k=3, oversample=10, power_iters=4, seed=1)
         _, s2 = randomized_svd(a, k=3, oversample=10, power_iters=4, seed=2)
         np.testing.assert_allclose(s1, s2, rtol=1e-6)
+
+
+class TestOrthonormalize:
+    def test_ill_conditioned_input_takes_householder_bit_for_bit(self):
+        """A column 1e-9 the size of the others still has a Cholesky factor,
+        but its diagonal flags the Gram as too ill-conditioned."""
+        y = np.random.default_rng(0).standard_normal((2000, 40))
+        y[:, 7] *= 1e-9
+        q_ref, _ = np.linalg.qr(y)
+        assert np.array_equal(tagfuse.semantic._orthonormalize(y), q_ref)
+
+    def test_cholesky_qr2_is_orthonormal_and_spans_the_input(self):
+        """Condition number 1e5: one CholeskyQR pass would leave q.T @ q
+        about 6e-8 from the identity; the second pass restores it."""
+        rng = np.random.default_rng(0)
+        rotation, _ = np.linalg.qr(rng.standard_normal((50, 50)))
+        y = (rng.standard_normal((3000, 50)) * np.logspace(0, -5, 50)) @ rotation
+        y_in = y.copy()
+        q = tagfuse.semantic._orthonormalize(y)
+        np.testing.assert_allclose(q.T @ q, np.eye(50), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(q @ (q.T @ y_in), y_in, rtol=0, atol=1e-12)
 
 
 class TestTruncatedSvd:
