@@ -17,7 +17,7 @@ from dataclasses import dataclass
 # that never do (index, synset, fuse, eval) then start without loading it.
 
 from .corpus import TEXT_FIELDS
-from .errors import ConfigError, InsufficientPositives, TagfuseError
+from .errors import ConfigError, UntrainableTopic
 from .forest import ForestConfig, RandomForest
 from .index import Index, has_any_match
 from .ranking import Ranked
@@ -55,7 +55,7 @@ def build_dataset(
     seed: int = 0,
 ) -> tuple[list[str], list[str]]:
     """Assemble positives and sampled negatives for one topic, as two
-    sorted article id lists.
+    sorted, non-empty article id lists.
 
     Positives: topic name occurs as a phrase in the title or abstract;
     fewer than ``config.min_positives`` of them is too few.
@@ -66,16 +66,21 @@ def build_dataset(
 
     Sampling uses a seed derived from ``seed`` and the topic name, so
     per-topic results are independent of processing order. Raises
-    :class:`InsufficientPositives` when the corpus cannot support the
-    topic; callers should skip the topic and say so.
+    :class:`UntrainableTopic` when there are too few positives or no
+    article to draw negatives from; callers should skip the topic and say so.
     """
     import numpy as np
     positives = sorted(has_any_match(index, [topic], TEXT_FIELDS))
-    if len(positives) < config.min_positives:
-        raise InsufficientPositives(topic, len(positives), config.min_positives)
+    found = f"topic {topic!r}: {len(positives)} positive examples"
+    record = {"topic": topic, "positives": len(positives)}
+    if len(positives) < (need := config.min_positives):
+        raise UntrainableTopic(f"{found}, need at least {need}", {**record, "required": need})
 
     mentioned_anywhere = has_any_match(index, [topic], index.fields)
     pool = sorted(set(index.article_ids) - mentioned_anywhere)
+    if not pool:
+        reason = "0 negative examples: every indexed article mentions the topic"
+        raise UntrainableTopic(f"{found}, {reason}", {**record, "negatives": 0})
     wanted = config.neg_ratio * len(positives)  # compared before ceil: may be inf
     n_wanted = len(pool) if wanted > len(pool) else math.ceil(wanted)
     if wanted > len(pool):
@@ -86,7 +91,7 @@ def build_dataset(
             wanted,
         )
     rng = np.random.default_rng(derive_seed(seed, "dataset", topic))
-    chosen = rng.choice(len(pool), size=n_wanted, replace=False) if n_wanted else []
+    chosen = rng.choice(len(pool), size=n_wanted, replace=False)
     negatives = sorted(pool[i] for i in chosen)
     logger.info(
         "topic %r: %d positives, %d negatives (pool %d)",
@@ -109,15 +114,11 @@ def train(
     """Fit a forest on the embedding rows of one topic's positive and
     negative articles and return it.
 
-    Every labeled row trains the forest; its ``oob_accuracy`` measures
+    Both lists are non-empty, as ``build_dataset`` returns them. Every
+    labeled row trains the forest; its ``oob_accuracy`` measures
     generalization. Training is deterministic given the seed and dataset.
     """
     import numpy as np
-    if not positives or not negatives:
-        raise TagfuseError(
-            f"topic {topic!r}: need both classes to train "
-            f"({len(positives)} positives, {len(negatives)} negatives)"
-        )
     ids = positives + negatives
     x = np.stack([sem.row(a) for a in ids])
     y = np.concatenate(

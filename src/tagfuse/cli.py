@@ -37,7 +37,7 @@ from .benchmark import generate, topic_names
 from .classifier import build_dataset, rank_corpus, train
 from .config import RunConfig, load_config, topic_slug
 from .corpus import ingest_corpus, load_ground_truth, save_corpus, save_ground_truth, write_jsonl
-from .errors import ConfigError, InsufficientPositives, TagfuseError
+from .errors import ConfigError, TagfuseError, UntrainableTopic
 from .evaluation import format_table, sweep, write_plot_series
 from .fusion import fuse, invert, write_assignments
 from .index import Index, build_ground_truth, build_index, check_fields
@@ -174,17 +174,16 @@ def _train_topic(topic: str, path: str) -> tuple[str | None, dict]:
     in a pool worker.
 
     Returns ``(None, record)`` for the training report's "trained" list, or
-    ``(warning, record)`` for its "skipped" list when the topic has too few
-    positives. A skipped topic still gets a classifier list, an empty one,
-    so that ``fuse`` reads every topic the same way.
+    ``(warning, record)`` for its "skipped" list when ``build_dataset`` finds
+    the topic untrainable. A skipped topic still gets a classifier list, an
+    empty one, so that ``fuse`` reads every topic the same way.
     """
     cfg, index, sem = _topic_inputs
     try:
         positives, negatives = build_dataset(topic, index, cfg.classifier, seed=cfg.seed)
-    except InsufficientPositives as exc:
+    except UntrainableTopic as exc:
         write_ranked_list(([], []), topic, ORIGIN_CLASSIFIER, path)
-        record = {"topic": topic, "positives": exc.found, "required": exc.required}
-        return f"skipping topic: {exc}", record
+        return f"skipping topic: {exc}", exc.record
     forest = train(topic, positives, negatives, sem, cfg.classifier, seed=cfg.seed)
     write_ranked_list(rank_corpus(forest, sem, cfg.classifier), topic, ORIGIN_CLASSIFIER, path)
     oob = forest.oob_accuracy
@@ -212,6 +211,21 @@ def stage_train_rank(cfg: RunConfig) -> None:
         # Recorded here: a worker's copy of ``ws`` records nothing.
         topics = _topics(cfg)
         paths = [ws.output(ws.classifier_list_path(t)) for t in topics]
+        # The operator's report; a --topics run keeps the other topics' records.
+        summary_path = ws.path("ranked", "classifier", "_training.json")
+        summary: dict[str, list[dict]] = {"trained": [], "skipped": []}
+        if os.path.exists(summary_path):
+            try:
+                with open(ws.input(summary_path), encoding="utf-8") as fh:
+                    old = json.load(fh)
+            except ValueError as exc:  # not UTF-8, or not JSON
+                raise TagfuseError(f"{summary_path}: invalid training report: {exc}") from None
+            if not (isinstance(old, dict) and old.keys() == summary.keys() and all(
+                isinstance(v, list) and all(isinstance(r, dict) and "topic" in r for r in v)
+                for v in old.values()
+            )):
+                raise TagfuseError(f"{summary_path}: not a report like {json.dumps(summary)}")
+            summary = {k: [r for r in old[k] if r["topic"] not in topics] for k in summary}
 
         # Topics are independent (each has its own seeds), so they train in
         # parallel, one worker per CPU this process may run on. Fork, not the
@@ -225,16 +239,13 @@ def stage_train_rank(cfg: RunConfig) -> None:
         ) as pool:
             results = list(pool.map(_train_topic, topics, paths))
 
-        # A report for the operator; no stage reads it.
-        summary: dict[str, list[dict]] = {"trained": [], "skipped": []}
         for warning, record in results:
             if warning:
                 logger.warning("%s", warning)
             summary["skipped" if warning else "trained"].append(record)
-        summary_path = ws.path("ranked", "classifier", "_training.json")
         with open(ws.output(summary_path), "w", encoding="utf-8") as fh:
             json.dump(summary, fh, indent=2)
-        ws.extra = {"skipped_topics": [s["topic"] for s in summary["skipped"]]}
+        ws.extra = {"skipped_topics": [record["topic"] for warning, record in results if warning]}
 
 
 def stage_synset(cfg: RunConfig) -> None:
@@ -400,8 +411,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"tagfuse {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    # --topics only where each topic's output is its own file: a subset
-    # would otherwise overwrite or score outputs that cover every topic.
+    # --topics only where the other topics' outputs stay (their own files;
+    # train-rank merges its report), not where one output covers every topic.
     def add(name: str, help_text: str, topics_flag: bool = False, a_flag: bool = False):
         p = sub.add_parser(name, help=help_text)
         p.add_argument(

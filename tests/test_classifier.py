@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from tagfuse.classifier import ClassifierConfig, build_dataset, rank_corpus, train
-from tagfuse.errors import ConfigError, InsufficientPositives, TagfuseError
+from tagfuse.errors import ConfigError, UntrainableTopic
 from tagfuse.forest import RandomForest
 from tagfuse.index import build_index
 from tagfuse.seeds import derive_seed
@@ -91,11 +91,17 @@ class TestBuildDataset:
     def test_too_few_positives_raises_with_counts(self):
         corpus = labeled_corpus()
         index = build_index(corpus)
-        with pytest.raises(InsufficientPositives) as excinfo:
+        with pytest.raises(UntrainableTopic) as excinfo:
             build_dataset("mycology", index, ClassifierConfig(min_positives=50))
-        assert excinfo.value.topic == "mycology"
-        assert excinfo.value.found == 10
-        assert excinfo.value.required == 50
+        assert excinfo.value.record == {"topic": "mycology", "positives": 10, "required": 50}
+        assert str(excinfo.value) == "topic 'mycology': 10 positive examples, need at least 50"
+
+    def test_empty_negative_pool_raises_with_counts(self):
+        # Every article names the topic, if only in its keywords: no negative.
+        corpus = [rec for rec in labeled_corpus() if not rec.id.startswith("n")]
+        with pytest.raises(UntrainableTopic, match="10 positive examples, 0 negative") as excinfo:
+            build_dataset("mycology", build_index(corpus), small())
+        assert excinfo.value.record == {"topic": "mycology", "positives": 10, "negatives": 0}
 
     def test_negative_sampling_is_seed_deterministic(self):
         corpus = labeled_corpus()
@@ -150,11 +156,6 @@ class TestTrain:
         p2 = f2.predict_proba(sem.matrix)
         assert np.array_equal(p1, p2)
         assert f1.oob_accuracy == f2.oob_accuracy
-
-    def test_empty_class_rejected(self):
-        sem = embedding_for(labeled_corpus())
-        with pytest.raises(TagfuseError, match="topic 'x': need both classes"):
-            train("x", ["t00"], [], sem)
 
     def test_fits_one_forest_per_topic(self, monkeypatch):
         corpus = labeled_corpus()

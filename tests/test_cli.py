@@ -238,6 +238,18 @@ class TestStagePipeline:
         bench_tags = open(os.path.join(bench_out, "tags", "tags_a2.jsonl"), "rb").read()
         assert stage_tags == bench_tags
 
+    def test_importing_the_cli_loads_no_numerics_pool_or_pickle(self):
+        # pytest's own process already holds them: run in a fresh interpreter.
+        script = (
+            "import sys\n"
+            "import tagfuse.cli\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] in "
+            "('numpy', 'scipy', 'multiprocessing', 'pickle')))\n"
+        )
+        result = run_python("-c", script)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.splitlines()[-1] == "[]"
+
     def test_stages_without_numerics_never_load_numpy(
         self, stage_config, bench_run, tmp_path
     ):
@@ -459,6 +471,26 @@ class TestStagePipeline:
             os.path.join(sub_out, "ranked", "synset", "domain02.tsv")
         )
 
+    def test_train_rank_on_some_topics_keeps_the_others_records(
+        self, stage_config, bench_run, tmp_path
+    ):
+        _, bench_out = bench_run
+        config = derived_config(stage_config, tmp_path)
+        out = tmp_path / "out"
+        shutil.copytree(bench_out, out)
+        report = out / "ranked" / "classifier" / "_training.json"
+        full = report.read_bytes()
+        args = ["train-rank", "--config", config]
+        assert main([*args, "--topics", f"{TOPICS[0]},{TOPICS[2]}"]) == 0
+        trained = json.loads(full)["trained"]
+        assert json.loads(report.read_bytes()) == {
+            "trained": [trained[i] for i in (1, 3, 0, 2)], "skipped": []
+        }
+        assert str(report) in read_manifest(str(out))[-1]["inputs"]
+        # A run over every topic writes the report a first run writes.
+        assert main(args) == 0
+        assert report.read_bytes() == full
+
     @pytest.mark.parametrize("topics", ["nope", "", ","])  # "": an empty shell variable
     def test_unknown_topics_override_is_a_usage_error(self, stage_config, caplog, topics):
         config, _ = stage_config
@@ -670,6 +702,28 @@ class TestFailureModes:
         if name == "index.pkl":
             assert errors[0].endswith("re-run 'tagfuse index'"), errors
         assert not (out / "ranked" / "classifier").exists()
+
+    @pytest.mark.parametrize(
+        "data",
+        [b"[]", b'{"trained": []}', b'{"trained": {}, "skipped": []}',
+         b'{"trained": [], "skipped": [{}]}', b'{"trained": [], "skipped": [1]}', b"{", b"\xff"],
+    )
+    def test_training_report_of_another_shape_exits_three_naming_it(
+        self, stage_config, bench_run, tmp_path, caplog, data
+    ):
+        _, bench_out = bench_run
+        config = derived_config(stage_config, tmp_path)
+        out = tmp_path / "out"
+        copy_upstream(bench_out, out)
+        report = out / "ranked" / "classifier" / "_training.json"
+        report.parent.mkdir(parents=True)
+        report.write_bytes(data)
+        with caplog.at_level(logging.ERROR):
+            assert main(["train-rank", "--config", config]) == 3
+        errors = [r.message for r in caplog.records if r.levelno >= logging.ERROR]
+        assert len(errors) == 1 and str(report) in errors[0]
+        assert os.listdir(report.parent) == ["_training.json"]
+        assert report.read_bytes() == data
 
     def test_embedding_without_the_indexed_ids_exits_three_before_training(
         self, stage_config, bench_run, tmp_path, caplog

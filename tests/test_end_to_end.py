@@ -64,27 +64,79 @@ def test_every_topic_skipped_in_training_is_fused_from_its_synset_list_alone(spe
     assert tags["tags_a1.jsonl"] == tags["tags_a4.jsonl"]
 
 
+def list_rows(out, kind, topic):
+    """The rank, article id and score of each entry of ``out/kind/<slug>.tsv``."""
+    lines = (out / kind / f"{topic_slug(topic)}.tsv").read_text(encoding="utf-8").splitlines()
+    return [line.split("\t") for line in lines[1:]]
+
+
+def assert_fused_by_the_rule(out, topic):
+    """Each ``fusion/a<a>`` list of ``topic`` is the rule recomputed from its two lists."""
+    s = {aid: int(rank) for rank, aid, _ in list_rows(out, "ranked/synset", topic)}
+    r = {aid: int(rank) for rank, aid, _ in list_rows(out, "ranked/classifier", topic)}
+    t = {aid: (s[aid] + r[aid]) / 2 if aid in s and aid in r
+         else float((s[aid] if aid in s else r[aid]) * len(s)) for aid in {*s, *r}}
+    order = sorted(t, key=lambda aid: (t[aid], aid))
+    for a in (1, 2, 3, 4):
+        rule = [[str(i), aid, repr(t[aid])] for i, aid in enumerate(order[: a * len(s)], 1)]
+        assert list_rows(out, f"fusion/a{a}", topic) == rule, (topic, a)
+
+
 def test_every_fusion_route_is_kept_and_each_fused_list_is_the_rule_recomputed(spec_run):
     out = spec_run("ci-routes")
-
-    def rows(kind, slug):  # rank, article id, score
-        lines = (out / kind / f"{slug}.tsv").read_text(encoding="utf-8").splitlines()
-        return [line.split("\t") for line in lines[1:]]
-
     for topic in spec_topics("ci-routes"):
-        slug = topic_slug(topic)
-        s = {aid: int(rank) for rank, aid, _ in rows("ranked/synset", slug)}
-        r = {aid: int(rank) for rank, aid, _ in rows("ranked/classifier", slug)}
-        t = {aid: (s[aid] + r[aid]) / 2 if aid in s and aid in r
-             else float((s[aid] if aid in s else r[aid]) * len(s)) for aid in {*s, *r}}
-        order = sorted(t, key=lambda aid: (t[aid], aid))
-        for a in (1, 2, 3, 4):
-            rule = [[str(i), aid, repr(t[aid])] for i, aid in enumerate(order[: a * len(s)], 1)]
-            assert rows(f"fusion/a{a}", slug) == rule, (topic, a)
-        a1 = [aid for _, aid, _ in rows("fusion/a1", slug)]
+        assert_fused_by_the_rule(out, topic)
+        a1 = [aid for _, aid, _ in list_rows(out, "fusion/a1", topic)]
+        s = {aid for _, aid, _ in list_rows(out, "ranked/synset", topic)}
+        r = {aid for _, aid, _ in list_rows(out, "ranked/classifier", topic)}
         routes = [sum(1 for aid in a1 if (aid in s, aid in r) == key)
                   for key in ((True, True), (True, False), (False, True))]
         assert min(routes) > 0, (topic, "dual, synset-only, classifier-only", routes)
+
+
+def test_a_topic_every_article_mentions_is_skipped_and_fused_from_its_synset_list(spec_run):
+    # Every generated article names its topic in "subjects": no negative is left.
+    out = spec_run("ci-one-topic")
+    [topic] = spec_topics("ci-one-topic")
+    report = json.loads((out / "ranked" / "classifier" / "_training.json").read_text())
+    assert report == {"trained": [], "skipped": [{"topic": topic, "positives": 110, "negatives": 0}]}
+    path = out / "ranked" / "classifier" / f"{topic_slug(topic)}.tsv"
+    assert path.read_text(encoding="utf-8") == f"# topic={topic}\torigin=classifier\n"
+    assert list_rows(out, "ranked/synset", topic)
+    assert_fused_by_the_rule(out, topic)
+
+
+def test_a_topic_every_article_mentions_leaves_the_rest_of_the_batch_as_it_was(
+    spec_run, tmp_path, caplog
+):
+    # "bg0000" is in the title or abstract of most ci articles; as a keyword
+    # of the others, which neither the embedding nor a synset search reads,
+    # it is in every article.
+    ci, out, topic = spec_run("ci"), tmp_path / "ci-everywhere", "bg0000"
+    records = [json.loads(line) for line in (ci / "data" / "corpus.jsonl").read_text().splitlines()]
+    for rec in records:
+        if topic not in f"{rec['title']} {rec['abstract']}".split():
+            rec["keywords"].append(topic)
+    corpus, synsets = tmp_path / "corpus.jsonl", tmp_path / "synsets.jsonl"
+    corpus.write_text("".join(json.dumps(rec) + "\n" for rec in records))
+    line = json.dumps({"topic": topic, "terms": [topic]})
+    synsets.write_text((ci / "data" / "synsets.jsonl").read_text() + line + "\n")
+    config = ci_data_config(
+        tmp_path / "ci-everywhere.json", ci, corpus_path=str(corpus), synsets_path=str(synsets),
+        ground_truth_path=str(ci / "data" / "ground_truth.jsonl"),
+        topics=spec_topics("ci") + [topic], classifier={"min_positives": 1},
+    )
+    with caplog.at_level(logging.WARNING, logger="tagfuse.cli"):
+        assert main(["all", "--config", config, "--output-dir", str(out)]) == 0
+    assert f"skipping topic: topic '{topic}': 427 positive examples, 0 negative" in caplog.text
+    report, ci_report = (json.loads((run / "ranked" / "classifier" / "_training.json").read_text())
+                         for run in (out, ci))
+    assert report == {"trained": ci_report["trained"],
+                      "skipped": [{"topic": topic, "positives": 427, "negatives": 0}]}
+    for kind in ("ranked/classifier", "ranked/synset", *(f"fusion/a{a}" for a in (1, 2, 3, 4))):
+        for name in (f"{kind}/{topic_slug(t)}.tsv" for t in spec_topics("ci")):
+            assert (out / name).read_bytes() == (ci / name).read_bytes(), name
+    assert_fused_by_the_rule(out, topic)
 
 
 def test_ground_truth_from_subjects_and_one_depth_alone_change_no_artifact(spec_run, tmp_path):
