@@ -118,65 +118,65 @@ def generate(
       but the search routes do not read it);
     * every article carries its topic name in ``subjects``, which is what
       the planted ground truth records.
+
+    The bytes stay fixed because the same calls draw in the same order,
+    and because a search of the Zipf CDF, built once here, equals the
+    ``Generator.choice(size, n, p=zipf_p)`` that builds it on every call.
     """
     import numpy as np
     rng = np.random.default_rng(spec.seed)
+    random, integers, shuffle = rng.random, rng.integers, rng.shuffle
     topics = _make_topics(spec)
     background = [f"bg{j:04d}" for j in range(spec.background_vocab_size)]
 
     ranks = np.arange(1, spec.background_vocab_size + 1, dtype=np.float64)
-    zipf_p = ranks ** -_ZIPF_EXPONENT
-    zipf_p /= zipf_p.sum()
-
-    def background_words(n: int) -> list[str]:
-        picks = rng.choice(spec.background_vocab_size, size=n, p=zipf_p)
-        return [background[j] for j in picks]
+    zipf = ranks ** -_ZIPF_EXPONENT
+    cdf = (zipf / zipf.sum()).cumsum()
+    cdf /= cdf[-1]
 
     def pool_words(pool: tuple[str, ...], n: int) -> list[str]:
-        picks = rng.integers(0, len(pool), size=n)
-        return [pool[j] for j in picks]
+        return [pool[j] for j in integers(0, len(pool), size=n).tolist()]
 
     n_alt = round(spec.alt_vocab_fraction * spec.docs_per_topic)
     records: list[ArticleRecord] = []
     labels: dict[str, set[str]] = {}
-    counter = 0
+
+    # Per community (primary, alternate): its pool draws and its background count.
+    plans = []
+    for mix in (_PRIMARY_MIX, _ALTERNATE_MIX):
+        counts = [(pool, round(f * spec.doc_length)) for pool, f in mix.items()]
+        plans.append((counts, spec.doc_length - sum(n for _, n in counts)))
 
     for topic_i, topic in enumerate(topics):
         for doc_j in range(spec.docs_per_topic):
             alt_community = doc_j < n_alt
-            mix = _ALTERNATE_MIX if alt_community else _PRIMARY_MIX
+            counts, n_background = plans[alt_community]
             body: list[str] = []
-            n_topic_terms = 0
-            for pool_name, fraction in mix.items():
-                pool = topic.alternate if pool_name == "alternate" else topic.primary
-                n = round(fraction * spec.doc_length)
-                body.extend(pool_words(pool, n))
-                n_topic_terms += n
-            body.extend(background_words(spec.doc_length - n_topic_terms))
+            for pool, n in counts:
+                body += pool_words(getattr(topic, pool), n)
+            picks = cdf.searchsorted(random(n_background), side="right")
+            body += [background[j] for j in picks.tolist()]
 
-            if spec.n_topics > 1 and rng.random() < spec.cross_noise_fraction:
-                other = topics[
-                    (topic_i + 1 + int(rng.integers(0, spec.n_topics - 1)))
-                    % spec.n_topics
-                ]
-                noise = other.synset_terms[int(rng.integers(0, len(other.synset_terms)))]
+            if spec.n_topics > 1 and random() < spec.cross_noise_fraction:
+                step = 1 + int(integers(0, spec.n_topics - 1))
+                other = topics[(topic_i + step) % spec.n_topics]
+                noise = other.synset_terms[int(integers(0, len(other.synset_terms)))]
                 body.extend([noise] * _NOISE_OCCURRENCES)
 
-            rng.shuffle(body)
+            shuffle(body)
+            own = topic.alternate if alt_community else topic.primary
             if alt_community:
-                title_words = pool_words(topic.alternate, 3)
+                title_words = pool_words(own, 3)
             else:
-                title_words = [topic.name] + pool_words(topic.primary, 2)
-            source = topic.alternate if alt_community else topic.primary
+                title_words = [topic.name] + pool_words(own, 2)
 
-            article_id = f"d{counter:05d}"
-            counter += 1
+            article_id = f"d{len(records):05d}"
             records.append(
                 ArticleRecord(
                     id=article_id,
                     title=" ".join(title_words),
                     abstract=" ".join(body),
-                    keywords=tuple(pool_words(source, 2)),
+                    keywords=tuple(pool_words(own, 2)),
                     subjects=(topic.name,),
                 )
             )

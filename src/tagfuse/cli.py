@@ -29,7 +29,9 @@ import json
 import logging
 import math
 import os
+import signal
 import sys
+import threading
 import time
 
 from . import __version__
@@ -102,29 +104,59 @@ class Workspace:
 
 
 @contextlib.contextmanager
+def _signals_held():
+    """Hold SIGINT and SIGTERM back until the block exits, then raise them.
+
+    A handler that records them holds them back; blocking them in this
+    thread's signal mask would not. The kernel hands a signal sent to the
+    process to any thread that does not block it, such as a BLAS thread
+    that numpy starts, and Python then runs the handler in the main thread
+    all the same. Since only the main thread runs handlers, a block in
+    another thread has nothing to hold.
+    """
+    if threading.current_thread() is not threading.main_thread():
+        yield
+        return
+    held = []
+    previous = {
+        sig: signal.signal(sig, lambda signum, frame: held.append(signum))
+        for sig in (signal.SIGINT, signal.SIGTERM)
+    }
+    try:
+        yield
+    finally:
+        for sig, handler in previous.items():
+            signal.signal(sig, handler)
+        for sig in held:
+            signal.raise_signal(sig)
+
+
+@contextlib.contextmanager
 def _run(cfg: RunConfig, command: str):
     """Run one stage in a fresh :class:`Workspace`.
 
     On success every output is renamed into place, then the manifest gets
     one line with exactly the recorded inputs and outputs. On any failure
     the partial files are removed and no line is written, so the previous
-    artifacts stay as they were.
+    artifacts stay as they were. A SIGINT or SIGTERM that arrives during
+    the renames or the manifest line waits until both are done.
     """
     started = time.time()
     ws = Workspace(cfg.output_dir)
     try:
         yield ws
-        for path in ws.outputs:
-            os.replace(path + ".partial", path)
+        with _signals_held():
+            for path in ws.outputs:
+                os.replace(path + ".partial", path)
+            append_entry(
+                cfg.output_dir, command, cfg.seed, config_fingerprint(cfg),
+                ws.inputs, ws.outputs, started, ws.extra,
+            )
     except BaseException:
         for path in ws.outputs:
             with contextlib.suppress(FileNotFoundError):
                 os.remove(path + ".partial")
         raise
-    append_entry(
-        cfg.output_dir, command, cfg.seed, config_fingerprint(cfg),
-        ws.inputs, ws.outputs, started, ws.extra,
-    )
 
 
 def _require_input(path: str | None, what: str) -> str:
@@ -366,6 +398,7 @@ def stage_bench(cfg: RunConfig) -> None:
         save_corpus(corpus, ws.output(corpus_path))
         save_synsets(synsets, ws.output(synsets_path))
         save_ground_truth(truth, ws.output(truth_path))
+        del corpus, truth, synsets  # not held through the stages, which read the files
         ws.extra = {"benchmark": dataclasses.asdict(spec)}
 
     pipeline_cfg = dataclasses.replace(

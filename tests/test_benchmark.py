@@ -1,10 +1,12 @@
+import numpy as np
 import pytest
 
-from tagfuse.benchmark import BenchmarkSpec, _make_topics, generate, topic_names
-from tagfuse.corpus import save_corpus
+from tagfuse.benchmark import _ZIPF_EXPONENT, BenchmarkSpec, _make_topics, generate, topic_names
+from tagfuse.corpus import save_corpus, save_ground_truth
 from tagfuse.errors import ConfigError
 from tagfuse.index import build_index
-from tagfuse.synsets import SynsetConfig, synset_rank
+from tagfuse.manifest import file_sha256
+from tagfuse.synsets import SynsetConfig, save_synsets, synset_rank
 from tagfuse.text import tokenize
 
 SMALL = BenchmarkSpec(
@@ -177,15 +179,55 @@ class TestVocabularySplit:
         assert foreign > 0
 
 
+# SHA-256 of the saved corpus, ground truth and synsets of each spec: a
+# change to what or how the generator draws must keep these bytes.
+PINNED = [
+    (SMALL, (
+        "10042492a263336479dfb3a4f78d6299e2f41bbd61b1b4077b5e6a819e6a5195",
+        "acab0d700cc67748a633c037898eebbc37717699276878d4e8420d7d7d064217",
+        "d030a7395b1decef5320f08aa0b34d3a2ae6120005b37c405f4401d5fb250920",
+    )),
+    (BenchmarkSpec(), (
+        "6795b358efb67482dc80c6883a36511b9913d35470aef3a5075a8fb3f9f52eaa",
+        "5a76d85439c1dcf8a7be54f26bef2779920fea1f3ec803d376ee45eaaf98c5ce",
+        "f5da816b1fc94cc1ca023832e4eef5a8be5b43513d37c542c3bbd34544dd9ab7",
+    )),
+    # perfbench's many-topics-10k shape
+    (BenchmarkSpec(n_topics=20, docs_per_topic=500, vocab_per_topic=12,
+                   background_vocab_size=300, doc_length=30), (
+        "22a139c4b0f0d7ac4bdd3bfa51b25740cc76f363e1c6c1a850600c8c6905507a",
+        "83a06f28807d0cc4c6b37ad129b8653ae145fb16f3b16485d6ebdd266922cc1a",
+        "6fce893441df60bbd713bc5b7842c5943a8a2714246e16fbb970d2ad8cdb7985",
+    )),
+]
+
+
 class TestDeterminism:
     def test_same_spec_same_bytes(self, tmp_path):
-        paths = []
-        for run in ("one", "two"):
-            corpus, _, _ = generate(SMALL)
-            path = tmp_path / f"{run}.jsonl"
-            save_corpus(corpus, str(path))
-            paths.append(path)
-        assert paths[0].read_bytes() == paths[1].read_bytes()
+        corpus_path, truth_path, synsets_path = (
+            str(tmp_path / name) for name in ("corpus.jsonl", "truth.jsonl", "synsets.jsonl")
+        )
+        for spec, digests in PINNED:
+            corpus, truth, synsets = generate(spec)
+            save_corpus(corpus, corpus_path)
+            save_ground_truth(truth, truth_path)
+            save_synsets(synsets, synsets_path)
+            paths = (corpus_path, truth_path, synsets_path)
+            assert tuple(map(file_sha256, paths)) == digests, spec
+
+    def test_a_search_of_the_zipf_cdf_draws_as_choice_does(self):
+        """``generate`` searches the Zipf CDF for background words where it
+        once called ``Generator.choice``; the corpora keep their bytes only
+        while the two draw the same words from the same stream."""
+        for size, n in [(120, 13), (300, 6), (2000, 54), (2000, 10_000)]:
+            zipf_p = np.arange(1, size + 1, dtype=np.float64) ** -_ZIPF_EXPONENT
+            zipf_p /= zipf_p.sum()
+            cdf = zipf_p.cumsum()
+            cdf /= cdf[-1]
+            searched, chosen = np.random.default_rng(size), np.random.default_rng(size)
+            picks = cdf.searchsorted(searched.random(n), side="right")
+            assert picks.tolist() == chosen.choice(size, n, p=zipf_p).tolist()
+            assert searched.random() == chosen.random()  # as many draws taken
 
     def test_seed_changes_the_corpus(self):
         import dataclasses

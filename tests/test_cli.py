@@ -4,6 +4,7 @@ import logging
 import os
 import pickle
 import shutil
+import weakref
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
@@ -13,7 +14,7 @@ from scipy import sparse
 import tagfuse.corpus
 import tagfuse.semantic
 from tagfuse import cli
-from tagfuse.benchmark import BenchmarkSpec, topic_names
+from tagfuse.benchmark import BenchmarkSpec, generate, topic_names
 from tagfuse.classifier import train
 from tagfuse.cli import main
 from tagfuse.config import topic_slug
@@ -151,6 +152,31 @@ class TestBenchPipeline:
             expected.append(f"tags/tags_a{a}.jsonl")
         missing = [p for p in expected if not os.path.exists(os.path.join(out, p))]
         assert not missing
+
+    def test_the_generated_records_are_freed_before_the_stages_run(
+        self, tmp_path, monkeypatch
+    ):
+        generated = []  # weak references to the generated records
+
+        def recording_generate(spec):
+            corpus, truth, synsets = generate(spec)
+            generated.extend(map(weakref.ref, corpus))
+            return corpus, truth, synsets
+
+        class IndexStarted(Exception):
+            pass
+
+        def counting_index(cfg):
+            raise IndexStarted(sum(ref() is not None for ref in generated))
+
+        monkeypatch.setattr(cli, "generate", recording_generate)
+        monkeypatch.setitem(cli._STAGES, "index", counting_index)
+        config = write_config(tmp_path / "config.json", benchmark=BENCH,
+                              output_dir=str(tmp_path / "out"))
+        with pytest.raises(IndexStarted) as started:
+            main(["bench", "--config", config])
+        assert len(generated) == len(TOPICS) * BENCH["docs_per_topic"]
+        assert started.value.args == (0,)  # records alive when index started
 
     def test_no_topics_were_skipped(self, bench_run):
         _, out = bench_run
@@ -605,6 +631,72 @@ class TestStageRunner:
         monkeypatch.setattr(cli, "train", failing_train)
         assert main(["train-rank", "--config", config]) == 3
         assert snapshot(out) == before
+
+    # Each run, in a fresh interpreter that pytest's own handlers stay out of,
+    # copies ``out`` and runs fuse there; the k-th rename sends the process a
+    # SIGINT. A second thread stands for the BLAS threads numpy starts: the
+    # kernel may hand the signal to any thread that does not block it.
+    INTERRUPTED_FUSE = """
+import os, shutil, signal, sys, threading
+from tagfuse.cli import main
+config, out, renames, threads = sys.argv[1], sys.argv[2], int(sys.argv[3]), int(sys.argv[4])
+for _ in range(threads - 1):
+    threading.Thread(target=threading.Event().wait, daemon=True).start()
+replace = os.replace
+for k in range(1, renames + 1):
+    shutil.copytree(out, f"{out}-{k}")
+    calls = []
+
+    def interrupting_replace(src, dst):
+        calls.append(dst)
+        if len(calls) == k:
+            os.kill(os.getpid(), signal.SIGINT)
+        replace(src, dst)
+
+    os.replace = interrupting_replace
+    try:
+        main(["fuse", "--config", config, "--output-dir", f"{out}-{k}"])
+    except KeyboardInterrupt:
+        print(k)
+    finally:
+        os.replace = replace
+"""
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_an_interrupted_commit_is_whole_or_absent(
+        self, stage_config, bench_run, tmp_path, threads
+    ):
+        out, before = self.previous_run(bench_run, tmp_path, "fusion", "tags")
+        config = derived_config(stage_config, tmp_path)
+        _, bench_out = bench_run
+        [fuse] = [e for e in read_manifest(bench_out) if e["command"] == "fuse"]
+        renames = len(fuse["outputs"])
+        result = run_python("-c", self.INTERRUPTED_FUSE, config, str(out), str(renames),
+                            str(threads))
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.split() == [str(k) for k in range(1, renames + 1)]
+        for k in range(1, renames + 1):
+            run = f"{out}-{k}"
+            if snapshot(run) == before:  # the old outputs, and no new line
+                continue
+            # The new outputs, each with its digest on one new manifest line.
+            *entries, entry = read_manifest(run)
+            assert len(entries) == len(read_manifest(out)), k
+            assert entries == read_manifest(out), k
+            assert entry["command"] == "fuse", k
+            assert {p: file_sha256(p) for p in entry["outputs"]} == entry["outputs"], k
+            assert sorted(os.path.relpath(p, run) for p in entry["outputs"]) == sorted(
+                os.path.relpath(p, bench_out) for p in fuse["outputs"]
+            ), k
+            assert snapshot(run, MANIFEST_NAME) == snapshot(bench_out, MANIFEST_NAME), k
+
+    def test_a_stage_commits_outside_the_main_thread(self, stage_config, bench_run, tmp_path):
+        out, _ = self.previous_run(bench_run, tmp_path, "fusion", "tags")
+        config = derived_config(stage_config, tmp_path)
+        with concurrent.futures.ThreadPoolExecutor(1) as pool:
+            assert pool.submit(main, ["fuse", "--config", config]).result() == 0
+        _, bench_out = bench_run
+        assert snapshot(out, MANIFEST_NAME) == snapshot(bench_out, MANIFEST_NAME)
 
     @pytest.mark.parametrize("spec", ["bench", "ci"])
     def test_every_artifact_is_the_output_of_exactly_one_entry(self, bench_run, spec_run, spec):
