@@ -43,7 +43,7 @@ from .errors import ConfigError, TagfuseError, UntrainableTopic
 from .evaluation import format_table, sweep, write_plot_series
 from .fusion import fuse, invert, write_assignments
 from .index import Index, build_ground_truth, build_index, check_fields
-from .manifest import append_entry, config_fingerprint
+from .manifest import append_entry, config_fingerprint, file_sha256, manifest_key, read_manifest
 from .ranking import (
     ORIGIN_CLASSIFIER, ORIGIN_FUSION, ORIGIN_SYNSET, read_ranked_list, write_ranked_list,
 )
@@ -58,11 +58,14 @@ class Workspace:
     """Canonical artifact locations inside one output directory, and the
     files one stage run reads and writes there."""
 
-    def __init__(self, output_dir: str):
+    def __init__(self, output_dir: str, command: str):
         self.root = output_dir
-        self.inputs: list[str] = []
+        self.command = command
+        self.inputs: dict[str, str] = {}  # each file read, to its digest
         self.outputs: list[str] = []
         self.extra: dict = {}  # further keys for the manifest line
+        # Each manifest key to the latest entry that wrote it.
+        self._writers = {key: e for e in read_manifest(output_dir) for key in e["outputs"]}
 
     def path(self, *parts: str) -> str:
         return os.path.join(self.root, *parts)
@@ -87,12 +90,32 @@ class Workspace:
     def tags_path(self, a: int) -> str:
         return self.path("tags", f"tags_a{a}.jsonl")
 
+    def writer(self, path: str) -> dict | None:
+        """The manifest entry of the stage that last wrote ``path``."""
+        return self._writers.get(manifest_key(self.root, path))
+
     def input(self, path: str, producer: str | None = None) -> str:
-        """Record a file the stage reads; ``producer`` names the stage that
-        writes it, for the error when it is missing."""
+        """Digest and record a file the stage reads, before it reads it. A file
+        that ``producer`` or any manifest entry writes must hold the bytes its
+        latest writer recorded, and so must that writer's inputs but its own
+        outputs, or TagfuseError names the stage to re-run."""
         if producer and not os.path.exists(path):
             raise ConfigError(f"missing {path}; run 'tagfuse {producer}' first")
-        self.inputs.append(path)
+        digest = self.inputs[path] = file_sha256(path)
+        if (writer := self.writer(path)) is None and producer is None:
+            return path
+        stage = (writer["command"] if writer else producer).removesuffix("-generate")  # bench
+        rerun = f"{'delete it and ' if stage == self.command else ''}re-run 'tagfuse {stage}'"
+        if writer is None:
+            raise TagfuseError(f"{path}: no manifest entry wrote it; {rerun}")
+        if writer["outputs"][manifest_key(self.root, path)] != digest:
+            raise TagfuseError(f"{path}: changed since 'tagfuse {stage}' wrote it; {rerun}")
+        if stage == self.command:  # train-rank's last report: held to its own bytes
+            return path
+        for source, seen in writer["inputs"].items():
+            latest = self._writers.get(source)
+            if latest and source not in writer["outputs"] and latest["outputs"][source] != seen:
+                raise TagfuseError(f"{path}: built from an older {source}; {rerun}")
         return path
 
     def output(self, path: str) -> str:
@@ -107,13 +130,10 @@ class Workspace:
 def _signals_held():
     """Hold SIGINT and SIGTERM back until the block exits, then raise them.
 
-    A handler that records them holds them back; blocking them in this
-    thread's signal mask would not. The kernel hands a signal sent to the
-    process to any thread that does not block it, such as a BLAS thread
-    that numpy starts, and Python then runs the handler in the main thread
-    all the same. Since only the main thread runs handlers, a block in
-    another thread has nothing to hold.
-    """
+    A handler that records them holds them back; a blocking signal mask
+    would not, since the kernel hands a signal to any thread that does not
+    block it, such as a BLAS thread, and Python then runs the handler in the
+    main thread all the same. Only the main thread runs handlers."""
     if threading.current_thread() is not threading.main_thread():
         yield
         return
@@ -133,7 +153,7 @@ def _signals_held():
 
 @contextlib.contextmanager
 def _run(cfg: RunConfig, command: str):
-    """Run one stage in a fresh :class:`Workspace`.
+    """Run one stage in a fresh :class:`Workspace`, which reads the manifest.
 
     On success every output is renamed into place, then the manifest gets
     one line with exactly the recorded inputs and outputs. On any failure
@@ -142,7 +162,7 @@ def _run(cfg: RunConfig, command: str):
     the renames or the manifest line waits until both are done.
     """
     started = time.time()
-    ws = Workspace(cfg.output_dir)
+    ws = Workspace(cfg.output_dir, command)
     try:
         yield ws
         with _signals_held():
@@ -167,6 +187,16 @@ def _require_input(path: str | None, what: str) -> str:
     return path
 
 
+def _load_index(cfg: RunConfig, ws: Workspace) -> Index:
+    """The saved index, if built from ``corpus_path``, its entry's one input."""
+    path = ws.input(ws.index_path, "index")
+    [(corpus, digest)] = ws.writer(path)["inputs"].items()
+    if cfg.corpus_path and file_sha256(cfg.corpus_path) != digest:
+        raise TagfuseError(f"{path} was built from {corpus}, not from corpus_path "
+                           f"{cfg.corpus_path}; re-run 'tagfuse index'")
+    return Index.load(path)
+
+
 def _topics(cfg: RunConfig) -> list[str]:
     if not cfg.topics:
         raise ConfigError("config must list at least one topic")
@@ -184,7 +214,7 @@ def stage_index(cfg: RunConfig) -> None:
 
 def stage_embed(cfg: RunConfig) -> None:
     with _run(cfg, "embed") as ws:
-        tfidf = vectorize(Index.load(ws.input(ws.index_path, "index")), cfg.semantic)
+        tfidf = vectorize(_load_index(cfg, ws), cfg.semantic)
         tfidf.matrix = tfidf.matrix.tocsc()  # the SVD reads a CSC matrix without a copy
         sem = truncated_svd(tfidf, cfg.semantic, seed=derive_seed(cfg.seed, "svd"))
         sem.save(*map(ws.output, ws.embedding_paths))
@@ -199,6 +229,7 @@ _topic_inputs: tuple = ()
 def _inherit_topic_inputs(*inputs) -> None:
     global _topic_inputs
     _topic_inputs = inputs
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)  # the pool ends its workers by SIGTERM
 
 
 def _train_topic(topic: str, path: str) -> tuple[str | None, dict]:
@@ -233,13 +264,8 @@ def stage_train_rank(cfg: RunConfig) -> None:
     from concurrent.futures import ProcessPoolExecutor
 
     with _run(cfg, "train-rank") as ws:
-        index = Index.load(ws.input(ws.index_path, "index"))
+        index = _load_index(cfg, ws)
         sem = SemanticMatrix.load(*[ws.input(p, "embed") for p in ws.embedding_paths])
-        if sem.article_ids != index.article_ids:
-            raise TagfuseError(
-                f"{ws.embedding_paths[1]} and {ws.index_path} list different articles; "
-                "re-run 'tagfuse index' and 'tagfuse embed' on one corpus"
-            )
         # Recorded here: a worker's copy of ``ws`` records nothing.
         topics = _topics(cfg)
         paths = [ws.output(ws.classifier_list_path(t)) for t in topics]
@@ -247,16 +273,8 @@ def stage_train_rank(cfg: RunConfig) -> None:
         summary_path = ws.path("ranked", "classifier", "_training.json")
         summary: dict[str, list[dict]] = {"trained": [], "skipped": []}
         if os.path.exists(summary_path):
-            try:
-                with open(ws.input(summary_path), encoding="utf-8") as fh:
-                    old = json.load(fh)
-            except ValueError as exc:  # not UTF-8, or not JSON
-                raise TagfuseError(f"{summary_path}: invalid training report: {exc}") from None
-            if not (isinstance(old, dict) and old.keys() == summary.keys() and all(
-                isinstance(v, list) and all(isinstance(r, dict) and "topic" in r for r in v)
-                for v in old.values()
-            )):
-                raise TagfuseError(f"{summary_path}: not a report like {json.dumps(summary)}")
+            with open(ws.input(summary_path, "train-rank"), encoding="utf-8") as fh:
+                old = json.load(fh)
             summary = {k: [r for r in old[k] if r["topic"] not in topics] for k in summary}
 
         # Topics are independent (each has its own seeds), so they train in
@@ -282,7 +300,7 @@ def stage_train_rank(cfg: RunConfig) -> None:
 
 def stage_synset(cfg: RunConfig) -> None:
     with _run(cfg, "synset") as ws:
-        index = Index.load(ws.input(ws.index_path, "index"))
+        index = _load_index(cfg, ws)
         check_fields(cfg.synset_search.fields, index.fields, "synset_search.fields", "indexed")
         synsets = load_synsets(
             ws.input(_require_input(cfg.synsets_path, "synsets_path")), _topics(cfg)
@@ -329,6 +347,7 @@ def stage_fuse(cfg: RunConfig) -> None:
                 write_ranked_list((fused[topic], ranks[: a * size]), topic, ORIGIN_FUSION, path)
             assignments = invert(fused, score_threshold=cfg.fusion.score_threshold)
             write_assignments(assignments, ws.output(ws.tags_path(a)))
+        ws.extra = {"score_threshold": cfg.fusion.score_threshold}  # eval inverts with it too
 
 
 def _load_truth(cfg: RunConfig, ws: Workspace) -> dict[str, set[str]]:
@@ -336,7 +355,7 @@ def _load_truth(cfg: RunConfig, ws: Workspace) -> dict[str, set[str]]:
         path = ws.input(_require_input(cfg.ground_truth_path, "ground_truth_path"))
         return load_ground_truth(path, _topics(cfg))
     if cfg.ground_truth_fields:
-        index = Index.load(ws.input(ws.index_path, "index"))
+        index = _load_index(cfg, ws)
         check_fields(cfg.ground_truth_fields, index.fields, "ground_truth_fields", "indexed")
         return build_ground_truth(index, _topics(cfg), cfg.ground_truth_fields)
     raise ConfigError("config sets neither ground_truth_path nor ground_truth_fields")
@@ -353,9 +372,15 @@ def stage_eval(cfg: RunConfig) -> None:
 
         # A method's tags are its lists inverted, as fuse inverted the fused lists.
         methods = {"Synset": invert(id_columns(ORIGIN_SYNSET, ws.synset_list_path, "synset"))}
+        threshold = cfg.fusion.score_threshold
         for a in sorted(cfg.fusion.a_values):
-            fused = id_columns(ORIGIN_FUSION, lambda t: ws.fusion_list_path(a, t), "fuse")
-            methods[f"Fusion{a}"] = invert(fused, score_threshold=cfg.fusion.score_threshold)
+            paths = {t: ws.fusion_list_path(a, t) for t in topics}
+            fused = id_columns(ORIGIN_FUSION, paths.get, "fuse")
+            for path in paths.values():
+                if (published := ws.writer(path)["score_threshold"]) != threshold:
+                    raise TagfuseError(f"{path}: fused under fusion.score_threshold {published}, "
+                                       f"but this config sets {threshold}; re-run 'tagfuse fuse'")
+            methods[f"Fusion{a}"] = invert(fused, score_threshold=threshold)
 
         reports = sweep(methods, truth, topics)
         table = format_table(reports)
@@ -413,6 +438,14 @@ def stage_bench(cfg: RunConfig) -> None:
 
 
 # -- entry point ----------------------------------------------------------
+
+
+class _Terminated(BaseException):
+    """A SIGTERM, raised in the running stage so that ``_run`` removes its partials."""
+
+    @staticmethod
+    def handler(signum, frame):
+        raise _Terminated
 
 
 def _apply_overrides(cfg: RunConfig, args: argparse.Namespace) -> RunConfig:
@@ -478,6 +511,9 @@ def main(argv: list[str] | None = None) -> int:
         level=logging.DEBUG if args.verbose else logging.INFO,
         format="%(levelname)s %(name)s: %(message)s",
     )
+    # A SIGTERM still ends the process by SIGTERM, once the stage cleaned up.
+    main_thread = threading.current_thread() is threading.main_thread()
+    previous = signal.signal(signal.SIGTERM, _Terminated.handler) if main_thread else None
     try:
         if args.config is not None:
             cfg = load_config(args.config)
@@ -498,6 +534,12 @@ def main(argv: list[str] | None = None) -> int:
     except (TagfuseError, OSError) as exc:  # OSError: an unreadable input
         logger.error("%s", exc)
         return 3
+    except _Terminated:
+        signal.signal(signal.SIGTERM, signal.SIG_DFL)
+        signal.raise_signal(signal.SIGTERM)
+    finally:
+        if main_thread:
+            signal.signal(signal.SIGTERM, previous)
     return 0
 
 

@@ -2,19 +2,24 @@
 
 Each completed subcommand appends one JSON line to ``manifest.jsonl`` in
 the output directory, recording the config fingerprint, the seed, and
-SHA-256 digests of every input and output file. Two runs are equivalent
-exactly when their input and output digests match; timings and peak
-memory are recorded for operators but excluded from any equality check.
+SHA-256 digests of every input and output file, keyed by the POSIX path
+relative to the output directory (so a copy names its own files) or, for
+a file outside it, by the configured path. Two runs are equivalent exactly
+when their input and output digests match; timings and peak memory are
+recorded for operators but excluded from any equality check.
 """
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import hashlib
 import json
 import os
 import resource
 import time
+
+from .errors import TagfuseError
 
 MANIFEST_NAME = "manifest.jsonl"
 
@@ -33,17 +38,37 @@ def config_fingerprint(config) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
+def manifest_key(output_dir: str, path: str) -> str:
+    """The key of ``path`` in ``output_dir``'s manifest."""
+    rel = os.path.relpath(path, output_dir)
+    return path if rel.split(os.sep)[0] == os.pardir else rel.replace(os.sep, "/")
+
+
+def read_manifest(output_dir: str) -> list[dict]:
+    """The entries of ``output_dir``'s manifest, oldest first. A line that is
+    not JSON, as an append cut short leaves it, raises TagfuseError naming it."""
+    path, entries = os.path.join(output_dir, MANIFEST_NAME), []
+    with contextlib.suppress(FileNotFoundError), open(path, "rb") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            try:
+                entries.append(json.loads(line))
+            except ValueError as exc:
+                raise TagfuseError(f"{path}:{lineno}: not JSON, delete the line: {exc}") from None
+    return entries
+
+
 def append_entry(
     output_dir: str,
     command: str,
     seed: int,
     fingerprint: str,
-    inputs: list[str],
+    inputs: dict[str, str],
     outputs: list[str],
     started: float,
     extra: dict | None = None,
 ) -> dict:
-    """Digest the named files and append the manifest record."""
+    """Append the manifest record of the files read (``inputs``, path to the
+    digest taken when it was read) and written (``outputs``, digested here)."""
     entry = {
         "command": command,
         "started": time.strftime("%Y-%m-%dT%H:%M:%S%z", time.localtime(started)),
@@ -54,8 +79,8 @@ def append_entry(
             resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN)) / 1024, 1),
         "seed": seed,
         "config_sha256": fingerprint,
-        "inputs": {path: file_sha256(path) for path in sorted(inputs)},
-        "outputs": {path: file_sha256(path) for path in sorted(outputs)},
+        "inputs": dict(sorted((manifest_key(output_dir, p), d) for p, d in inputs.items())),
+        "outputs": dict(sorted((manifest_key(output_dir, p), file_sha256(p)) for p in outputs)),
     }
     if extra:
         entry.update(extra)

@@ -99,26 +99,11 @@ class SemanticMatrix:
 
     @classmethod
     def load(cls, npy_path: str, json_path: str) -> "SemanticMatrix":
+        """What ``save`` wrote, unchecked: the run manifest vouches for it. No pickle is read."""
         import numpy as np
-        try:
-            with open(json_path, encoding="utf-8") as fh:
-                meta = json.load(fh)
-        except ValueError as exc:  # truncated, or not JSON
-            raise TagfuseError(f"{json_path}: {exc}") from exc
-        saved = isinstance(meta, dict) and {"k", "seed", "article_ids"} <= meta.keys()
-        saved = saved and meta.get("format") == "tagfuse-embedding"
-        if not saved or meta.get("version") != 1:
-            raise TagfuseError(f"{json_path}: not a saved embedding")
-        try:
-            matrix = np.load(npy_path)
-        except (EOFError, ValueError) as exc:  # truncated, or not an array file
-            raise TagfuseError(f"{npy_path}: {exc}") from exc
-        if matrix.shape != (len(meta["article_ids"]), meta["k"]):
-            raise TagfuseError(
-                f"{npy_path}: shape {matrix.shape}, but {json_path} has "
-                f"{len(meta['article_ids'])} article ids and k={meta.get('k')}"
-            )
-        return cls(matrix=matrix, article_ids=meta["article_ids"], seed=meta["seed"])
+        with open(json_path, encoding="utf-8") as fh:
+            meta = json.load(fh)
+        return cls(matrix=np.load(npy_path), article_ids=meta["article_ids"], seed=meta["seed"])
 
 
 def vectorize(index: Index, config: SemanticConfig = SemanticConfig()) -> TfIdfMatrix:

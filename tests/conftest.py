@@ -1,17 +1,21 @@
 import functools
 import json
+import logging
 import os
 import pathlib
+import shutil
 import subprocess
 import sys
+import time
 
 import pytest
 
 import tagfuse
+from tagfuse.benchmark import BenchmarkSpec, topic_names
 from tagfuse.cli import main
 from tagfuse.corpus import ArticleRecord
 from tagfuse.index import build_index
-from tagfuse.manifest import MANIFEST_NAME
+from tagfuse.manifest import append_entry
 
 SPECS = pathlib.Path(__file__).parent / "specs"
 
@@ -52,10 +56,10 @@ def load_tags(path):
     return {r["id"]: [(t["topic"], t["score"]) for t in r["tags"]] for r in records}
 
 
-def read_manifest(output_dir):
-    """The manifest's entries, in order."""
-    with open(os.path.join(output_dir, MANIFEST_NAME), encoding="utf-8") as fh:
-        return [json.loads(line) for line in fh if line.strip()]
+def vouch(output_dir, command, paths):
+    """Append a manifest entry naming ``command`` as the writer of the files
+    at ``paths``, as if that stage had written them."""
+    append_entry(str(output_dir), command, 0, "", {}, [str(p) for p in paths], time.time())
 
 
 def snapshot(root, *exclude):
@@ -91,6 +95,24 @@ def spec_run(tmp_path_factory):
         return out
 
     return run
+
+
+def run_on_damaged_copy(spec_run, tmp_path, caplog, rel, damage, command):
+    """Copy the ``ci`` bench run, pass its file ``rel`` to ``damage`` and run
+    ``command`` on the copy; return the exit code and the error lines."""
+    out = tmp_path / "ci-copy"
+    shutil.copytree(spec_run("ci"), out)
+    damage(out / rel)
+    with open(SPECS / "ci.json", encoding="utf-8") as fh:
+        topics = topic_names(BenchmarkSpec(**json.load(fh)["benchmark"]))
+    data = {f"{name}_path": str(out / "data" / f"{name}.jsonl")
+            for name in ("corpus", "synsets", "ground_truth")}
+    config = tmp_path / "ci-copy.json"
+    config.write_text(json.dumps({**data, "topics": topics, "output_dir": str(out)}))
+    caplog.clear()
+    with caplog.at_level(logging.ERROR):
+        code = main([command, "--config", str(config)])
+    return code, [r.message for r in caplog.records if r.levelno >= logging.ERROR]
 
 
 def record(corpus, article_id):

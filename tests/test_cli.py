@@ -4,6 +4,7 @@ import logging
 import os
 import pickle
 import shutil
+import signal
 import weakref
 from concurrent.futures import ProcessPoolExecutor
 
@@ -18,14 +19,14 @@ from tagfuse.benchmark import BenchmarkSpec, generate, topic_names
 from tagfuse.classifier import train
 from tagfuse.cli import main
 from tagfuse.config import topic_slug
-from tagfuse.corpus import load_ground_truth
+from tagfuse.corpus import load_ground_truth, save_corpus
 from tagfuse.errors import TagfuseError
 from tagfuse.evaluation import evaluate
 from tagfuse.fusion import write_assignments
-from tagfuse.manifest import MANIFEST_NAME, file_sha256
+from tagfuse.manifest import MANIFEST_NAME, file_sha256, read_manifest
 from tagfuse.ranking import ORIGIN_CLASSIFIER, ORIGIN_FUSION, ORIGIN_SYNSET, read_ranked_list
 
-from conftest import load_tags, read_manifest, run_python, snapshot
+from conftest import load_tags, run_python, snapshot
 
 BENCH = {
     "n_topics": 4,
@@ -60,10 +61,10 @@ def derived_config(stage_config, tmp_path, **changes):
 
 
 def copy_upstream(bench_out, out, edit_ids=None):
-    """Copy the index and embedding of a bench run into ``out``; ``edit_ids``
-    may change the embedding's article id list in place."""
+    """Copy the index, the embedding and the manifest of a bench run into
+    ``out``; ``edit_ids`` may change the embedding's article id list in place."""
     out.mkdir()
-    for name in ("index.pkl", "embedding.npy", "embedding.json"):
+    for name in ("index.pkl", "embedding.npy", "embedding.json", MANIFEST_NAME):
         shutil.copy(os.path.join(bench_out, name), out / name)
     if edit_ids is not None:
         meta = json.loads((out / "embedding.json").read_text(encoding="utf-8"))
@@ -217,7 +218,8 @@ class TestBenchPipeline:
         ]
         for entry in entries:
             for path, digest in {**entry["inputs"], **entry["outputs"]}.items():
-                assert file_sha256(path) == digest, f"{entry['command']}: {path}"
+                assert not os.path.isabs(path), path  # all inside the output directory
+                assert file_sha256(os.path.join(out, path)) == digest, entry["command"]
 
     def test_every_entry_records_peak_memory(self, bench_run):
         _, out = bench_run
@@ -229,9 +231,9 @@ class TestBenchPipeline:
         [entry] = [e for e in read_manifest(out) if e["command"] == "eval"]
         lists = [f"{topic_slug(t)}.tsv" for t in TOPICS]
         assert list(entry["inputs"]) == sorted([
-            os.path.join(out, "data", "ground_truth.jsonl"),
-            *(os.path.join(out, "ranked", "synset", name) for name in lists),
-            *(os.path.join(out, "fusion", f"a{a}", name) for a in (1, 2, 3, 4) for name in lists),
+            "data/ground_truth.jsonl",
+            *(f"ranked/synset/{name}" for name in lists),
+            *(f"fusion/a{a}/{name}" for a in (1, 2, 3, 4) for name in lists),
         ])
 
 
@@ -286,6 +288,7 @@ class TestStagePipeline:
             os.path.join(bench_out, "ranked", "classifier"),
             tmp_path / "out" / "ranked" / "classifier",
         )
+        shutil.copy(os.path.join(bench_out, MANIFEST_NAME), tmp_path / "out")
         script = (
             "import sys\n"
             "import tagfuse.cli\n"
@@ -391,6 +394,7 @@ class TestStagePipeline:
         config = derived_config(stage_config, tmp_path)
         out = tmp_path / "out"
         shutil.copytree(os.path.join(bench_out, "ranked"), out / "ranked")
+        shutil.copy(os.path.join(bench_out, MANIFEST_NAME), out)
         (out / "ranked" / "classifier" / "_training.json").unlink()
         assert main(["fuse", "--config", config]) == 0
         for a in (1, 2, 3, 4):
@@ -422,9 +426,7 @@ class TestStagePipeline:
         assert ingests == []
         entry = read_manifest(str(out))[-1]
         assert entry["command"] == "train-rank"
-        assert set(entry["inputs"]) == {
-            str(out / name) for name in ("index.pkl", "embedding.npy", "embedding.json")
-        }
+        assert set(entry["inputs"]) == {"index.pkl", "embedding.npy", "embedding.json"}
         for topic in TOPICS:
             listed = os.path.join(bench_out, "ranked", "classifier", f"{topic_slug(topic)}.tsv")
             written = out / "ranked" / "classifier" / f"{topic_slug(topic)}.tsv"
@@ -446,7 +448,7 @@ class TestStagePipeline:
         monkeypatch.setattr(cli, "ingest_corpus", no_ingest)
         assert main(["embed", "--config", config]) == 0
         entry = read_manifest(str(out))[-1]
-        assert entry["command"] == "embed" and list(entry["inputs"]) == [str(out / "index.pkl")]
+        assert entry["command"] == "embed" and list(entry["inputs"]) == ["index.pkl"]
         for name in ("embedding.npy", "embedding.json"):
             with open(os.path.join(bench_out, name), "rb") as fh:
                 assert (out / name).read_bytes() == fh.read(), name
@@ -512,7 +514,7 @@ class TestStagePipeline:
         assert json.loads(report.read_bytes()) == {
             "trained": [trained[i] for i in (1, 3, 0, 2)], "skipped": []
         }
-        assert str(report) in read_manifest(str(out))[-1]["inputs"]
+        assert "ranked/classifier/_training.json" in read_manifest(str(out))[-1]["inputs"]
         # A run over every topic writes the report a first run writes.
         assert main(args) == 0
         assert report.read_bytes() == full
@@ -618,9 +620,13 @@ class TestStageRunner:
         assert snapshot(out) == before
 
     def test_train_rank_failing_in_a_worker_changes_nothing(
-        self, stage_config, bench_run, tmp_path, monkeypatch
+        self, stage_config, bench_run, tmp_path, monkeypatch, caplog
     ):
-        out, before = self.previous_run(bench_run, tmp_path, "ranked/classifier")
+        out, _ = self.previous_run(bench_run, tmp_path, "ranked/classifier")
+        # train-rank reads its last report first: it keeps the recorded bytes.
+        report = os.path.join("ranked", "classifier", "_training.json")
+        shutil.copy(os.path.join(bench_run[1], report), out / report)
+        before = snapshot(out)
         config = derived_config(stage_config, tmp_path)
 
         def failing_train(topic, *args, **kwargs):
@@ -629,7 +635,11 @@ class TestStageRunner:
             return train(topic, *args, **kwargs)
 
         monkeypatch.setattr(cli, "train", failing_train)
-        assert main(["train-rank", "--config", config]) == 3
+        with caplog.at_level(logging.ERROR):
+            assert main(["train-rank", "--config", config]) == 3
+        assert [r.message for r in caplog.records if r.levelno >= logging.ERROR] == [
+            f"cannot train {TOPICS[2]}"
+        ]
         assert snapshot(out) == before
 
     # Each run, in a fresh interpreter that pytest's own handlers stay out of,
@@ -684,11 +694,35 @@ for k in range(1, renames + 1):
             assert len(entries) == len(read_manifest(out)), k
             assert entries == read_manifest(out), k
             assert entry["command"] == "fuse", k
-            assert {p: file_sha256(p) for p in entry["outputs"]} == entry["outputs"], k
-            assert sorted(os.path.relpath(p, run) for p in entry["outputs"]) == sorted(
-                os.path.relpath(p, bench_out) for p in fuse["outputs"]
+            assert {p: file_sha256(os.path.join(run, p)) for p in entry["outputs"]} == (
+                entry["outputs"]
             ), k
+            assert sorted(entry["outputs"]) == sorted(fuse["outputs"]), k
             assert snapshot(run, MANIFEST_NAME) == snapshot(bench_out, MANIFEST_NAME), k
+
+    # In a fresh interpreter: fuse sends itself a SIGTERM once its first tag
+    # file is written, while its outputs are still partial files.
+    TERMINATED_FUSE = """
+import os, signal, sys
+from tagfuse import cli
+write = cli.write_assignments
+
+def terminating_write(assignments, path):
+    write(assignments, path)
+    os.kill(os.getpid(), signal.SIGTERM)
+
+cli.write_assignments = terminating_write
+cli.main(["fuse", "--config", sys.argv[1]])
+"""
+
+    def test_a_sigterm_in_a_stage_removes_its_partials_and_ends_the_process(
+        self, stage_config, bench_run, tmp_path
+    ):
+        out, before = self.previous_run(bench_run, tmp_path, "fusion", "tags")
+        config = derived_config(stage_config, tmp_path)
+        result = run_python("-c", self.TERMINATED_FUSE, config)
+        assert result.returncode == -signal.SIGTERM, result.stderr
+        assert snapshot(out) == before  # no partial file; the old outputs and manifest
 
     def test_a_stage_commits_outside_the_main_thread(self, stage_config, bench_run, tmp_path):
         out, _ = self.previous_run(bench_run, tmp_path, "fusion", "tags")
@@ -704,7 +738,123 @@ for k in range(1, renames + 1):
         out = bench_run[1] if spec == "bench" else spec_run(spec)
         outputs = [path for entry in read_manifest(out) for path in entry["outputs"]]
         files = snapshot(out, MANIFEST_NAME)
-        assert sorted(os.path.relpath(p, out) for p in outputs) == sorted(files)
+        assert sorted(outputs) == sorted(files)
+
+
+class TestChain:
+    """A stage reads a file of the output directory only with the bytes the
+    manifest records for its latest writer, and only if that writer's own
+    inputs are still the latest."""
+
+    def test_topics_runs_a_depth_sweep_and_a_copied_directory_pass(
+        self, stage_config, bench_run, tmp_path
+    ):
+        _, bench_out = bench_run
+        config = derived_config(stage_config, tmp_path)
+        out = tmp_path / "out"
+        shutil.copytree(bench_out, out)
+        runs = [["train-rank", "--topics", TOPICS[0]], ["synset", "--topics", TOPICS[1]]]
+        runs += [[command, "--a", str(a)] for a in (1, 2, 3, 4) for command in ("fuse", "eval")]
+        for args in [*runs, ["eval"]]:
+            assert main([*args, "--config", config]) == 0, args
+        # --topics reorders the training report's records, and nothing else changed.
+        unchanged = MANIFEST_NAME, "_training.json"
+        assert snapshot(out, *unchanged) == snapshot(bench_out, *unchanged)
+        copy = tmp_path / "copy"
+        shutil.copytree(out, copy)
+        for command in ("fuse", "eval"):
+            assert main([command, "--config", config, "--output-dir", str(copy), "--a", "2"]) == 0
+        assert snapshot(copy, MANIFEST_NAME, "reports") == snapshot(out, MANIFEST_NAME, "reports")
+
+    def test_a_changed_pipeline_reruns_into_the_same_directory(
+        self, stage_config, bench_run, tmp_path
+    ):
+        # Each re-run writes a new embedding, which train-rank's last report
+        # was not built from: train-rank reads that report all the same.
+        bench_config, bench_out = bench_run
+        out = tmp_path / "out"
+        shutil.copytree(bench_out, out)
+        config = derived_config(stage_config, tmp_path)
+        assert main(["all", "--config", config, "--seed", "7"]) == 0
+        assert main(["bench", "--config", bench_config, "--output-dir", str(out)]) == 0
+        assert snapshot(out, MANIFEST_NAME) == snapshot(bench_out, MANIFEST_NAME)
+
+    def test_a_split_commit_exits_three(self, stage_config, bench_run, tmp_path, caplog):
+        # Outputs renamed into place with no manifest line, as a SIGKILL
+        # between the renames and the append leaves them.
+        _, bench_out = bench_run
+        out = tmp_path / "out"
+        shutil.copytree(bench_out, out)
+        manifest = (out / MANIFEST_NAME).read_bytes()
+        assert main(["train-rank", "--config", derived_config(stage_config, tmp_path, seed=6)]) == 0
+        (out / MANIFEST_NAME).write_bytes(manifest)
+        config = derived_config(stage_config, tmp_path)
+        path = out / "ranked" / "classifier" / f"{topic_slug(TOPICS[0])}.tsv"
+        with caplog.at_level(logging.ERROR):
+            assert main(["fuse", "--config", config]) == 3
+            (out / MANIFEST_NAME).unlink()  # and a first run's lines all lost
+            assert main(["fuse", "--config", config]) == 3
+        errors = [r.message for r in caplog.records if r.levelno >= logging.ERROR]
+        assert errors == [
+            f"{path}: changed since 'tagfuse train-rank' wrote it; re-run 'tagfuse train-rank'",
+            f"{path}: no manifest entry wrote it; re-run 'tagfuse train-rank'",
+        ]
+
+    def test_a_torn_manifest_line_exits_three_naming_it(
+        self, stage_config, bench_run, tmp_path, caplog
+    ):
+        _, bench_out = bench_run
+        out = tmp_path / "out"
+        shutil.copytree(bench_out, out)
+        manifest = out / MANIFEST_NAME
+        lines = len(manifest.read_text(encoding="utf-8").splitlines())
+        with open(manifest, "a", encoding="utf-8") as fh:
+            fh.write('{"command": "fuse", "inp')
+        with caplog.at_level(logging.ERROR):
+            assert main(["eval", "--config", derived_config(stage_config, tmp_path)]) == 3
+        errors = [r.message for r in caplog.records if r.levelno >= logging.ERROR]
+        assert len(errors) == 1 and errors[0].startswith(f"{manifest}:{lines + 1}: "), errors
+        assert not (out / "reports" / "evaluation.txt.partial").exists()
+
+    def test_eval_under_another_score_threshold_than_fuse_exits_three(
+        self, stage_config, bench_run, tmp_path, caplog
+    ):
+        _, bench_out = bench_run
+        out = tmp_path / "out"
+        shutil.copytree(bench_out, out)
+        published = derived_config(stage_config, tmp_path, fusion={"score_threshold": 0.5})
+        assert main(["fuse", "--config", published]) == 0
+        config = derived_config(stage_config, tmp_path)
+        with caplog.at_level(logging.ERROR):
+            assert main(["eval", "--config", config, "--a", "2"]) == 3
+        errors = [r.message for r in caplog.records if r.levelno >= logging.ERROR]
+        path = out / "fusion" / "a2" / f"{topic_slug(TOPICS[0])}.tsv"
+        assert errors == [
+            f"{path}: fused under fusion.score_threshold 0.5, but this config sets None; "
+            "re-run 'tagfuse fuse'"
+        ]
+
+    def test_stages_after_index_check_the_configured_corpus(self, tmp_path, caplog):
+        # Two default-spec corpora with the same article ids.
+        corpora = []
+        for seed in (0, 1):
+            corpora.append(str(tmp_path / f"corpus-{seed}.jsonl"))
+            save_corpus(generate(BenchmarkSpec(seed=seed))[0], corpora[-1])
+        out = tmp_path / "out"
+        topics = topic_names(BenchmarkSpec())
+        keys = dict(output_dir=str(out), topics=topics, synsets_path=corpora[0])
+        assert main(["index", "--config", write_config(
+            tmp_path / "index.json", corpus_path=corpora[0], **keys)]) == 0
+        config = write_config(tmp_path / "config.json", corpus_path=corpora[1],
+                              ground_truth_fields=["subjects"], **keys)
+        with caplog.at_level(logging.ERROR):
+            for command in ("embed", "train-rank", "synset", "eval"):
+                assert main([command, "--config", config]) == 3, command
+        errors = [r.message for r in caplog.records if r.levelno >= logging.ERROR]
+        assert errors == 4 * [
+            f"{out / 'index.pkl'} was built from {corpora[0]}, not from corpus_path "
+            f"{corpora[1]}; re-run 'tagfuse index'"
+        ]
 
 
 class TestFailureModes:
@@ -748,6 +898,7 @@ class TestFailureModes:
     def test_embedding_ids_that_do_not_match_its_rows_exit_three(
         self, stage_config, bench_run, tmp_path, caplog, change
     ):
+        # The manifest's digest of embedding.json catches the edit.
         _, bench_out = bench_run
         config = derived_config(stage_config, tmp_path)
         out = tmp_path / "out"
@@ -755,7 +906,10 @@ class TestFailureModes:
         with caplog.at_level(logging.ERROR):
             assert main(["train-rank", "--config", config]) == 3
         errors = [r.message for r in caplog.records if r.levelno >= logging.ERROR]
-        assert len(errors) == 1 and str(out / "embedding.npy") in errors[0]
+        assert errors == [
+            f"{out / 'embedding.json'}: changed since 'tagfuse embed' wrote it; "
+            "re-run 'tagfuse embed'"
+        ]
         assert not (out / "ranked" / "classifier" / "_training.json").exists()
 
     @pytest.mark.parametrize(
@@ -790,9 +944,10 @@ class TestFailureModes:
         with caplog.at_level(logging.ERROR):
             assert main(["train-rank", "--config", config]) == 3
         errors = [r.message for r in caplog.records if r.levelno >= logging.ERROR]
-        assert len(errors) == 1 and str(out / name) in errors[0]
-        if name == "index.pkl":
-            assert errors[0].endswith("re-run 'tagfuse index'"), errors
+        stage = "index" if name == "index.pkl" else "embed"
+        assert errors == [
+            f"{out / name}: changed since 'tagfuse {stage}' wrote it; re-run 'tagfuse {stage}'"
+        ]
         assert not (out / "ranked" / "classifier").exists()
 
     @pytest.mark.parametrize(
@@ -813,7 +968,10 @@ class TestFailureModes:
         with caplog.at_level(logging.ERROR):
             assert main(["train-rank", "--config", config]) == 3
         errors = [r.message for r in caplog.records if r.levelno >= logging.ERROR]
-        assert len(errors) == 1 and str(report) in errors[0]
+        assert errors == [
+            f"{report}: changed since 'tagfuse train-rank' wrote it; "
+            "delete it and re-run 'tagfuse train-rank'"
+        ]
         assert os.listdir(report.parent) == ["_training.json"]
         assert report.read_bytes() == data
 
@@ -832,9 +990,10 @@ class TestFailureModes:
         with caplog.at_level(logging.ERROR):
             assert main(["train-rank", "--config", config]) == 3
         errors = [r.message for r in caplog.records if r.levelno >= logging.ERROR]
-        assert len(errors) == 1
-        assert str(out / "embedding.json") in errors[0] and str(out / "index.pkl") in errors[0]
-        assert "re-run 'tagfuse index' and 'tagfuse embed' on one corpus" in errors[0]
+        assert errors == [
+            f"{out / 'embedding.json'}: changed since 'tagfuse embed' wrote it; "
+            "re-run 'tagfuse embed'"
+        ]
         assert not (out / "ranked" / "classifier").exists()
 
     def test_index_rerun_on_a_subset_after_embed_exits_three(
@@ -852,12 +1011,14 @@ class TestFailureModes:
             assert main([command, "--config", config]) == 0, command
         subset_config = derived_config(stage_config, tmp_path, corpus_path=str(subset))
         assert main(["index", "--config", subset_config]) == 0
-        config = derived_config(stage_config, tmp_path)
+        out = tmp_path / "out"
         with caplog.at_level(logging.ERROR):
-            assert main(["train-rank", "--config", config]) == 3
+            assert main(["train-rank", "--config", subset_config]) == 3
         errors = [r.message for r in caplog.records if r.levelno >= logging.ERROR]
-        assert len(errors) == 1 and "index.pkl" in errors[0], errors
-        assert not (tmp_path / "out" / "ranked" / "classifier").exists()
+        assert errors == [
+            f"{out / 'embedding.npy'}: built from an older index.pkl; re-run 'tagfuse embed'"
+        ]
+        assert not (out / "ranked" / "classifier").exists()
 
     def test_unindexed_ground_truth_field_exits_two(
         self, stage_config, bench_run, tmp_path, caplog
@@ -1082,19 +1243,24 @@ class TestFailureModes:
 
 MALFORMED_CASES = [
     "header", "topic", "columns", "rank", "score", "sequence", "order", "duplicate", "empty-id",
-    "score-underscore", "score-blank",
+    "score-underscore", "score-blank", "swapped", "cut", "crlf",
 ]
 
 
 def corrupt(lines, case, origin):
-    """Break the lines of an ``origin`` list in one way; return the line
-    number the error must name."""
+    """Break the lines of an ``origin`` list in one way."""
     if case == "header":
         lines[0] = lines[0].replace(f"origin={origin}", "origin=nope")
-        return 1
+        return
     if case == "topic":
         lines[0] = lines[0].replace(f"topic={TOPICS[0]}", f"topic={TOPICS[1]}")
-        return 1
+        return
+    if case == "swapped":  # rows and ranks: every row as the writer spells it
+        lines[1], lines[2] = lines[2].replace("2", "1", 1), lines[1].replace("1", "2", 1)
+        return
+    if case in ("cut", "crlf"):  # at a line boundary; every line end
+        lines[:] = lines[: len(lines) // 2] if case == "cut" else [f"{x}\r" for x in lines]
+        return
     rank, article_id, score = lines[2].split("\t")  # the second entry
     lines[2] = "\t".join(
         {
@@ -1111,7 +1277,6 @@ def corrupt(lines, case, origin):
             "score-blank": [rank, article_id, " " + score],
         }[case]
     )
-    return 3
 
 
 @pytest.mark.parametrize(
@@ -1123,10 +1288,13 @@ def corrupt(lines, case, origin):
 def test_malformed_ranked_list_exits_three_naming_the_line(
     stage_config, bench_run, tmp_path, caplog, origin, case
 ):
+    # The manifest's digest catches every edit before the list is read, so
+    # the one error line names the file and the stage that writes it.
     _, bench_out = bench_run
     config = derived_config(stage_config, tmp_path)
     out = tmp_path / "out"
     shutil.copytree(os.path.join(bench_out, "ranked"), out / "ranked")
+    shutil.copy(os.path.join(bench_out, MANIFEST_NAME), out)
     slug = topic_slug(TOPICS[0])
     if origin == ORIGIN_SYNSET:  # with no fused list beside it
         path, commands = out / "ranked" / "synset" / f"{slug}.tsv", ("fuse", "eval")
@@ -1134,14 +1302,17 @@ def test_malformed_ranked_list_exits_three_naming_the_line(
         shutil.copytree(os.path.join(bench_out, "fusion"), out / "fusion")
         path, commands = out / "fusion" / "a2" / f"{slug}.tsv", ("eval",)
     lines = path.read_text(encoding="utf-8").splitlines()
-    lineno = corrupt(lines, case, origin)
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    corrupt(lines, case, origin)
+    path.write_bytes(("\n".join(lines) + "\n").encode())
+    stage = "synset" if origin == ORIGIN_SYNSET else "fuse"
     for command in commands:
         caplog.clear()
         with caplog.at_level(logging.ERROR):
             assert main([command, "--config", config]) == 3, command
         errors = [r.message for r in caplog.records if r.levelno >= logging.ERROR]
-        assert len(errors) == 1 and errors[0].startswith(f"{path}:{lineno}: "), errors
+        assert errors == [
+            f"{path}: changed since 'tagfuse {stage}' wrote it; re-run 'tagfuse {stage}'"
+        ]
 
 
 ARTICLE = '{"id": "a1", "title": "t", "abstract": "x"}'

@@ -26,7 +26,7 @@ from tagfuse.ranking import (
     write_ranked_list,
 )
 
-from conftest import columns, entries, load_tags
+from conftest import columns, entries, load_tags, vouch
 
 
 def ranked(article_ids, origin=ORIGIN_SYNSET, start=1.0, step=0.001):
@@ -209,7 +209,7 @@ class TestStageFuse:
     def fuse_stage(self, tmp_path, pairs, a_values):
         """Write each topic's (synset ids, classifier ids) pair as its two
         ranked lists, run ``stage_fuse`` and return its workspace."""
-        ws = cli.Workspace(str(tmp_path / "out"))
+        ws = cli.Workspace(str(tmp_path / "out"), "fuse")
         os.makedirs(ws.path("ranked", "synset"))
         os.makedirs(ws.path("ranked", "classifier"))
         for topic, (synset_ids, classifier_ids) in pairs.items():
@@ -220,6 +220,8 @@ class TestStageFuse:
                 columns(ranked(classifier_ids)), topic, ORIGIN_CLASSIFIER,
                 ws.classifier_list_path(topic),
             )
+        vouch(ws.root, "synset", map(ws.synset_list_path, pairs))
+        vouch(ws.root, "train-rank", map(ws.classifier_list_path, pairs))
         cfg = RunConfig(
             output_dir=ws.root, topics=tuple(pairs), fusion=FusionConfig(a_values=a_values)
         )
@@ -275,13 +277,14 @@ class TestCyclicGc:
         rng = random.Random(n)
         universe = [f"x{i:05d}" for i in range(n)]
         topics = ("A", "B", "C")
-        ws = cli.Workspace(str(tmp_path / f"n{n}"))
+        ws = cli.Workspace(str(tmp_path / f"n{n}"), "fuse")
         for kind, origin in (("synset", ORIGIN_SYNSET), ("classifier", ORIGIN_CLASSIFIER)):
             os.makedirs(ws.path("ranked", kind))
-            for topic in topics:
-                path = ws.path("ranked", kind, f"{topic.lower()}.tsv")
+            paths = [ws.path("ranked", kind, f"{topic.lower()}.tsv") for topic in topics]
+            for topic, path in zip(topics, paths):
                 picked = rng.sample(universe, n // 10 if kind == "synset" else n)
                 write_ranked_list(columns(ranked(picked, origin)), topic, origin, path)
+            vouch(ws.root, "synset" if kind == "synset" else "train-rank", paths)
         truth_path = ws.path("truth.jsonl")
         save_ground_truth({aid: {rng.choice(topics)} for aid in universe}, truth_path)
         cfg = RunConfig(output_dir=ws.root, topics=topics, ground_truth_path=truth_path)

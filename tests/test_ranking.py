@@ -1,5 +1,3 @@
-import re
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,53 +12,70 @@ from tagfuse.ranking import (
 )
 from tagfuse.seeds import derive_seed
 
-from conftest import columns, entries
+from conftest import columns, entries, run_on_damaged_copy
 
 
 def read_back(tmp_path, origin, pairs):
-    """Write a list of topic "T" and read it back; only the reader checks."""
+    """Write a list of topic "T" and read it back."""
     path = str(tmp_path / "list.tsv")
     write_ranked_list(columns(pairs), "T", origin, path)
     return entries(read_ranked_list(path, "T", origin))
 
 
+def edit_row(n, change):
+    """An edit of a list's text: ``change(fields, lines)`` gives the fields
+    of its n-th entry (line n + 1)."""
+    def edit(text):
+        lines = text.split("\n")
+        lines[n] = "\t".join(change(lines[n].split("\t"), lines))
+        return "\n".join(lines)
+    return edit
+
+
+def assert_rejected(spec_run, tmp_path, caplog, edit, fused=False):
+    """Pass the text of the ``ci`` run's first synset list (or of its first
+    fused list at a = 2) through ``edit``: the next stage to read it exits 3,
+    naming the list and the stage that writes it. The manifest's digest,
+    not the reader, catches the edit."""
+    stage, rel = ("fuse", "fusion/a2") if fused else ("synset", "ranked/synset")
+    rel += "/domain00.tsv"
+
+    def damage(path):
+        path.write_bytes(edit(path.read_bytes().decode()).encode())
+
+    reader = "eval" if fused else "fuse"
+    code, errors = run_on_damaged_copy(spec_run, tmp_path, caplog, rel, damage, reader)
+    path = tmp_path / "ci-copy" / rel
+    assert (code, errors) == (
+        3, [f"{path}: changed since 'tagfuse {stage}' wrote it; re-run 'tagfuse {stage}'"]
+    )
+
+
 class TestRankedList:
-    def test_duplicate_article_rejected(self, tmp_path):
-        with pytest.raises(TagfuseError, match=r":3: duplicate article 'a'"):
-            read_back(tmp_path, ORIGIN_SYNSET, [("a", 2.0), ("a", 1.0)])
+    """Each fault ``read_ranked_list`` once looked for in a list now fails
+    the manifest's digest of it before it is read."""
 
-    def test_score_order_enforced_per_origin(self, tmp_path):
-        ascending = [("a", 1.0), ("b", 2.0)]
-        descending = [("a", 2.0), ("b", 1.0)]
-        read_back(tmp_path, ORIGIN_FUSION, ascending)
-        read_back(tmp_path, ORIGIN_SYNSET, descending)
-        read_back(tmp_path, ORIGIN_CLASSIFIER, descending)
-        with pytest.raises(TagfuseError, match=r":3: not ordered \(asc"):
-            read_back(tmp_path, ORIGIN_FUSION, descending)
-        with pytest.raises(TagfuseError, match=r":3: not ordered \(desc"):
-            read_back(tmp_path, ORIGIN_SYNSET, ascending)
+    def test_duplicate_article_rejected(self, spec_run, tmp_path, caplog):
+        repeat = edit_row(2, lambda f, lines: [f[0], lines[1].split("\t")[1], f[2]])
+        assert_rejected(spec_run, tmp_path, caplog, repeat)
 
-    def test_duplicate_named_is_the_first_repeated_id(self, tmp_path):
-        entries = [("a", 1.0), ("b", 2.0), ("c", 3.0), ("b", 4.0), ("a", 5.0)]
-        with pytest.raises(TagfuseError, match=r":5: duplicate article 'b'"):
-            read_back(tmp_path, ORIGIN_FUSION, entries)
+    def test_score_order_enforced_per_origin(self, spec_run, tmp_path, caplog):
+        # Out of a synset list's descending order, and of a fused list's ascending one.
+        for fused, score in ((False, "1e300"), (True, "-1e300")):
+            misplaced = edit_row(2, lambda f, lines: [f[0], f[1], score])
+            assert_rejected(spec_run, tmp_path / str(fused), caplog, misplaced, fused)
 
-    def test_one_pair_out_of_order_is_rejected_in_either_direction(self, tmp_path):
-        descending = [("a", 3.0), ("b", 2.0), ("c", 2.0), ("d", 1.0), ("e", 1.0)]
-        ascending = [(aid, -score) for aid, score in descending]
-        read_back(tmp_path, ORIGIN_SYNSET, descending)
-        read_back(tmp_path, ORIGIN_FUSION, ascending)
-        cases = ((ORIGIN_SYNSET, descending), (ORIGIN_FUSION, ascending))
-        for i in range(len(descending) - 1):
-            for origin, entries in cases:
-                swapped = list(entries)
-                (a, sa), (b, sb) = swapped[i], swapped[i + 1]
-                if sa == sb:
-                    continue
-                swapped[i], swapped[i + 1] = (a, sb), (b, sa)
-                # The header is line 1, entry i is line i + 2.
-                with pytest.raises(TagfuseError, match=f":{i + 3}: not ordered"):
-                    read_back(tmp_path, origin, swapped)
+    def test_one_pair_out_of_order_is_rejected_in_either_direction(
+        self, spec_run, tmp_path, caplog
+    ):
+        def swap(text):  # the ids and scores of the first two entries
+            lines = text.split("\n")
+            (r1, *first), (r2, *second) = (line.split("\t") for line in lines[1:3])
+            lines[1:3] = "\t".join([r1, *second]), "\t".join([r2, *first])
+            return "\n".join(lines)
+
+        for fused in (False, True):
+            assert_rejected(spec_run, tmp_path / str(fused), caplog, swap, fused)
 
     def test_nan_scores_are_never_out_of_order(self, tmp_path):
         nan = float("nan")
@@ -107,95 +122,60 @@ class TestRankedListIO:
             with pytest.raises(TagfuseError, match=r"list.tsv:1: expected the header"):
                 read_ranked_list(path, topic, origin)
 
-    def test_rank_gap_rejected(self, tmp_path):
-        path = tmp_path / "bad.tsv"
-        path.write_text(
-            "# topic=T\torigin=synset\n1\td1\t2.0\n3\td2\t1.0\n", encoding="utf-8"
-        )
-        with pytest.raises(TagfuseError, match="out of sequence"):
-            read_ranked_list(str(path), "T", ORIGIN_SYNSET)
+    def test_rows_are_split_unchecked(self, tmp_path):
+        path = tmp_path / "list.tsv"
+        path.write_text("# topic=T\torigin=synset\n7\tb\t1.0\n7\tb\t2.0\n", "utf-8")
+        assert read_ranked_list(str(path), "T", ORIGIN_SYNSET) == (["b", "b"], [1.0, 2.0])
 
-    def test_column_count_enforced(self, tmp_path):
-        path = tmp_path / "bad.tsv"
-        path.write_text("# topic=T\torigin=synset\n1\td1\n", encoding="utf-8")
-        with pytest.raises(TagfuseError, match="3 columns"):
-            read_ranked_list(str(path), "T", ORIGIN_SYNSET)
+    def test_rank_gap_rejected(self, spec_run, tmp_path, caplog):
+        gap = edit_row(2, lambda f, lines: ["3", *f[1:]])
+        assert_rejected(spec_run, tmp_path, caplog, gap)
 
-    def test_extra_column_then_missing_one_rejected_at_the_first(self, tmp_path):
-        # Split flat, the two lines would still give three fields each.
-        path = tmp_path / "bad.tsv"
-        path.write_text(
-            "# topic=T\torigin=synset\n1\td1\t2.0\t2\nd2\t1.0\n", encoding="utf-8"
-        )
-        with pytest.raises(TagfuseError, match=r"bad.tsv:2: expected 3 columns"):
-            read_ranked_list(str(path), "T", ORIGIN_SYNSET)
+    def test_column_count_enforced(self, spec_run, tmp_path, caplog):
+        assert_rejected(spec_run, tmp_path, caplog, edit_row(2, lambda f, lines: f[:2]))
+
+    def test_extra_column_then_missing_one_rejected_at_the_first(
+        self, spec_run, tmp_path, caplog
+    ):
+        # Split flat, the two lines still give three fields each.
+        def shift(text):
+            text = edit_row(1, lambda f, lines: [*f, "2"])(text)
+            return edit_row(2, lambda f, lines: f[1:])(text)
+
+        assert_rejected(spec_run, tmp_path, caplog, shift)
 
     @pytest.mark.parametrize(
-        "ranks, lineno",
-        [(["+1", "2"], 2), (["1", " 2 "], 3), (["01", "2"], 2),
-         ([str(i) for i in range(1, 10)] + ["1_0"], 11)],
+        "n, rank", [(1, "+1"), (2, " 2 "), (1, "01"), (10, "1_0")],
         ids=["plus", "spaces", "leading-zero", "underscore"],
     )
-    def test_rank_spelled_otherwise_than_written_rejected(self, tmp_path, ranks, lineno):
-        path = tmp_path / "bad.tsv"
-        rows = "".join(f"{rank}\td{i}\t{1.0 / (i + 1)!r}\n" for i, rank in enumerate(ranks))
-        path.write_text("# topic=T\torigin=synset\n" + rows, encoding="utf-8")
-        with pytest.raises(TagfuseError, match=f"bad.tsv:{lineno}: rank out of sequence"):
-            read_ranked_list(str(path), "T", ORIGIN_SYNSET)
+    def test_rank_spelled_otherwise_than_written_rejected(
+        self, spec_run, tmp_path, caplog, n, rank
+    ):
+        respelled = edit_row(n, lambda f, lines: [rank, *f[1:]])
+        assert_rejected(spec_run, tmp_path, caplog, respelled)
 
     @pytest.mark.parametrize(
         "score", ["0_5", " 0.5", "0.5 ", "\u0665"],
         ids=["underscore", "leading-blank", "trailing-blank", "arabic-indic-digit"],
     )
-    def test_score_spelled_otherwise_than_written_rejected(self, tmp_path, score):
-        path = tmp_path / "bad.tsv"  # float() reads each score, "\u0665" as 5.0
-        path.write_text(f"# topic=T\torigin=synset\n1\td1\t9.0\n2\td2\t{score}\n", "utf-8")
-        message = f"bad.tsv:3: score {score!r} not spelled as written"
-        with pytest.raises(TagfuseError, match=re.escape(message)):
-            read_ranked_list(str(path), "T", ORIGIN_SYNSET)
+    def test_score_spelled_otherwise_than_written_rejected(
+        self, spec_run, tmp_path, caplog, score
+    ):
+        # float() reads each score, "\u0665" as 5.0.
+        respelled = edit_row(2, lambda f, lines: [*f[:2], score])
+        assert_rejected(spec_run, tmp_path, caplog, respelled)
 
-    @pytest.mark.parametrize(
-        "rows, message",
-        [
-            ("1\td1\t2.0\n2\t\t1.0\n3\td3\tx\n", ":3: empty article id"),
-            ("1\td1\t2.0\n2\td2\tx\n3\t\t1.0\n", ":3: could not convert string to float: 'x'"),
-            ("1\td1\tx\n3\td2\t1.0\n", ":2: could not convert"),
-            ("1\td1\t2.0\n3\td2\tx\n2\td3\n", ":3: rank out of sequence"),
-        ],
-        ids=["empty-id", "bad-score", "score-before-rank", "rank-before-columns"],
-    )
-    def test_first_faulty_line_named_with_its_first_fault(self, tmp_path, rows, message):
-        path = tmp_path / "bad.tsv"
-        path.write_text("# topic=T\torigin=synset\n" + rows, encoding="utf-8")
-        with pytest.raises(TagfuseError, match=re.escape(f"bad.tsv{message}")):
-            read_ranked_list(str(path), "T", ORIGIN_SYNSET)
+    def test_crlf_rewrite_rejected(self, spec_run, tmp_path, caplog):
+        assert_rejected(spec_run, tmp_path, caplog, lambda text: text.replace("\n", "\r\n"))
 
-    def test_crlf_line_ends_read_as_lf(self, tmp_path):
-        text = "# topic=T\torigin=synset\n1\td1\t2.0\n\n2\td2\t1.0\n"
-        lf, crlf = tmp_path / "lf.tsv", tmp_path / "crlf.tsv"
-        lf.write_bytes(text.encode())
-        crlf.write_bytes(text.replace("\n", "\r\n").encode())
-        expected = (["d1", "d2"], [2.0, 1.0])
-        for path in (lf, crlf):
-            assert read_ranked_list(str(path), "T", ORIGIN_SYNSET) == expected
-        crlf.write_bytes(crlf.read_bytes() + b"3\td1\t0.5\r\n")
-        with pytest.raises(TagfuseError, match=r"crlf.tsv:5: duplicate article 'd1'"):
-            read_ranked_list(str(crlf), "T", ORIGIN_SYNSET)
+    def test_undecodable_byte_rejected(self, spec_run, tmp_path, caplog):
+        def latin1(path):  # the second id gets a Latin-1 "é" prefix
+            path.write_bytes(path.read_bytes().replace(b"\n2\t", b"\n2\tcaf\xe9", 1))
 
-    def test_undecodable_byte_named_at_its_line(self, tmp_path):
-        path = tmp_path / "bad.tsv"
-        path.write_bytes(b"# topic=T\torigin=synset\n1\td1\t2.0\n\n2\tcaf\xe9\t1.0\n")
-        with pytest.raises(TagfuseError, match=r"bad.tsv:4: 'utf-8' codec can't decode"):
-            read_ranked_list(str(path), "T", ORIGIN_SYNSET)
-
-    def test_entry_check_names_the_line_past_blank_lines(self, tmp_path):
-        path = tmp_path / "bad.tsv"
-        path.write_text(
-            "# topic=T\torigin=synset\n1\td1\t2.0\n\n\n2\td2\t1.0\n3\td1\t0.5\n",
-            encoding="utf-8",
+        code, errors = run_on_damaged_copy(
+            spec_run, tmp_path, caplog, "ranked/synset/domain00.tsv", latin1, "fuse"
         )
-        with pytest.raises(TagfuseError, match=r"bad.tsv:6: duplicate article 'd1'"):
-            read_ranked_list(str(path), "T", ORIGIN_SYNSET)
+        assert code == 3 and len(errors) == 1 and errors[0].endswith("re-run 'tagfuse synset'")
 
     @given(
         scores=st.lists(

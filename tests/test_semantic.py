@@ -22,7 +22,7 @@ from tagfuse.semantic import (
 )
 from tagfuse.text import tokenize
 
-from conftest import make_corpus
+from conftest import make_corpus, run_on_damaged_copy
 
 
 def text_repr(record):
@@ -650,16 +650,18 @@ class TestTruncatedSvd:
         ],
         ids=["missing-id", "extra-id", "wrong-k", "one-dimensional"],
     )
-    def test_load_rejects_a_shape_mismatch(self, tmp_path, change):
-        npy, meta_path = str(tmp_path / "embedding.npy"), str(tmp_path / "embedding.json")
-        self.embed().save(npy, meta_path)
-        with open(meta_path, encoding="utf-8") as fh:
-            meta = json.load(fh)
-        change(meta, npy)
-        with open(meta_path, "w", encoding="utf-8") as fh:
-            json.dump(meta, fh)
-        with pytest.raises(TagfuseError, match="embedding.npy: shape"):
-            SemanticMatrix.load(npy, meta_path)
+    def test_load_rejects_a_shape_mismatch(self, spec_run, tmp_path, caplog, change):
+        # ``load`` checks nothing: the manifest's digests catch the change
+        # before train-rank loads the embedding.
+        def damage(out):
+            meta_path, npy = out / "embedding.json", str(out / "embedding.npy")
+            meta = json.loads(meta_path.read_text(encoding="utf-8"))
+            change(meta, npy)
+            meta_path.write_text(json.dumps(meta), encoding="utf-8")
+
+        code, errors = run_on_damaged_copy(spec_run, tmp_path, caplog, ".", damage, "train-rank")
+        assert code == 3 and len(errors) == 1
+        assert errors[0].endswith("changed since 'tagfuse embed' wrote it; re-run 'tagfuse embed'")
 
     def test_k_below_two_rejected(self):
         with pytest.raises(ConfigError, match="at least 2"):
