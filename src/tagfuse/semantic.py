@@ -19,8 +19,8 @@ from operator import iadd
 from typing import TYPE_CHECKING
 
 # numpy is imported inside the functions that compute with it, and scipy
-# inside ``vectorize``: the stages that never do (index, synset, fuse,
-# eval) then start without loading either.
+# where a sparse matrix is built: the stages that never do (index, synset,
+# fuse, eval) then start without loading either.
 if TYPE_CHECKING:
     import numpy as np
     from scipy import sparse
@@ -118,9 +118,10 @@ def vectorize(index: Index, config: SemanticConfig = SemanticConfig()) -> TfIdfM
     idf(t) = ln((1 + M) / (1 + df(t))) + 1 with M the corpus size. A
     document whose terms were all filtered away keeps an all-zero row.
     Terms are counted and ordered as integer codes; no term becomes a string.
+    ``index`` is dropped once its token stream is read, so it is freed
+    then unless the caller holds it.
     """
     import numpy as np
-    from scipy import sparse
 
     n_docs = len(index)
     if n_docs == 0:
@@ -145,10 +146,14 @@ def vectorize(index: Index, config: SemanticConfig = SemanticConfig()) -> TfIdfM
         at += read(f.positions)
         ids = np.repeat(ids, np.diff(read(f.term_ptr)))
         token[at] = np.repeat(ids, per_posting)
-        del at, ids
+        del at, ids, per_posting
         start += read(f.doc_length)
-    # The large temporaries are deleted as soon as they are spent: the
-    # freed heap they would leave behind adds to the SVD's peak RSS.
+    article_ids = list(index.article_ids)
+    del index, fields, f, rank
+    # The large temporaries are deleted as soon as they are spent, and the
+    # heap they leave is handed back to the OS between phases: glibc keeps
+    # freed pages resident, where they add to the peaks of later phases.
+    _release_freed_heap()
     doc = np.repeat(np.arange(n_docs, dtype=np.int64), lengths)
     # Term codes: every token occurs, so the unigram codes are 0..u-1; the
     # bigram (a, b) is u + the rank of its key a*(u+1) + b+1 (u < 3e9 tokens,
@@ -161,11 +166,18 @@ def vectorize(index: Index, config: SemanticConfig = SemanticConfig()) -> TfIdfM
     # One cell per (document, term), in row-major order, with its count.
     term += np.concatenate([doc, doc[:-1][within]]) * n_terms
     del token, doc, within
-    cells, tf = np.unique(term, return_counts=True)
-    del term
+    # Counted in place: np.unique(term, return_counts=True) sorts a copy.
+    term.sort()
+    first = np.empty(term.size, dtype=bool)
+    first[:1] = True
+    np.not_equal(term[1:], term[:-1], out=first[1:])
+    tf = np.diff(np.flatnonzero(first), append=term.size)
+    cells = term[first]
+    del term, first
     cell_doc, cell_term = np.divmod(cells, n_terms)
     del cells
     df = np.bincount(cell_term, minlength=n_terms)
+    from scipy import sparse
     counts = sparse.csr_matrix(
         (tf.astype(np.float64), cell_term, np.searchsorted(cell_doc, np.arange(n_docs + 1))),
         shape=(n_docs, n_terms),
@@ -195,7 +207,19 @@ def vectorize(index: Index, config: SemanticConfig = SemanticConfig()) -> TfIdfM
     rows = np.flatnonzero(row_nnz)
     norms = np.sqrt(np.add.reduceat(matrix.data**2, matrix.indptr[rows]))
     matrix.data *= np.repeat(1.0 / norms, row_nnz[rows])
-    return TfIdfMatrix(matrix=matrix, article_ids=list(index.article_ids))
+    return TfIdfMatrix(matrix=matrix, article_ids=article_ids)
+
+
+def _release_freed_heap() -> None:
+    """Hand the heap pages that freed arrays left behind back to the OS by
+    glibc's ``malloc_trim(0)``; nothing where the C library has no such call
+    (macOS, musl). ``ctypes`` is imported here, so that the CLI loads it only
+    in the stages that load numpy, which imports it anyway."""
+    import ctypes
+    trim = getattr(ctypes.CDLL(None), "malloc_trim", None)
+    if trim is not None:
+        trim.argtypes, trim.restype = [ctypes.c_size_t], ctypes.c_int
+        trim(0)
 
 
 # Terms per block of the SVD's term-side products: no n-by-width array is
@@ -260,6 +284,7 @@ def randomized_svd(
         z = b @ q
         return z.T @ z
 
+    _release_freed_heap()
     # reduce(iadd, ..., 0) adds as sum() does, 0 + p1 + p2 + ..., into one
     # array, and each spent m-by-width array is freed before the next.
     y = reduce(iadd, (b.T @ rng.standard_normal((b.shape[0], width)) for b in blocks()), 0)
@@ -268,6 +293,7 @@ def randomized_svd(
         del y
         y = reduce(iadd, (b.T @ (b @ q) for b in blocks()), 0)
         del q
+        _release_freed_heap()
     q, _ = np.linalg.qr(y)
     del y
     try:

@@ -272,7 +272,7 @@ class TestStagePipeline:
             "import sys\n"
             "import tagfuse.cli\n"
             "print(sorted(m for m in sys.modules if m.split('.')[0] in "
-            "('numpy', 'scipy', 'multiprocessing', 'pickle')))\n"
+            "('numpy', 'scipy', 'multiprocessing', 'pickle', 'ctypes')))\n"
         )
         result = run_python("-c", script)
         assert result.returncode == 0, result.stderr

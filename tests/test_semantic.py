@@ -1,6 +1,8 @@
+import ctypes
 import json
 import math
 import tracemalloc
+import types
 from array import array
 
 import numpy as np
@@ -189,9 +191,11 @@ class TestVectorize:
         assert tfidf.matrix.has_canonical_format
 
     def test_peak_memory_per_token(self):
-        """Only the bigram codes go through ``np.unique``, no term becomes a
-        string, and each whole-corpus temporary is freed once spent: the
-        traced peak stays below 100 bytes per token."""
+        """Only the bigram codes go through ``np.unique``, the cells are
+        counted in the sorted term array itself, no term becomes a string,
+        and each whole-corpus temporary is freed once spent: the traced peak
+        stays below 75 bytes per token, which counting the cells in a sorted
+        copy (``np.unique``) exceeds at about 80."""
         corpus, _, _ = generate(BenchmarkSpec(n_topics=3, docs_per_topic=400))
         n_tokens = sum(len(tokenize(text_repr(rec))) for rec in corpus)
         index = build_index(corpus)
@@ -201,7 +205,7 @@ class TestVectorize:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 100 * n_tokens
+        assert peak < 75 * n_tokens
 
 
 def reference_vectorize(corpus, config):
@@ -602,6 +606,13 @@ class TestOrthonormalize:
         q = tagfuse.semantic._orthonormalize(y)
         np.testing.assert_allclose(q.T @ q, np.eye(50), rtol=0, atol=1e-12)
         np.testing.assert_allclose(q @ (q.T @ y_in), y_in, rtol=0, atol=1e-12)
+
+
+class TestReleaseFreedHeap:
+    def test_a_c_library_without_malloc_trim_is_left_alone(self, monkeypatch):
+        """macOS and musl have no ``malloc_trim``: the helper returns quietly."""
+        monkeypatch.setattr(ctypes, "CDLL", lambda name: types.SimpleNamespace())
+        assert tagfuse.semantic._release_freed_heap() is None
 
 
 class TestTruncatedSvd:
