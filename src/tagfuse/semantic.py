@@ -13,9 +13,8 @@ from __future__ import annotations
 import json
 import logging
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import reduce
-from operator import iadd
 from typing import TYPE_CHECKING
 
 # numpy is imported inside the functions that compute with it, and scipy
@@ -222,9 +221,75 @@ def _release_freed_heap() -> None:
         trim(0)
 
 
+def _blas_thread_calls():
+    """The calls that get and set the thread count of numpy's OpenBLAS, or
+    None where numpy's BLAS is not the OpenBLAS its wheels bundle (a system
+    BLAS, MKL, Accelerate): no such library is found, or none with these
+    calls. ``ctypes`` is imported here, as in ``_release_freed_heap``."""
+    import ctypes
+    import glob
+    import os
+
+    import numpy as np
+    home = os.path.dirname(np.__file__)
+    found = glob.glob(os.path.join(home + ".libs", "*openblas*"))
+    found += glob.glob(os.path.join(home, ".dylibs", "*openblas*"))
+    lib = ctypes.CDLL(found[0]) if found else None
+    for name in ("scipy_openblas_{}_num_threads64_", "openblas_{}_num_threads64_"):
+        get, set_to = (getattr(lib, name.format(verb), None) for verb in ("get", "set"))
+        if get is not None and set_to is not None:
+            return get, set_to
+    return None
+
+
+@contextmanager
+def _one_blas_thread():
+    """Run the body on one OpenBLAS thread and restore the previous count
+    after it; nothing where ``_blas_thread_calls`` finds no calls. A
+    threaded LAPACK ``potrf`` or ``geqrf`` rounds by its thread count,
+    which OpenBLAS takes from the CPU count, so the embedding would differ
+    between machines. ``OPENBLAS_NUM_THREADS`` acts only if it is set
+    before numpy loads."""
+    calls = _blas_thread_calls()
+    if calls is None:
+        yield
+        return
+    get, set_to = calls
+    previous = get()
+    set_to(1)
+    try:
+        yield
+    finally:
+        set_to(previous)
+
+
 # Terms per block of the SVD's term-side products: no n-by-width array is
 # ever whole, so the SVD's dense memory does not grow with the vocabulary.
 _TERM_BLOCK = 8192
+
+
+# The SVD's products run through the kernels that scipy's ``@`` calls, on
+# the term block ``lo:hi`` of the CSR ``at = a.T``. The ``indptr`` slice keeps
+# absolute offsets into the whole ``indices`` and ``data``, so a block is a
+# view, and the kernels add into a C-contiguous array the caller owns (of
+# any other, ``ravel`` would pass a copy). Their module is private: a test
+# pins these calls to the public products' bytes.
+
+
+def _term_side(at, lo: int, hi: int, q: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``out = at[lo:hi] @ q``, the block's rows of ``a.T @ q``, as ``@`` sums them."""
+    from scipy.sparse._sparsetools import csr_matvecs
+    out.fill(0.0)
+    csr_matvecs(hi - lo, at.shape[1], q.shape[1], at.indptr[lo : hi + 1], at.indices,
+                at.data, q.ravel(), out.ravel())
+    return out
+
+
+def _add_doc_side(at, lo: int, hi: int, z: np.ndarray, y: np.ndarray) -> None:
+    """``y += at[lo:hi].T @ z``, each product added straight into ``y``."""
+    from scipy.sparse._sparsetools import csc_matvecs
+    csc_matvecs(at.shape[1], hi - lo, z.shape[1], at.indptr[lo : hi + 1], at.indices,
+                at.data, z.ravel(), y.ravel())
 
 
 def _orthonormalize(y: np.ndarray) -> np.ndarray:
@@ -246,28 +311,31 @@ def _orthonormalize(y: np.ndarray) -> np.ndarray:
     return y
 
 
+@_one_blas_thread()
 def randomized_svd(
     a, k: int, oversample: int, power_iters: int, seed: int = 0
 ) -> tuple[np.ndarray, np.ndarray]:
     """Truncated SVD by randomized range finding (Halko, Martinsson and
-    Tropp, arXiv:0909.4061, §4.3-4.5).
+    Tropp, arXiv:0909.4061, §4.3-4.5), on one BLAS thread.
 
     ``Q`` orthonormalizes ``a`` times a Gaussian test matrix of ``width =
     k + oversample`` columns, then ``power_iters`` rounds of ``Q <- qr(a @
     (a.T @ Q))``; only this m side is orthonormalized, in the power
     iterations by CholeskyQR2 with a Householder fallback, and at the end
     by Householder, whose column signs the embedding keeps. Every product
-    with ``a`` is summed over blocks of ``_TERM_BLOCK`` terms (rows of
-    ``a.T``, a view of a CSC ``a``, a copy otherwise), and the test matrix
-    is drawn block by block from one generator, so its numbers are those
-    of one whole draw. The small solve takes R from the Cholesky factor of
-    the Gram of ``Z = a.T @ Q``, summed from the blocks' Grams (CholeskyQR,
-    Fukaya et al. 2014); only a singular Gram builds ``Z`` whole, for its
-    Householder R. With ``R.T = U_R S V_R^T``, ``u = Q @ U_R``. ``U_R``
-    ignores R's row signs, so the column signs match ``svd(Q.T @ a)`` to
-    rounding; tests pin them, since the forest breaks ties by order.
-    Returns ``(u, s)`` of shapes (m, k) and (k,), ``s`` non-increasing;
-    deterministic for a fixed seed.
+    with ``a`` goes block by block over ``_TERM_BLOCK`` terms (rows of
+    ``a.T``, a view of a CSC ``a``, a copy otherwise): the term side into
+    one reused block buffer, the document side added in place into ``y``,
+    in the order and with the rounding of the whole ``a @ (a.T @ Q)``. The
+    test matrix is drawn block by block from one generator, so its numbers
+    are those of one whole draw. The small solve takes R from the Cholesky
+    factor of the Gram of ``Z = a.T @ Q``, summed from the blocks' Grams
+    (CholeskyQR, Fukaya et al. 2014); only a singular Gram builds ``Z``
+    whole, for its Householder R. With ``R.T = U_R S V_R^T``, ``u = Q @
+    U_R``. ``U_R`` ignores R's row signs, so the column signs match
+    ``svd(Q.T @ a)`` to rounding; tests pin them, since the forest breaks
+    ties by order. Returns ``(u, s)`` of shapes (m, k) and (k,), ``s``
+    non-increasing; deterministic for a fixed seed.
     """
     import numpy as np
     from scipy import sparse
@@ -275,31 +343,36 @@ def randomized_svd(
 
     rng = np.random.default_rng(seed)
     width = min(k + oversample, min(m, n))
-    at = sparse.csr_matrix(a.T)
+    at = sparse.csr_matrix(a.T, dtype=np.float64)
+    spans = [(lo, min(lo + _TERM_BLOCK, n)) for lo in range(0, n, _TERM_BLOCK)]
 
-    def blocks():
-        return (at[lo : lo + _TERM_BLOCK] for lo in range(0, n, _TERM_BLOCK))
-
-    def gram(b):  # a block's share of Z.T @ Z; its z is freed on return
-        z = b @ q
-        return z.T @ z
-
-    _release_freed_heap()
-    # reduce(iadd, ..., 0) adds as sum() does, 0 + p1 + p2 + ..., into one
-    # array, and each spent m-by-width array is freed before the next.
-    y = reduce(iadd, (b.T @ rng.standard_normal((b.shape[0], width)) for b in blocks()), 0)
+    block = np.empty((min(_TERM_BLOCK, n), width))
+    y = np.zeros((m, width))
+    for lo, hi in spans:
+        _add_doc_side(at, lo, hi, rng.standard_normal(out=block[: hi - lo]), y)
     for _ in range(power_iters):
         q = _orthonormalize(y)
         del y
-        y = reduce(iadd, (b.T @ (b @ q) for b in blocks()), 0)
+        y = np.zeros((m, width))
+        for lo, hi in spans:
+            _add_doc_side(at, lo, hi, _term_side(at, lo, hi, q, block[: hi - lo]), y)
         del q
-        _release_freed_heap()
+    # The final QR copies ``y`` and sets the peak: the heap that the block
+    # buffer and the spent ``q`` leave goes back to the OS before it.
+    del block
+    _release_freed_heap()
     q, _ = np.linalg.qr(y)
     del y
+    block = np.empty((min(_TERM_BLOCK, n), width))
+    gram = np.zeros((width, width))
+    for lo, hi in spans:
+        z = _term_side(at, lo, hi, q, block[: hi - lo])
+        gram += z.T @ z
+    del block, z
     try:
-        r = np.linalg.cholesky(reduce(iadd, map(gram, blocks()), 0)).T
+        r = np.linalg.cholesky(gram).T
     except np.linalg.LinAlgError:  # singular Gram, e.g. an all-zero ``a``
-        r = np.linalg.qr(at @ q, mode="r")
+        r = np.linalg.qr(_term_side(at, 0, n, q, np.empty((n, width))), mode="r")
     u_small, s, _ = np.linalg.svd(r.T)
     return q @ u_small[:, :k], s[:k]
 

@@ -39,13 +39,12 @@ def ci_data_config(path, ci, **keys):
     ids=["ci", "ci-blocks", "ci-forest", "ci-1thread", "ci-blocks-1thread", "ci-1cpu"],
 )
 def test_rerun_in_a_fresh_interpreter_is_byte_identical(spec_run, tmp_path, spec, env, cpus):
-    # It shares no hash seed and no module state with this process. Other BLAS
-    # threads or CPUs may change the embedding's last bits, and nothing else.
+    # It shares no hash seed and no module state with this process. The SVD
+    # runs on one BLAS thread, so other BLAS threads or CPUs change nothing.
     args = ["bench", "--config", str(SPECS / f"{spec}.json"), "--output-dir", str(tmp_path)]
     result = run_python("-m", "tagfuse.cli", *args, env=env, cpus=cpus)
     assert result.returncode == 0, result.stderr
-    excluded = [MANIFEST_NAME] + (["embedding.npy"] if env or cpus else [])
-    assert snapshot(spec_run(spec), *excluded) == snapshot(tmp_path, *excluded)
+    assert snapshot(spec_run(spec), MANIFEST_NAME) == snapshot(tmp_path, MANIFEST_NAME)
 
 
 def test_blocks_vocabulary_spans_two_svd_term_blocks(spec_run):

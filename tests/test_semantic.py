@@ -390,28 +390,28 @@ def householder_randomized_svd(a, k, oversample=10, power_iters=2, seed=0):
     return q @ u_small[:, :k], s[:k]
 
 
-def summed_randomized_svd(a, k, oversample=10, power_iters=2, seed=0):
-    """Reference: the blocked SVD with each product summed by ``sum()``
-    into a new array per block; its power iterations orthonormalize as the
-    module does."""
-    rng = np.random.default_rng(seed)
-    m, n = a.shape
-    width = min(k + oversample, min(m, n))
-    at = sparse.csr_matrix(a.T)
-    step = tagfuse.semantic._TERM_BLOCK
-
-    def blocks():
-        return (at[lo : lo + step] for lo in range(0, n, step))
-
-    y = sum(b.T @ rng.standard_normal((b.shape[0], width)) for b in blocks())
-    for _ in range(power_iters):
-        q = tagfuse.semantic._orthonormalize(y)
-        y = sum(b.T @ (b @ q) for b in blocks())
-    q, _ = np.linalg.qr(y)
-    zs = [b @ q for b in blocks()]
-    r = np.linalg.cholesky(sum(z.T @ z for z in zs)).T
-    u_small, s, _ = np.linalg.svd(r.T)
-    return q @ u_small[:, :k], s[:k]
+def whole_randomized_svd(a, k, oversample=10, power_iters=2, seed=0):
+    """Reference: the SVD unblocked, each product with the CSC ``a`` whole
+    through scipy's public ``@`` and the test matrix drawn whole; its power
+    iterations orthonormalize as the module does, and its small solve sums
+    the Gram per term block as the module does. It runs on one BLAS thread,
+    as the module does, since LAPACK rounds by the thread count."""
+    with tagfuse.semantic._one_blas_thread():
+        rng = np.random.default_rng(seed)
+        a = sparse.csc_matrix(a)
+        m, n = a.shape
+        width = min(k + oversample, min(m, n))
+        y = a @ rng.standard_normal((n, width))
+        for _ in range(power_iters):
+            q = tagfuse.semantic._orthonormalize(y)
+            y = a @ (a.T @ q)
+        q, _ = np.linalg.qr(y)
+        z = a.T @ q
+        step = tagfuse.semantic._TERM_BLOCK
+        r = np.linalg.cholesky(sum(z[lo : lo + step].T @ z[lo : lo + step]
+                                   for lo in range(0, n, step))).T
+        u_small, s, _ = np.linalg.svd(r.T)
+        return q @ u_small[:, :k], s[:k]
 
 
 # The last two shapes span several term blocks of the SVD, each with a
@@ -460,8 +460,30 @@ class TestRandomizedSvd:
     def test_in_place_sums_equal_sum_bit_for_bit(self, m, n, k, seed):
         a = sparse_input(m, n)()
         u, s = randomized_svd(a, k=k, oversample=10, power_iters=2, seed=seed)
-        u_ref, s_ref = summed_randomized_svd(a, k=k, seed=seed)
+        u_ref, s_ref = whole_randomized_svd(a, k=k, seed=seed)
         assert np.array_equal(u, u_ref) and np.array_equal(s, s_ref)
+
+    def test_block_kernels_equal_public_products_bit_for_bit(self):
+        """The SVD's products run through ``scipy.sparse._sparsetools``, a
+        private module, on blocks whose ``indptr`` slice keeps absolute
+        offsets: each block's ``csr_matvecs`` and ``csc_matvecs`` must give
+        the public products' bytes, and the in-place sum over the blocks
+        those of the whole product. A SciPy release that changes them fails
+        here, not in the pipeline."""
+        step, m, width = tagfuse.semantic._TERM_BLOCK, 120, 50
+        n = 3 * step + 17
+        at = sparse.random(n, m, density=0.05, format="csr", random_state=0)
+        q = np.random.default_rng(0).standard_normal((m, width))
+        y = np.zeros((m, width))
+        for lo in range(0, n, step):
+            hi = min(lo + step, n)
+            z = tagfuse.semantic._term_side(at, lo, hi, q, np.full((hi - lo, width), np.nan))
+            assert np.array_equal(z, at[lo:hi] @ q)
+            y_block = np.zeros((m, width))
+            tagfuse.semantic._add_doc_side(at, lo, hi, z, y_block)
+            assert np.array_equal(y_block, at[lo:hi].T @ z)
+            tagfuse.semantic._add_doc_side(at, lo, hi, z, y)
+        assert np.array_equal(y, at.T @ (at @ q))
 
     @pytest.mark.parametrize("make, k", SVD_INPUTS)
     def test_matches_householder_solve_without_sign_alignment(self, make, k):
@@ -537,9 +559,9 @@ class TestRandomizedSvd:
         assert peaks[80000] <= 1.1 * peaks[40000]
 
     def test_peak_memory_holds_few_m_by_width_arrays(self):
-        """Each product is added into one array, and each spent m-by-width
-        array is freed before the next is made: the traced peak stays
-        below 4 such arrays."""
+        """Each product is added in place into ``y``, and each spent
+        m-by-width array is freed before the next is made: the traced peak
+        stays below 4 such arrays."""
         m, width = 20000, 40 + 10
         a = sparse.random(m, 2000, density=0.01, format="csr", random_state=0)
         tracemalloc.start()
@@ -549,6 +571,24 @@ class TestRandomizedSvd:
         finally:
             tracemalloc.stop()
         assert peak < 4 * m * width * 8
+
+    def test_power_iterations_hold_no_product_temporary(self):
+        """A 5k-like shape, CSC input and n >> m: the power iterations
+        hold ``q``, the ``y`` they add into and the one term block's
+        buffer, and no product of either side; a quarter of an m-by-width
+        array is the slack. Summed products would add at least one m-by-width
+        and one block-sized array."""
+        m, n, width, nnz = 4000, 60000, 40 + 10, 300_000
+        rng = np.random.default_rng(0)
+        a = sparse.csc_matrix(
+            (rng.random(nnz), (rng.integers(0, m, nnz), rng.integers(0, n, nnz))), shape=(m, n))
+        tracemalloc.start()
+        try:
+            randomized_svd(a, k=40, oversample=10, power_iters=2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < (2.25 * m + tagfuse.semantic._TERM_BLOCK) * width * 8
 
     def test_zero_input_gives_zero_singular_values(self):
         u, s = randomized_svd(np.zeros((6, 5)), k=2, oversample=10, power_iters=2)
@@ -613,6 +653,36 @@ class TestReleaseFreedHeap:
         """macOS and musl have no ``malloc_trim``: the helper returns quietly."""
         monkeypatch.setattr(ctypes, "CDLL", lambda name: types.SimpleNamespace())
         assert tagfuse.semantic._release_freed_heap() is None
+
+
+class TestOneBlasThread:
+    def test_a_blas_library_without_thread_calls_is_left_alone(self, monkeypatch):
+        """Another BLAS has no OpenBLAS thread calls: the SVD runs unpinned."""
+        monkeypatch.setattr(ctypes, "CDLL", lambda name: types.SimpleNamespace())
+        assert tagfuse.semantic._blas_thread_calls() is None
+        u, s = randomized_svd(np.eye(6, 5), k=2, oversample=1, power_iters=1)
+        assert u.shape == (6, 2) and s.shape == (2,)
+
+    def test_previous_thread_count_is_restored_after_the_svd(self, monkeypatch):
+        calls = tagfuse.semantic._blas_thread_calls()
+        if calls is None:
+            pytest.skip("numpy's BLAS is not the OpenBLAS of its wheels")
+        get, set_to = calls
+        during = []
+        orthonormalize = tagfuse.semantic._orthonormalize
+
+        def recording(y):
+            during.append(get())
+            return orthonormalize(y)
+
+        monkeypatch.setattr(tagfuse.semantic, "_orthonormalize", recording)
+        previous = get()
+        set_to(2)
+        try:
+            randomized_svd(sparse_input(300, 2000)(), k=25, oversample=10, power_iters=2)
+            assert during == [1, 1] and get() == 2
+        finally:
+            set_to(previous)
 
 
 class TestTruncatedSvd:
