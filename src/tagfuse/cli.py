@@ -215,7 +215,6 @@ def stage_index(cfg: RunConfig) -> None:
 def stage_embed(cfg: RunConfig) -> None:
     with _run(cfg, "embed") as ws:
         tfidf = vectorize(_load_index(cfg, ws), cfg.semantic)
-        tfidf.matrix = tfidf.matrix.tocsc()  # the SVD reads a CSC matrix without a copy
         sem = truncated_svd(tfidf, cfg.semantic, seed=derive_seed(cfg.seed, "svd"))
         sem.save(*map(ws.output, ws.embedding_paths))
         ws.extra = {"vocabulary_size": tfidf.matrix.shape[1], "k": cfg.semantic.k}

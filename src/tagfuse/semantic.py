@@ -10,6 +10,7 @@ cannot.
 
 from __future__ import annotations
 
+import functools
 import json
 import logging
 import math
@@ -17,12 +18,13 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-# numpy is imported inside the functions that compute with it, and scipy
-# where a sparse matrix is built: the stages that never do (index, synset,
-# fuse, eval) then start without loading either.
+# numpy is imported inside the functions that compute with it: the stages
+# that never do (index, synset, fuse, eval) then start without loading it.
+# ``embed`` runs scipy's compiled sparse kernels (``_kernels``) and never
+# imports ``scipy.sparse``; only ``randomized_svd`` of a matrix of another
+# type does, to convert it.
 if TYPE_CHECKING:
     import numpy as np
-    from scipy import sparse
 
 from .corpus import TEXT_FIELDS
 from .errors import ConfigError, TagfuseError
@@ -57,12 +59,30 @@ class SemanticConfig:
             raise ConfigError("semantic.oversample and power_iters must be >= 0")
 
 
+@dataclass(frozen=True)
+class CscArrays:
+    """An m-by-n sparse matrix as the arrays of its compressed sparse
+    columns, those of scipy's ``csc_matrix((data, indices, indptr), shape)``:
+    column j holds ``data[indptr[j]:indptr[j + 1]]`` in the rows
+    ``indices[indptr[j]:indptr[j + 1]]``. They are also the compressed
+    sparse rows of the n-by-m transpose."""
+
+    data: np.ndarray
+    indices: np.ndarray
+    indptr: np.ndarray
+    shape: tuple[int, int]
+
+    @property
+    def nnz(self) -> int:
+        return self.data.size
+
+
 @dataclass
 class TfIdfMatrix:
     """Sparse article-by-term matrix with L2-normalized rows, one column per
-    vocabulary term."""
+    vocabulary term; each column's rows ascend."""
 
-    matrix: sparse.csr_matrix
+    matrix: CscArrays
     article_ids: list[str]
 
 
@@ -148,11 +168,8 @@ def vectorize(index: Index, config: SemanticConfig = SemanticConfig()) -> TfIdfM
         del at, ids, per_posting
         start += read(f.doc_length)
     article_ids = list(index.article_ids)
+    # The large temporaries are deleted as soon as they are spent.
     del index, fields, f, rank
-    # The large temporaries are deleted as soon as they are spent, and the
-    # heap they leave is handed back to the OS between phases: glibc keeps
-    # freed pages resident, where they add to the peaks of later phases.
-    _release_freed_heap()
     doc = np.repeat(np.arange(n_docs, dtype=np.int64), lengths)
     # Term codes: every token occurs, so the unigram codes are 0..u-1; the
     # bigram (a, b) is u + the rank of its key a*(u+1) + b+1 (u < 3e9 tokens,
@@ -176,12 +193,6 @@ def vectorize(index: Index, config: SemanticConfig = SemanticConfig()) -> TfIdfM
     cell_doc, cell_term = np.divmod(cells, n_terms)
     del cells
     df = np.bincount(cell_term, minlength=n_terms)
-    from scipy import sparse
-    counts = sparse.csr_matrix(
-        (tf.astype(np.float64), cell_term, np.searchsorted(cell_doc, np.arange(n_docs + 1))),
-        shape=(n_docs, n_terms),
-    )
-    del cell_doc, cell_term, tf
 
     kept = np.flatnonzero((df >= config.min_df) & (df <= config.max_df_fraction * n_docs))
     if not kept.size:
@@ -197,16 +208,33 @@ def vectorize(index: Index, config: SemanticConfig = SemanticConfig()) -> TfIdfM
     # math.log per term: np.log's SIMD paths can differ in the last bit by CPU.
     idf = np.array([math.log((1 + n_docs) / (1 + d)) + 1.0 for d in df[kept].tolist()])
 
-    matrix = counts[:, kept]
-    del counts
-    matrix.sort_indices()
-    matrix.data *= idf[matrix.indices]
+    # The kept cells as CSR arrays, each cell's column its term's place in
+    # ``kept`` (-1 for a dropped term), then each row sorted by column. The
+    # index type is scipy's: int32 unless a count would overflow it.
+    index_type = np.int32 if max(cell_term.size, n_terms) < 2**31 else np.int64
+    column = np.full(n_terms, -1, dtype=index_type)
+    column[kept] = np.arange(kept.size, dtype=index_type)
+    indices = column[cell_term]
+    del cell_term, column
+    keep = indices >= 0
+    indices = indices[keep]
+    data = tf[keep].astype(np.float64)
+    indptr = np.zeros(n_docs + 1, dtype=index_type)
+    np.cumsum(np.bincount(cell_doc[keep], minlength=n_docs), out=indptr[1:])
+    del cell_doc, tf, keep
+    kernels = _kernels()
+    kernels.csr_sort_indices(n_docs, indptr, indices, data)
+    data *= idf[indices]
     # Rows scaled to unit length in place; a row with no kept term stays empty.
-    row_nnz = np.diff(matrix.indptr)
+    row_nnz = np.diff(indptr)
     rows = np.flatnonzero(row_nnz)
-    norms = np.sqrt(np.add.reduceat(matrix.data**2, matrix.indptr[rows]))
-    matrix.data *= np.repeat(1.0 / norms, row_nnz[rows])
-    return TfIdfMatrix(matrix=matrix, article_ids=article_ids)
+    norms = np.sqrt(np.add.reduceat(data**2, indptr[rows]))
+    data *= np.repeat(1.0 / norms, row_nnz[rows])
+    # Transposed to compressed columns, the layout the SVD reads.
+    csc = CscArrays(np.empty(data.size), np.empty(data.size, dtype=index_type),
+                    np.empty(kept.size + 1, dtype=index_type), (n_docs, kept.size))
+    kernels.csr_tocsc(n_docs, kept.size, indptr, indices, data, csc.indptr, csc.indices, csc.data)
+    return TfIdfMatrix(matrix=csc, article_ids=article_ids)
 
 
 def _release_freed_heap() -> None:
@@ -219,6 +247,35 @@ def _release_freed_heap() -> None:
     if trim is not None:
         trim.argtypes, trim.restype = [ctypes.c_size_t], ctypes.c_int
         trim(0)
+
+
+@functools.cache
+def _kernels():
+    """scipy's compiled sparse kernels, ``scipy.sparse._sparsetools``,
+    loaded from their extension file: ``import scipy.sparse`` would run the
+    package's ``__init__``, which loads numpy's f2py, testing and masked
+    arrays and costs about 17 MB of RSS that ``embed`` would hold to its
+    peak. ``find_spec`` finds scipy without importing it. The module is
+    reused if it is already imported, and imported as usual where no file
+    is found: the same kernels, with only the memory lost."""
+    import importlib.machinery
+    import importlib.util
+    import os
+    import sys
+
+    name = "scipy.sparse._sparsetools"
+    if name in sys.modules:
+        return sys.modules[name]
+    home = os.path.dirname(importlib.util.find_spec("scipy").origin)
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+        path = os.path.join(home, "sparse", "_sparsetools" + suffix)
+        if os.path.exists(path):
+            spec = importlib.util.spec_from_file_location(name, path)
+            module = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(module)
+            return module
+    from scipy.sparse import _sparsetools
+    return _sparsetools
 
 
 def _blas_thread_calls():
@@ -269,27 +326,26 @@ _TERM_BLOCK = 8192
 
 
 # The SVD's products run through the kernels that scipy's ``@`` calls, on
-# the term block ``lo:hi`` of the CSR ``at = a.T``. The ``indptr`` slice keeps
-# absolute offsets into the whole ``indices`` and ``data``, so a block is a
-# view, and the kernels add into a C-contiguous array the caller owns (of
-# any other, ``ravel`` would pass a copy). Their module is private: a test
-# pins these calls to the public products' bytes.
+# the term block ``lo:hi`` of ``a``'s CSC arrays, which are the CSR arrays of
+# ``a.T``. The ``indptr`` slice keeps absolute offsets into the whole
+# ``indices`` and ``data``, so a block is a view, and the kernels add into a
+# C-contiguous array the caller owns (of any other, ``ravel`` would pass a
+# copy). Their module is private: a test pins these calls to the public
+# products' bytes.
 
 
-def _term_side(at, lo: int, hi: int, q: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """``out = at[lo:hi] @ q``, the block's rows of ``a.T @ q``, as ``@`` sums them."""
-    from scipy.sparse._sparsetools import csr_matvecs
+def _term_side(a: CscArrays, lo: int, hi: int, q: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``out = a[:, lo:hi].T @ q``, the block's rows of ``a.T @ q``, as ``@`` sums them."""
     out.fill(0.0)
-    csr_matvecs(hi - lo, at.shape[1], q.shape[1], at.indptr[lo : hi + 1], at.indices,
-                at.data, q.ravel(), out.ravel())
+    _kernels().csr_matvecs(hi - lo, a.shape[0], q.shape[1], a.indptr[lo : hi + 1], a.indices,
+                           a.data, q.ravel(), out.ravel())
     return out
 
 
-def _add_doc_side(at, lo: int, hi: int, z: np.ndarray, y: np.ndarray) -> None:
-    """``y += at[lo:hi].T @ z``, each product added straight into ``y``."""
-    from scipy.sparse._sparsetools import csc_matvecs
-    csc_matvecs(at.shape[1], hi - lo, z.shape[1], at.indptr[lo : hi + 1], at.indices,
-                at.data, z.ravel(), y.ravel())
+def _add_doc_side(a: CscArrays, lo: int, hi: int, z: np.ndarray, y: np.ndarray) -> None:
+    """``y += a[:, lo:hi] @ z``, each product added straight into ``y``."""
+    _kernels().csc_matvecs(a.shape[0], hi - lo, z.shape[1], a.indptr[lo : hi + 1], a.indices,
+                           a.data, z.ravel(), y.ravel())
 
 
 def _orthonormalize(y: np.ndarray) -> np.ndarray:
@@ -323,39 +379,42 @@ def randomized_svd(
     (a.T @ Q))``; only this m side is orthonormalized, in the power
     iterations by CholeskyQR2 with a Householder fallback, and at the end
     by Householder, whose column signs the embedding keeps. Every product
-    with ``a`` goes block by block over ``_TERM_BLOCK`` terms (rows of
-    ``a.T``, a view of a CSC ``a``, a copy otherwise): the term side into
-    one reused block buffer, the document side added in place into ``y``,
-    in the order and with the rounding of the whole ``a @ (a.T @ Q)``. The
-    test matrix is drawn block by block from one generator, so its numbers
-    are those of one whole draw. The small solve takes R from the Cholesky
-    factor of the Gram of ``Z = a.T @ Q``, summed from the blocks' Grams
-    (CholeskyQR, Fukaya et al. 2014); only a singular Gram builds ``Z``
-    whole, for its Householder R. With ``R.T = U_R S V_R^T``, ``u = Q @
-    U_R``. ``U_R`` ignores R's row signs, so the column signs match
-    ``svd(Q.T @ a)`` to rounding; tests pin them, since the forest breaks
-    ties by order. Returns ``(u, s)`` of shapes (m, k) and (k,), ``s``
+    with ``a`` goes block by block over ``_TERM_BLOCK`` terms, columns of
+    ``a``'s CSC arrays: ``vectorize``'s ``CscArrays`` as they are, any other
+    matrix converted by ``scipy.sparse`` (a view of a CSC float64 ``a``, a
+    copy otherwise). The term side goes into one reused block buffer, the
+    document side is added in place into ``y``, in the order and with the
+    rounding of the whole ``a @ (a.T @ Q)``. The test matrix is drawn block
+    by block from one generator, so its numbers are those of one whole
+    draw. The small solve takes R from the Cholesky factor of the Gram of
+    ``Z = a.T @ Q``, summed from the blocks' Grams (CholeskyQR, Fukaya et
+    al. 2014); only a singular Gram builds ``Z`` whole, for its Householder
+    R. With ``R.T = U_R S V_R^T``, ``u = Q @ U_R``. ``U_R`` ignores R's row
+    signs, so the column signs match ``svd(Q.T @ a)`` to rounding; tests
+    pin them, since the forest breaks ties by order. Returns ``(u, s)`` of shapes (m, k) and (k,), ``s``
     non-increasing; deterministic for a fixed seed.
     """
     import numpy as np
-    from scipy import sparse
+    if not isinstance(a, CscArrays):
+        from scipy import sparse
+        at = sparse.csr_matrix(a.T, dtype=np.float64)
+        a = CscArrays(at.data, at.indices, at.indptr, at.shape[::-1])
     m, n = a.shape
 
     rng = np.random.default_rng(seed)
     width = min(k + oversample, min(m, n))
-    at = sparse.csr_matrix(a.T, dtype=np.float64)
     spans = [(lo, min(lo + _TERM_BLOCK, n)) for lo in range(0, n, _TERM_BLOCK)]
 
     block = np.empty((min(_TERM_BLOCK, n), width))
     y = np.zeros((m, width))
     for lo, hi in spans:
-        _add_doc_side(at, lo, hi, rng.standard_normal(out=block[: hi - lo]), y)
+        _add_doc_side(a, lo, hi, rng.standard_normal(out=block[: hi - lo]), y)
     for _ in range(power_iters):
         q = _orthonormalize(y)
         del y
         y = np.zeros((m, width))
         for lo, hi in spans:
-            _add_doc_side(at, lo, hi, _term_side(at, lo, hi, q, block[: hi - lo]), y)
+            _add_doc_side(a, lo, hi, _term_side(a, lo, hi, q, block[: hi - lo]), y)
         del q
     # The final QR copies ``y`` and sets the peak: the heap that the block
     # buffer and the spent ``q`` leave goes back to the OS before it.
@@ -366,13 +425,13 @@ def randomized_svd(
     block = np.empty((min(_TERM_BLOCK, n), width))
     gram = np.zeros((width, width))
     for lo, hi in spans:
-        z = _term_side(at, lo, hi, q, block[: hi - lo])
+        z = _term_side(a, lo, hi, q, block[: hi - lo])
         gram += z.T @ z
     del block, z
     try:
         r = np.linalg.cholesky(gram).T
     except np.linalg.LinAlgError:  # singular Gram, e.g. an all-zero ``a``
-        r = np.linalg.qr(_term_side(at, 0, n, q, np.empty((n, width))), mode="r")
+        r = np.linalg.qr(_term_side(a, 0, n, q, np.empty((n, width))), mode="r")
     u_small, s, _ = np.linalg.svd(r.T)
     return q @ u_small[:, :k], s[:k]
 

@@ -1,6 +1,8 @@
 import ctypes
+import importlib.machinery
 import json
 import math
+import sys
 import tracemalloc
 import types
 from array import array
@@ -16,6 +18,7 @@ from tagfuse.corpus import TEXT_FIELDS
 from tagfuse.errors import ConfigError, TagfuseError
 from tagfuse.index import IndexConfig, build_index
 from tagfuse.semantic import (
+    CscArrays,
     SemanticConfig,
     SemanticMatrix,
     randomized_svd,
@@ -104,10 +107,16 @@ class TestVocabulary:
             SemanticConfig(max_df_fraction=0.0)
 
 
+def as_scipy(tfidf):
+    """The scipy matrix of ``vectorize``'s CSC arrays."""
+    m = tfidf.matrix
+    return sparse.csc_matrix((m.data, m.indices, m.indptr), shape=m.shape)
+
+
 class TestVectorize:
     def test_matches_dense_reference_computation(self):
         corpus = tiny_corpus()
-        got = vectorize(build_index(corpus), NO_CUTOFFS).matrix.toarray()
+        got = as_scipy(vectorize(build_index(corpus), NO_CUTOFFS)).toarray()
         _, columns, document_frequency = reference_vectorize(corpus, NO_CUTOFFS)
 
         m = len(corpus)
@@ -129,8 +138,8 @@ class TestVectorize:
 
     def test_rows_are_unit_norm(self):
         corpus = tiny_corpus()
-        tfidf = vectorize(build_index(corpus), NO_CUTOFFS)
-        norms = np.sqrt(np.asarray(tfidf.matrix.multiply(tfidf.matrix).sum(axis=1))).ravel()
+        matrix = as_scipy(vectorize(build_index(corpus), NO_CUTOFFS))
+        norms = np.sqrt(np.asarray(matrix.multiply(matrix).sum(axis=1))).ravel()
         np.testing.assert_allclose(norms, 1.0, atol=1e-9)
 
     def test_document_with_no_vocabulary_terms_keeps_zero_row(self):
@@ -142,7 +151,7 @@ class TestVectorize:
             ]
         )
         tfidf = vectorize(build_index(corpus), SemanticConfig(min_df=2, max_df_fraction=1.0))
-        assert tfidf.matrix[2].nnz == 0
+        assert as_scipy(tfidf)[2].nnz == 0
 
     def test_tokenizes_each_document_once(self, monkeypatch):
         """The index tokenizes each title and abstract once; ``vectorize``
@@ -158,7 +167,7 @@ class TestVectorize:
         index = build_index(corpus, IndexConfig(TEXT_FIELDS))
         assert len(calls) == 2 * len(corpus)
         matrix, _, _ = reference_vectorize(corpus, NO_CUTOFFS)
-        assert (vectorize(index, NO_CUTOFFS).matrix != matrix).nnz == 0
+        assert (as_scipy(vectorize(index, NO_CUTOFFS)) != matrix).nnz == 0
         assert len(calls) == 2 * len(corpus)
 
     def test_reads_index_arrays_in_their_own_typecodes(self):
@@ -186,9 +195,9 @@ class TestVectorize:
         assert tfidf.matrix.shape == (3, len(columns))
 
     def test_result_has_canonical_format(self):
-        """Sorted column indices and no duplicates in every row."""
+        """Sorted row indices and no duplicates in every column."""
         tfidf = vectorize(build_index(small_bench_corpus()), SemanticConfig())
-        assert tfidf.matrix.has_canonical_format
+        assert as_scipy(tfidf).has_canonical_format
 
     def test_peak_memory_per_token(self):
         """Only the bigram codes go through ``np.unique``, the cells are
@@ -297,7 +306,7 @@ def small_bench_corpus():
 
 class TestVectorizeMatchesStringReference:
     """The integer-coded n-gram counts give the TF-IDF of the string build
-    bit for bit: the same shape, column order, CSR arrays and dtypes."""
+    bit for bit: the same shape, column order, CSC arrays and dtypes."""
 
     @pytest.mark.parametrize(
         "corpus, config",
@@ -316,7 +325,7 @@ class TestVectorizeMatchesStringReference:
     def test_bit_identical(self, corpus, config):
         corpus = corpus()
         tfidf = vectorize(build_index(corpus), config)
-        matrix, _, _ = reference_vectorize(corpus, config)
+        matrix = reference_vectorize(corpus, config)[0].tocsc()
         got = tfidf.matrix
         for name in ("indptr", "indices", "data"):
             assert getattr(got, name).dtype == getattr(matrix, name).dtype
@@ -333,7 +342,7 @@ class TestVectorizeMatchesStringReference:
         tokens = [tokenize(text_repr(rec)) for rec in corpus]
         assert "i̇stanbul" in columns and "東京 大学" in columns
         assert tokens[1] == ["solo"]
-        assert tfidf.matrix[1].nnz == 0 and tfidf.matrix[3].nnz == 0
+        assert as_scipy(tfidf)[1].nnz == 0 and as_scipy(tfidf)[3].nnz == 0
         assert ngrams(tokens[4]).count("east east") == 2
         # Token ids are string ranks, so the bigram of the first token with
         # itself has the smallest bigram code.
@@ -357,7 +366,7 @@ class TestVectorizeMatchesStringReference:
         assert df["deep learning"] == 3 and df["works deep"] == 1
         assert df["learning deep"] == 1
         tfidf = vectorize(build_index(corpus), SemanticConfig(min_df=2, max_df_fraction=1.0))
-        assert all(tfidf.matrix[i].nnz for i in range(len(corpus)))
+        assert all(as_scipy(tfidf)[i].nnz for i in range(len(corpus)))
         # In one-token documents, a bigram could only cross a document boundary.
         _, columns, _ = reference_vectorize(one_token_corpus(), NO_CUTOFFS)
         assert sorted(columns) == ["graft", "spore"]
@@ -442,6 +451,26 @@ SVD_INPUTS = [
 ] + [pytest.param(rank_deficient_input, 20, id="rank25-k20")]
 
 
+def assert_block_kernels_equal_public_products():
+    """``_term_side`` and ``_add_doc_side`` through the kernels that
+    ``_kernels()`` returns, block by block and summed, against scipy's ``@``."""
+    step, m, width = tagfuse.semantic._TERM_BLOCK, 120, 50
+    n = 3 * step + 17
+    at = sparse.random(n, m, density=0.05, format="csr", random_state=0)
+    a = CscArrays(at.data, at.indices, at.indptr, (m, n))
+    q = np.random.default_rng(0).standard_normal((m, width))
+    y = np.zeros((m, width))
+    for lo in range(0, n, step):
+        hi = min(lo + step, n)
+        z = tagfuse.semantic._term_side(a, lo, hi, q, np.full((hi - lo, width), np.nan))
+        assert np.array_equal(z, at[lo:hi] @ q)
+        y_block = np.zeros((m, width))
+        tagfuse.semantic._add_doc_side(a, lo, hi, z, y_block)
+        assert np.array_equal(y_block, at[lo:hi].T @ z)
+        tagfuse.semantic._add_doc_side(a, lo, hi, z, y)
+    assert np.array_equal(y, at.T @ (at @ q))
+
+
 class TestRandomizedSvd:
     @pytest.mark.parametrize("m, n, k", SHAPES)
     def test_matches_two_sided_reference_without_sign_alignment(self, m, n, k):
@@ -470,20 +499,7 @@ class TestRandomizedSvd:
         the public products' bytes, and the in-place sum over the blocks
         those of the whole product. A SciPy release that changes them fails
         here, not in the pipeline."""
-        step, m, width = tagfuse.semantic._TERM_BLOCK, 120, 50
-        n = 3 * step + 17
-        at = sparse.random(n, m, density=0.05, format="csr", random_state=0)
-        q = np.random.default_rng(0).standard_normal((m, width))
-        y = np.zeros((m, width))
-        for lo in range(0, n, step):
-            hi = min(lo + step, n)
-            z = tagfuse.semantic._term_side(at, lo, hi, q, np.full((hi - lo, width), np.nan))
-            assert np.array_equal(z, at[lo:hi] @ q)
-            y_block = np.zeros((m, width))
-            tagfuse.semantic._add_doc_side(at, lo, hi, z, y_block)
-            assert np.array_equal(y_block, at[lo:hi].T @ z)
-            tagfuse.semantic._add_doc_side(at, lo, hi, z, y)
-        assert np.array_equal(y, at.T @ (at @ q))
+        assert_block_kernels_equal_public_products()
 
     @pytest.mark.parametrize("make, k", SVD_INPUTS)
     def test_matches_householder_solve_without_sign_alignment(self, make, k):
@@ -648,6 +664,71 @@ class TestOrthonormalize:
         np.testing.assert_allclose(q @ (q.T @ y_in), y_in, rtol=0, atol=1e-12)
 
 
+KERNELS = "scipy.sparse._sparsetools"
+
+
+@pytest.fixture
+def kernel_cache():
+    """``_kernels()`` loads anew in the test, and again after it."""
+    tagfuse.semantic._kernels.cache_clear()
+    yield
+    tagfuse.semantic._kernels.cache_clear()
+
+
+@pytest.fixture(params=["imported", "from-file"])
+def kernels(request, kernel_cache, monkeypatch):
+    """What ``_kernels()`` returns: the ``scipy.sparse._sparsetools`` this
+    process imported, or the module loaded from its file, as in an
+    ``embed`` process that never imports ``scipy.sparse``."""
+    if request.param == "from-file":
+        monkeypatch.delitem(sys.modules, KERNELS)
+    module = tagfuse.semantic._kernels()
+    assert (module is sparse._sparsetools) == (request.param == "imported")
+    assert module.__file__ == sparse._sparsetools.__file__
+    return module
+
+
+class TestKernels:
+    def test_sort_and_transpose_equal_public_methods_bit_for_bit(self, kernels):
+        """``vectorize`` sorts each CSR row and transposes the rows to CSC
+        by two private kernels: they must give the bytes of scipy's public
+        ``sort_indices()`` and ``tocsc()``."""
+        m, n = 300, 5000
+        a = sparse.random(m, n, density=0.02, format="csr", random_state=0)
+        rng = np.random.default_rng(0)
+        order = np.concatenate(
+            [lo + rng.permutation(hi - lo) for lo, hi in zip(a.indptr[:-1], a.indptr[1:])])
+        indptr, indices, data = a.indptr.copy(), a.indices[order], a.data[order]
+        expected = sparse.csr_matrix((data.copy(), indices.copy(), indptr.copy()), shape=(m, n))
+        assert not expected.has_sorted_indices
+        expected.sort_indices()
+        kernels.csr_sort_indices(m, indptr, indices, data)
+        for name, got in (("indptr", indptr), ("indices", indices), ("data", data)):
+            assert np.array_equal(got, getattr(expected, name)), name
+        expected = expected.tocsc()
+        csc = (np.empty(n + 1, indptr.dtype), np.empty(indices.size, indices.dtype),
+               np.empty(data.size))
+        kernels.csr_tocsc(m, n, indptr, indices, data, *csc)
+        for name, got in zip(("indptr", "indices", "data"), csc):
+            assert got.dtype == getattr(expected, name).dtype, name
+            assert np.array_equal(got, getattr(expected, name)), name
+
+    @pytest.mark.parametrize("kernels", ["from-file"], indirect=True)
+    def test_file_loaded_block_kernels_equal_public_products_bit_for_bit(self, kernels):
+        """The pins of ``TestRandomizedSvd``, on the kernels loaded from their file."""
+        assert_block_kernels_equal_public_products()
+
+    def test_an_imported_module_is_reused(self, kernel_cache, monkeypatch):
+        imported = types.ModuleType(KERNELS)
+        monkeypatch.setitem(sys.modules, KERNELS, imported)
+        assert tagfuse.semantic._kernels() is imported
+
+    def test_no_extension_file_falls_back_to_the_import(self, kernel_cache, monkeypatch):
+        monkeypatch.delitem(sys.modules, KERNELS)
+        monkeypatch.setattr(importlib.machinery, "EXTENSION_SUFFIXES", [".missing"])
+        assert tagfuse.semantic._kernels() is sparse._sparsetools
+
+
 class TestReleaseFreedHeap:
     def test_a_c_library_without_malloc_trim_is_left_alone(self, monkeypatch):
         """macOS and musl have no ``malloc_trim``: the helper returns quietly."""
@@ -703,7 +784,7 @@ class TestTruncatedSvd:
         corpus = tiny_corpus()
         tfidf = vectorize(build_index(corpus), NO_CUTOFFS)
         sem = truncated_svd(tfidf, SemanticConfig(k=2), seed=0)
-        u, s, _ = np.linalg.svd(tfidf.matrix.toarray(), full_matrices=False)
+        u, s, _ = np.linalg.svd(as_scipy(tfidf).toarray(), full_matrices=False)
         exact = (u[:, :2] * s[:2]) @ (u[:, :2] * s[:2]).T
         np.testing.assert_allclose(sem.matrix @ sem.matrix.T, exact, atol=1e-9)
 
