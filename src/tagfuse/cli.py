@@ -277,11 +277,13 @@ def stage_train_rank(cfg: RunConfig) -> None:
             summary = {k: [r for r in old[k] if r["topic"] not in topics] for k in summary}
 
         # Topics are independent (each has its own seeds), so they train in
-        # parallel, one worker per CPU this process may run on. Fork, not the
-        # platform default, lets the workers inherit the index and embedding
-        # instead of unpickling them; the CLI starts no thread of its own.
+        # parallel, one worker per CPU this process may run on (per CPU where
+        # there is no affinity call, as on macOS). Fork, not the platform
+        # default, lets the workers inherit the index and embedding instead
+        # of unpickling them; the CLI starts no thread of its own.
+        affinity = getattr(os, "sched_getaffinity", None)
         with ProcessPoolExecutor(
-            min(len(os.sched_getaffinity(0)), len(topics)),
+            min(len(affinity(0)) if affinity else os.cpu_count() or 1, len(topics)),
             mp_context=multiprocessing.get_context("fork"),
             initializer=_inherit_topic_inputs,
             initargs=(cfg, index, sem),

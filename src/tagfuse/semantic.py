@@ -21,8 +21,7 @@ from typing import TYPE_CHECKING
 # numpy is imported inside the functions that compute with it: the stages
 # that never do (index, synset, fuse, eval) then start without loading it.
 # ``embed`` runs scipy's compiled sparse kernels (``_kernels``) and never
-# imports ``scipy.sparse``; only ``randomized_svd`` of a matrix of another
-# type does, to convert it.
+# imports ``scipy.sparse``.
 if TYPE_CHECKING:
     import numpy as np
 
@@ -369,7 +368,7 @@ def _orthonormalize(y: np.ndarray) -> np.ndarray:
 
 @_one_blas_thread()
 def randomized_svd(
-    a, k: int, oversample: int, power_iters: int, seed: int = 0
+    a: CscArrays, k: int, oversample: int, power_iters: int, seed: int = 0
 ) -> tuple[np.ndarray, np.ndarray]:
     """Truncated SVD by randomized range finding (Halko, Martinsson and
     Tropp, arXiv:0909.4061, §4.3-4.5), on one BLAS thread.
@@ -380,25 +379,20 @@ def randomized_svd(
     iterations by CholeskyQR2 with a Householder fallback, and at the end
     by Householder, whose column signs the embedding keeps. Every product
     with ``a`` goes block by block over ``_TERM_BLOCK`` terms, columns of
-    ``a``'s CSC arrays: ``vectorize``'s ``CscArrays`` as they are, any other
-    matrix converted by ``scipy.sparse`` (a view of a CSC float64 ``a``, a
-    copy otherwise). The term side goes into one reused block buffer, the
-    document side is added in place into ``y``, in the order and with the
-    rounding of the whole ``a @ (a.T @ Q)``. The test matrix is drawn block
-    by block from one generator, so its numbers are those of one whole
-    draw. The small solve takes R from the Cholesky factor of the Gram of
-    ``Z = a.T @ Q``, summed from the blocks' Grams (CholeskyQR, Fukaya et
-    al. 2014); only a singular Gram builds ``Z`` whole, for its Householder
-    R. With ``R.T = U_R S V_R^T``, ``u = Q @ U_R``. ``U_R`` ignores R's row
-    signs, so the column signs match ``svd(Q.T @ a)`` to rounding; tests
-    pin them, since the forest breaks ties by order. Returns ``(u, s)`` of shapes (m, k) and (k,), ``s``
-    non-increasing; deterministic for a fixed seed.
+    ``a``, the ``CscArrays`` that ``vectorize`` returns. The term side goes
+    into one reused block buffer, the document side is added in place into
+    ``y``, in the order and with the rounding of the whole ``a @ (a.T @
+    Q)``. The test matrix is drawn block by block from one generator, so
+    its numbers are those of one whole draw. The small solve takes R from
+    the Cholesky factor of the Gram of ``Z = a.T @ Q``, summed from the
+    blocks' Grams (CholeskyQR, Fukaya et al. 2014); only a singular Gram
+    builds ``Z`` whole, for its Householder R. With ``R.T = U_R S V_R^T``,
+    ``u = Q @ U_R``. ``U_R`` ignores R's row signs, so the column signs
+    match ``svd(Q.T @ a)`` to rounding; tests pin them, since the forest
+    breaks ties by order. Returns ``(u, s)`` of shapes (m, k) and (k,),
+    ``s`` non-increasing; deterministic for a fixed seed.
     """
     import numpy as np
-    if not isinstance(a, CscArrays):
-        from scipy import sparse
-        at = sparse.csr_matrix(a.T, dtype=np.float64)
-        a = CscArrays(at.data, at.indices, at.indptr, at.shape[::-1])
     m, n = a.shape
 
     rng = np.random.default_rng(seed)

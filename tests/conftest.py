@@ -16,6 +16,7 @@ from tagfuse.cli import main
 from tagfuse.corpus import ArticleRecord
 from tagfuse.index import build_index
 from tagfuse.manifest import append_entry
+from tagfuse.semantic import CscArrays
 
 SPECS = pathlib.Path(__file__).parent / "specs"
 
@@ -60,6 +61,15 @@ def vouch(output_dir, command, paths):
     """Append a manifest entry naming ``command`` as the writer of the files
     at ``paths``, as if that stage had written them."""
     append_entry(str(output_dir), command, 0, "", {}, [str(p) for p in paths], time.time())
+
+
+def csc_arrays(a):
+    """``a``, a dense or scipy matrix, as the ``CscArrays`` that
+    ``randomized_svd`` reads: a view of a CSC float64 ``a``, a copy otherwise."""
+    import numpy as np
+    from scipy import sparse
+    at = sparse.csr_matrix(a.T, dtype=np.float64)
+    return CscArrays(at.data, at.indices, at.indptr, at.shape[::-1])
 
 
 def snapshot(root, *exclude):

@@ -21,6 +21,8 @@ from tagfuse.corpus import load_ground_truth
 from tagfuse.fusion import fuse
 from tagfuse.semantic import randomized_svd
 
+from conftest import csc_arrays
+
 
 def verdict(number: int, name: str, ok: bool) -> bool:
     print(f"[acceptance] criterion {number} ({name}): {'PASS' if ok else 'FAIL'}")
@@ -185,11 +187,11 @@ def test_criterion_3_randomized_svd_accuracy():
 
     dense = rng.standard_normal((500, 300))
     exact = np.linalg.svd(dense, compute_uv=False)[:20]
-    _, approx = randomized_svd(dense, k=20, oversample=40, power_iters=8, seed=11)
+    _, approx = randomized_svd(csc_arrays(dense), k=20, oversample=40, power_iters=8, seed=11)
     top20_rel_err = float(np.max(np.abs(approx - exact) / exact))
 
     low_rank = rng.standard_normal((500, 20)) @ rng.standard_normal((20, 300))
-    u, _ = randomized_svd(low_rank, k=20, oversample=10, power_iters=2, seed=11)
+    u, _ = randomized_svd(csc_arrays(low_rank), k=20, oversample=10, power_iters=2, seed=11)
     # The projection on span(u): equal to (u * s) @ vt wherever s > 0.
     reconstruction = u @ (u.T @ low_rank)
     frob_rel_err = float(

@@ -23,9 +23,9 @@ from tagfuse.errors import TagfuseError
 from tagfuse.evaluation import evaluate
 from tagfuse.fusion import write_assignments
 from tagfuse.manifest import MANIFEST_NAME, file_sha256, read_manifest
-from tagfuse.ranking import ORIGIN_CLASSIFIER, ORIGIN_FUSION, ORIGIN_SYNSET, read_ranked_list
+from tagfuse.ranking import ORIGIN_CLASSIFIER, read_ranked_list
 
-from conftest import load_tags, run_python, snapshot
+from conftest import load_tags, run_on_damaged_copy, run_python, snapshot
 
 BENCH = {
     "n_topics": 4,
@@ -59,44 +59,11 @@ def derived_config(stage_config, tmp_path, **changes):
     return write_config(tmp_path / "config.json", **raw)
 
 
-def copy_upstream(bench_out, out, edit_ids=None):
-    """Copy the index, the embedding and the manifest of a bench run into
-    ``out``; ``edit_ids`` may change the embedding's article id list in place."""
+def copy_upstream(bench_out, out):
+    """Copy the index, the embedding and the manifest of a bench run into ``out``."""
     out.mkdir()
     for name in ("index.pkl", "embedding.npy", "embedding.json", MANIFEST_NAME):
         shutil.copy(os.path.join(bench_out, name), out / name)
-    if edit_ids is not None:
-        meta = json.loads((out / "embedding.json").read_text(encoding="utf-8"))
-        edit_ids(meta["article_ids"])
-        (out / "embedding.json").write_text(json.dumps(meta), encoding="utf-8")
-
-
-def halve(path):
-    """Cut a file to the first half of its bytes."""
-    data = path.read_bytes()
-    path.write_bytes(data[: len(data) // 2])
-
-
-def parent_format_index(path):
-    """Replace the index with a pickle in the layout of the format before."""
-    payload = {"format": "tagfuse-index", "version": 1, "fields": ("title",),
-               "article_ids": ["a1"], "field_data": {"title": ({}, [0], 0)}}
-    path.write_bytes(pickle.dumps(payload, protocol=4))
-
-
-def pad_one_byte(path):
-    path.write_bytes(path.read_bytes() + b"\0")
-
-
-def bump_index_version(path):
-    data = path.read_bytes()
-    path.write_bytes(data.replace(b'"version": 2', b'"version": 9', 1))
-
-
-def drop_article_ids(path):
-    meta = json.loads(path.read_text(encoding="utf-8"))
-    del meta["article_ids"]
-    path.write_text(json.dumps(meta), encoding="utf-8")
 
 
 @pytest.fixture(scope="module")
@@ -597,6 +564,19 @@ class TestTopicPool:
         assert ["another" in m for m in skips] == [False, True, False, True]
 
 
+    def test_without_an_affinity_call_one_worker_per_cpu_writes_the_same_lists(
+        self, spec_run, tmp_path, caplog, monkeypatch
+    ):
+        """macOS has no ``os.sched_getaffinity``."""
+        monkeypatch.delattr(os, "sched_getaffinity")
+        code, errors = run_on_damaged_copy(
+            spec_run, tmp_path, caplog, ".", lambda out: None, "train-rank")
+        assert (code, errors) == (0, [])
+        ci, copy = spec_run("ci"), tmp_path / "ci-copy"
+        assert snapshot(copy, MANIFEST_NAME) == snapshot(ci, MANIFEST_NAME)
+        assert read_manifest(str(copy))[-1]["command"] == "train-rank"
+
+
 class TestStageRunner:
     """A stage renames its outputs into place and appends its manifest line
     only when it succeeds; a failed stage leaves the directory as it was."""
@@ -900,112 +880,6 @@ class TestFailureModes:
         errors = [r.message for r in caplog.records if r.levelno >= logging.ERROR]
         assert errors == [f"missing {out / name}; run 'tagfuse embed' first"]
 
-    @pytest.mark.parametrize(
-        "change",
-        [lambda ids: ids.pop(), lambda ids: ids.append("extra")],
-        ids=["missing-id", "extra-id"],
-    )
-    def test_embedding_ids_that_do_not_match_its_rows_exit_three(
-        self, stage_config, bench_run, tmp_path, caplog, change
-    ):
-        # The manifest's digest of embedding.json catches the edit.
-        _, bench_out = bench_run
-        config = derived_config(stage_config, tmp_path)
-        out = tmp_path / "out"
-        copy_upstream(bench_out, out, change)
-        with caplog.at_level(logging.ERROR):
-            assert main(["train-rank", "--config", config]) == 3
-        errors = [r.message for r in caplog.records if r.levelno >= logging.ERROR]
-        assert errors == [
-            f"{out / 'embedding.json'}: changed since 'tagfuse embed' wrote it; "
-            "re-run 'tagfuse embed'"
-        ]
-        assert not (out / "ranked" / "classifier" / "_training.json").exists()
-
-    @pytest.mark.parametrize(
-        "name, damage",
-        [
-            ("index.pkl", halve),
-            ("index.pkl", parent_format_index),
-            ("index.pkl", pad_one_byte),
-            ("index.pkl", bump_index_version),
-            ("embedding.npy", halve),
-            ("embedding.json", halve),
-            ("embedding.json", drop_article_ids),
-        ],
-        ids=[
-            "truncated-index",
-            "pickled-index",
-            "padded-index",
-            "unknown-index-version",
-            "truncated-embedding",
-            "truncated-embedding-json",
-            "embedding-without-ids",
-        ],
-    )
-    def test_damaged_saved_artifact_exits_three_naming_it(
-        self, stage_config, bench_run, tmp_path, caplog, name, damage
-    ):
-        _, bench_out = bench_run
-        config = derived_config(stage_config, tmp_path)
-        out = tmp_path / "out"
-        copy_upstream(bench_out, out)
-        damage(out / name)
-        with caplog.at_level(logging.ERROR):
-            assert main(["train-rank", "--config", config]) == 3
-        errors = [r.message for r in caplog.records if r.levelno >= logging.ERROR]
-        stage = "index" if name == "index.pkl" else "embed"
-        assert errors == [
-            f"{out / name}: changed since 'tagfuse {stage}' wrote it; re-run 'tagfuse {stage}'"
-        ]
-        assert not (out / "ranked" / "classifier").exists()
-
-    @pytest.mark.parametrize(
-        "data",
-        [b"[]", b'{"trained": []}', b'{"trained": {}, "skipped": []}',
-         b'{"trained": [], "skipped": [{}]}', b'{"trained": [], "skipped": [1]}', b"{", b"\xff"],
-    )
-    def test_training_report_of_another_shape_exits_three_naming_it(
-        self, stage_config, bench_run, tmp_path, caplog, data
-    ):
-        _, bench_out = bench_run
-        config = derived_config(stage_config, tmp_path)
-        out = tmp_path / "out"
-        copy_upstream(bench_out, out)
-        report = out / "ranked" / "classifier" / "_training.json"
-        report.parent.mkdir(parents=True)
-        report.write_bytes(data)
-        with caplog.at_level(logging.ERROR):
-            assert main(["train-rank", "--config", config]) == 3
-        errors = [r.message for r in caplog.records if r.levelno >= logging.ERROR]
-        assert errors == [
-            f"{report}: changed since 'tagfuse train-rank' wrote it; "
-            "delete it and re-run 'tagfuse train-rank'"
-        ]
-        assert os.listdir(report.parent) == ["_training.json"]
-        assert report.read_bytes() == data
-
-    def test_embedding_without_the_indexed_ids_exits_three_before_training(
-        self, stage_config, bench_run, tmp_path, caplog
-    ):
-        _, bench_out = bench_run
-        config = derived_config(stage_config, tmp_path)
-        out = tmp_path / "out"
-
-        def rename(ids):
-            # The count is kept, so the embedding loads; no id is indexed.
-            ids[:] = [f"renamed-{a}" for a in ids]
-
-        copy_upstream(bench_out, out, rename)
-        with caplog.at_level(logging.ERROR):
-            assert main(["train-rank", "--config", config]) == 3
-        errors = [r.message for r in caplog.records if r.levelno >= logging.ERROR]
-        assert errors == [
-            f"{out / 'embedding.json'}: changed since 'tagfuse embed' wrote it; "
-            "re-run 'tagfuse embed'"
-        ]
-        assert not (out / "ranked" / "classifier").exists()
-
     def test_index_rerun_on_a_subset_after_embed_exits_three(
         self, stage_config, bench_run, tmp_path, caplog
     ):
@@ -1251,78 +1125,85 @@ class TestFailureModes:
         assert capsys.readouterr().out.startswith("tagfuse ")
 
 
-MALFORMED_CASES = [
-    "header", "topic", "columns", "rank", "score", "sequence", "order", "duplicate", "empty-id",
-    "score-underscore", "score-blank", "swapped", "cut", "crlf",
+def halve(path):
+    """Cut a file to the first half of its bytes."""
+    data = path.read_bytes()
+    path.write_bytes(data[: len(data) // 2])
+
+
+def replace(old, new):
+    """Damage a file by replacing each ``old`` in its bytes with ``new``."""
+    return lambda path: path.write_bytes(path.read_bytes().replace(old, new))
+
+
+def edit_entries(change):
+    """Damage a ranked list: ``change(first, second)`` gives new fields
+    (rank, id, score) for its first two entries from their own."""
+    def damage(path):
+        lines = path.read_bytes().split(b"\n")
+        first, second = change(*(line.split(b"\t") for line in lines[1:3]))
+        lines[1:3] = b"\t".join(first), b"\t".join(second)
+        path.write_bytes(b"\n".join(lines))
+    return damage
+
+
+def cut_lines(path):
+    """Cut a file at the line boundary nearest its middle."""
+    lines = path.read_bytes().splitlines(keepends=True)
+    path.write_bytes(b"".join(lines[: len(lines) // 2]))
+
+
+def drop_article_ids(path):
+    """Remove the article id list from an embedding's metadata."""
+    meta = json.loads(path.read_bytes())
+    del meta["article_ids"]
+    path.write_text(json.dumps(meta), encoding="utf-8")
+
+
+SYNSET_LIST = "ranked/synset/domain00.tsv"
+
+# Each fault the manifest's digest catches before any reader runs: the file
+# of the ``ci`` run, its edit, the stage that reads it and the one that wrote it.
+EDITED_ARTIFACTS = [
+    pytest.param(SYNSET_LIST, edit_entries(lambda f, s: (f, [b"3", *s[1:]])), "fuse", "synset",
+                 id="edited-rank"),
+    pytest.param(SYNSET_LIST, edit_entries(lambda f, s: (f, [s[0], f[1], s[2]])), "eval",
+                 "synset", id="repeated-id"),
+    pytest.param(SYNSET_LIST, edit_entries(lambda f, s: ([f[0], *s[1:]], [s[0], *f[1:]])),
+                 "fuse", "synset", id="swapped-rows"),  # each rank stays in its place
+    pytest.param(SYNSET_LIST, cut_lines, "fuse", "synset", id="cut"),
+    pytest.param(SYNSET_LIST, replace(b"\n", b"\r\n"), "fuse", "synset", id="crlf"),
+    pytest.param("ranked/classifier/domain00.tsv", replace(b"\n2\t", b"\n2\tcaf\xe9"), "fuse",
+                 "train-rank", id="undecodable-byte"),
+    # A fused list ascends.
+    pytest.param("fusion/a2/domain00.tsv", edit_entries(lambda f, s: (f, [*s[:2], b"-1e300"])),
+                 "eval", "fuse", id="fused-score-out-of-order"),
+    pytest.param("index.pkl", halve, "train-rank", "index", id="truncated-index"),
+    pytest.param("embedding.npy", halve, "train-rank", "embed", id="halved-embedding"),
+    pytest.param("embedding.json", drop_article_ids, "train-rank", "embed",
+                 id="embedding-without-ids"),
+    pytest.param("ranked/classifier/_training.json",
+                 lambda path: path.write_bytes(b'{"trained": []}'), "train-rank", "train-rank",
+                 id="training-report"),
 ]
 
 
-def corrupt(lines, case, origin):
-    """Break the lines of an ``origin`` list in one way."""
-    if case == "header":
-        lines[0] = lines[0].replace(f"origin={origin}", "origin=nope")
-        return
-    if case == "topic":
-        lines[0] = lines[0].replace(f"topic={TOPICS[0]}", f"topic={TOPICS[1]}")
-        return
-    if case == "swapped":  # rows and ranks: every row as the writer spells it
-        lines[1], lines[2] = lines[2].replace("2", "1", 1), lines[1].replace("1", "2", 1)
-        return
-    if case in ("cut", "crlf"):  # at a line boundary; every line end
-        lines[:] = lines[: len(lines) // 2] if case == "cut" else [f"{x}\r" for x in lines]
-        return
-    rank, article_id, score = lines[2].split("\t")  # the second entry
-    lines[2] = "\t".join(
-        {
-            "columns": [rank, article_id],
-            "rank": ["two", article_id, score],
-            "score": [rank, article_id, "high"],
-            "sequence": ["3", article_id, score],
-            # A fusion list is ascending, the others descending.
-            "order": [rank, article_id, "-1e300" if origin == ORIGIN_FUSION else "1e300"],
-            "duplicate": [rank, lines[1].split("\t")[1], score],
-            "empty-id": [rank, "", "nan"],  # a NaN score is never out of order
-            # Spellings of the same score that float() reads, the writer never writes.
-            "score-underscore": [rank, article_id, "0_" + score],
-            "score-blank": [rank, article_id, " " + score],
-        }[case]
-    )
-
-
-@pytest.mark.parametrize(
-    "origin, case",
-    [(ORIGIN_SYNSET, case) for case in MALFORMED_CASES]
-    + [(ORIGIN_FUSION, case) for case in MALFORMED_CASES],
-    ids=MALFORMED_CASES + [f"fused-{case}" for case in MALFORMED_CASES],
-)
-def test_malformed_ranked_list_exits_three_naming_the_line(
-    stage_config, bench_run, tmp_path, caplog, origin, case
+@pytest.mark.parametrize("rel, damage, reader, writer", EDITED_ARTIFACTS)
+def test_an_edited_artifact_exits_three_naming_its_writer(
+    spec_run, tmp_path, caplog, rel, damage, reader, writer
 ):
-    # The manifest's digest catches every edit before the list is read, so
-    # the one error line names the file and the stage that writes it.
-    _, bench_out = bench_run
-    config = derived_config(stage_config, tmp_path)
-    out = tmp_path / "out"
-    shutil.copytree(os.path.join(bench_out, "ranked"), out / "ranked")
-    shutil.copy(os.path.join(bench_out, MANIFEST_NAME), out)
-    slug = topic_slug(TOPICS[0])
-    if origin == ORIGIN_SYNSET:  # with no fused list beside it
-        path, commands = out / "ranked" / "synset" / f"{slug}.tsv", ("fuse", "eval")
-    else:  # fuse would rewrite it, so only eval reads it
-        shutil.copytree(os.path.join(bench_out, "fusion"), out / "fusion")
-        path, commands = out / "fusion" / "a2" / f"{slug}.tsv", ("eval",)
-    lines = path.read_text(encoding="utf-8").splitlines()
-    corrupt(lines, case, origin)
-    path.write_bytes(("\n".join(lines) + "\n").encode())
-    stage = "synset" if origin == ORIGIN_SYNSET else "fuse"
-    for command in commands:
-        caplog.clear()
-        with caplog.at_level(logging.ERROR):
-            assert main([command, "--config", config]) == 3, command
-        errors = [r.message for r in caplog.records if r.levelno >= logging.ERROR]
-        assert errors == [
-            f"{path}: changed since 'tagfuse {stage}' wrote it; re-run 'tagfuse {stage}'"
-        ]
+    out, damaged = tmp_path / "ci-copy", {}
+
+    def damage_and_record(path):
+        damage(path)
+        damaged.update(snapshot(out))
+
+    code, errors = run_on_damaged_copy(spec_run, tmp_path, caplog, rel, damage_and_record, reader)
+    # A stage that reads its own output (train-rank's last report) asks for it to be deleted.
+    rerun = f"{'delete it and ' if reader == writer else ''}re-run 'tagfuse {writer}'"
+    message = f"{out / rel}: changed since 'tagfuse {writer}' wrote it; {rerun}"
+    assert (code, errors) == (3, [message])
+    assert snapshot(out) == damaged  # the reader wrote nothing
 
 
 ARTICLE = '{"id": "a1", "title": "t", "abstract": "x"}'

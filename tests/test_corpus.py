@@ -149,9 +149,9 @@ def per_entry_scan(corpus, topics, fields):
 
 @pytest.fixture(scope="module")
 def bench_corpus():
-    """The default synthetic benchmark corpus (5k articles) and its topics."""
+    """The default synthetic benchmark corpus (5k articles), its index and its topics."""
     corpus, _, synsets = generate(BenchmarkSpec())
-    return corpus, list(synsets)
+    return corpus, build_index(corpus), list(synsets)
 
 
 class TestBuildGroundTruth:
@@ -247,8 +247,8 @@ class TestBuildGroundTruth:
     def test_labels_equal_the_per_entry_scan_on_the_bench_corpus(
         self, bench_corpus, fields
     ):
-        corpus, topics = bench_corpus
-        truth = build_ground_truth(build_index(corpus), topics, fields)
+        corpus, index, topics = bench_corpus
+        truth = build_ground_truth(index, topics, fields)
         assert truth == per_entry_scan(corpus, topics, fields)
 
 

@@ -1,6 +1,5 @@
 import ctypes
 import importlib.machinery
-import json
 import math
 import sys
 import tracemalloc
@@ -27,7 +26,7 @@ from tagfuse.semantic import (
 )
 from tagfuse.text import tokenize
 
-from conftest import make_corpus, run_on_damaged_copy
+from conftest import csc_arrays, make_corpus
 
 
 def text_repr(record):
@@ -479,7 +478,7 @@ class TestRandomizedSvd:
         change the rankings. The last two shapes have n < 2 * (k + 10),
         where LAPACK takes no LQ step on the wide ``B``."""
         a = sparse_input(m, n)()
-        u, s = randomized_svd(a, k=k, oversample=10, power_iters=2, seed=3)
+        u, s = randomized_svd(csc_arrays(a), k=k, oversample=10, power_iters=2, seed=3)
         u_ref, s_ref = two_sided_randomized_svd(a, k=k, seed=3)
         np.testing.assert_allclose(s, s_ref, rtol=0, atol=1e-10)
         np.testing.assert_allclose(u, u_ref, rtol=0, atol=1e-10)
@@ -488,7 +487,7 @@ class TestRandomizedSvd:
     @pytest.mark.parametrize("m, n, k", SHAPES[-2:])
     def test_in_place_sums_equal_sum_bit_for_bit(self, m, n, k, seed):
         a = sparse_input(m, n)()
-        u, s = randomized_svd(a, k=k, oversample=10, power_iters=2, seed=seed)
+        u, s = randomized_svd(csc_arrays(a), k=k, oversample=10, power_iters=2, seed=seed)
         u_ref, s_ref = whole_randomized_svd(a, k=k, seed=seed)
         assert np.array_equal(u, u_ref) and np.array_equal(s, s_ref)
 
@@ -506,7 +505,7 @@ class TestRandomizedSvd:
         a = make()
         if make is rank_deficient_input:
             assert np.linalg.matrix_rank(a.toarray()) == 25
-        u, s = randomized_svd(a, k=k, oversample=10, power_iters=2, seed=3)
+        u, s = randomized_svd(csc_arrays(a), k=k, oversample=10, power_iters=2, seed=3)
         u_ref, s_ref = householder_randomized_svd(a, k=k, seed=3)
         np.testing.assert_allclose(s, s_ref, rtol=0, atol=1e-10)
         np.testing.assert_allclose(u, u_ref, rtol=0, atol=1e-10)
@@ -538,7 +537,7 @@ class TestRandomizedSvd:
         falls back to Householder after its first factorization."""
         calls = self.count_solves(monkeypatch)
         power_iters = 2
-        randomized_svd(make(), k=k, oversample=10, power_iters=power_iters, seed=3)
+        randomized_svd(csc_arrays(make()), k=k, oversample=10, power_iters=power_iters, seed=3)
         if make is rank_deficient_input:
             assert calls == ["cholesky", "qr", "cholesky", "qr", "qr", "cholesky"]
         else:
@@ -548,7 +547,7 @@ class TestRandomizedSvd:
         a = np.zeros((6, 5))
         u_ref, s_ref = householder_randomized_svd(a, k=2, seed=4)
         calls = self.count_solves(monkeypatch)
-        u, s = randomized_svd(a, k=2, oversample=10, power_iters=2, seed=4)
+        u, s = randomized_svd(csc_arrays(a), k=2, oversample=10, power_iters=2, seed=4)
         assert calls == ["cholesky", "qr"] * 2 + ["qr", "cholesky", "qr-r"]
         assert np.array_equal(u, u_ref) and np.array_equal(s, s_ref)
 
@@ -557,7 +556,7 @@ class TestRandomizedSvd:
         a = sparse.random(m, n, density=nnz / (m * n), format="csr", random_state=1)
         tracemalloc.start()
         try:
-            randomized_svd(a, k=k, oversample=10, power_iters=2)
+            randomized_svd(csc_arrays(a), k=k, oversample=10, power_iters=2)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -565,8 +564,8 @@ class TestRandomizedSvd:
 
     def test_peak_memory_does_not_grow_with_n(self):
         """The term side is only ever held one block at a time, so no
-        n-by-width array exists. The CSR copy of the input's transpose (a CSC
-        input would need none) grows with its nonzeros, which stay fixed here
+        n-by-width array exists. The CSR copy of the input's transpose that
+        ``csc_arrays`` makes grows with its nonzeros, which stay fixed here
         while n doubles."""
         width = 40 + 10
         peaks = {n: self.svd_peak(n) for n in (40000, 80000)}
@@ -582,7 +581,7 @@ class TestRandomizedSvd:
         a = sparse.random(m, 2000, density=0.01, format="csr", random_state=0)
         tracemalloc.start()
         try:
-            randomized_svd(a, k=40, oversample=10, power_iters=2)
+            randomized_svd(csc_arrays(a), k=40, oversample=10, power_iters=2)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -600,14 +599,14 @@ class TestRandomizedSvd:
             (rng.random(nnz), (rng.integers(0, m, nnz), rng.integers(0, n, nnz))), shape=(m, n))
         tracemalloc.start()
         try:
-            randomized_svd(a, k=40, oversample=10, power_iters=2)
+            randomized_svd(csc_arrays(a), k=40, oversample=10, power_iters=2)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < (2.25 * m + tagfuse.semantic._TERM_BLOCK) * width * 8
 
     def test_zero_input_gives_zero_singular_values(self):
-        u, s = randomized_svd(np.zeros((6, 5)), k=2, oversample=10, power_iters=2)
+        u, s = randomized_svd(csc_arrays(np.zeros((6, 5))), k=2, oversample=10, power_iters=2)
         assert u.shape == (6, 2) and np.array_equal(s, np.zeros(2))
 
     def test_exact_on_low_rank_matrices(self):
@@ -615,7 +614,7 @@ class TestRandomizedSvd:
         left = rng.standard_normal((60, 8))
         right = rng.standard_normal((8, 40))
         a = left @ right
-        u, s = randomized_svd(a, k=8, oversample=10, power_iters=2, seed=1)
+        u, s = randomized_svd(csc_arrays(a), k=8, oversample=10, power_iters=2, seed=1)
         np.testing.assert_allclose(u @ (u.T @ a), a, atol=1e-8)
         s_exact = np.linalg.svd(a, compute_uv=False)[:8]
         np.testing.assert_allclose(s, s_exact, rtol=1e-10)
@@ -623,23 +622,23 @@ class TestRandomizedSvd:
     def test_close_to_dense_oracle_on_full_rank_input(self):
         rng = np.random.default_rng(7)
         a = rng.standard_normal((80, 50))
-        _, s = randomized_svd(a, k=10, oversample=40, power_iters=8, seed=2)
+        _, s = randomized_svd(csc_arrays(a), k=10, oversample=40, power_iters=8, seed=2)
         s_exact = np.linalg.svd(a, compute_uv=False)[:10]
         np.testing.assert_allclose(s, s_exact, rtol=1e-3)
 
     def test_singular_values_non_increasing_and_deterministic(self):
         rng = np.random.default_rng(11)
         a = rng.standard_normal((30, 20))
-        u1, s1 = randomized_svd(a, k=5, oversample=10, power_iters=2, seed=9)
-        u2, s2 = randomized_svd(a, k=5, oversample=10, power_iters=2, seed=9)
+        u1, s1 = randomized_svd(csc_arrays(a), k=5, oversample=10, power_iters=2, seed=9)
+        u2, s2 = randomized_svd(csc_arrays(a), k=5, oversample=10, power_iters=2, seed=9)
         assert np.array_equal(u1, u2) and np.array_equal(s1, s2)
         assert all(s1[i] >= s1[i + 1] for i in range(len(s1) - 1))
 
     def test_different_seed_changes_nothing_material(self):
         rng = np.random.default_rng(13)
         a = rng.standard_normal((40, 10))
-        _, s1 = randomized_svd(a, k=3, oversample=10, power_iters=4, seed=1)
-        _, s2 = randomized_svd(a, k=3, oversample=10, power_iters=4, seed=2)
+        _, s1 = randomized_svd(csc_arrays(a), k=3, oversample=10, power_iters=4, seed=1)
+        _, s2 = randomized_svd(csc_arrays(a), k=3, oversample=10, power_iters=4, seed=2)
         np.testing.assert_allclose(s1, s2, rtol=1e-6)
 
 
@@ -741,7 +740,7 @@ class TestOneBlasThread:
         """Another BLAS has no OpenBLAS thread calls: the SVD runs unpinned."""
         monkeypatch.setattr(ctypes, "CDLL", lambda name: types.SimpleNamespace())
         assert tagfuse.semantic._blas_thread_calls() is None
-        u, s = randomized_svd(np.eye(6, 5), k=2, oversample=1, power_iters=1)
+        u, s = randomized_svd(csc_arrays(np.eye(6, 5)), k=2, oversample=1, power_iters=1)
         assert u.shape == (6, 2) and s.shape == (2,)
 
     def test_previous_thread_count_is_restored_after_the_svd(self, monkeypatch):
@@ -760,7 +759,8 @@ class TestOneBlasThread:
         previous = get()
         set_to(2)
         try:
-            randomized_svd(sparse_input(300, 2000)(), k=25, oversample=10, power_iters=2)
+            a = csc_arrays(sparse_input(300, 2000)())
+            randomized_svd(a, k=25, oversample=10, power_iters=2)
             assert during == [1, 1] and get() == 2
         finally:
             set_to(previous)
@@ -801,29 +801,6 @@ class TestTruncatedSvd:
         assert np.array_equal(sem.matrix, again.matrix)
         assert again.article_ids == sem.article_ids
         assert again.seed == sem.seed
-
-    @pytest.mark.parametrize(
-        "change",
-        [
-            lambda meta, rows: meta["article_ids"].pop(),
-            lambda meta, rows: meta["article_ids"].append("extra"),
-            lambda meta, rows: meta.update(k=3),
-            lambda meta, rows: np.save(rows, np.zeros(6)),
-        ],
-        ids=["missing-id", "extra-id", "wrong-k", "one-dimensional"],
-    )
-    def test_load_rejects_a_shape_mismatch(self, spec_run, tmp_path, caplog, change):
-        # ``load`` checks nothing: the manifest's digests catch the change
-        # before train-rank loads the embedding.
-        def damage(out):
-            meta_path, npy = out / "embedding.json", str(out / "embedding.npy")
-            meta = json.loads(meta_path.read_text(encoding="utf-8"))
-            change(meta, npy)
-            meta_path.write_text(json.dumps(meta), encoding="utf-8")
-
-        code, errors = run_on_damaged_copy(spec_run, tmp_path, caplog, ".", damage, "train-rank")
-        assert code == 3 and len(errors) == 1
-        assert errors[0].endswith("changed since 'tagfuse embed' wrote it; re-run 'tagfuse embed'")
 
     def test_k_below_two_rejected(self):
         with pytest.raises(ConfigError, match="at least 2"):
