@@ -1,5 +1,6 @@
 import ctypes
 import importlib.machinery
+import json
 import math
 import sys
 import tracemalloc
@@ -26,7 +27,7 @@ from tagfuse.semantic import (
 )
 from tagfuse.text import tokenize
 
-from conftest import csc_arrays, make_corpus
+from conftest import csc_arrays, make_corpus, run_on_damaged_copy
 
 
 def text_repr(record):
@@ -801,6 +802,29 @@ class TestTruncatedSvd:
         assert np.array_equal(sem.matrix, again.matrix)
         assert again.article_ids == sem.article_ids
         assert again.seed == sem.seed
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            lambda meta, rows: meta["article_ids"].pop(),
+            lambda meta, rows: meta["article_ids"].append("extra"),
+            lambda meta, rows: meta.update(k=3),
+            lambda meta, rows: np.save(rows, np.zeros(6)),
+        ],
+        ids=["missing-id", "extra-id", "wrong-k", "one-dimensional"],
+    )
+    def test_load_rejects_a_shape_mismatch(self, spec_run, tmp_path, caplog, change):
+        # ``load`` checks nothing: the manifest's digests catch the change
+        # before train-rank loads the embedding.
+        def damage(out):
+            meta_path, npy = out / "embedding.json", str(out / "embedding.npy")
+            meta = json.loads(meta_path.read_text(encoding="utf-8"))
+            change(meta, npy)
+            meta_path.write_text(json.dumps(meta), encoding="utf-8")
+
+        code, errors = run_on_damaged_copy(spec_run, tmp_path, caplog, ".", damage, "train-rank")
+        assert code == 3 and len(errors) == 1
+        assert errors[0].endswith("changed since 'tagfuse embed' wrote it; re-run 'tagfuse embed'")
 
     def test_k_below_two_rejected(self):
         with pytest.raises(ConfigError, match="at least 2"):
