@@ -186,10 +186,21 @@ def vectorize(index: Index, config: SemanticConfig = SemanticConfig()) -> TfIdfM
     first = np.empty(term.size, dtype=bool)
     first[:1] = True
     np.not_equal(term[1:], term[:-1], out=first[1:])
-    tf = np.diff(np.flatnonzero(first), append=term.size)
     cells = term[first]
-    del term, first
-    cell_doc, cell_term = np.divmod(cells, n_terms)
+    n_codes = term.size
+    del term
+    # The cells' counts, documents and terms in int32 unless one could
+    # overflow it: none exceeds the number of term codes or of documents.
+    cell_type = np.int32 if max(n_codes, n_docs) < 2**31 else np.int64
+    # Each cell's count, the distance from its first code to the next cell's.
+    starts = np.flatnonzero(first)
+    del first
+    tf = np.empty(cells.size, dtype=cell_type)
+    np.subtract(starts[1:], starts[:-1], out=tf[:-1], casting="unsafe")
+    tf[-1:] = n_codes - starts[-1:]
+    del starts
+    cell_doc, cell_term = (np.empty(cells.size, dtype=cell_type) for _ in range(2))
+    np.divmod(cells, n_terms, out=(cell_doc, cell_term), casting="unsafe")
     del cells
     df = np.bincount(cell_term, minlength=n_terms)
 
@@ -202,8 +213,10 @@ def vectorize(index: Index, config: SemanticConfig = SemanticConfig()) -> TfIdfM
     # Columns in the string order of the terms, "a" or "a b", with no string
     # built: by key, a*(u+1) for the unigram a. No token holds a space or a
     # character below it, so "a" < "a b" < "ab" as a*(u+1) < a*(u+1) + b+1
-    # < (a+1)*(u+1).
-    kept = kept[np.argsort(np.concatenate([np.arange(u) * (u + 1), bigrams])[kept])]
+    # < (a+1)*(u+1). The kept codes ascend, so their unigrams come first.
+    split = np.searchsorted(kept, u)
+    kept = kept[np.argsort(np.concatenate([kept[:split] * (u + 1), bigrams[kept[split:] - u]]))]
+    del bigrams  # held into the SVD, it raised embed's peak at 10k by 7 MB
     # math.log per term: np.log's SIMD paths can differ in the last bit by CPU.
     idf = np.array([math.log((1 + n_docs) / (1 + d)) + 1.0 for d in df[kept].tolist()])
 
@@ -319,9 +332,15 @@ def _one_blas_thread():
         set_to(previous)
 
 
-# Terms per block of the SVD's term-side products: no n-by-width array is
-# ever whole, so the SVD's dense memory does not grow with the vocabulary.
+# Terms per block of the SVD's term side: no n-by-width array is ever
+# whole, so the SVD's dense memory does not grow with the vocabulary. The
+# small solve sums its Gram by ``_TERM_BLOCK`` terms, which rounds by block,
+# so that size is part of the embedding's bits. The range finder and the
+# power iterations run their products by ``_PRODUCT_BLOCK`` terms, through a
+# buffer a quarter the size: there each term-side row is summed alone and
+# the document side adds into ``y`` in order, so the block size changes no bit.
 _TERM_BLOCK = 8192
+_PRODUCT_BLOCK = _TERM_BLOCK // 4
 
 
 # The SVD's products run through the kernels that scipy's ``@`` calls, on
@@ -345,6 +364,32 @@ def _add_doc_side(a: CscArrays, lo: int, hi: int, z: np.ndarray, y: np.ndarray) 
     """``y += a[:, lo:hi] @ z``, each product added straight into ``y``."""
     _kernels().csc_matvecs(a.shape[0], hi - lo, z.shape[1], a.indptr[lo : hi + 1], a.indices,
                            a.data, z.ravel(), y.ravel())
+
+
+def _householder_q(yt: np.ndarray) -> np.ndarray:
+    """``np.linalg.qr(yt.T)[0]``, bit for bit, in ``yt``'s own memory:
+    ``yt`` holds the tall matrix in column-major order, as LAPACK reads it,
+    and is overwritten. numpy's ``qr`` copies the matrix once by ``astype``
+    and once into each of its two LAPACK steps; here ``dgeqrf`` and
+    ``dorgqr`` run in place, through numpy's private ``lapack_lite``, which
+    links the OpenBLAS of ``np.linalg``, each with the work size it asks
+    for, and only the C-order Q is copied out. A test pins the bytes."""
+    import numpy as np
+    from numpy.linalg import lapack_lite
+    n, m = yt.shape
+    mn = min(m, n)
+    tau, size = np.empty(mn), np.empty(1)
+
+    def run(call, *args):
+        info = call(*args, 0)["info"]
+        if info != 0:
+            raise np.linalg.LinAlgError(f"LAPACK {call.__name__} returned info {info}")
+
+    for call, dims in ((lapack_lite.dgeqrf, (m, n)), (lapack_lite.dorgqr, (m, mn, mn))):
+        run(call, *dims, yt, max(1, m), tau, size, -1)  # the work size query
+        work = np.empty(max(1, n, int(size[0])))
+        run(call, *dims, yt, max(1, m), tau, work, work.size)
+    return np.ascontiguousarray(yt[:mn].T)
 
 
 def _orthonormalize(y: np.ndarray) -> np.ndarray:
@@ -377,48 +422,54 @@ def randomized_svd(
     k + oversample`` columns, then ``power_iters`` rounds of ``Q <- qr(a @
     (a.T @ Q))``; only this m side is orthonormalized, in the power
     iterations by CholeskyQR2 with a Householder fallback, and at the end
-    by Householder, whose column signs the embedding keeps. Every product
-    with ``a`` goes block by block over ``_TERM_BLOCK`` terms, columns of
+    by Householder, whose column signs the embedding keeps, run in place on
+    ``y`` in column-major order (``_householder_q``). Every product with
+    ``a`` goes block by block over ``_PRODUCT_BLOCK`` terms, columns of
     ``a``, the ``CscArrays`` that ``vectorize`` returns. The term side goes
     into one reused block buffer, the document side is added in place into
     ``y``, in the order and with the rounding of the whole ``a @ (a.T @
     Q)``. The test matrix is drawn block by block from one generator, so
     its numbers are those of one whole draw. The small solve takes R from
     the Cholesky factor of the Gram of ``Z = a.T @ Q``, summed from the
-    blocks' Grams (CholeskyQR, Fukaya et al. 2014); only a singular Gram
-    builds ``Z`` whole, for its Householder R. With ``R.T = U_R S V_R^T``,
-    ``u = Q @ U_R``. ``U_R`` ignores R's row signs, so the column signs
-    match ``svd(Q.T @ a)`` to rounding; tests pin them, since the forest
-    breaks ties by order. Returns ``(u, s)`` of shapes (m, k) and (k,),
-    ``s`` non-increasing; deterministic for a fixed seed.
+    Grams of ``_TERM_BLOCK``-term blocks (CholeskyQR, Fukaya et al. 2014);
+    only a singular Gram builds ``Z`` whole, for its Householder R. With
+    ``R.T = U_R S V_R^T``, ``u = Q @ U_R``. ``U_R`` ignores R's row signs,
+    so the column signs match ``svd(Q.T @ a)`` to rounding; tests pin them,
+    since the forest breaks ties by order. Returns ``(u, s)`` of shapes (m,
+    k) and (k,), ``s`` non-increasing; deterministic for a fixed seed.
     """
     import numpy as np
     m, n = a.shape
 
     rng = np.random.default_rng(seed)
     width = min(k + oversample, min(m, n))
-    spans = [(lo, min(lo + _TERM_BLOCK, n)) for lo in range(0, n, _TERM_BLOCK)]
 
-    block = np.empty((min(_TERM_BLOCK, n), width))
+    def spans(step):
+        return [(lo, min(lo + step, n)) for lo in range(0, n, step)]
+
+    block = np.empty((min(_PRODUCT_BLOCK, n), width))
     y = np.zeros((m, width))
-    for lo, hi in spans:
+    for lo, hi in spans(_PRODUCT_BLOCK):
         _add_doc_side(a, lo, hi, rng.standard_normal(out=block[: hi - lo]), y)
     for _ in range(power_iters):
         q = _orthonormalize(y)
         del y
         y = np.zeros((m, width))
-        for lo, hi in spans:
+        for lo, hi in spans(_PRODUCT_BLOCK):
             _add_doc_side(a, lo, hi, _term_side(a, lo, hi, q, block[: hi - lo]), y)
         del q
-    # The final QR copies ``y`` and sets the peak: the heap that the block
-    # buffer and the spent ``q`` leave goes back to the OS before it.
+    # The heap that the block buffer and the spent ``q`` leave goes back to
+    # the OS before the final QR, which holds two m-by-width arrays: ``y`` in
+    # column-major order, factored in place, and the Q copied out of it.
     del block
     _release_freed_heap()
-    q, _ = np.linalg.qr(y)
+    yt = y.T.copy()
     del y
+    q = _householder_q(yt)
+    del yt
     block = np.empty((min(_TERM_BLOCK, n), width))
     gram = np.zeros((width, width))
-    for lo, hi in spans:
+    for lo, hi in spans(_TERM_BLOCK):
         z = _term_side(a, lo, hi, q, block[: hi - lo])
         gram += z.T @ z
     del block, z

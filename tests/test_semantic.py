@@ -513,10 +513,15 @@ class TestRandomizedSvd:
 
     @staticmethod
     def count_solves(monkeypatch):
-        """Record each Cholesky factorization, each reduced QR ("qr") and
-        each R-only QR ("qr-r")."""
+        """Record each Cholesky factorization, each reduced QR ("qr", numpy's
+        or the final Q's ``_householder_q``) and each R-only QR ("qr-r")."""
         calls = []
         cholesky, qr = np.linalg.cholesky, np.linalg.qr
+        householder_q = tagfuse.semantic._householder_q
+
+        def counting_householder_q(yt):
+            calls.append("qr")
+            return householder_q(yt)
 
         def counting_cholesky(x):
             calls.append("cholesky")
@@ -528,6 +533,7 @@ class TestRandomizedSvd:
 
         monkeypatch.setattr(np.linalg, "cholesky", counting_cholesky)
         monkeypatch.setattr(np.linalg, "qr", counting_qr)
+        monkeypatch.setattr(tagfuse.semantic, "_householder_q", counting_householder_q)
         return calls
 
     @pytest.mark.parametrize("make, k", SVD_INPUTS)
@@ -575,36 +581,51 @@ class TestRandomizedSvd:
         assert peaks[80000] <= 1.1 * peaks[40000]
 
     def test_peak_memory_holds_few_m_by_width_arrays(self):
-        """Each product is added in place into ``y``, and each spent
-        m-by-width array is freed before the next is made: the traced peak
-        stays below 4 such arrays."""
+        """Each product is added in place into ``y``, each spent m-by-width
+        array is freed before the next is made, and the final QR factors
+        ``y`` in place: the SVD's traced peak, its input converted before,
+        stays below 2.5 such arrays, where ``np.linalg.qr(y)`` would hold
+        ``y``, its copy and ``q``."""
         m, width = 20000, 40 + 10
-        a = sparse.random(m, 2000, density=0.01, format="csr", random_state=0)
+        a = csc_arrays(sparse.random(m, 2000, density=0.01, format="csr", random_state=0))
         tracemalloc.start()
         try:
-            randomized_svd(csc_arrays(a), k=40, oversample=10, power_iters=2)
+            randomized_svd(a, k=40, oversample=10, power_iters=2)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 4 * m * width * 8
+        assert peak < 2.5 * m * width * 8
 
-    def test_power_iterations_hold_no_product_temporary(self):
-        """A 5k-like shape, CSC input and n >> m: the power iterations
-        hold ``q``, the ``y`` they add into and the one term block's
-        buffer, and no product of either side; a quarter of an m-by-width
-        array is the slack. Summed products would add at least one m-by-width
-        and one block-sized array."""
+    def test_power_iterations_hold_no_product_temporary(self, monkeypatch):
+        """A 5k-like shape, CSC input and n >> m: the range finder and the
+        power iterations hold ``q``, the ``y`` they add into and the one
+        ``_PRODUCT_BLOCK``-term buffer, and no product of either side; a
+        quarter of an m-by-width array is the slack. Summed products would
+        add at least one m-by-width and one block-sized array. That peak is
+        read when the final QR starts, since the small solve's larger
+        ``_TERM_BLOCK`` buffer comes after; the whole SVD's peak, the final
+        QR and the small solve with it, is bounded by that buffer."""
         m, n, width, nnz = 4000, 60000, 40 + 10, 300_000
         rng = np.random.default_rng(0)
         a = sparse.csc_matrix(
             (rng.random(nnz), (rng.integers(0, m, nnz), rng.integers(0, n, nnz))), shape=(m, n))
+        householder_q = tagfuse.semantic._householder_q
+        peaks = []
+
+        def reading_peak(yt):
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            return householder_q(yt)
+
+        monkeypatch.setattr(tagfuse.semantic, "_householder_q", reading_peak)
         tracemalloc.start()
         try:
             randomized_svd(csc_arrays(a), k=40, oversample=10, power_iters=2)
-            _, peak = tracemalloc.get_traced_memory()
+            _, svd_peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < (2.25 * m + tagfuse.semantic._TERM_BLOCK) * width * 8
+        [peak] = peaks
+        assert peak < (2.25 * m + tagfuse.semantic._PRODUCT_BLOCK) * width * 8
+        assert svd_peak < (2.25 * m + tagfuse.semantic._TERM_BLOCK) * width * 8
 
     def test_zero_input_gives_zero_singular_values(self):
         u, s = randomized_svd(csc_arrays(np.zeros((6, 5))), k=2, oversample=10, power_iters=2)
@@ -662,6 +683,42 @@ class TestOrthonormalize:
         q = tagfuse.semantic._orthonormalize(y)
         np.testing.assert_allclose(q.T @ q, np.eye(50), rtol=0, atol=1e-12)
         np.testing.assert_allclose(q @ (q.T @ y_in), y_in, rtol=0, atol=1e-12)
+
+
+def householder_inputs():
+    """A tall ``y`` at each ``SHAPES`` width, one wider than tall, one of
+    rank 5 at width 30 and one all zero."""
+    rng = np.random.default_rng(0)
+    ys = {f"{m}x{min(k + 10, m, n)}": rng.standard_normal((m, min(k + 10, m, n)))
+          for m, n, k in SHAPES}
+    ys["50x60"] = rng.standard_normal((50, 60))
+    ys["rank5"] = rng.standard_normal((300, 5)) @ rng.standard_normal((5, 30))
+    ys["zero"] = np.zeros((40, 12))
+    return ys
+
+
+class TestHouseholderQ:
+    @pytest.mark.parametrize("name", householder_inputs())
+    def test_in_place_q_equals_numpy_qr_bit_for_bit(self, name):
+        """The final Q runs LAPACK through numpy's private ``lapack_lite``:
+        it must give ``np.linalg.qr``'s bytes on the SVD's one BLAS thread,
+        in C order. A numpy release that changes either fails here."""
+        y = householder_inputs()[name]
+        with tagfuse.semantic._one_blas_thread():
+            expected = np.linalg.qr(y)[0]
+            got = tagfuse.semantic._householder_q(y.T.copy())
+        assert got.flags.c_contiguous
+        assert got.shape == expected.shape and np.array_equal(got, expected)
+
+    def test_a_lapack_error_raises(self, monkeypatch):
+        """A nonzero ``info`` from either call stops the SVD: numpy's
+        ``qr`` raises where LAPACK fails, and so must the in-place Q."""
+        def failing(*args):
+            return {"info": -4}
+
+        monkeypatch.setattr(np.linalg.lapack_lite, "dorgqr", failing)
+        with pytest.raises(np.linalg.LinAlgError, match="returned info -4"):
+            tagfuse.semantic._householder_q(np.ones((3, 8)))
 
 
 KERNELS = "scipy.sparse._sparsetools"
