@@ -47,7 +47,7 @@ from .manifest import append_entry, config_fingerprint, file_sha256, manifest_ke
 from .ranking import (
     ORIGIN_CLASSIFIER, ORIGIN_FUSION, ORIGIN_SYNSET, read_ranked_list, write_ranked_list,
 )
-from .semantic import SemanticMatrix, truncated_svd, vectorize
+from .semantic import SemanticMatrix, truncated_svd, unmap_freed_arrays, vectorize
 from .seeds import derive_seed
 from .synsets import load_synsets, save_synsets, synset_rank
 
@@ -213,6 +213,7 @@ def stage_index(cfg: RunConfig) -> None:
 
 
 def stage_embed(cfg: RunConfig) -> None:
+    unmap_freed_arrays()
     with _run(cfg, "embed") as ws:
         tfidf = vectorize(_load_index(cfg, ws), cfg.semantic)
         sem = truncated_svd(tfidf, cfg.semantic, seed=derive_seed(cfg.seed, "svd"))

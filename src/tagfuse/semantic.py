@@ -148,6 +148,12 @@ def vectorize(index: Index, config: SemanticConfig = SemanticConfig()) -> TfIdfM
     def read(a):  # an index array, in the typecode the index gave it
         return np.frombuffer(a, a.typecode)
 
+    def run_starts(a):  # True where the sorted ``a`` first holds each value
+        first = np.empty(a.size, dtype=bool)
+        first[:1] = True
+        np.not_equal(a[1:], a[:-1], out=first[1:])
+        return first
+
     # Token ids are string ranks over both fields' terms, so ordering ids
     # orders terms. Each field's positions go into the stream at their
     # document's start, the abstract's after the title's tokens.
@@ -172,20 +178,34 @@ def vectorize(index: Index, config: SemanticConfig = SemanticConfig()) -> TfIdfM
     doc = np.repeat(np.arange(n_docs, dtype=np.int64), lengths)
     # Term codes: every token occurs, so the unigram codes are 0..u-1; the
     # bigram (a, b) is u + the rank of its key a*(u+1) + b+1 (u < 3e9 tokens,
-    # so int64 cannot wrap); no bigram crosses a document boundary.
+    # so int64 cannot wrap); no bigram crosses a document boundary. Each
+    # bigram's code goes through the keys' argsort into ``term``'s tail.
     within = doc[:-1] == doc[1:]
-    bigrams, term = np.unique(
-        token[:-1][within] * (u + 1) + token[1:][within] + 1, return_inverse=True)
+    keys = token[:-1][within]
+    keys *= u + 1
+    keys += token[1:][within]
+    keys += 1
+    order = keys.argsort()
+    keys = keys[order]
+    first = run_starts(keys)
+    bigrams = keys[first]
     n_terms = u + bigrams.size
-    term = np.concatenate([token, term + u])
+    term = np.empty(token.size + keys.size, dtype=np.int64)
+    term[: token.size] = token
+    del token
+    np.cumsum(first, out=keys)
+    del first
+    keys += u - 1
+    term[doc.size :][order] = keys
+    del keys, order
     # One cell per (document, term), in row-major order, with its count.
-    term += np.concatenate([doc, doc[:-1][within]]) * n_terms
-    del token, doc, within
+    doc *= n_terms
+    term[: doc.size] += doc
+    term[doc.size :] += doc[:-1][within]
+    del doc, within
     # Counted in place: np.unique(term, return_counts=True) sorts a copy.
     term.sort()
-    first = np.empty(term.size, dtype=bool)
-    first[:1] = True
-    np.not_equal(term[1:], term[:-1], out=first[1:])
+    first = run_starts(term)
     cells = term[first]
     n_codes = term.size
     del term
@@ -249,16 +269,19 @@ def vectorize(index: Index, config: SemanticConfig = SemanticConfig()) -> TfIdfM
     return TfIdfMatrix(matrix=csc, article_ids=article_ids)
 
 
-def _release_freed_heap() -> None:
-    """Hand the heap pages that freed arrays left behind back to the OS by
-    glibc's ``malloc_trim(0)``; nothing where the C library has no such call
-    (macOS, musl). ``ctypes`` is imported here, so that the CLI loads it only
-    in the stages that load numpy, which imports it anyway."""
+def unmap_freed_arrays() -> None:
+    """Fix glibc's ``M_MMAP_THRESHOLD`` at its default, 128 KiB, by
+    ``mallopt``, for the rest of the process; nothing where the C library
+    has no such call (macOS, musl). Left to itself, glibc raises the
+    threshold as mapped arrays are freed, and later ones come from the heap,
+    whose freed pages stay resident. Fixed, each array of 128 KiB or more
+    is unmapped when freed. ``ctypes`` is imported here, so that the CLI
+    loads it only in the stages that load numpy, which imports it anyway."""
     import ctypes
-    trim = getattr(ctypes.CDLL(None), "malloc_trim", None)
-    if trim is not None:
-        trim.argtypes, trim.restype = [ctypes.c_size_t], ctypes.c_int
-        trim(0)
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+    if mallopt is not None:
+        mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
+        mallopt(-3, 128 * 1024)  # M_MMAP_THRESHOLD is -3
 
 
 @functools.cache
@@ -294,7 +317,7 @@ def _blas_thread_calls():
     """The calls that get and set the thread count of numpy's OpenBLAS, or
     None where numpy's BLAS is not the OpenBLAS its wheels bundle (a system
     BLAS, MKL, Accelerate): no such library is found, or none with these
-    calls. ``ctypes`` is imported here, as in ``_release_freed_heap``."""
+    calls. ``ctypes`` is imported here, as in ``unmap_freed_arrays``."""
     import ctypes
     import glob
     import os
@@ -458,11 +481,9 @@ def randomized_svd(
         for lo, hi in spans(_PRODUCT_BLOCK):
             _add_doc_side(a, lo, hi, _term_side(a, lo, hi, q, block[: hi - lo]), y)
         del q
-    # The heap that the block buffer and the spent ``q`` leave goes back to
-    # the OS before the final QR, which holds two m-by-width arrays: ``y`` in
-    # column-major order, factored in place, and the Q copied out of it.
+    # The final QR holds two m-by-width arrays: ``y`` in column-major order,
+    # factored in place, and the Q copied out of it.
     del block
-    _release_freed_heap()
     yt = y.T.copy()
     del y
     q = _householder_q(yt)
